@@ -27,6 +27,7 @@ module Machine = Vekt_vm.Machine
 module Vectorize = Vekt_transform.Vectorize
 module Ptx_to_ir = Vekt_transform.Ptx_to_ir
 module Plan = Vekt_transform.Plan
+module J = Vekt_obs.Jsonx
 open Vekt_ptx
 open Vekt_workloads
 
@@ -44,16 +45,20 @@ type run = { report : Api.report; name : string }
 let trace_dir : string option ref = ref None
 let trace_seq = ref 0
 
+let write_file path contents =
+  let oc = open_out_bin path in
+  output_string oc contents;
+  close_out oc
+
 let emit_trace name (t : Vekt_obs.Trace.t) =
   match !trace_dir with
   | None -> ()
   | Some dir ->
       if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
       incr trace_seq;
-      let path = Fmt.str "%s/%s-%03d.json" dir name !trace_seq in
-      let oc = open_out_bin path in
-      output_string oc (Vekt_obs.Trace.to_chrome_json t);
-      close_out oc
+      write_file
+        (Fmt.str "%s/%s-%03d.json" dir name !trace_seq)
+        (Vekt_obs.Trace.to_chrome_json t)
 
 let run_workload ?em_costs (w : Workload.t) (config : Api.config) : run =
   let dev = Api.create_device ?em_costs () in
@@ -496,49 +501,39 @@ let scaling () =
   Fmt.pr "%d/%d multi-CTA workloads reach >=1.5x at 4 workers on this host@."
     (List.length fast4)
     (List.length (List.filter (fun (_, ncta, _) -> ncta >= 2) results));
-  (* hand-rolled JSON: no JSON library in the dependency set *)
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Fmt.str
-       "{\n  \"host_cores\": %d,\n  \"scale\": %d,\n  \"reps\": %d,\n  \
-        \"workers\": [%s],\n  \"workloads\": [\n"
-       cores !scale reps
-       (String.concat ", " (List.map string_of_int worker_counts)));
-  List.iteri
-    (fun i (name, ncta, cells) ->
-      let base = Option.value (wall_of 1 cells) ~default:0.0 in
-      let wall =
-        String.concat ", "
-          (List.map (fun (n, us, _) -> Fmt.str "\"%d\": %.1f" n us) cells)
-      in
-      let speedup =
-        String.concat ", "
-          (List.map
-             (fun (n, us, _) ->
-               Fmt.str "\"%d\": %.3f" n
-                 (if us > 0.0 && base > 0.0 then base /. us else 0.0))
-             cells)
-      in
-      let pcts =
-        String.concat ", "
-          (List.map
-             (fun (n, _, h) ->
-               let p50, p95, p99 = Metrics.percentiles h in
-               Fmt.str "\"%d\": {\"p50\": %d, \"p95\": %d, \"p99\": %d}" n p50
-                 p95 p99)
-             cells)
-      in
-      Buffer.add_string buf
-        (Fmt.str
-           "    {\"name\": %S, \"ncta\": %d, \"wall_us\": {%s}, \"speedup\": \
-            {%s}, \"launch_us_pct\": {%s}}%s\n"
-           name ncta wall speedup pcts
-           (if i = List.length results - 1 then "" else ",")))
-    results;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out_bin !scaling_out in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
+  (* one {"<workers>": value} object per measured quantity *)
+  let per_workers f cells =
+    J.Obj (List.map (fun (n, us, h) -> (string_of_int n, f us h)) cells)
+  in
+  let workload (name, ncta, cells) =
+    let base = Option.value (wall_of 1 cells) ~default:0.0 in
+    J.Obj
+      [
+        ("name", J.Str name);
+        ("ncta", J.Int ncta);
+        ("wall_us", per_workers (fun us _ -> J.Float us) cells);
+        ( "speedup",
+          per_workers
+            (fun us _ -> J.Float (if us > 0.0 && base > 0.0 then base /. us else 0.0))
+            cells );
+        ( "launch_us_pct",
+          per_workers
+            (fun _ h ->
+              let p50, p95, p99 = Metrics.percentiles h in
+              J.Obj [ ("p50", J.Int p50); ("p95", J.Int p95); ("p99", J.Int p99) ])
+            cells );
+      ]
+  in
+  write_file !scaling_out
+    (J.to_line
+       (J.Obj
+          [
+            ("host_cores", J.Int cores);
+            ("scale", J.Int !scale);
+            ("reps", J.Int reps);
+            ("workers", J.List (List.map (fun n -> J.Int n) worker_counts));
+            ("workloads", J.List (List.map workload results));
+          ]));
   Fmt.pr "wrote %s@." !scaling_out
 
 (* ------------------------------------------------------------------ *)
@@ -613,39 +608,29 @@ let ckpt () =
         (w.Workload.name, ncta, cells))
       Registry.all
   in
-  (* hand-rolled JSON: no JSON library in the dependency set *)
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Fmt.str
-       "{\n  \"scale\": %d,\n  \"reps\": %d,\n  \"intervals\": [%s],\n  \
-        \"workloads\": [\n"
-       !scale reps
-       (String.concat ", " (List.map string_of_int intervals)));
-  List.iteri
-    (fun i (name, ncta, cells) ->
-      let _, base, _, _ = List.assoc 0 cells in
-      let field f =
-        String.concat ", "
-          (List.map (fun (n, c) -> Fmt.str "\"%d\": %s" n (f c)) cells)
-      in
-      let wall = field (fun (_, us, _, _) -> Fmt.str "%.1f" us) in
-      let snaps = field (fun (_, _, s, _) -> string_of_int s) in
-      let bytes = field (fun (_, _, _, b) -> string_of_int b) in
-      let overhead =
-        field (fun (_, us, _, _) ->
-            Fmt.str "%.3f" (if base > 0.0 then us /. base else 0.0))
-      in
-      Buffer.add_string buf
-        (Fmt.str
-           "    {\"name\": %S, \"ncta\": %d, \"wall_us\": {%s}, \
-            \"snapshots\": {%s}, \"bytes\": {%s}, \"overhead\": {%s}}%s\n"
-           name ncta wall snaps bytes overhead
-           (if i = List.length results - 1 then "" else ",")))
-    results;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out_bin !ckpt_out in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
+  let workload (name, ncta, cells) =
+    let _, base, _, _ = List.assoc 0 cells in
+    let field f = J.Obj (List.map (fun (n, c) -> (string_of_int n, f c)) cells) in
+    J.Obj
+      [
+        ("name", J.Str name);
+        ("ncta", J.Int ncta);
+        ("wall_us", field (fun (_, us, _, _) -> J.Float us));
+        ("snapshots", field (fun (_, _, s, _) -> J.Int s));
+        ("bytes", field (fun (_, _, _, b) -> J.Int b));
+        ( "overhead",
+          field (fun (_, us, _, _) -> J.Float (if base > 0.0 then us /. base else 0.0)) );
+      ]
+  in
+  write_file !ckpt_out
+    (J.to_line
+       (J.Obj
+          [
+            ("scale", J.Int !scale);
+            ("reps", J.Int reps);
+            ("intervals", J.List (List.map (fun n -> J.Int n) intervals));
+            ("workloads", J.List (List.map workload results));
+          ]));
   Fmt.pr "wrote %s@." !ckpt_out
 
 (* ------------------------------------------------------------------ *)

@@ -27,6 +27,7 @@ module Invariance = Vekt_analysis.Invariance
 module Api = Vekt_runtime.Api
 module Stats = Vekt_runtime.Stats
 module Obs = Vekt_obs
+module Jsonx = Vekt_obs.Jsonx
 open Vekt_ptx
 open Cmdliner
 
@@ -275,7 +276,8 @@ let run_cmd =
       match (report, tracer) with
       | Some rpath, Some t ->
           let bundle =
-            Vekt_runtime.Report.crash_bundle ~kernel ~error:err ~trace:t ()
+            Jsonx.to_string
+              (Vekt_runtime.Report.crash_bundle ~kernel ~error:err ~trace:t ())
           in
           if rpath = "-" then Fmt.pr "%s@." bundle
           else begin
@@ -341,7 +343,7 @@ let run_cmd =
         in
         if rpath = "-" then Fmt.pr "%s" (Vekt_runtime.Report.render rep)
         else begin
-          write_file rpath (Vekt_runtime.Report.to_json rep);
+          write_file rpath (Jsonx.to_string (Vekt_runtime.Report.to_json rep));
           Fmt.pr "report -> %s@." rpath
         end
     | _ -> ());
@@ -351,7 +353,8 @@ let run_cmd =
         if path = "-" then Obs.Metrics.pp Fmt.stdout reg
         else begin
           let contents =
-            if has_suffix ~suffix:".json" path then Obs.Metrics.to_json reg
+            if has_suffix ~suffix:".json" path then
+              Jsonx.to_string (Obs.Metrics.to_json reg)
             else Obs.Metrics.to_csv reg
           in
           write_file path contents;
@@ -707,7 +710,6 @@ let fuzz_cmd =
 (* ---- serve / submit / client: the persistent daemon ---- *)
 
 module Server = Vekt_server.Server
-module Jsonx = Vekt_server.Jsonx
 
 let socket_arg =
   Arg.(
@@ -1111,7 +1113,7 @@ let client_cmd =
 let chaos_cmd =
   let module H = Vekt_chaos_harness.Harness in
   let module Injector = Vekt_chaos.Injector in
-  let run seed budget state_dir repro_dir legacy_io stop_on_first replay_file =
+  let run seed budget state_dir repro_dir stop_on_first replay_file =
     let dir =
       match state_dir with
       | Some d -> d
@@ -1127,18 +1129,16 @@ let chaos_cmd =
             Fmt.epr "bad repro file: %s@." msg;
             exit 2
         | Ok r -> (
-            Fmt.pr "replaying crash @%d (%s) over %d steps, seed %d%s@."
+            Fmt.pr "replaying crash @%d (%s) over %d steps, seed %d@."
               r.H.r_boundary
               (Injector.flavor_name r.H.r_flavor)
-              (List.length r.H.r_steps) r.H.r_seed
-              (if r.H.r_durable then "" else " [legacy fsync-less I/O]");
+              (List.length r.H.r_steps) r.H.r_seed;
             match H.replay ~dir r with
             | [] -> Fmt.pr "no violation: the schedule no longer fails@."
             | violations ->
                 List.iter (Fmt.pr "violation: %s@.") violations;
                 exit 1))
     | None ->
-        if legacy_io then Vekt_chaos.Io.durability := false;
         let c =
           H.run_campaign ~seed ~budget ~stop_on_first ~log:(Fmt.pr "%s@.") ~dir
             ~steps:Vekt_chaos_harness.Script.default ()
@@ -1158,7 +1158,7 @@ let chaos_cmd =
                   (Fmt.str "chaos-%d-%s.json" f.H.f_boundary
                      (Injector.flavor_name f.H.f_flavor))
               in
-              H.write_repro ~path ~seed ~durable:(not legacy_io) f' steps;
+              H.write_repro ~path ~seed f' steps;
               Fmt.pr "minimized repro (%d steps) written to %s@."
                 (List.length steps) path)
             c.H.c_failures;
@@ -1192,15 +1192,6 @@ let chaos_cmd =
       & info [ "repro-dir" ] ~docv:"DIR"
           ~doc:"Where minimized repro schedules are written")
   in
-  let legacy_arg =
-    Arg.(
-      value & flag
-      & info [ "legacy-io" ]
-          ~doc:
-            "Run with the pre-chaos fsync-less tmp+rename protocol — \
-             demonstrates the lost-rename durability bugs the full protocol \
-             fixes")
-  in
   let stop_arg =
     Arg.(
       value & flag
@@ -1223,8 +1214,8 @@ let chaos_cmd =
           duplicated or corrupted; failing schedules are minimized to \
           replayable repro files")
     Term.(
-      const run $ seed_arg $ budget_arg $ state_arg $ repro_arg $ legacy_arg
-      $ stop_arg $ replay_arg)
+      const run $ seed_arg $ budget_arg $ state_arg $ repro_arg $ stop_arg
+      $ replay_arg)
 
 let () =
   let doc = "dynamic compilation of data-parallel kernels for vector processors" in

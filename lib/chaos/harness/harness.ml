@@ -19,8 +19,8 @@
       I/O implementation, recovery runs, and the invariants below are
       checked.
     + during {b minimization}, candidate sub-scripts of a failing
-      schedule, mirroring the greedy delta-debugging of
-      [lib/fuzz/shrink.ml].
+      schedule, shrunk by the fuzzer's greedy chunk deletion
+      ({!Vekt_fuzz.Shrink.chunks}).
 
     Invariants checked after every recovery:
     - {b no lost job}: every launch that was acknowledged to a client
@@ -42,7 +42,7 @@
 
 module Server = Vekt_server.Server
 module Queue = Vekt_server.Queue
-module J = Vekt_server.Jsonx
+module J = Vekt_obs.Jsonx
 module Io = Vekt_chaos.Io
 module Injector = Vekt_chaos.Injector
 
@@ -277,11 +277,15 @@ let drain ?(max_steps = 10_000) q =
   while Queue.step q && !n < max_steps do incr n done;
   !n < max_steps
 
-let run_baseline ~seed ~dir ~steps : baseline =
+(* [io] wraps the injector's implementation in this pass and in
+   [drill]'s, and is threaded through [first_failure], [minimize] and
+   [replay]: the hook a test uses to run the harness over a deliberately
+   weakened I/O layer.  It defaults to the identity. *)
+let run_baseline ?(io = Fun.id) ~seed ~dir ~steps () : baseline =
   rm_rf dir;
   let inj = Injector.create ~root:dir ~seed ~plan:Injector.Count () in
   let w =
-    Io.with_impl (Injector.impl inj) (fun () ->
+    Io.with_impl (io (Injector.impl inj)) (fun () ->
         run_pass ~alive:(fun () -> not (Injector.crashed inj)) ~dir steps)
   in
   let w =
@@ -326,8 +330,8 @@ let terminal = function "done" | "failed" | "cancelled" -> true | _ -> false
 
 (** Crash at [boundary] with [flavor], recover, check the invariants.
     Returns the violations (empty = this crash point is safe). *)
-let drill ~seed ~dir ~steps ~(baseline : baseline) ~boundary ~flavor :
-    string list =
+let drill ?(io = Fun.id) ~seed ~dir ~steps ~(baseline : baseline) ~boundary
+    ~flavor () : string list =
   rm_rf dir;
   let inj =
     Injector.create ~root:dir ~seed
@@ -335,7 +339,7 @@ let drill ~seed ~dir ~steps ~(baseline : baseline) ~boundary ~flavor :
       ()
   in
   let w =
-    Io.with_impl (Injector.impl inj) (fun () ->
+    Io.with_impl (io (Injector.impl inj)) (fun () ->
         run_pass ~alive:(fun () -> not (Injector.crashed inj)) ~dir steps)
   in
   if not (Injector.crashed inj) then []
@@ -498,7 +502,7 @@ let enumerate ~(baseline : baseline) ~budget =
 
 let run_campaign ?(seed = 0x5eed) ?(budget = 0) ?(stop_on_first = false)
     ?(log = fun _ -> ()) ~dir ~steps () : campaign =
-  let baseline = run_baseline ~seed ~dir ~steps in
+  let baseline = run_baseline ~seed ~dir ~steps () in
   log
     (Fmt.str "chaos: %d I/O boundaries in the scripted workload"
        baseline.b_boundaries);
@@ -510,7 +514,7 @@ let run_campaign ?(seed = 0x5eed) ?(budget = 0) ?(stop_on_first = false)
      List.iter
        (fun (boundary, flavor, label) ->
          incr ran;
-         let violations = drill ~seed ~dir ~steps ~baseline ~boundary ~flavor in
+         let violations = drill ~seed ~dir ~steps ~baseline ~boundary ~flavor () in
          if violations <> [] then begin
            log
              (Fmt.str "chaos: FAIL @%d %s [%s]: %s" boundary
@@ -533,25 +537,27 @@ let run_campaign ?(seed = 0x5eed) ?(budget = 0) ?(stop_on_first = false)
     c_failures = List.rev !failures;
   }
 
-(* ---- minimization (mirrors lib/fuzz/shrink.ml) ---- *)
+(* ---- minimization ---- *)
 
-(* Cap on predicate evaluations: each one replays a bounded drill
-   sweep, so a pathological shrink must not dominate the campaign. *)
+(* Cap on candidate schedules: each one replays a bounded drill sweep,
+   so a pathological shrink must not dominate the campaign. *)
 let max_evals = 48
 
 (* Does any crash point of [steps] with this flavor still violate?
    Scans boundaries in order, stopping at the first failure — in
    practice durability bugs sit early in the timeline, so this is
    cheap.  Returns the witness. *)
-let first_failure ~seed ~dir ~flavor ~sweep_cap steps : failure option =
-  match run_baseline ~seed ~dir ~steps with
+let first_failure ?io ~seed ~dir ~flavor ~sweep_cap steps : failure option =
+  match run_baseline ?io ~seed ~dir ~steps () with
   | exception _ -> None
   | baseline ->
       let cap = min baseline.b_boundaries sweep_cap in
       let rec go b =
         if b >= cap then None
         else
-          let violations = drill ~seed ~dir ~steps ~baseline ~boundary:b ~flavor in
+          let violations =
+            drill ?io ~seed ~dir ~steps ~baseline ~boundary:b ~flavor ()
+          in
           if violations <> [] then
             Some
               {
@@ -564,54 +570,30 @@ let first_failure ~seed ~dir ~flavor ~sweep_cap steps : failure option =
       in
       go 0
 
-let cut l ~at ~len = List.filteri (fun i _ -> i < at || i >= at + len) l
-
-(** Greedy delta-debugging of a failing script: delete chunks of steps
-    (halving the chunk size as progress stalls), keep a candidate only
-    if some crash point with the failing flavor still violates.  The
-    final script, boundary and violations are returned together so the
-    repro file records exactly what the minimized schedule does. *)
-let minimize ~seed ~dir (f : failure) (steps : Script.step list) :
+(** Shrink a failing script with {!Vekt_fuzz.Shrink.chunks}, keeping a
+    candidate only if some crash point with the failing flavor still
+    violates.  The final script, boundary and violations are returned
+    together so the repro file records exactly what the minimized
+    schedule does. *)
+let minimize ?io ~seed ~dir (f : failure) (steps : Script.step list) :
     Script.step list * failure =
   let sweep_cap = f.f_boundary + 8 in
-  let evals = ref 0 in
-  let witness = ref f in
   let try_candidate cand =
-    incr evals;
-    if !evals > max_evals then None
-    else
-      match first_failure ~seed ~dir ~flavor:f.f_flavor ~sweep_cap cand with
-      | Some f' -> Some f'
-      | None | (exception Harness_bug _) -> None
+    match first_failure ?io ~seed ~dir ~flavor:f.f_flavor ~sweep_cap cand with
+    | found -> found
+    | exception Harness_bug _ -> None
   in
-  let best = ref steps in
-  let chunk = ref (max 1 (List.length steps / 2)) in
-  while !chunk >= 1 && !evals <= max_evals do
-    let shrunk_this_pass = ref false in
-    let i = ref 0 in
-    while !i + !chunk <= List.length !best && !evals <= max_evals do
-      let cand = cut !best ~at:!i ~len:!chunk in
-      match try_candidate cand with
-      | Some f' ->
-          best := cand;
-          witness := f';
-          shrunk_this_pass := true
-          (* don't advance: the next chunk slid into place *)
-      | None -> i := !i + !chunk
-    done;
-    if not !shrunk_this_pass then chunk := !chunk / 2
-  done;
+  let best, witness = Vekt_fuzz.Shrink.chunks ~max_evals ~try_candidate steps in
   rm_rf dir;
-  (!best, !witness)
+  (best, Option.value witness ~default:f)
 
 (* ---- replayable repro files ---- *)
 
-let repro_json ~seed ~durable (f : failure) (steps : Script.step list) : J.t =
+let repro_json ~seed (f : failure) (steps : Script.step list) : J.t =
   J.Obj
     [
       ("vekt-chaos-repro", J.Int 1);
       ("seed", J.Int seed);
-      ("durable", J.Bool durable);
       ("boundary", J.Int f.f_boundary);
       ("flavor", J.Str (Injector.flavor_name f.f_flavor));
       ("label", J.Str f.f_label);
@@ -619,13 +601,12 @@ let repro_json ~seed ~durable (f : failure) (steps : Script.step list) : J.t =
       ("violations", J.List (List.map (fun v -> J.Str v) f.f_violations));
     ]
 
-let write_repro ~path ~seed ~durable (f : failure) steps =
+let write_repro ~path ~seed (f : failure) steps =
   Out_channel.with_open_bin path (fun oc ->
-      Out_channel.output_string oc (J.to_line (repro_json ~seed ~durable f steps)))
+      Out_channel.output_string oc (J.to_line (repro_json ~seed f steps)))
 
 type repro = {
   r_seed : int;
-  r_durable : bool;
   r_boundary : int;
   r_flavor : Injector.flavor;
   r_steps : Script.step list;
@@ -657,8 +638,6 @@ let parse_repro (data : string) : (repro, string) result =
               Ok
                 {
                   r_seed = seed;
-                  r_durable =
-                    Option.value (J.bool_mem "durable" j) ~default:true;
                   r_boundary = boundary;
                   r_flavor = flavor;
                   r_steps = List.rev rev;
@@ -667,14 +646,10 @@ let parse_repro (data : string) : (repro, string) result =
 
 (** Re-run exactly the drill a repro file records.  Returns the
     violations it reproduces (empty = no longer fails). *)
-let replay ~dir (r : repro) : string list =
-  let saved = !Io.durability in
-  Io.durability := r.r_durable;
+let replay ?io ~dir (r : repro) : string list =
   Fun.protect
-    ~finally:(fun () ->
-      Io.durability := saved;
-      rm_rf dir)
+    ~finally:(fun () -> rm_rf dir)
     (fun () ->
-      let baseline = run_baseline ~seed:r.r_seed ~dir ~steps:r.r_steps in
-      drill ~seed:r.r_seed ~dir ~steps:r.r_steps ~baseline
-        ~boundary:r.r_boundary ~flavor:r.r_flavor)
+      let baseline = run_baseline ?io ~seed:r.r_seed ~dir ~steps:r.r_steps () in
+      drill ?io ~seed:r.r_seed ~dir ~steps:r.r_steps ~baseline
+        ~boundary:r.r_boundary ~flavor:r.r_flavor ())

@@ -11,7 +11,7 @@
     JSON round-trippable so minimized failures can be written as
     replayable repro files. *)
 
-module J = Vekt_server.Jsonx
+module J = Vekt_obs.Jsonx
 
 type step =
   | Open of { sid : string; tenant : string }

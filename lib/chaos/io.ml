@@ -98,13 +98,6 @@ let mkdir path perms = !current.mkdir path perms
 let rmdir path = !current.rmdir path
 let send fd s off len = !current.send fd s off len
 
-(** Process-wide durability switch.  [true] (the default) is the full
-    protocol below; [false] reverts {!save_atomic} to the fsync-less
-    tmp+rename the daemon shipped with before the chaos engine — kept
-    so the regression test (and [vektc chaos --legacy-io]) can
-    demonstrate the lost-rename bug the full protocol fixes. *)
-let durability = ref true
-
 (** Publish [data] at [path] atomically {e and} durably:
 
       write [path].tmp → fsync it → rename over [path] → fsync the
@@ -116,10 +109,9 @@ let durability = ref true
     crash after [rename] returns can still roll the directory entry
     back to the old file — the exact bug the chaos engine surfaced in
     every tmp+rename path we had). *)
-let save_atomic ?durable ~path data =
-  let durable = match durable with Some d -> d | None -> !durability in
+let save_atomic ~path data =
   let tmp = path ^ ".tmp" in
   write_file tmp data;
-  if durable then fsync_file tmp;
+  fsync_file tmp;
   rename tmp path;
-  if durable then fsync_dir (Filename.dirname path)
+  fsync_dir (Filename.dirname path)

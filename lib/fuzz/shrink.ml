@@ -10,15 +10,18 @@
     use-before-decl garbage cheaply; the predicate (usually "the
     differential harness still reports a divergence") does the expensive
     confirmation.  Every accepted candidate is a well-typed kernel, so
-    the final artifact can be committed to [test/corpus/] as-is. *)
+    the final artifact can be committed to [test/corpus/] as-is.  The
+    deletion loop itself is {!chunks}, a generic list function the chaos
+    harness's schedule minimizer shares. *)
 
 module A = Vekt_ptx.Ast
 module Printer = Vekt_ptx.Printer
 module Typecheck = Vekt_ptx.Typecheck
 module Parser = Vekt_ptx.Parser
 
-(* Cap on predicate evaluations: each one replays the whole config
-   matrix, so a pathological shrink must not dominate the campaign. *)
+(* Cap on deletion candidates: each well-typed one replays the whole
+   config matrix, so a pathological shrink must not dominate the
+   campaign. *)
 let max_evals = 250
 
 let rebuild (spec : Gen.t) (m : A.modul) (k : A.kernel) body regs : Gen.t =
@@ -42,6 +45,37 @@ let used_reg_names body =
 let cut l ~at ~len =
   List.filteri (fun i _ -> i < at || i >= at + len) l
 
+(** Greedy chunk deletion over a list, shared by this shrinker and the
+    chaos harness's schedule minimizer: delete chunks of elements
+    (starting at half the list, halving the chunk size whenever a full
+    pass removes nothing) and keep a candidate whenever [try_candidate]
+    returns [Some witness] — "this shorter list still fails, and here
+    is how".  At most [max_evals] candidates are tried.  Returns the
+    shortest failing list found and the witness of the last accepted
+    candidate ([None] when no deletion was kept). *)
+let chunks ~max_evals ~(try_candidate : 'a list -> 'w option) (l : 'a list) :
+    'a list * 'w option =
+  let evals = ref 0 in
+  let best = ref l and witness = ref None in
+  let chunk = ref (max 1 (List.length l / 2)) in
+  while !chunk >= 1 && !evals < max_evals do
+    let shrunk_this_pass = ref false in
+    let i = ref 0 in
+    while !i + !chunk <= List.length !best && !evals < max_evals do
+      let cand = cut !best ~at:!i ~len:!chunk in
+      incr evals;
+      match try_candidate cand with
+      | Some w ->
+          best := cand;
+          witness := Some w;
+          shrunk_this_pass := true
+          (* don't advance: the next chunk slid into place *)
+      | None -> i := !i + !chunk
+    done;
+    if not !shrunk_this_pass then chunk := !chunk / 2
+  done;
+  (!best, !witness)
+
 let minimize ~(still_fails : Gen.t -> bool) (spec : Gen.t) : Gen.t =
   match Parser.parse_module spec.src with
   | exception _ -> spec
@@ -49,38 +83,21 @@ let minimize ~(still_fails : Gen.t -> bool) (spec : Gen.t) : Gen.t =
       match A.find_kernel m spec.kernel with
       | None -> spec
       | Some k ->
-          let evals = ref 0 in
-          let ok (cand : Gen.t) =
-            incr evals;
-            !evals <= max_evals && still_fails cand
-          in
-          let try_candidate body regs =
+          (* only well-typed candidates reach the expensive predicate *)
+          let try_candidate regs body =
             let cand = rebuild spec m k body regs in
             match Parser.parse_module cand.src with
             | exception _ -> None
-            | m' -> if Typecheck.check_module m' = [] && ok cand then Some cand else None
+            | m' ->
+                if Typecheck.check_module m' = [] && still_fails cand then Some cand
+                else None
           in
-          let body = ref k.A.k_body and regs = ref k.A.k_regs in
-          let best = ref spec in
-          let chunk = ref (max 1 (List.length !body / 2)) in
-          while !chunk >= 1 && !evals < max_evals do
-            let shrunk_this_pass = ref false in
-            let i = ref 0 in
-            while !i + !chunk <= List.length !body && !evals < max_evals do
-              match try_candidate (cut !body ~at:!i ~len:!chunk) !regs with
-              | Some cand ->
-                  body := cut !body ~at:!i ~len:!chunk;
-                  best := cand;
-                  shrunk_this_pass := true
-                  (* don't advance: the next chunk slid into place *)
-              | None -> i := !i + !chunk
-            done;
-            if not !shrunk_this_pass then chunk := !chunk / 2
-          done;
+          let body, best =
+            chunks ~max_evals ~try_candidate:(try_candidate k.A.k_regs)
+              k.A.k_body
+          in
+          let best = Option.value best ~default:spec in
           (* drop register declarations the body no longer touches *)
-          let used = used_reg_names !body in
-          let live = List.filter (fun (r, _) -> Hashtbl.mem used r) !regs in
-          (match try_candidate !body live with
-          | Some cand -> best := cand
-          | None -> ());
-          !best)
+          let used = used_reg_names body in
+          let live = List.filter (fun (r, _) -> Hashtbl.mem used r) k.A.k_regs in
+          Option.value (try_candidate live body) ~default:best)

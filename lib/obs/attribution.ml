@@ -93,29 +93,30 @@ let entries t =
 
 (** JSON export.  [scale] is units per modelled cycle (the timing model's
     [attr_scale]); cycles are reported as floats alongside exact units. *)
-let to_json ~scale t : string =
-  let buf = Buffer.create 1024 in
-  let cyc u = float_of_int u /. float_of_int scale in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"total_units\":%d,\"units_per_cycle\":%d,\"total_cycles\":%.6f,\"conserved\":%b,\"entries\":["
-       t.total_units scale (cyc t.total_units) (conserved t));
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_char buf ',';
-      let tbl = Hashtbl.find t.by_entry e in
-      let lines =
-        Hashtbl.fold (fun l u acc -> (l, u) :: acc) tbl []
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
-      in
-      Buffer.add_string buf (Printf.sprintf "{\"entry\":%d,\"lines\":[" e);
-      List.iteri
-        (fun j (l, u) ->
-          if j > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf
-            (Printf.sprintf "{\"line\":%d,\"units\":%d,\"cycles\":%.6f}" l u (cyc u)))
-        lines;
-      Buffer.add_string buf "]}")
-    (entries t);
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+let to_json ~scale t : Jsonx.t =
+  let cyc u = Jsonx.Float (float_of_int u /. float_of_int scale) in
+  let entry e =
+    let lines =
+      Hashtbl.fold (fun l u acc -> (l, u) :: acc) (Hashtbl.find t.by_entry e) []
+      |> List.sort (fun (a, _) (b, _) -> compare a b)
+    in
+    Jsonx.Obj
+      [
+        ("entry", Jsonx.Int e);
+        ( "lines",
+          Jsonx.List
+            (List.map
+               (fun (l, u) ->
+                 Jsonx.Obj
+                   [ ("line", Jsonx.Int l); ("units", Jsonx.Int u); ("cycles", cyc u) ])
+               lines) );
+      ]
+  in
+  Jsonx.Obj
+    [
+      ("total_units", Jsonx.Int t.total_units);
+      ("units_per_cycle", Jsonx.Int scale);
+      ("total_cycles", cyc t.total_units);
+      ("conserved", Jsonx.Bool (conserved t));
+      ("entries", Jsonx.List (List.map entry (entries t)));
+    ]

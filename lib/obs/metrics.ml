@@ -142,61 +142,70 @@ let merge_into ~into ?(prefix = "") (src : t) =
 
 (* ---- exporters ---- *)
 
-let add_float b x =
-  if Float.is_nan x then Buffer.add_string b "0"
-  else if Float.is_integer x && Float.abs x < 1e15 then
-    Buffer.add_string b (Printf.sprintf "%.0f" x)
-  else Buffer.add_string b (Printf.sprintf "%.6g" x)
-
-let json_escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
+module J = Jsonx
 
 (** [{"name": {"type": ..., ...}, ...}] in registration order. *)
-let to_json t =
-  let b = Buffer.create 1024 in
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i name ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_char b '"';
-      json_escape b name;
-      Buffer.add_string b "\":";
-      match Hashtbl.find t.tbl name with
-      | Counter c ->
-          Buffer.add_string b (Printf.sprintf "{\"type\":\"counter\",\"value\":%d}" !c)
-      | Gauge g ->
-          Buffer.add_string b "{\"type\":\"gauge\",\"value\":";
-          add_float b !g;
-          Buffer.add_char b '}'
-      | Hist h ->
-          let p50, p95, p99 = percentiles h in
-          Buffer.add_string b
-            (Printf.sprintf "{\"type\":\"histogram\",\"count\":%d,\"sum\":" h.count);
-          add_float b h.sum;
-          Buffer.add_string b
-            (Printf.sprintf ",\"p50\":%d,\"p95\":%d,\"p99\":%d" p50 p95 p99);
-          Buffer.add_string b ",\"bins\":{";
-          List.iteri
-            (fun j (bin, c) ->
-              if j > 0 then Buffer.add_char b ',';
-              Buffer.add_string b (Printf.sprintf "\"%d\":%d" bin c))
-            (hist_bins h);
-          Buffer.add_string b "}}")
-    (names t);
-  Buffer.add_char b '}';
-  Buffer.contents b
+let to_json t : J.t =
+  J.Obj
+    (List.map
+       (fun name ->
+         let fields =
+           match Hashtbl.find t.tbl name with
+           | Counter c -> [ ("type", J.Str "counter"); ("value", J.Int !c) ]
+           | Gauge g -> [ ("type", J.Str "gauge"); ("value", J.Float !g) ]
+           | Hist h ->
+               let p50, p95, p99 = percentiles h in
+               [
+                 ("type", J.Str "histogram");
+                 ("count", J.Int h.count);
+                 ("sum", J.Float h.sum);
+                 ("p50", J.Int p50);
+                 ("p95", J.Int p95);
+                 ("p99", J.Int p99);
+                 ( "bins",
+                   J.Obj
+                     (List.map
+                        (fun (bin, c) -> (string_of_int bin, J.Int c))
+                        (hist_bins h)) );
+               ]
+         in
+         (name, J.Obj fields))
+       (names t))
+
+(** The inverse of {!to_json}.  Count, sum and percentiles are derived
+    from the bins, so only counters, gauges and histogram bins are
+    read back; entries of an unknown shape are skipped. *)
+let of_json (j : J.t) : t =
+  let reg = create () in
+  (match j with
+  | J.Obj kvs ->
+      List.iter
+        (fun (name, v) ->
+          match J.str_mem "type" v with
+          | Some "counter" ->
+              Option.iter (fun n -> incr ~by:n (counter reg name)) (J.int_mem "value" v)
+          | Some "gauge" -> (
+              match J.mem "value" v with
+              | Some (J.Float x) -> set (gauge reg name) x
+              | Some (J.Int n) -> set (gauge reg name) (float_of_int n)
+              | _ -> ())
+          | Some "histogram" ->
+              let h = histogram reg name in
+              Option.iter
+                (List.iter (fun (bk, bv) ->
+                     match (int_of_string_opt bk, bv) with
+                     | Some bin, J.Int n -> observe_n h ~bin n
+                     | _ -> ()))
+                (J.obj_mem "bins" v)
+          | _ -> ())
+        kvs
+  | _ -> ());
+  reg
 
 (** [name,kind,key,value] rows; histograms expand to one [bin:N] row per
     bin plus [count] and [sum] rows. *)
 let to_csv t =
+  let num x = J.to_string (J.Float x) in
   let b = Buffer.create 1024 in
   Buffer.add_string b "name,kind,key,value\n";
   let esc s =
@@ -210,15 +219,11 @@ let to_csv t =
       match Hashtbl.find t.tbl key with
       | Counter c -> Buffer.add_string b (Printf.sprintf "%s,counter,,%d\n" name !c)
       | Gauge g ->
-          Buffer.add_string b (Printf.sprintf "%s,gauge,," name);
-          add_float b !g;
-          Buffer.add_char b '\n'
+          Buffer.add_string b (Printf.sprintf "%s,gauge,,%s\n" name (num !g))
       | Hist h ->
           let p50, p95, p99 = percentiles h in
           Buffer.add_string b (Printf.sprintf "%s,histogram,count,%d\n" name h.count);
-          Buffer.add_string b (Printf.sprintf "%s,histogram,sum," name);
-          add_float b h.sum;
-          Buffer.add_char b '\n';
+          Buffer.add_string b (Printf.sprintf "%s,histogram,sum,%s\n" name (num h.sum));
           Buffer.add_string b (Printf.sprintf "%s,histogram,p50,%d\n" name p50);
           Buffer.add_string b (Printf.sprintf "%s,histogram,p95,%d\n" name p95);
           Buffer.add_string b (Printf.sprintf "%s,histogram,p99,%d\n" name p99);

@@ -143,64 +143,33 @@ let of_events (evts : Event.t list) : forest =
 
 (* ---- exports ---- *)
 
-let json_escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
+module J = Jsonx
 
-let add_num b x =
-  if Float.is_nan x then Buffer.add_string b "0"
-  else if Float.is_integer x && Float.abs x < 1e15 then
-    Buffer.add_string b (Printf.sprintf "%.0f" x)
-  else Buffer.add_string b (Printf.sprintf "%.3f" x)
+let head_json (s : t) =
+  [
+    ("kind", J.Str (Event.span_kind_name s.kind));
+    ("name", J.Str s.name);
+    ("worker", J.Int s.worker);
+  ]
 
-let rec add_span_json b (s : t) =
-  Buffer.add_string b "{\"kind\":\"";
-  json_escape b (Event.span_kind_name s.kind);
-  Buffer.add_string b "\",\"name\":\"";
-  json_escape b s.name;
-  Buffer.add_string b (Printf.sprintf "\",\"worker\":%d,\"cycles\":" s.worker);
-  add_num b (cycles s);
-  Buffer.add_string b ",\"wall_us\":";
-  add_num b (wall_us s);
-  Buffer.add_string b ",\"children\":[";
-  List.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_char b ',';
-      add_span_json b c)
-    s.children;
-  Buffer.add_string b "]}"
+let rec span_json (s : t) : J.t =
+  J.Obj
+    (head_json s
+    @ [
+        ("cycles", J.Float (cycles s));
+        ("wall_us", J.Float (wall_us s));
+        ("children", J.List (List.map span_json s.children));
+      ])
 
 (** The whole forest as a JSON tree (plus balance diagnostics). *)
-let to_json (f : forest) : string =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\"balanced\":";
-  Buffer.add_string b (if balanced f then "true" else "false");
-  Buffer.add_string b
-    (Printf.sprintf ",\"unmatched_ends\":%d,\"open\":[" f.unmatched_ends);
-  List.iteri
-    (fun i (s : t) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b "{\"kind\":\"";
-      json_escape b (Event.span_kind_name s.kind);
-      Buffer.add_string b "\",\"name\":\"";
-      json_escape b s.name;
-      Buffer.add_string b (Printf.sprintf "\",\"worker\":%d}" s.worker))
-    f.open_spans;
-  Buffer.add_string b "],\"spans\":[";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_char b ',';
-      add_span_json b r)
-    f.roots;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+let to_json (f : forest) : J.t =
+  J.Obj
+    [
+      ("balanced", J.Bool (balanced f));
+      ("unmatched_ends", J.Int f.unmatched_ends);
+      ("open", J.List (List.map (fun s -> J.Obj (head_json s)) f.open_spans));
+      ("spans", J.List (List.map span_json f.roots));
+    ]
 
 (** Indented plain-text rendering of the tree. *)
 let pp ppf (f : forest) =

@@ -43,60 +43,17 @@ let events t =
 
 (* ---- Chrome trace-event export ---- *)
 
-let json_escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
+module J = Jsonx
 
-type jarg = S of string | I of int | F of float
-
-let add_num b x =
-  (* JSON has no NaN/inf literals; clamp defensively. *)
-  if Float.is_nan x then Buffer.add_string b "0"
-  else if Float.is_integer x && Float.abs x < 1e15 then
-    Buffer.add_string b (Printf.sprintf "%.0f" x)
-  else Buffer.add_string b (Printf.sprintf "%.3f" x)
-
-let add_record b ~name ~cat ~ph ~ts ?dur ~pid ~tid (args : (string * jarg) list) =
-  Buffer.add_string b "{\"name\":\"";
-  json_escape b name;
-  Buffer.add_string b "\",\"cat\":\"";
-  json_escape b cat;
-  Buffer.add_string b (Printf.sprintf "\",\"ph\":\"%s\",\"ts\":" ph);
-  add_num b ts;
-  (match dur with
-  | Some d ->
-      Buffer.add_string b ",\"dur\":";
-      add_num b d
-  | None -> ());
-  Buffer.add_string b (Printf.sprintf ",\"pid\":%d,\"tid\":%d" pid tid);
-  if args <> [] then begin
-    Buffer.add_string b ",\"args\":{";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_char b '"';
-        json_escape b k;
-        Buffer.add_string b "\":";
-        match v with
-        | S s ->
-            Buffer.add_char b '"';
-            json_escape b s;
-            Buffer.add_char b '"'
-        | I n -> Buffer.add_string b (string_of_int n)
-        | F x -> add_num b x)
-      args;
-    Buffer.add_char b '}'
-  end;
-  Buffer.add_char b '}'
+(* One trace-event record, appended straight to [b]: the export streams
+   record by record, so a full ring never becomes one document tree. *)
+let add_record b ~name ~cat ~ph ~ts ?dur ~pid ~tid (args : (string * J.t) list) =
+  J.add b
+    (J.Obj
+       ([ ("name", J.Str name); ("cat", J.Str cat); ("ph", J.Str ph); ("ts", J.Float ts) ]
+       @ (match dur with Some d -> [ ("dur", J.Float d) ] | None -> [])
+       @ [ ("pid", J.Int pid); ("tid", J.Int tid) ]
+       @ if args = [] then [] else [ ("args", J.Obj args) ]))
 
 (* Execution-manager events live in pid 0; JIT events in pid 1 so
    Perfetto shows compilation as its own process track. *)
@@ -131,91 +88,91 @@ let add_chrome_event b (e : Event.t) =
   | Event.Warp_formed v ->
       add_record b ~name:"warp_formed" ~cat:"em" ~ph:"i" ~ts:v.ts ~pid:em_pid
         ~tid:v.worker
-        [ ("entry", I v.entry_id); ("size", I v.size); ("scanned", I v.scanned) ]
+        [ ("entry", J.Int v.entry_id); ("size", J.Int v.size); ("scanned", J.Int v.scanned) ]
   | Event.Subkernel_call v ->
       add_record b ~name:"subkernel" ~cat:"em" ~ph:"X" ~ts:v.ts ~dur:v.dur
         ~pid:em_pid ~tid:v.worker
-        [ ("kernel", S v.kernel); ("entry", I v.entry_id); ("ws", I v.ws) ]
+        [ ("kernel", J.Str v.kernel); ("entry", J.Int v.entry_id); ("ws", J.Int v.ws) ]
   | Event.Yield v ->
       add_record b ~name:"yield" ~cat:"em" ~ph:"i" ~ts:v.ts ~pid:em_pid
         ~tid:v.worker
         [
-          ("entry", I v.entry_id);
-          ("kind", S (Event.yield_kind_name v.kind));
-          ("lanes", I v.lanes);
+          ("entry", J.Int v.entry_id);
+          ("kind", J.Str (Event.yield_kind_name v.kind));
+          ("lanes", J.Int v.lanes);
         ]
   | Event.Barrier_release v ->
       add_record b ~name:"barrier_release" ~cat:"em" ~ph:"i" ~ts:v.ts ~pid:em_pid
         ~tid:v.worker
-        [ ("released", I v.released) ]
+        [ ("released", J.Int v.released) ]
   | Event.Compile_begin v ->
       add_record b ~name:"compile" ~cat:"jit" ~ph:"B" ~ts:v.ts ~pid:jit_pid
         ~tid:v.worker
-        [ ("kernel", S v.kernel); ("ws", I v.ws); ("tier", I v.tier) ]
+        [ ("kernel", J.Str v.kernel); ("ws", J.Int v.ws); ("tier", J.Int v.tier) ]
   | Event.Compile_end v ->
       add_record b ~name:"compile" ~cat:"jit" ~ph:"E" ~ts:v.ts ~pid:jit_pid
         ~tid:v.worker
         [
-          ("kernel", S v.kernel);
-          ("ws", I v.ws);
-          ("tier", I v.tier);
-          ("wall_us", F v.wall_us);
-          ("static_instrs", I v.static_instrs);
+          ("kernel", J.Str v.kernel);
+          ("ws", J.Int v.ws);
+          ("tier", J.Int v.tier);
+          ("wall_us", J.Float v.wall_us);
+          ("static_instrs", J.Int v.static_instrs);
         ]
   | Event.Cache_hit v ->
       add_record b ~name:"cache_hit" ~cat:"jit" ~ph:"i" ~ts:v.ts ~pid:jit_pid
         ~tid:v.worker
-        [ ("kernel", S v.kernel); ("ws", I v.ws) ]
+        [ ("kernel", J.Str v.kernel); ("ws", J.Int v.ws) ]
   | Event.Cache_miss v ->
       add_record b ~name:"cache_miss" ~cat:"jit" ~ph:"i" ~ts:v.ts ~pid:jit_pid
         ~tid:v.worker
-        [ ("kernel", S v.kernel); ("ws", I v.ws) ]
+        [ ("kernel", J.Str v.kernel); ("ws", J.Int v.ws) ]
   | Event.Compile_fallback v ->
       add_record b ~name:"compile_fallback" ~cat:"jit" ~ph:"i" ~ts:v.ts
         ~pid:jit_pid ~tid:v.worker
         [
-          ("kernel", S v.kernel);
-          ("from_ws", I v.from_ws);
-          ("to_ws", I v.to_ws);
-          ("reason", S v.reason);
+          ("kernel", J.Str v.kernel);
+          ("from_ws", J.Int v.from_ws);
+          ("to_ws", J.Int v.to_ws);
+          ("reason", J.Str v.reason);
         ]
   | Event.Quarantine v ->
       add_record b ~name:"quarantine" ~cat:"jit" ~ph:"i" ~ts:v.ts ~pid:jit_pid
         ~tid:v.worker
         [
-          ("kernel", S v.kernel);
-          ("ws", I v.ws);
-          ("action", S (Event.quarantine_action_name v.action));
+          ("kernel", J.Str v.kernel);
+          ("ws", J.Int v.ws);
+          ("action", J.Str (Event.quarantine_action_name v.action));
         ]
   | Event.Ckpt_write v ->
       add_record b ~name:"ckpt_write" ~cat:"em" ~ph:"i" ~ts:v.ts ~pid:em_pid
         ~tid:v.worker
-        [ ("seq", I v.seq); ("bytes", I v.bytes) ]
+        [ ("seq", J.Int v.seq); ("bytes", J.Int v.bytes) ]
   | Event.Ckpt_resume v ->
       add_record b ~name:"ckpt_resume" ~cat:"em" ~ph:"i" ~ts:v.ts ~pid:em_pid
         ~tid:v.worker
-        [ ("seq", I v.seq); ("path", S v.path) ]
+        [ ("seq", J.Int v.seq); ("path", J.Str v.path) ]
   | Event.Replay_begin v ->
       add_record b ~name:"replay_begin" ~cat:"em" ~ph:"i" ~ts:v.ts ~pid:em_pid
         ~tid:v.worker
-        [ ("decisions", I v.decisions); ("path", S v.path) ]
+        [ ("decisions", J.Int v.decisions); ("path", J.Str v.path) ]
   | Event.Span_begin v ->
       add_record b ~name:v.name
         ~cat:("span." ^ Event.span_kind_name v.kind)
         ~ph:"B" ~ts:v.ts ~pid:(span_pid v.kind) ~tid:v.worker
-        [ ("wall_us", F v.wall_us) ]
+        [ ("wall_us", J.Float v.wall_us) ]
   | Event.Span_end v ->
       add_record b ~name:v.name
         ~cat:("span." ^ Event.span_kind_name v.kind)
         ~ph:"E" ~ts:v.ts ~pid:(span_pid v.kind) ~tid:v.worker
-        [ ("wall_us", F v.wall_us) ]
+        [ ("wall_us", J.Float v.wall_us) ]
   | Event.Server_health v ->
       add_record b ~name:"server_health" ~cat:"server" ~ph:"i" ~ts:v.ts
         ~pid:em_pid ~tid:v.worker
         [
-          ("action", S (Event.server_action_name v.action));
-          ("tenant", S v.tenant);
-          ("detail", S v.detail);
+          ("action", J.Str (Event.server_action_name v.action));
+          ("tenant", J.Str v.tenant);
+          ("detail", J.Str v.detail);
         ]
 
 (* One thread_name + thread_sort_index metadata pair per (pid, tid)
@@ -235,11 +192,11 @@ let add_thread_metadata b (evts : Event.t list) =
       Buffer.add_char b ',';
       add_record b ~name:"thread_name" ~cat:"__metadata" ~ph:"M" ~ts:0.0 ~pid
         ~tid
-        [ ("name", S (Printf.sprintf "%s %d" label tid)) ];
+        [ ("name", J.Str (Printf.sprintf "%s %d" label tid)) ];
       Buffer.add_char b ',';
       add_record b ~name:"thread_sort_index" ~cat:"__metadata" ~ph:"M" ~ts:0.0
         ~pid ~tid
-        [ ("sort_index", I tid) ])
+        [ ("sort_index", J.Int tid) ])
     (List.sort compare tracks)
 
 (* Timestamps are microseconds (the trace-event format's native [ts]
@@ -253,23 +210,27 @@ let to_chrome_json t =
   Buffer.add_string b "{\"traceEvents\":[";
   add_record b ~name:"process_name" ~cat:"__metadata" ~ph:"M" ~ts:0.0 ~pid:em_pid
     ~tid:0
-    [ ("name", S "execution manager") ];
+    [ ("name", J.Str "execution manager") ];
   Buffer.add_char b ',';
   add_record b ~name:"process_name" ~cat:"__metadata" ~ph:"M" ~ts:0.0
     ~pid:jit_pid ~tid:0
-    [ ("name", S "dynamic translation") ];
+    [ ("name", J.Str "dynamic translation") ];
   add_thread_metadata b evts;
   List.iter
     (fun e ->
       Buffer.add_char b ',';
       add_chrome_event b e)
     evts;
-  Buffer.add_string b "],\"displayTimeUnit\":\"ms\",\"otherData\":{";
-  Buffer.add_string b
-    (Printf.sprintf
-       "\"recorded\":%d,\"dropped\":%d,\"timeUnit\":\"us\",\"cycle_us\":1"
-       (recorded t) (dropped t));
-  Buffer.add_string b "}}";
+  Buffer.add_string b "],\"displayTimeUnit\":\"ms\",\"otherData\":";
+  J.add b
+    (J.Obj
+       [
+         ("recorded", J.Int (recorded t));
+         ("dropped", J.Int (dropped t));
+         ("timeUnit", J.Str "us");
+         ("cycle_us", J.Int 1);
+       ]);
+  Buffer.add_char b '}';
   Buffer.contents b
 
 let to_text t =

@@ -25,31 +25,7 @@ module Obs = Vekt_obs
 module Timing = Vekt_vm.Timing
 module Interp = Vekt_vm.Interp
 
-(* ---- small JSON helpers (same conventions as the other exporters) ---- *)
-
-let json_escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
-let add_str b s =
-  Buffer.add_char b '"';
-  json_escape b s;
-  Buffer.add_char b '"'
-
-let add_num b x =
-  if Float.is_nan x then Buffer.add_string b "0"
-  else if Float.is_integer x && Float.abs x < 1e15 then
-    Buffer.add_string b (Printf.sprintf "%.0f" x)
-  else Buffer.add_string b (Printf.sprintf "%.3f" x)
+module J = Obs.Jsonx
 
 (* ---- per-phase aggregation ---- *)
 
@@ -151,37 +127,33 @@ let cache_timeline (evts : Obs.Event.t list) =
   List.filter_map
     (fun (e : Obs.Event.t) ->
       match e with
-      | Obs.Event.Cache_hit v ->
-          Some (v.ts, v.worker, "hit", [ ("ws", string_of_int v.ws) ])
+      | Obs.Event.Cache_hit v -> Some (v.ts, v.worker, "hit", [ ("ws", J.Int v.ws) ])
       | Obs.Event.Cache_miss v ->
-          Some (v.ts, v.worker, "miss", [ ("ws", string_of_int v.ws) ])
+          Some (v.ts, v.worker, "miss", [ ("ws", J.Int v.ws) ])
       | Obs.Event.Compile_end v ->
           Some
             ( v.ts,
               v.worker,
               "compile",
               [
-                ("ws", string_of_int v.ws);
-                ("tier", string_of_int v.tier);
-                ("wall_us", Printf.sprintf "%.1f" v.wall_us);
+                ("ws", J.Int v.ws);
+                ("tier", J.Int v.tier);
+                ("wall_us", J.Float v.wall_us);
               ] )
       | Obs.Event.Compile_fallback v ->
           Some
             ( v.ts,
               v.worker,
               "fallback",
-              [
-                ("from_ws", string_of_int v.from_ws);
-                ("to_ws", string_of_int v.to_ws);
-              ] )
+              [ ("from_ws", J.Int v.from_ws); ("to_ws", J.Int v.to_ws) ] )
       | Obs.Event.Quarantine v ->
           Some
             ( v.ts,
               v.worker,
               "quarantine",
               [
-                ("ws", string_of_int v.ws);
-                ("action", Obs.Event.quarantine_action_name v.action);
+                ("ws", J.Int v.ws);
+                ("action", J.Str (Obs.Event.quarantine_action_name v.action));
               ] )
       | _ -> None)
     evts
@@ -195,7 +167,7 @@ type t = {
   forest : Obs.Span.forest;
   phases : phase list;
   hot : hot_line list;
-  timeline : (float * int * string * (string * string) list) list;
+  timeline : (float * int * string * (string * J.t) list) list;
   attr : Obs.Attribution.t;
   profile : Obs.Divergence.t option;
 }
@@ -220,119 +192,85 @@ let build ?(top = 10) ~kernel ~src ~workers ~(trace : Obs.Trace.t)
     profile;
   }
 
-(** Machine-readable form.  Top-level keys: [kernel], [launch],
-    [phases], [hot_lines], [divergence], [cache_timeline], [spans],
-    [attribution]. *)
-let to_json (r : t) : string =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"kernel\":";
-  add_str b r.kernel;
-  Buffer.add_string b (Printf.sprintf ",\"workers\":%d" r.workers);
-  (* launch summary *)
-  Buffer.add_string b ",\"launch\":{\"cycles\":";
-  add_num b r.launch.Api.cycles;
-  Buffer.add_string b ",\"time_ms\":";
-  add_num b r.launch.Api.time_ms;
-  Buffer.add_string b ",\"gflops\":";
-  add_num b r.launch.Api.gflops;
-  Buffer.add_string b ",\"avg_warp_size\":";
-  add_num b r.launch.Api.avg_warp_size;
-  let warps =
-    Hashtbl.fold
-      (fun _ c acc -> acc + c)
-      r.launch.Api.stats.Stats.warp_hist 0
+(** Machine-readable form.  Top-level keys: [kernel], [workers],
+    [launch], [phases], [hot_lines], [divergence], [cache_timeline],
+    [spans], [attribution]. *)
+let to_json (r : t) : J.t =
+  let l = r.launch in
+  let launch =
+    J.Obj
+      [
+        ("cycles", J.Float l.Api.cycles);
+        ("time_ms", J.Float l.Api.time_ms);
+        ("gflops", J.Float l.Api.gflops);
+        ("avg_warp_size", J.Float l.Api.avg_warp_size);
+        ("threads", J.Int l.Api.stats.Stats.threads_launched);
+        ( "warps",
+          J.Int (Hashtbl.fold (fun _ c acc -> acc + c) l.Api.stats.Stats.warp_hist 0) );
+        ( "recovered",
+          match l.Api.recovered with
+          | None -> J.Null
+          | Some err -> J.Str (Vekt_error.to_string err) );
+      ]
   in
-  Buffer.add_string b
-    (Printf.sprintf ",\"threads\":%d,\"warps\":%d"
-       r.launch.Api.stats.Stats.threads_launched warps);
-  Buffer.add_string b ",\"recovered\":";
-  (match r.launch.Api.recovered with
-  | None -> Buffer.add_string b "null"
-  | Some err -> add_str b (Vekt_error.to_string err));
-  Buffer.add_string b "}";
-  (* per-phase breakdown *)
-  Buffer.add_string b ",\"phases\":[";
-  List.iteri
-    (fun i p ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b "{\"kind\":";
-      add_str b p.ph_kind;
-      Buffer.add_string b (Printf.sprintf ",\"count\":%d" p.ph_count);
-      Buffer.add_string b ",\"wall_us\":";
-      add_num b p.ph_wall_us;
-      Buffer.add_string b ",\"cycles\":";
-      add_num b p.ph_cycles;
-      Buffer.add_string b
-        (Printf.sprintf ",\"wall_us_p50\":%d,\"wall_us_p95\":%d,\"wall_us_p99\":%d}"
-           p.ph_p50 p.ph_p95 p.ph_p99))
-    r.phases;
-  Buffer.add_string b "]";
-  (* hottest source lines *)
-  Buffer.add_string b ",\"hot_lines\":[";
-  List.iteri
-    (fun i hl ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "{\"line\":%d,\"cycles\":" hl.hl_line);
-      add_num b hl.hl_cycles;
-      Buffer.add_string b ",\"share\":";
-      Buffer.add_string b (Printf.sprintf "%.4f" hl.hl_share);
-      Buffer.add_string b ",\"text\":";
-      add_str b hl.hl_text;
-      Buffer.add_char b '}')
-    r.hot;
-  Buffer.add_string b "]";
-  (* divergence hotspots *)
-  Buffer.add_string b ",\"divergence\":";
-  (match r.profile with
-  | None -> Buffer.add_string b "null"
-  | Some p ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"warps\":%d,\"threads\":%d,\"restores\":%d,\"spills\":%d,\"entries\":["
-           (Obs.Divergence.total_entries p)
-           (Obs.Divergence.total_threads p)
-           (Obs.Divergence.total_restores p)
-           (Obs.Divergence.total_spills p));
-      List.iteri
-        (fun i id ->
-          if i > 0 then Buffer.add_char b ',';
-          let ep = Hashtbl.find p.Obs.Divergence.by_entry id in
-          Buffer.add_string b (Printf.sprintf "{\"entry\":%d,\"name\":" id);
-          add_str b (Obs.Divergence.entry_name p id);
-          Buffer.add_string b
-            (Printf.sprintf ",\"warps\":%d,\"avg_ws\":%.3f,\"restores\":%d}"
-               ep.Obs.Divergence.entries (Obs.Divergence.avg_ws ep)
-               ep.Obs.Divergence.restores))
-        (Obs.Divergence.entry_ids p);
-      Buffer.add_string b "]}");
-  (* cache timeline *)
-  Buffer.add_string b ",\"cache_timeline\":[";
-  List.iteri
-    (fun i (ts, worker, what, kv) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b "{\"ts\":";
-      add_num b ts;
-      Buffer.add_string b (Printf.sprintf ",\"worker\":%d,\"event\":" worker);
-      add_str b what;
-      List.iter
-        (fun (k, v) ->
-          Buffer.add_char b ',';
-          add_str b k;
-          Buffer.add_char b ':';
-          match int_of_string_opt v with
-          | Some n -> Buffer.add_string b (string_of_int n)
-          | None -> add_str b v)
-        kv;
-      Buffer.add_char b '}')
-    r.timeline;
-  Buffer.add_string b "]";
-  (* sub-documents already rendered as JSON by their own modules *)
-  Buffer.add_string b ",\"spans\":";
-  Buffer.add_string b (Obs.Span.to_json r.forest);
-  Buffer.add_string b ",\"attribution\":";
-  Buffer.add_string b (Obs.Attribution.to_json ~scale:Timing.attr_scale r.attr);
-  Buffer.add_char b '}';
-  Buffer.contents b
+  let phase p =
+    J.Obj
+      [
+        ("kind", J.Str p.ph_kind);
+        ("count", J.Int p.ph_count);
+        ("wall_us", J.Float p.ph_wall_us);
+        ("cycles", J.Float p.ph_cycles);
+        ("wall_us_p50", J.Int p.ph_p50);
+        ("wall_us_p95", J.Int p.ph_p95);
+        ("wall_us_p99", J.Int p.ph_p99);
+      ]
+  in
+  let hot hl =
+    J.Obj
+      [
+        ("line", J.Int hl.hl_line);
+        ("cycles", J.Float hl.hl_cycles);
+        ("share", J.Float hl.hl_share);
+        ("text", J.Str hl.hl_text);
+      ]
+  in
+  let divergence (p : Obs.Divergence.t) =
+    let entry id =
+      let ep = Hashtbl.find p.Obs.Divergence.by_entry id in
+      J.Obj
+        [
+          ("entry", J.Int id);
+          ("name", J.Str (Obs.Divergence.entry_name p id));
+          ("warps", J.Int ep.Obs.Divergence.entries);
+          ("avg_ws", J.Float (Obs.Divergence.avg_ws ep));
+          ("restores", J.Int ep.Obs.Divergence.restores);
+        ]
+    in
+    J.Obj
+      [
+        ("warps", J.Int (Obs.Divergence.total_entries p));
+        ("threads", J.Int (Obs.Divergence.total_threads p));
+        ("restores", J.Int (Obs.Divergence.total_restores p));
+        ("spills", J.Int (Obs.Divergence.total_spills p));
+        ("entries", J.List (List.map entry (Obs.Divergence.entry_ids p)));
+      ]
+  in
+  let timeline (ts, worker, what, kv) =
+    J.Obj
+      ([ ("ts", J.Float ts); ("worker", J.Int worker); ("event", J.Str what) ] @ kv)
+  in
+  J.Obj
+    [
+      ("kernel", J.Str r.kernel);
+      ("workers", J.Int r.workers);
+      ("launch", launch);
+      ("phases", J.List (List.map phase r.phases));
+      ("hot_lines", J.List (List.map hot r.hot));
+      ("divergence", Option.fold ~none:J.Null ~some:divergence r.profile);
+      ("cache_timeline", J.List (List.map timeline r.timeline));
+      ("spans", Obs.Span.to_json r.forest);
+      ("attribution", Obs.Attribution.to_json ~scale:Timing.attr_scale r.attr);
+    ]
 
 (** Human-readable rendering (the [--report -] form). *)
 let pp ppf (r : t) =
@@ -392,8 +330,13 @@ let pp ppf (r : t) =
     (List.length r.timeline) hits misses compiles fallbacks;
   List.iter
     (fun (ts, worker, what, kv) ->
+      let value = function
+        | J.Float x -> Printf.sprintf "%.1f" x
+        | J.Str v -> v
+        | v -> J.to_string v
+      in
       Fmt.pf ppf "  %12.1f w%d %-10s %s@." ts worker what
-        (String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) kv)))
+        (String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ value v) kv)))
     r.timeline
 
 let render (r : t) : string = Fmt.str "%a" pp r
@@ -405,46 +348,38 @@ let render (r : t) : string = Fmt.str "%a" pp r
     was everyone), and a metrics snapshot if one exists.  [tail] bounds
     the ring excerpt. *)
 let crash_bundle ?(tail = 64) ~kernel ~(error : Vekt_error.t)
-    ~(trace : Obs.Trace.t) ?(metrics : Obs.Metrics.t option) () : string =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"kernel\":";
-  add_str b kernel;
-  Buffer.add_string b ",\"error\":";
-  add_str b (Vekt_error.to_string error);
-  Buffer.add_string b ",\"error_kind\":";
-  add_str b (Vekt_error.kind_name error);
+    ~(trace : Obs.Trace.t) ?(metrics : Obs.Metrics.t option) () : J.t =
   let evts = Obs.Trace.events trace in
   let n = List.length evts in
   let tail_evts =
     if n <= tail then evts
     else List.filteri (fun i _ -> i >= n - tail) evts
   in
-  Buffer.add_string b
-    (Printf.sprintf ",\"ring\":{\"recorded\":%d,\"dropped\":%d,\"tail\":["
-       (Obs.Trace.recorded trace) (Obs.Trace.dropped trace));
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_char b ',';
-      add_str b (Fmt.str "%a" Obs.Event.pp e))
-    tail_evts;
-  Buffer.add_string b "]}";
   let forest = Obs.Span.of_events evts in
-  Buffer.add_string b ",\"open_spans\":[";
-  List.iteri
-    (fun i (s : Obs.Span.t) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b "{\"kind\":";
-      add_str b (Obs.Event.span_kind_name s.Obs.Span.kind);
-      Buffer.add_string b ",\"name\":";
-      add_str b s.Obs.Span.name;
-      Buffer.add_string b
-        (Printf.sprintf ",\"worker\":%d,\"since_cycles\":" s.Obs.Span.worker);
-      add_num b s.Obs.Span.t0;
-      Buffer.add_char b '}')
-    forest.Obs.Span.open_spans;
-  Buffer.add_string b "],\"metrics\":";
-  (match metrics with
-  | None -> Buffer.add_string b "null"
-  | Some m -> Buffer.add_string b (Obs.Metrics.to_json m));
-  Buffer.add_char b '}';
-  Buffer.contents b
+  let open_span (s : Obs.Span.t) =
+    J.Obj
+      [
+        ("kind", J.Str (Obs.Event.span_kind_name s.Obs.Span.kind));
+        ("name", J.Str s.Obs.Span.name);
+        ("worker", J.Int s.Obs.Span.worker);
+        ("since_cycles", J.Float s.Obs.Span.t0);
+      ]
+  in
+  J.Obj
+    [
+      ("kernel", J.Str kernel);
+      ("error", J.Str (Vekt_error.to_string error));
+      ("error_kind", J.Str (Vekt_error.kind_name error));
+      ( "ring",
+        J.Obj
+          [
+            ("recorded", J.Int (Obs.Trace.recorded trace));
+            ("dropped", J.Int (Obs.Trace.dropped trace));
+            ( "tail",
+              J.List
+                (List.map (fun e -> J.Str (Fmt.str "%a" Obs.Event.pp e)) tail_evts)
+            );
+          ] );
+      ("open_spans", J.List (List.map open_span forest.Obs.Span.open_spans));
+      ("metrics", Option.fold ~none:J.Null ~some:Obs.Metrics.to_json metrics);
+    ]

@@ -87,6 +87,9 @@ type tiering =
 type quarantine_entry = {
   mutable q_ttl : int;  (** remaining successful launches to sit out *)
   q_added_us : float;  (** monotonic stamp at quarantine time *)
+  q_error : Vekt_error.t option;
+      (** the build failure that put the key here ([None] when restored
+          from a checkpoint); re-raised when every width is quarantined *)
 }
 
 type t = {
@@ -95,6 +98,10 @@ type t = {
   plan : Plan.t;
   shared_bytes : int;
   local_bytes : int;  (** per-thread local memory: declared + spill area *)
+  order_dependent_atomics : bool;
+      (** the kernel has a global [atom.exch] or [atom.cas], whose final
+          memory image depends on the order CTAs run in; such launches
+          stay on one domain ({!Worker_pool.launch}) *)
   mode : Vectorize.mode;
   affine : bool;  (** coalesce affine/uniform memory accesses (§4 future work) *)
   specialize_args : bool;
@@ -145,13 +152,28 @@ type t = {
       (** known-bad specialization keys -> remaining TTL + age stamp *)
   mutable fallbacks : int;  (** builds that failed and fell to a narrower width *)
   mutable quarantine_adds : int;
-  mutable quarantine_skips : int;
+  quarantine_skips : int Atomic.t;
+      (** bumped by the locked fallback chain and by lock-free hits *)
   mutable quarantine_expiries : int;
 }
 
 let default_widths = [ 4; 2; 1 ]
 let default_hot_threshold = 3
 let default_quarantine_ttl = 3
+
+(* Global exchange and compare-and-swap are the atomics whose result
+   depends on the order of the updates; add/min/max commute. *)
+let has_order_dependent_atomics (f : Ir.func) =
+  List.exists
+    (fun (b : Ir.block) ->
+      List.exists
+        (fun (li : Ir.li) ->
+          match li.Ir.i with
+          | Ir.Atomic (Ast.Global, (Ast.Atom_exch | Ast.Atom_cas), _, _, _, _, _, _) ->
+              true
+          | _ -> false)
+        b.Ir.insts)
+    (Ir.blocks f)
 
 (** Parse-time preparation of one kernel: frontend to scalar IR plus the
     divergence plan shared by all specializations. *)
@@ -176,6 +198,7 @@ let prepare ?(mode = Vectorize.Dynamic) ?(affine = false) ?(specialize_args = fa
     plan;
     shared_bytes = tr.Ptx_to_ir.shared_bytes;
     local_bytes = Plan.local_bytes plan ~local_decl_bytes:tr.Ptx_to_ir.local_decl_bytes;
+    order_dependent_atomics = has_order_dependent_atomics tr.Ptx_to_ir.func;
     mode;
     affine;
     specialize_args;
@@ -206,7 +229,7 @@ let prepare ?(mode = Vectorize.Dynamic) ?(affine = false) ?(specialize_args = fa
     quarantine = Hashtbl.create 4;
     fallbacks = 0;
     quarantine_adds = 0;
-    quarantine_skips = 0;
+    quarantine_skips = Atomic.make 0;
     quarantine_expiries = 0;
   }
 
@@ -488,13 +511,21 @@ let emit_quarantine (t : t) sink ~now ~worker ~ws action =
 let published_hit (t : t) ~digest ~sink ~now ~worker candidates =
   let quar = Atomic.get t.pub_quarantine in
   let pub = Atomic.get t.published in
-  let rec scan = function
+  (* [skipped]: quarantined widths passed over on the way.  They are
+     counted only when this path serves the hit — on a fall-through the
+     locked chain skips (and counts) them itself. *)
+  let rec scan skipped = function
     | [] -> None
     | w :: rest ->
-        if List.mem (w, digest) quar then scan rest
+        if List.mem (w, digest) quar then scan (w :: skipped) rest
         else (
           match List.assoc_opt (w, digest) pub with
           | Some (e : entry) when e.tier >= 1 ->
+              List.iter
+                (fun ws ->
+                  Atomic.incr t.quarantine_skips;
+                  emit_quarantine t sink ~now ~worker ~ws Obs.Event.Q_skipped)
+                (List.rev skipped);
               Atomic.incr t.par_hits;
               if Obs.Sink.enabled sink then
                 Obs.Sink.emit sink
@@ -503,7 +534,7 @@ let published_hit (t : t) ~digest ~sink ~now ~worker candidates =
               Some (e, w)
           | _ -> None)
   in
-  scan candidates
+  scan [] candidates
 
 (** Get a specialization for at most [ws] lanes, degrading gracefully:
     a width whose build fails (injected or genuine) is quarantined and
@@ -541,23 +572,33 @@ let get_fallback (t : t) ?params ?(sink = Obs.Sink.noop) ?(now = 0.0)
             match last_err with
             | Some e -> raise (Vekt_error.Error e)
             | None ->
-                (* every candidate was quarantined before this launch *)
+                (* every candidate was quarantined without a recorded
+                   failure (restored from a checkpoint) *)
                 raise
                   (compile_error t ~ws ~tier:(-1) ~stage:Vekt_error.Vectorize
                      "all specialization widths quarantined"))
         | w :: rest -> (
             let next_ws = match rest with w' :: _ -> w' | [] -> 0 in
             if quarantined t (w, digest) then begin
-              t.quarantine_skips <- t.quarantine_skips + 1;
+              Atomic.incr t.quarantine_skips;
               emit_quarantine t sink ~now ~worker ~ws:w Obs.Event.Q_skipped;
-              try_widths last_err rest
+              (* a skipped width fails with the error that quarantined
+                 it, so the error raised when every width is out does
+                 not depend on whether this query or an earlier one
+                 (perhaps another domain's) ran the failing builds *)
+              let q = Hashtbl.find t.quarantine (w, digest) in
+              try_widths (if Option.is_some q.q_error then q.q_error else last_err) rest
             end
             else
               match get_locked t ?params ~sink ~now ~worker ~ws:w () with
               | e -> (e, w)
               | exception Vekt_error.Error (Vekt_error.Compile _ as err) ->
                   Hashtbl.replace t.quarantine (w, digest)
-                    { q_ttl = t.quarantine_ttl; q_added_us = Clock.now_us () };
+                    {
+                      q_ttl = t.quarantine_ttl;
+                      q_added_us = Clock.now_us ();
+                      q_error = Some err;
+                    };
                   t.quarantine_adds <- t.quarantine_adds + 1;
                   t.fallbacks <- t.fallbacks + 1;
                   emit_fallback ~from_ws:w ~to_ws:next_ws (Vekt_error.to_string err);
@@ -656,7 +697,8 @@ let restore_meta (t : t) ~(hotness : (int * string * int) list)
       let now = Clock.now_us () in
       List.iter
         (fun (w, d, ttl) ->
-          Hashtbl.replace t.quarantine (w, d) { q_ttl = ttl; q_added_us = now })
+          Hashtbl.replace t.quarantine (w, d)
+            { q_ttl = ttl; q_added_us = now; q_error = None })
         quarantine;
       republish t)
 
@@ -690,7 +732,7 @@ let metrics_into (t : t) (m : Obs.Metrics.t) =
   M.set (M.gauge m "jit.compile_wall_us") t.compile_wall_us;
   M.counter m "fallback.compile_failures" := t.fallbacks;
   M.counter m "fallback.quarantine_adds" := t.quarantine_adds;
-  M.counter m "fallback.quarantine_skips" := t.quarantine_skips;
+  M.counter m "fallback.quarantine_skips" := Atomic.get t.quarantine_skips;
   M.counter m "fallback.quarantine_expiries" := t.quarantine_expiries;
   M.counter m "fallback.quarantine_active" := Hashtbl.length t.quarantine;
   List.iter

@@ -25,8 +25,13 @@
     CTAs are mutually independent (shared memory and barriers are
     CTA-scope), writes to distinct global addresses land in a shared
     [Bytes.t], and global atomics serialize on a process-wide mutex in
-    the interpreter — so the final global-memory image is bit-identical
-    to a serial run.
+    the interpreter.  Serialized add/min/max commute, so the final
+    global-memory image is bit-identical to a serial run.  Exchange and
+    compare-and-swap do not: their result depends on which CTA's update
+    lands first, so a kernel containing a global [atom.exch] or
+    [atom.cas] (flagged at translation,
+    {!Translation_cache.t.order_dependent_atomics}) runs its worker
+    slices on one domain.
 
     {b Determinism of the merged artifacts.}  Everything a worker
     produces is private to its slice while it runs and merged only
@@ -72,7 +77,9 @@ open Vekt_ptx
     from scratch.  Either one forces [domains = 1]: a consistent cut
     needs at most one CTA in flight, and the modelled [workers]
     partition is what the snapshot preserves, so resuming a
-    [--workers 4] launch still replays four modelled workers.  [record]
+    [--workers 4] launch still replays four modelled workers.  So does
+    a kernel with order-dependent global atomics (see the module
+    doc).  [record]
     and [replay] thread the schedule log through; recording is safe
     under domains (each CTA cell has a single writer). *)
 let launch ?(costs = Exec_manager.default_costs) ?fuel ?watchdog
@@ -87,7 +94,10 @@ let launch ?(costs = Exec_manager.default_costs) ?fuel ?watchdog
   let launch_info = { Interp.grid; block } in
   let workers = max 1 (min workers ncta) in
   let domains =
-    if Option.is_some ckpt || Option.is_some resume then 1
+    if
+      Option.is_some ckpt || Option.is_some resume
+      || cache.Translation_cache.order_dependent_atomics
+    then 1
     else
       let d =
         match domains with

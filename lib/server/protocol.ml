@@ -8,7 +8,7 @@
     module owns the response shapes so {!Server} and the [vektc]
     client agree by construction. *)
 
-module J = Jsonx
+module J = Vekt_obs.Jsonx
 
 let version = 1
 
@@ -102,11 +102,3 @@ let report_json (r : Vekt_runtime.Api.report) : J.t =
         | None -> J.Null
         | Some e -> J.Str (Vekt_error.kind_name e) );
     ]
-
-(** Render a metrics registry as a JSON object.  {!Vekt_obs.Metrics}
-    already knows how to print itself as JSON; parse that back rather
-    than duplicating the serialization. *)
-let metrics_json (reg : Vekt_obs.Metrics.t) : J.t =
-  match J.of_string (Vekt_obs.Metrics.to_json reg) with
-  | Ok j -> j
-  | Error _ -> J.Obj []

@@ -64,7 +64,7 @@ module Checkpoint = Vekt_runtime.Checkpoint
 module Clock = Vekt_runtime.Clock
 module Obs = Vekt_obs
 module Io = Vekt_chaos.Io
-module J = Jsonx
+module J = Vekt_obs.Jsonx
 module P = Protocol
 
 type mod_entry = {
@@ -140,39 +140,8 @@ let rec rm_rf path =
 
 (* ---- tenant-tally journal (restart recovery of [stats]) ----
 
-   One line of JSON per archived tenant, the inverse of
-   Metrics.to_json.  p50/p95/sum are recomputed from the bins on load,
-   so only counters, gauges and histogram bins need to round-trip. *)
-
-let metrics_of_json (j : J.t) : Obs.Metrics.t =
-  let reg = Obs.Metrics.create () in
-  (match j with
-  | J.Obj kvs ->
-      List.iter
-        (fun (name, v) ->
-          match J.str_mem "type" v with
-          | Some "counter" ->
-              Option.iter
-                (fun n -> Obs.Metrics.incr ~by:n (Obs.Metrics.counter reg name))
-                (J.int_mem "value" v)
-          | Some "gauge" -> (
-              match J.mem "value" v with
-              | Some (J.Float x) -> Obs.Metrics.set (Obs.Metrics.gauge reg name) x
-              | Some (J.Int n) ->
-                  Obs.Metrics.set (Obs.Metrics.gauge reg name) (float_of_int n)
-              | _ -> ())
-          | Some "histogram" ->
-              let h = Obs.Metrics.histogram reg name in
-              Option.iter
-                (List.iter (fun (bk, bv) ->
-                     match (int_of_string_opt bk, bv) with
-                     | Some bin, J.Int n -> Obs.Metrics.observe_n h ~bin n
-                     | _ -> ()))
-                (J.obj_mem "bins" v)
-          | _ -> ())
-        kvs
-  | _ -> ());
-  reg
+   One line of JSON per archived tenant, written with Metrics.to_json
+   and read back with its inverse, Metrics.of_json. *)
 
 let journal_path t = Filename.concat t.ckpt_dir "tenant-tallies.journal"
 
@@ -186,7 +155,7 @@ let save_journal_locked t =
     (fun tenant reg ->
       Buffer.add_string buf
         (J.to_line
-           (J.Obj [ ("tenant", J.Str tenant); ("metrics", P.metrics_json reg) ])))
+           (J.Obj [ ("tenant", J.Str tenant); ("metrics", Obs.Metrics.to_json reg) ])))
     t.closed_tallies;
   try Io.save_atomic ~path:(journal_path t) (Buffer.contents buf)
   with Sys_error _ | Unix.Unix_error _ -> ()
@@ -208,7 +177,7 @@ let load_journal t =
             | Ok j -> (
                 match (J.str_mem "tenant" j, J.mem "metrics" j) with
                 | Some tenant, Some mj ->
-                    Hashtbl.replace t.closed_tallies tenant (metrics_of_json mj);
+                    Hashtbl.replace t.closed_tallies tenant (Obs.Metrics.of_json mj);
                     Hashtbl.replace t.archive_touch tenant (Clock.now_us ())
                 | _ -> ()))
         (String.split_on_char '\n' data)
@@ -908,14 +877,14 @@ let stats t : J.t =
           J.Obj
             (("sessions", J.Int (List.length sessions))
             :: extra
-            @ [ ("metrics", P.metrics_json merged) ]) )
+            @ [ ("metrics", Obs.Metrics.to_json merged) ]) )
         :: acc)
       by_tenant []
     |> List.sort compare
   in
   P.ok
     [
-      ("engine", P.metrics_json reg);
+      ("engine", Obs.Metrics.to_json reg);
       ("tenants", J.Obj tenants);
       ( "recovered",
         J.List

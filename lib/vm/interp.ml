@@ -25,9 +25,11 @@ exception Out_of_fuel
    {!Vekt_runtime.Worker_pool} runs CTAs on several domains against one
    shared global segment the read-modify-write must be serialized
    process-wide.  Shared and local segments are CTA-private (every CTA
-   runs wholly on one worker), so they never need it.  The supported
-   atomic ops are commutative integer updates, so serialization order
-   does not affect the final memory image. *)
+   runs wholly on one worker), so they never need it.  Serialization
+   makes each update indivisible but does not fix their order: add, min
+   and max commute, so the final memory image is order-independent;
+   exch and cas do not, which is why the worker pool keeps kernels using
+   them on a single domain. *)
 let global_atomic_lock = Mutex.create ()
 
 type thread_info = {

@@ -1,6 +1,7 @@
 (* Tests for the chaos engine (DESIGN.md §3.10): the fault-injecting
    I/O layer keeps save_atomic old-or-new at every crash point; the
-   fsync-less tmp+rename the daemon shipped with loses acknowledged
+   fsync-less tmp+rename the daemon shipped with (reproduced here by
+   wrapping the I/O layer with no-op fsyncs) loses acknowledged
    manifests (the pre-fix bug, demonstrated and kept as a regression);
    the hardened daemon survives a bounded crash-point sweep with zero
    invariant violations; restart recovery pins a recovered launch's
@@ -33,6 +34,11 @@ let has_substring hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   go 0
 
+(* The fsync-less tmp+rename the daemon shipped with: the same
+   save_atomic protocol over an I/O layer whose fsyncs do nothing. *)
+let no_fsync (i : Io.impl) : Io.impl =
+  { i with Io.fsync_file = ignore; fsync_dir = ignore }
+
 (* ---- save_atomic is old-or-new at every crash point ---- *)
 
 (* Drill every I/O boundary of one save_atomic over an existing durable
@@ -45,13 +51,14 @@ let drill_save_atomic ~durable () =
   let dir =
     Filename.concat tmpdir (if durable then "sa-durable" else "sa-legacy")
   in
+  let io = if durable then Fun.id else no_fsync in
   Harness.rm_rf dir;
   Unix.mkdir dir 0o755;
   let path = Filename.concat dir "state.json" in
-  Io.save_atomic ~durable ~path "one";
+  Io.save_atomic ~path "one";
   let count = Injector.create ~root:dir ~seed:7 ~plan:Injector.Count () in
-  Io.with_impl (Injector.impl count) (fun () ->
-      Io.save_atomic ~durable ~path "two");
+  Io.with_impl (io (Injector.impl count)) (fun () ->
+      Io.save_atomic ~path "two");
   let trace = Injector.trace count in
   Alcotest.(check bool)
     "a save has several boundaries" true
@@ -62,15 +69,15 @@ let drill_save_atomic ~durable () =
         (fun flavor ->
           Harness.rm_rf dir;
           Unix.mkdir dir 0o755;
-          Io.save_atomic ~durable ~path "one";
+          Io.save_atomic ~path "one";
           let inj =
             Injector.create ~root:dir ~seed:7
               ~plan:(Injector.Crash { boundary; flavor })
               ()
           in
           (match
-             Io.with_impl (Injector.impl inj) (fun () ->
-                 Io.save_atomic ~durable ~path "two")
+             Io.with_impl (io (Injector.impl inj)) (fun () ->
+                 Io.save_atomic ~path "two")
            with
           | () -> ()
           | exception Io.Crash -> ());
@@ -111,15 +118,12 @@ let lost_script : Script.step list =
    through minimization and a replayable repro file. *)
 let test_legacy_lost_manifest () =
   let dir = Filename.concat tmpdir "legacy-lost" in
-  let saved = !Io.durability in
-  Io.durability := false;
+  let io = no_fsync in
   Fun.protect
-    ~finally:(fun () ->
-      Io.durability := saved;
-      Harness.rm_rf dir)
+    ~finally:(fun () -> Harness.rm_rf dir)
     (fun () ->
       match
-        Harness.first_failure ~seed:0x5eed ~dir ~flavor:Injector.Before
+        Harness.first_failure ~io ~seed:0x5eed ~dir ~flavor:Injector.Before
           ~sweep_cap:16 lost_script
       with
       | None ->
@@ -135,16 +139,18 @@ let test_legacy_lost_manifest () =
                (fun v -> has_substring v "lost job")
                f.Harness.f_violations);
           (* minimize, write the repro, parse it back, replay it *)
-          let steps', f' = Harness.minimize ~seed:0x5eed ~dir f lost_script in
+          let steps', f' =
+            Harness.minimize ~io ~seed:0x5eed ~dir f lost_script
+          in
           Alcotest.(check bool)
             "minimization never grows the schedule" true
             (List.length steps' <= List.length lost_script);
           let path = Filename.concat tmpdir "repro.json" in
-          Harness.write_repro ~path ~seed:0x5eed ~durable:false f' steps';
+          Harness.write_repro ~path ~seed:0x5eed f' steps';
           (match Harness.parse_repro (read_file path) with
           | Error e -> Alcotest.failf "repro did not parse back: %s" e
           | Ok r ->
-              let violations = Harness.replay ~dir r in
+              let violations = Harness.replay ~io ~dir r in
               Alcotest.(check bool)
                 "replayed repro still violates" true (violations <> [])))
 
@@ -198,6 +204,7 @@ let test_recovery_pins_addresses () =
   let baseline =
     Harness.run_baseline ~seed:1 ~dir:dirb
       ~steps:(pin_script @ [ Script.Pump 4 ])
+      ()
   in
   let dir = Filename.concat tmpdir "pin-crash" in
   Harness.rm_rf dir;

@@ -163,7 +163,15 @@ let test_quarantine_skips_failed_width () =
   Alcotest.(check int) "second launch: no new failed build" 1
     (counter_value m ~kernel r2 "fallback.compile_failures");
   Alcotest.(check bool) "second launch: quarantine skips" true
-    (counter_value m ~kernel r2 "fallback.quarantine_skips" > 0)
+    (counter_value m ~kernel r2 "fallback.quarantine_skips" > 0);
+  (* the lock-free path used by parallel workers serves the published
+     narrower width and must count the skip too, on any core count *)
+  let skips = counter_value m ~kernel r2 "fallback.quarantine_skips" in
+  let cache = Api.kernel_cache m ~kernel in
+  let _, served = TC.get_fallback cache ~parallel:true ~ws:4 () in
+  Alcotest.(check int) "parallel query: served the narrower width" 2 served;
+  Alcotest.(check int) "parallel query: skip counted" (skips + 1)
+    (counter_value m ~kernel r2 "fallback.quarantine_skips")
 
 let test_quarantine_expires_after_ttl () =
   let w = Registry.find_exn "vecadd" in

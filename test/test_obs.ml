@@ -14,11 +14,12 @@ module Sink = Vekt_obs.Sink
 module Trace = Vekt_obs.Trace
 module Metrics = Vekt_obs.Metrics
 module Divergence = Vekt_obs.Divergence
+module Jsonx = Vekt_obs.Jsonx
 open Vekt_workloads
 
 (* --- a strict little JSON syntax checker (no JSON library in the
-   dependency set, and the point is to validate the hand-rolled
-   exporters against an independent reader) --- *)
+   dependency set, and the point is to validate Jsonx's printer — which
+   every exporter goes through — against an independent reader) --- *)
 
 exception Bad_json of string
 
@@ -145,10 +146,14 @@ let check_json (s : string) : unit =
   skip_ws ();
   if !pos <> n then fail "trailing garbage"
 
+(* Valid for the independent checker, and parsed back by Jsonx itself. *)
 let json_valid what s =
-  match check_json s with
+  (match check_json s with
   | () -> ()
-  | exception Bad_json msg -> Alcotest.failf "%s: invalid JSON: %s" what msg
+  | exception Bad_json msg -> Alcotest.failf "%s: invalid JSON: %s" what msg);
+  match Jsonx.of_string s with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "%s: Jsonx rejects it: %s" what msg
 
 (* --- trace ring buffer --- *)
 
@@ -230,13 +235,42 @@ let test_metrics_exports () =
   Metrics.incr ~by:42 (Metrics.counter m "a.count");
   Metrics.set (Metrics.gauge m "b.gauge") 2.25;
   Metrics.observe (Metrics.histogram m "c.hist") 3;
-  json_valid "metrics json" (Metrics.to_json m);
+  json_valid "metrics json" (Jsonx.to_string (Metrics.to_json m));
   let csv = Metrics.to_csv m in
   let lines = String.split_on_char '\n' (String.trim csv) in
   Alcotest.(check string) "header" "name,kind,key,value" (List.hd lines);
   Alcotest.(check bool) "counter row" true (List.mem "a.count,counter,,42" lines);
   Alcotest.(check bool) "gauge row" true (List.mem "b.gauge,gauge,,2.25" lines);
   Alcotest.(check bool) "hist bin row" true (List.mem "c.hist,histogram,bin:3,1" lines)
+
+(* Metrics.of_json inverts Metrics.to_json exactly: the daemon's stats
+   reply and its tenant-tally journal both travel this way, so a gauge
+   must come back with every digit. *)
+let test_metrics_round_trip () =
+  let m = Metrics.create () in
+  Metrics.incr ~by:42 (Metrics.counter m "jit.compiles");
+  Metrics.set (Metrics.gauge m "jit.compile_us") 1234.5678;
+  let h = Metrics.histogram m "warp_size" in
+  Metrics.observe_n h ~bin:4 7;
+  Metrics.observe h 1;
+  let m' = Metrics.of_json (Metrics.to_json m) in
+  Alcotest.(check (list string)) "names" (Metrics.names m) (Metrics.names m');
+  Alcotest.(check int) "counter" 42 !(Metrics.counter m' "jit.compiles");
+  Alcotest.(check bool) "gauge exact" true
+    (Float.equal 1234.5678 !(Metrics.gauge m' "jit.compile_us"));
+  let h' = Metrics.histogram m' "warp_size" in
+  Alcotest.(check (list (pair int int))) "bins" (Metrics.hist_bins h)
+    (Metrics.hist_bins h');
+  Alcotest.(check int) "count" h.Metrics.count h'.Metrics.count;
+  Alcotest.(check string) "same document"
+    (Jsonx.to_string (Metrics.to_json m))
+    (Jsonx.to_string (Metrics.to_json m'));
+  (* and through the text form the daemon actually writes *)
+  match Jsonx.of_string (Jsonx.to_string (Metrics.to_json m)) with
+  | Error e -> Alcotest.failf "metrics JSON does not parse: %s" e
+  | Ok j ->
+      Alcotest.(check bool) "gauge exact through text" true
+        (Float.equal 1234.5678 !(Metrics.gauge (Metrics.of_json j) "jit.compile_us"))
 
 (* --- wiring: real launches --- *)
 
@@ -351,7 +385,7 @@ let test_metrics_of_launch () =
   let w = W_vecadd.workload in
   let m, r = run_workload w in
   let reg = Api.metrics m ~kernel:w.Workload.kernel r in
-  json_valid "launch metrics json" (Metrics.to_json reg);
+  json_valid "launch metrics json" (Jsonx.to_string (Metrics.to_json reg));
   Alcotest.(check int) "vm.kernel_calls matches stats"
     r.Api.stats.Stats.counters.Interp.kernel_calls
     !(Metrics.counter reg "vm.kernel_calls");
@@ -420,7 +454,7 @@ let check_span_tree workers (w : Workload.t) =
       ("compile", Event.Sk_compile);
       ("pass", Event.Sk_pass);
     ];
-  json_valid "span json" (Span.to_json forest)
+  json_valid "span json" (Jsonx.to_string (Span.to_json forest))
 
 let test_span_tree_serial () = check_span_tree 1 W_vecadd.workload
 let test_span_tree_parallel () = check_span_tree 4 W_vecadd.workload
@@ -486,8 +520,10 @@ let test_report_json_and_render () =
     Report.build ~kernel:w.Workload.kernel ~src:w.Workload.src
       ~workers:dev.Api.workers ~trace:tracer ~attr ~profile r
   in
-  let json = Report.to_json rep in
+  let json = Jsonx.to_string (Report.to_json rep) in
   json_valid "report json" json;
+  json_valid "attribution json"
+    (Jsonx.to_string (Attribution.to_json ~scale:Vekt_vm.Timing.attr_scale attr));
   List.iter
     (fun key ->
       Alcotest.(check bool)
@@ -561,7 +597,8 @@ let test_crash_bundle_on_injected_fault () =
            (fun (s : Span.t) -> s.Span.kind = Event.Sk_launch)
            forest.Span.open_spans);
       let bundle =
-        Report.crash_bundle ~kernel:w.Workload.kernel ~error:err ~trace:tracer ()
+        Jsonx.to_string
+          (Report.crash_bundle ~kernel:w.Workload.kernel ~error:err ~trace:tracer ())
       in
       json_valid "crash bundle" bundle;
       List.iter
@@ -590,6 +627,7 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_metrics_basics;
           Alcotest.test_case "exports" `Quick test_metrics_exports;
+          Alcotest.test_case "json round trip" `Quick test_metrics_round_trip;
           Alcotest.test_case "launch metrics" `Quick test_metrics_of_launch;
         ] );
       ( "divergence",

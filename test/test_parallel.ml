@@ -322,6 +322,26 @@ let test_oddeven_parallel () =
         par.Stats.counters.Interp.dyn_instrs)
     [ 2; 4 ]
 
+(* ---- order-dependent atomics ---- *)
+
+(* SimpleAtomicIntrinsics ends in a global exch and a cas, whose final
+   image depends on which CTA updates first.  Asked for 4 domains, the
+   pool must still run such a kernel on one, so every repetition leaves
+   memory bit-identical to the serial run of the same partition. *)
+let test_order_dependent_atomics () =
+  let w = W_atomics.workload in
+  let serial, _, _, _ = run_pool w ~workers:4 ~domains:1 in
+  for rep = 1 to 20 do
+    let dev, _, inst, _ = run_pool w ~workers:4 ~domains:4 in
+    (match inst.Workload.check dev with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "atomics rep %d: %s" rep e);
+    Alcotest.(check bool)
+      (Fmt.str "atomics rep %d: memory bit-identical to serial" rep)
+      true
+      (Mem.equal serial.Api.global dev.Api.global)
+  done
+
 (* ---- fault-injection differential ---- *)
 
 (* Every 4-wide build fails (p = 1.0, deterministic under the cache
@@ -458,6 +478,11 @@ let () =
         [
           Alcotest.test_case "ringsum multi-CTA" `Quick test_ringsum_parallel;
           Alcotest.test_case "oddeven multi-CTA" `Quick test_oddeven_parallel;
+        ] );
+      ( "atomics",
+        [
+          Alcotest.test_case "exch/cas on one domain" `Quick
+            test_order_dependent_atomics;
         ] );
       ( "fault-differential",
         [ Alcotest.test_case "compile-fail ws=4" `Quick test_fault_differential ]
