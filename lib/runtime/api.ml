@@ -73,9 +73,6 @@ type config = {
       (** execution-manager worker domains per launch; [None] follows
           the device ([machine cores]).  Clamped to the CTA count; 1 =
           serial. *)
-  quarantine_max_age_us : float option;
-      (** additionally expire quarantined widths after this much
-          monotonic wall time, independent of launch count *)
   (* ---- checkpoint / record-replay (DESIGN.md §3.5) ---- *)
   checkpoint_every : int;
       (** snapshot the launch every N scheduler iterations; 0 = off.
@@ -97,7 +94,7 @@ let default_config =
     tiering = Translation_cache.Eager; cache_capacity = None;
     inject = None; watchdog = None;
     quarantine_ttl = Translation_cache.default_quarantine_ttl;
-    recover = false; workers = None; quarantine_max_age_us = None;
+    recover = false; workers = None;
     checkpoint_every = 0; checkpoint_dir = "vekt-ckpt"; record = None;
     replay = None }
 
@@ -150,7 +147,7 @@ let sched_policy (c : config) : Scheduler.t =
     (dynamic|static|barrier), [pipeline] (pass-pipeline spec),
     [tiered] (bool), [hot-threshold], [cache-cap], [inject]
     (';'-separated fault specs; implies [recover]), [inject-seed],
-    [watchdog], [quarantine-ttl], [quarantine-max-age-us], [recover],
+    [watchdog], [quarantine-ttl], [recover],
     [workers], [checkpoint-every], [checkpoint-dir], [record],
     [replay].
 
@@ -172,11 +169,6 @@ let config_of_spec ?(base = default_config) (spec : (string * string) list) :
     match int_of_string_opt (String.trim v) with
     | Some n -> n
     | None -> fail "%s: bad integer %S" k v
-  in
-  let float_of k v =
-    match float_of_string_opt (String.trim v) with
-    | Some x -> x
-    | None -> fail "%s: bad number %S" k v
   in
   let desc_uniq ws = List.sort_uniq (fun a b -> compare b a) ws in
   try
@@ -233,8 +225,6 @@ let config_of_spec ?(base = default_config) (spec : (string * string) list) :
         | "inject-seed" -> inject_seed := int_of k v
         | "watchdog" -> cfg := { !cfg with watchdog = Some (int_of k v) }
         | "quarantine-ttl" -> cfg := { !cfg with quarantine_ttl = int_of k v }
-        | "quarantine-max-age-us" ->
-            cfg := { !cfg with quarantine_max_age_us = Some (float_of k v) }
         | "recover" -> recover := bool_of k v
         | "workers" -> cfg := { !cfg with workers = Some (int_of k v) }
         | "checkpoint-every" ->
@@ -503,13 +493,9 @@ let config_fingerprint (c : config) (machine : Machine.t) : string =
   | Translation_cache.Tiered { hot_threshold } ->
       Buffer.add_string b (Fmt.str "tiered:%d" hot_threshold));
   Buffer.add_string b
-    (Fmt.str "|cap%s|ttl%d|age%s|m:%s"
+    (Fmt.str "|cap%s|ttl%d|m:%s"
        (match c.cache_capacity with Some n -> string_of_int n | None -> "-")
-       c.quarantine_ttl
-       (match c.quarantine_max_age_us with
-       | Some x -> Fmt.str "%.0f" x
-       | None -> "-")
-       machine.Machine.name);
+       c.quarantine_ttl machine.Machine.name);
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 let load_module ?(config = default_config) ?(sink = Vekt_obs.Sink.noop)
@@ -573,8 +559,7 @@ let kernel_cache (m : modul) ~kernel : Translation_cache.t =
             ~widths:m.config.widths ~optimize:m.config.optimize
             ~pipeline:m.config.pipeline ~tiering:m.config.tiering
             ?capacity:m.config.cache_capacity ~verify:m.config.verify
-            ?fault:m.fault ~quarantine_ttl:m.config.quarantine_ttl
-            ?quarantine_max_age_us:m.config.quarantine_max_age_us m.ast
+            ?fault:m.fault ~quarantine_ttl:m.config.quarantine_ttl m.ast
             ~kernel
         with Vekt_transform.Ptx_to_ir.Unsupported u ->
           raise

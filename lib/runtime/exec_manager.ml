@@ -64,10 +64,6 @@ let rec take k = function
     off, in which case the instrumented paths reduce to one branch and
     allocate nothing.
 
-    [parallel] marks this CTA as running concurrently with sibling
-    workers in other domains: cache queries then prefer the lock-free
-    published-hit path (see {!Translation_cache.get_fallback}).
-
     [ckpt] arms the checkpoint policy: its [tick] hook runs at the top
     of every scheduler iteration — the safe point where no warp is in
     flight and every live value sits spilled in the local arena — and
@@ -78,8 +74,7 @@ let rec take k = function
     raises a structured {!Vekt_error.Checkpoint} if execution diverges
     from it. *)
 let run_cta ?(costs = default_costs) ?(fuel = 5_000_000) ?watchdog
-    ?(inject : Fault.t option) ?(parallel = false)
-    ?(sink = Obs.Sink.noop) ?(profile : Obs.Divergence.t option)
+    ?(inject : Fault.t option) ?(sink = Obs.Sink.noop) ?(profile : Obs.Divergence.t option)
     ?(attr : Obs.Attribution.t option) ?(worker = 0)
     ?sched ?(ckpt : Checkpoint.hooks option)
     ?(restore : Checkpoint.cta_snap option) ?(record : Replay.recorder option)
@@ -323,7 +318,7 @@ let run_cta ?(costs = default_costs) ?(fuel = 5_000_000) ?watchdog
        the width actually served can be narrower than the best fit. *)
     let entry, ws =
       Translation_cache.get_fallback cache ~params ~sink ~now:(now ())
-        ~worker ~parallel ~ws:ws_req ()
+        ~worker ~ws:ws_req ()
     in
     (match (expect_ws, replay) with
     | Some e, Some log when e <> ws ->
@@ -532,39 +527,3 @@ let run_cta ?(costs = default_costs) ?(fuel = 5_000_000) ?watchdog
       (Obs.Event.Span_end
          { ts = now (); wall_us = Clock.now_us (); worker;
            kind = Obs.Event.Sk_cta; name = cta_span_name })
-
-(** Run a whole kernel launch: CTAs are statically partitioned round-robin
-    over [workers] execution managers; each worker's statistics are merged
-    into the returned aggregate, with wall cycles the maximum over
-    workers. *)
-let launch_kernel ?(costs = default_costs) ?fuel ?watchdog
-    ?(inject : Fault.t option) ?(workers = 4)
-    ?(sink = Obs.Sink.noop) ?(profile : Obs.Divergence.t option)
-    ?(attr : Obs.Attribution.t option) ?sched
-    (cache : Translation_cache.t) ~(grid : Launch.dim3) ~(block : Launch.dim3)
-    ~(global : Mem.t) ~(params : Mem.t) ~(consts : Mem.t) : Stats.t =
-  let ncta = Launch.count grid in
-  let launch = { Interp.grid; block } in
-  let aggregate = Stats.create () in
-  let workers = max 1 (min workers ncta) in
-  (* A policy incompatible with the vectorization mode would execute
-     miscompiled warps; fail the launch instead. *)
-  Option.iter
-    (Scheduler.validate ~mode:cache.Translation_cache.mode)
-    sched;
-  (match profile with
-  | Some p ->
-      Obs.Divergence.set_entry_names p (Translation_cache.entry_ids cache)
-  | None -> ());
-  for w = 0 to workers - 1 do
-    let wstats = Stats.create () in
-    let c = ref w in
-    while !c < ncta do
-      let ctaid = Launch.unlinear ~dims:grid !c in
-      run_cta ~costs ?fuel ?watchdog ?inject ~sink ?profile ?attr ~worker:w
-        ?sched cache ~launch ~ctaid ~global ~params ~consts ~stats:wstats ();
-      c := !c + workers
-    done;
-    Stats.merge_into ~into:aggregate wstats
-  done;
-  aggregate

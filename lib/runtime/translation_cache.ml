@@ -33,17 +33,17 @@
     mutation — compiling, inserting, promoting, evicting, quarantining —
     happens under a single per-cache mutex, and after every mutation the
     table is {e published}: an immutable snapshot of the entry and
-    quarantine tables is stored into [Atomic.t] cells.  Parallel hit
-    queries ({!get_fallback} with [~parallel:true]) read only the
-    published snapshot, so cache hits — the per-dispatch steady state —
-    never take the lock and never serialize the workers.  Snapshot reads
-    can race a concurrent publish only by being slightly stale, which
-    costs at most a redundant trip through the locked slow path (where
-    the table is double-checked).  Published parallel hits are counted
-    in a lock-free atomic and folded into the hit statistics; they do
-    not bump LRU stamps or tier-promotion hotness (tier-0 entries are
-    deliberately never served from the snapshot, so promotion decisions
-    still see every query that matters). *)
+    quarantine tables is stored into [Atomic.t] cells.  A resident
+    tier-1 hit — the per-dispatch steady state — is served from that
+    snapshot by {!get} and {!get_fallback} alike, at any domain count,
+    so it never takes the lock and never serializes the workers: the
+    hit refreshes the entry's (atomic) LRU stamp and counts in
+    [par_hits].  A snapshot read can race a concurrent publish only by
+    being slightly stale, which costs at most a trip through the locked
+    slow path; that path re-checks the current snapshot first, so the
+    hit is still served and counted by the same code.  Tier-0 entries
+    are never served from the snapshot: their hotness must accrue under
+    the lock toward promotion. *)
 
 module Ir = Vekt_ir.Ir
 module Verify = Vekt_ir.Verify
@@ -65,7 +65,8 @@ type entry = {
   static_instrs : int;  (** static instruction count after optimization *)
   compile_us : float;  (** measured wall time this specialization cost to build *)
   tier : int;  (** 0 = unoptimized fast build, 1 = full pass pipeline *)
-  mutable last_use : int;  (** LRU stamp (cache query clock) *)
+  last_use : int Atomic.t;
+      (** LRU stamp (cache query clock); refreshed by lock-free hits *)
   in_use : int Atomic.t;
       (** pin count held by currently-executing warps (pinned/unpinned
           from any domain, hence atomic) *)
@@ -80,13 +81,9 @@ type tiering =
           values ≤ 1 behave like {!Eager} *)
 
 (** One quarantined specialization key.  The TTL counts successful
-    launches (decremented by {!tick_quarantine}); the stamp is a
-    {!Clock.now_us} monotonic reading taken at quarantine time, so an
-    optional age bound expires entries without ever consulting the
-    (jumpable) wall clock. *)
+    launches (decremented by {!tick_quarantine}). *)
 type quarantine_entry = {
   mutable q_ttl : int;  (** remaining successful launches to sit out *)
-  q_added_us : float;  (** monotonic stamp at quarantine time *)
   q_error : Vekt_error.t option;
       (** the build failure that put the key here ([None] when restored
           from a checkpoint); re-raised when every width is quarantined *)
@@ -120,21 +117,23 @@ type t = {
       (** cumulative per-pass change counts over all tier-1 builds *)
   (* ---- domain safety (DESIGN.md §3.4) ---- *)
   lock : Mutex.t;
-      (** guards every mutation of the tables and counters below; hit
-          queries from parallel workers bypass it via [published] *)
+      (** guards every mutation of the tables and counters below;
+          tier-1 hits bypass it via [published] *)
   published : ((int * string) * entry) list Atomic.t;
       (** immutable snapshot of [specializations], republished under
-          [lock] after every mutation; read lock-free by parallel hits *)
+          [lock] after every mutation; read lock-free by tier-1 hits *)
   pub_quarantine : (int * string) list Atomic.t;
       (** immutable snapshot of the active quarantine keys *)
   par_hits : int Atomic.t;
-      (** hits served lock-free from [published] (folded into
+      (** hits served from the published snapshot (folded into
           {!hit_rate} and the metrics next to [hits]) *)
-  mutable clock : int;  (** LRU stamp source, bumped per query *)
+  clock : int Atomic.t;  (** LRU stamp source, bumped per query *)
   mutable compile_count : int;
   mutable promotions : int;  (** tier-0 → tier-1 recompilations *)
   mutable evictions : int;
-  mutable hits : int;  (** cache queries answered without compiling *)
+  mutable hits : int;
+      (** queries answered under the lock without compiling: tier-0
+          entries, whose hotness accrues toward promotion *)
   mutable misses : int;
   mutable compile_wall_us : float;  (** total wall time spent compiling *)
   mutable verify : bool;
@@ -142,14 +141,8 @@ type t = {
   fault : Fault.t option;  (** armed injector, shared with the manager *)
   quarantine_ttl : int;
       (** successful launches a quarantined width sits out before retry *)
-  quarantine_max_age_us : float option;
-      (** optional age bound on quarantine entries, measured on the
-          monotonic clock ({!Clock}): an entry older than this is
-          expired regardless of its launch-count TTL.  Monotonic
-          readings never jump, so expiry is immune to wall-clock
-          steps/slews. *)
   quarantine : (int * string, quarantine_entry) Hashtbl.t;
-      (** known-bad specialization keys -> remaining TTL + age stamp *)
+      (** known-bad specialization keys -> remaining TTL *)
   mutable fallbacks : int;  (** builds that failed and fell to a narrower width *)
   mutable quarantine_adds : int;
   quarantine_skips : int Atomic.t;
@@ -181,7 +174,7 @@ let prepare ?(mode = Vectorize.Dynamic) ?(affine = false) ?(specialize_args = fa
     ?(machine = Machine.sse4) ?(widths = default_widths) ?(optimize = true)
     ?(pipeline = Passes.default_pipeline) ?(tiering = Eager) ?capacity
     ?(verify = false) ?fault ?(quarantine_ttl = default_quarantine_ttl)
-    ?quarantine_max_age_us (m : Ast.modul) ~kernel : t =
+    (m : Ast.modul) ~kernel : t =
   let widths = List.sort_uniq (fun a b -> compare b a) widths in
   if widths = [] || List.exists (fun w -> w < 1) widths then
     invalid_arg "Translation_cache.prepare: invalid widths";
@@ -215,7 +208,7 @@ let prepare ?(mode = Vectorize.Dynamic) ?(affine = false) ?(specialize_args = fa
     published = Atomic.make [];
     pub_quarantine = Atomic.make [];
     par_hits = Atomic.make 0;
-    clock = 0;
+    clock = Atomic.make 0;
     compile_count = 0;
     promotions = 0;
     evictions = 0;
@@ -225,7 +218,6 @@ let prepare ?(mode = Vectorize.Dynamic) ?(affine = false) ?(specialize_args = fa
     verify;
     fault;
     quarantine_ttl = max 1 quarantine_ttl;
-    quarantine_max_age_us;
     quarantine = Hashtbl.create 4;
     fallbacks = 0;
     quarantine_adds = 0;
@@ -241,25 +233,25 @@ let unpin (e : entry) = ignore (Atomic.fetch_and_add e.in_use (-1))
 (* ---- publication (lock must be held) ---- *)
 
 (* Republish immutable snapshots of the specialization and quarantine
-   tables for the lock-free parallel hit path.  Called after every
-   mutation; the fold allocates a fresh list, so readers of the old
-   snapshot are never disturbed. *)
-(* Is a quarantine entry past its monotonic age bound (when one is
-   configured)?  Aged-out entries are treated as expired everywhere and
-   physically retired by the next {!tick_quarantine}. *)
-let quarantine_aged (t : t) (q : quarantine_entry) =
-  match t.quarantine_max_age_us with
-  | None -> false
-  | Some max_age -> Clock.now_us () -. q.q_added_us > max_age
-
+   tables for the lock-free hit path.  Called after every mutation; the
+   fold allocates a fresh list, so readers of the old snapshot are never
+   disturbed. *)
 let republish (t : t) =
   Atomic.set t.published
     (Hashtbl.fold (fun key e acc -> (key, e) :: acc) t.specializations []);
   Atomic.set t.pub_quarantine
     (Hashtbl.fold
-       (fun key q acc ->
-         if q.q_ttl > 0 && not (quarantine_aged t q) then key :: acc else acc)
+       (fun key q acc -> if q.q_ttl > 0 then key :: acc else acc)
        t.quarantine [])
+
+(* Run [f] under the cache mutex and republish on the way out, even when
+   [f] raises: hotness and miss counters moved. *)
+let locked (t : t) f =
+  Mutex.protect t.lock (fun () ->
+      Fun.protect ~finally:(fun () -> republish t) f)
+
+(* Next LRU stamp: one per query, whichever path answers it. *)
+let next_stamp (t : t) = Atomic.fetch_and_add t.clock 1 + 1
 
 (* Evict least-recently-used unpinned entries until an insert fits the
    capacity bound.  A pinned (currently-executing) entry is never a
@@ -277,8 +269,8 @@ let evict_for_insert (t : t) =
               if Atomic.get e.in_use > 0 then acc
               else
                 match acc with
-                | Some (_, stamp) when stamp <= e.last_use -> acc
-                | _ -> Some (key, e.last_use))
+                | Some (_, stamp) when stamp <= Atomic.get e.last_use -> acc
+                | _ -> Some (key, Atomic.get e.last_use))
             t.specializations None
         in
         (match victim with
@@ -351,7 +343,7 @@ let compile_build (t : t) ~sink ~now ~worker ~scalar ~ws ~tier : entry =
     static_instrs = Ir.size vect.Vectorize.func;
     compile_us;
     tier;
-    last_use = t.clock;
+    last_use = Atomic.make (Atomic.get t.clock);
     in_use = Atomic.make 0;
   }
 
@@ -401,99 +393,12 @@ let scalar_for (t : t) params =
       ignore (Vekt_transform.Specialize.params copy ~params:p);
       copy
 
-(** Get (or build) the specialization for exactly [ws] lanes.  With
-    [params] (and the cache built with [specialize_args]), the scalar
-    kernel is first specialized on the concrete argument values and the
-    result is cached under the parameter block's digest.
-
-    Under {!Tiered} compilation a miss builds an unoptimized tier-0
-    entry, and the query that takes a key's hotness to the threshold
-    promotes it through the full pipeline (the query itself is still a
-    hit: it is answered from cache, the recompile is the cache's own
-    policy).
-
-    [sink] receives cache hit/miss and compile begin/end events; [now]
-    is the caller's modelled-cycle clock at query time (events from
-    different subsystems share one timeline per worker). *)
-let get_locked (t : t) ?params ?(sink = Obs.Sink.noop) ?(now = 0.0)
-    ?(worker = 0) ~ws () : entry =
-  let params = if t.specialize_args then params else None in
-  let key =
-    ( ws,
-      match params with
-      | None -> ""
-      | Some p -> Digest.to_hex (Digest.bytes (Mem.bytes p)) )
-  in
-  t.clock <- t.clock + 1;
-  let queries = Option.value (Hashtbl.find_opt t.hotness key) ~default:0 + 1 in
-  Hashtbl.replace t.hotness key queries;
-  let hot_threshold =
-    match t.tiering with Eager -> 1 | Tiered { hot_threshold } -> hot_threshold
-  in
-  match Hashtbl.find_opt t.specializations key with
-  | Some e ->
-      t.hits <- t.hits + 1;
-      e.last_use <- t.clock;
-      if Obs.Sink.enabled sink then
-        Obs.Sink.emit sink
-          (Obs.Event.Cache_hit { ts = now; worker; kernel = t.kernel_name; ws });
-      if e.tier = 0 && t.optimize && queries >= hot_threshold then begin
-        (* hot: promote through the full pipeline.  A failed promotion
-           (injected or genuine) keeps serving the working tier-0 code
-           rather than surfacing an error for a cache-internal policy. *)
-        match
-          compile_entry t ~sink ~now ~worker ~scalar:(scalar_for t params) ~ws
-            ~tier:1
-        with
-        | e' ->
-            t.promotions <- t.promotions + 1;
-            Hashtbl.replace t.specializations key e';
-            emit_compile t sink ~now ~worker ~ws e';
-            e'
-        | exception Vekt_error.Error (Vekt_error.Compile _) -> e
-      end
-      else e
-  | None ->
-      if not (List.mem ws t.widths) then
-        invalid_arg (Fmt.str "no %d-wide specialization of %s" ws t.kernel_name);
-      t.misses <- t.misses + 1;
-      if Obs.Sink.enabled sink then
-        Obs.Sink.emit sink
-          (Obs.Event.Cache_miss { ts = now; worker; kernel = t.kernel_name; ws });
-      let tier =
-        if t.optimize && queries < hot_threshold then 0 else 1
-      in
-      let tier = if not t.optimize then 1 else tier in
-      let e =
-        compile_entry t ~sink ~now ~worker ~scalar:(scalar_for t params) ~ws
-          ~tier
-      in
-      evict_for_insert t;
-      Hashtbl.replace t.specializations key e;
-      emit_compile t sink ~now ~worker ~ws e;
-      e
-
-(** Locked wrapper around {!get_locked}: every mutation happens under
-    the cache mutex and the snapshot is republished on the way out (even
-    when the build raises — hotness/miss counters moved). *)
-let get (t : t) ?params ?(sink = Obs.Sink.noop) ?(now = 0.0) ?(worker = 0) ~ws
-    () : entry =
-  Mutex.protect t.lock (fun () ->
-      Fun.protect
-        ~finally:(fun () -> republish t)
-        (fun () -> get_locked t ?params ~sink ~now ~worker ~ws ()))
-
-(* ---- fallback chain + quarantine (DESIGN.md §3.3) ---- *)
-
+(* The digest half of a specialization key: the parameter block's hash
+   when the cache specializes on argument values, "" (generic) otherwise. *)
 let digest_of (t : t) params =
-  match if t.specialize_args then params else None with
-  | None -> ""
-  | Some p -> Digest.to_hex (Digest.bytes (Mem.bytes p))
-
-let quarantined (t : t) key =
-  match Hashtbl.find_opt t.quarantine key with
-  | Some q when q.q_ttl > 0 && not (quarantine_aged t q) -> true
-  | _ -> false
+  match params with
+  | Some p when t.specialize_args -> Digest.to_hex (Digest.bytes (Mem.bytes p))
+  | _ -> ""
 
 let emit_quarantine (t : t) sink ~now ~worker ~ws action =
   if Obs.Sink.enabled sink then
@@ -501,40 +406,125 @@ let emit_quarantine (t : t) sink ~now ~worker ~ws action =
       (Obs.Event.Quarantine
          { ts = now; worker; kernel = t.kernel_name; ws; action })
 
-(* Lock-free hit path for parallel workers: serve the first
-   non-quarantined candidate width straight from the published snapshot,
-   but only if that width is already resident at tier 1 — anything else
-   (absent, or tier 0 whose hotness must keep accruing toward promotion)
-   falls through to the locked slow path.  Snapshots may be stale; a
-   stale miss just costs the slow-path trip, and a stale quarantine view
-   merely delays a retry by one dispatch. *)
-let published_hit (t : t) ~digest ~sink ~now ~worker candidates =
-  let quar = Atomic.get t.pub_quarantine in
-  let pub = Atomic.get t.published in
-  (* [skipped]: quarantined widths passed over on the way.  They are
-     counted only when this path serves the hit — on a fall-through the
-     locked chain skips (and counts) them itself. *)
-  let rec scan skipped = function
-    | [] -> None
-    | w :: rest ->
-        if List.mem (w, digest) quar then scan (w :: skipped) rest
-        else (
-          match List.assoc_opt (w, digest) pub with
-          | Some (e : entry) when e.tier >= 1 ->
-              List.iter
-                (fun ws ->
-                  Atomic.incr t.quarantine_skips;
-                  emit_quarantine t sink ~now ~worker ~ws Obs.Event.Q_skipped)
-                (List.rev skipped);
-              Atomic.incr t.par_hits;
-              if Obs.Sink.enabled sink then
-                Obs.Sink.emit sink
-                  (Obs.Event.Cache_hit
-                     { ts = now; worker; kernel = t.kernel_name; ws = w });
-              Some (e, w)
-          | _ -> None)
-  in
-  scan [] candidates
+(* The one tier-1 hit path, shared by {!get} and {!get_fallback} at any
+   domain count: serve [key] from the published snapshot if it is
+   resident at tier 1 — anything else (absent, or tier 0 whose hotness
+   must keep accruing toward promotion) answers [None] and the caller
+   takes the locked slow path.  The hit refreshes the entry's LRU stamp
+   and counts in [par_hits]; [skipped] are quarantined widths the caller
+   passed over on the way, counted only when this serves the hit (on a
+   fall-through the locked chain skips and counts them itself). *)
+let snapshot_hit (t : t) ?(skipped = []) ~sink ~now ~worker
+    ((ws, _) as key) =
+  match List.assoc_opt key (Atomic.get t.published) with
+  | Some (e : entry) when e.tier >= 1 ->
+      Atomic.set e.last_use (next_stamp t);
+      List.iter
+        (fun ws ->
+          Atomic.incr t.quarantine_skips;
+          emit_quarantine t sink ~now ~worker ~ws Obs.Event.Q_skipped)
+        skipped;
+      Atomic.incr t.par_hits;
+      if Obs.Sink.enabled sink then
+        Obs.Sink.emit sink
+          (Obs.Event.Cache_hit { ts = now; worker; kernel = t.kernel_name; ws });
+      Some e
+  | _ -> None
+
+(* The slow path for one key; the lock must be held.  It re-checks the
+   snapshot first — under the lock the snapshot holds every key this
+   query can ask for, so a lock-free read that was merely stale is
+   still served by {!snapshot_hit}.  What remains is a tier-0 hit (which
+   may promote) or a miss (which compiles).
+
+   Under {!Tiered} compilation a miss builds an unoptimized tier-0
+   entry, and the query that takes a key's hotness to the threshold
+   promotes it through the full pipeline (the query itself is still a
+   hit: it is answered from cache, the recompile is the cache's own
+   policy). *)
+let get_locked (t : t) ?params ~sink ~now ~worker ((ws, _) as key) : entry =
+  match snapshot_hit t ~sink ~now ~worker key with
+  | Some e -> e
+  | None -> (
+      let params = if t.specialize_args then params else None in
+      let stamp = next_stamp t in
+      let queries =
+        Option.value (Hashtbl.find_opt t.hotness key) ~default:0 + 1
+      in
+      Hashtbl.replace t.hotness key queries;
+      let hot_threshold =
+        match t.tiering with
+        | Eager -> 1
+        | Tiered { hot_threshold } -> hot_threshold
+      in
+      match Hashtbl.find_opt t.specializations key with
+      | Some e ->
+          t.hits <- t.hits + 1;
+          Atomic.set e.last_use stamp;
+          if Obs.Sink.enabled sink then
+            Obs.Sink.emit sink
+              (Obs.Event.Cache_hit
+                 { ts = now; worker; kernel = t.kernel_name; ws });
+          if e.tier = 0 && t.optimize && queries >= hot_threshold then begin
+            (* hot: promote through the full pipeline.  A failed promotion
+               (injected or genuine) keeps serving the working tier-0 code
+               rather than surfacing an error for a cache-internal policy. *)
+            match
+              compile_entry t ~sink ~now ~worker ~scalar:(scalar_for t params)
+                ~ws ~tier:1
+            with
+            | e' ->
+                t.promotions <- t.promotions + 1;
+                Hashtbl.replace t.specializations key e';
+                emit_compile t sink ~now ~worker ~ws e';
+                e'
+            | exception Vekt_error.Error (Vekt_error.Compile _) -> e
+          end
+          else e
+      | None ->
+          if not (List.mem ws t.widths) then
+            invalid_arg
+              (Fmt.str "no %d-wide specialization of %s" ws t.kernel_name);
+          t.misses <- t.misses + 1;
+          if Obs.Sink.enabled sink then
+            Obs.Sink.emit sink
+              (Obs.Event.Cache_miss
+                 { ts = now; worker; kernel = t.kernel_name; ws });
+          let tier =
+            if t.optimize && queries < hot_threshold then 0 else 1
+          in
+          let e =
+            compile_entry t ~sink ~now ~worker ~scalar:(scalar_for t params)
+              ~ws ~tier
+          in
+          evict_for_insert t;
+          Hashtbl.replace t.specializations key e;
+          emit_compile t sink ~now ~worker ~ws e;
+          e)
+
+(** Get (or build) the specialization for exactly [ws] lanes.  With
+    [params] (and the cache built with [specialize_args]), the scalar
+    kernel is first specialized on the concrete argument values and the
+    result is cached under the parameter block's digest.  A resident
+    tier-1 hit is served lock-free ({!snapshot_hit}); everything else
+    takes the cache mutex.
+
+    [sink] receives cache hit/miss and compile begin/end events; [now]
+    is the caller's modelled-cycle clock at query time (events from
+    different subsystems share one timeline per worker). *)
+let get (t : t) ?params ?(sink = Obs.Sink.noop) ?(now = 0.0) ?(worker = 0) ~ws
+    () : entry =
+  let key = (ws, digest_of t params) in
+  match snapshot_hit t ~sink ~now ~worker key with
+  | Some e -> e
+  | None -> locked t (fun () -> get_locked t ?params ~sink ~now ~worker key)
+
+(* ---- fallback chain + quarantine (DESIGN.md §3.3) ---- *)
+
+let quarantined (t : t) key =
+  match Hashtbl.find_opt t.quarantine key with
+  | Some q when q.q_ttl > 0 -> true
+  | _ -> false
 
 (** Get a specialization for at most [ws] lanes, degrading gracefully:
     a width whose build fails (injected or genuine) is quarantined and
@@ -545,18 +535,28 @@ let published_hit (t : t) ~digest ~sink ~now ~worker candidates =
     {!Vekt_error.Compile} when every candidate width is failed or
     quarantined — the caller's last resort is the reference emulator.
 
-    With [~parallel:true] (workers running in separate domains) a hit on
-    an already-published tier-1 specialization is served lock-free from
-    the snapshot; every other outcome takes the cache mutex. *)
+    The first width not quarantined in the published snapshot is served
+    lock-free when it is resident at tier 1 ({!snapshot_hit}); every
+    other outcome takes the cache mutex. *)
 let get_fallback (t : t) ?params ?(sink = Obs.Sink.noop) ?(now = 0.0)
-    ?(worker = 0) ?(parallel = false) ~ws () : entry * int =
+    ?(worker = 0) ~ws () : entry * int =
   let digest = digest_of t params in
   let candidates = List.filter (fun w -> w <= ws) t.widths in
   if candidates = [] then
     invalid_arg (Fmt.str "no specialization of %s fits width %d" t.kernel_name ws);
+  let quar = Atomic.get t.pub_quarantine in
+  let rec first_open skipped = function
+    | w :: rest when List.mem (w, digest) quar -> first_open (w :: skipped) rest
+    | w :: _ -> Some (List.rev skipped, w)
+    | [] -> None
+  in
   let fast =
-    if parallel then published_hit t ~digest ~sink ~now ~worker candidates
-    else None
+    match first_open [] candidates with
+    | Some (skipped, w) ->
+        Option.map
+          (fun e -> (e, w))
+          (snapshot_hit t ~skipped ~sink ~now ~worker (w, digest))
+    | None -> None
   in
   match fast with
   | Some hit -> hit
@@ -590,15 +590,11 @@ let get_fallback (t : t) ?params ?(sink = Obs.Sink.noop) ?(now = 0.0)
               try_widths (if Option.is_some q.q_error then q.q_error else last_err) rest
             end
             else
-              match get_locked t ?params ~sink ~now ~worker ~ws:w () with
+              match get_locked t ?params ~sink ~now ~worker (w, digest) with
               | e -> (e, w)
               | exception Vekt_error.Error (Vekt_error.Compile _ as err) ->
                   Hashtbl.replace t.quarantine (w, digest)
-                    {
-                      q_ttl = t.quarantine_ttl;
-                      q_added_us = Clock.now_us ();
-                      q_error = Some err;
-                    };
+                    { q_ttl = t.quarantine_ttl; q_error = Some err };
                   t.quarantine_adds <- t.quarantine_adds + 1;
                   t.fallbacks <- t.fallbacks + 1;
                   emit_fallback ~from_ws:w ~to_ws:next_ws (Vekt_error.to_string err);
@@ -606,10 +602,10 @@ let get_fallback (t : t) ?params ?(sink = Obs.Sink.noop) ?(now = 0.0)
                   try_widths (Some err) rest)
       in
       (* the slow path (miss / fallback chain / tier promotion) gets a
-         cache_lookup span; the lock-free fast path above is too cheap
-         to be worth a begin/end pair per dispatch.  Closed via
-         Fun.protect so a raising chain (all widths failed) still leaves
-         the tree balanced — the raise itself is the signal there. *)
+         cache_lookup span; a snapshot hit is too cheap to be worth a
+         begin/end pair per dispatch.  Closed via Fun.protect so a
+         raising chain (all widths failed) still leaves the tree
+         balanced — the raise itself is the signal there. *)
       let span_name = Printf.sprintf "lookup %s.w%d" t.kernel_name ws in
       if Obs.Sink.enabled sink then
         Obs.Sink.emit sink
@@ -623,19 +619,14 @@ let get_fallback (t : t) ?params ?(sink = Obs.Sink.noop) ?(now = 0.0)
               (Obs.Event.Span_end
                  { ts = now; wall_us = Clock.now_us (); worker;
                    kind = Obs.Event.Sk_cache_lookup; name = span_name }))
-        (fun () ->
-          Mutex.protect t.lock (fun () ->
-              Fun.protect
-                ~finally:(fun () -> republish t)
-                (fun () -> try_widths None candidates)))
+        (fun () -> locked t (fun () -> try_widths None candidates))
 
 (** One successful launch elapsed: age every quarantine entry, retiring
-    those whose TTL reaches zero — or whose monotonic age exceeds the
-    configured bound — so the failed width gets re-tried. *)
+    those whose TTL reaches zero, so the failed width gets re-tried. *)
 let tick_quarantine (t : t) ?(sink = Obs.Sink.noop) ?(now = 0.0) ?(worker = 0)
     () =
   Mutex.protect t.lock (fun () ->
-      let dead q = q.q_ttl <= 1 || quarantine_aged t q in
+      let dead q = q.q_ttl <= 1 in
       let expired =
         Hashtbl.fold
           (fun key q acc -> if dead q then key :: acc else acc)
@@ -674,9 +665,7 @@ let export_meta (t : t) : (int * string * int) list * (int * string * int) list
       let quar =
         Hashtbl.fold
           (fun (w, d) q acc ->
-            if q.q_ttl > 0 && not (quarantine_aged t q) then
-              (w, d, q.q_ttl) :: acc
-            else acc)
+            if q.q_ttl > 0 then (w, d, q.q_ttl) :: acc else acc)
           t.quarantine []
       in
       (List.sort compare hot, List.sort compare quar))
@@ -684,9 +673,7 @@ let export_meta (t : t) : (int * string * int) list * (int * string * int) list
 (** Restore {!export_meta} state.  The specialization table is cleared
     (nothing is pinned at a checkpoint's safe point): leaving entries
     compiled under post-snapshot hotness would let a resumed launch see
-    tiers the uninterrupted run hadn't reached yet.  Quarantine age
-    stamps restart at the current monotonic reading — monotonic epochs
-    don't survive a process boundary. *)
+    tiers the uninterrupted run hadn't reached yet. *)
 let restore_meta (t : t) ~(hotness : (int * string * int) list)
     ~(quarantine : (int * string * int) list) =
   Mutex.protect t.lock (fun () ->
@@ -694,11 +681,9 @@ let restore_meta (t : t) ~(hotness : (int * string * int) list)
       Hashtbl.reset t.hotness;
       List.iter (fun (w, d, q) -> Hashtbl.replace t.hotness (w, d) q) hotness;
       Hashtbl.reset t.quarantine;
-      let now = Clock.now_us () in
       List.iter
         (fun (w, d, ttl) ->
-          Hashtbl.replace t.quarantine (w, d)
-            { q_ttl = ttl; q_added_us = now; q_error = None })
+          Hashtbl.replace t.quarantine (w, d) { q_ttl = ttl; q_error = None })
         quarantine;
       republish t)
 

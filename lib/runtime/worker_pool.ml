@@ -1,18 +1,18 @@
-(** Domain-parallel launch driver (paper §5.2).
+(** The launch driver (paper §5.2).
 
     The paper's execution managers are worker threads that each own a
-    static partition of the grid's CTAs.  {!Exec_manager.launch_kernel}
-    {e simulates} that partition on one OS thread (the modelled-cycle
-    clocks are per worker, wall cycles take the max); this module runs
-    it for real: the same per-worker CTA slices, executed on OCaml 5
-    domains through the ordinary {!Exec_manager.run_cta} against the
-    shared global segment and the shared {!Translation_cache}.
+    static partition of the grid's CTAs.  This module runs that
+    partition: each worker's slice of CTAs goes through
+    {!Exec_manager.run_cta} against the shared global segment and the
+    shared {!Translation_cache}, on OCaml 5 domains or in a serial loop
+    (the modelled-cycle clocks are per worker, wall cycles take the
+    max).
 
     Two knobs, deliberately separate:
 
     - [workers] is the {e modelled} partition width — worker [w] owns
-      CTAs [w, w+workers, ...], exactly as in the serial simulation, so
-      per-worker statistics (and the max-over-workers wall cycles) are
+      CTAs [w, w+workers, ...] at any domain count, so per-worker
+      statistics (and the max-over-workers wall cycles) are
       identical whether the slices run on domains or in a loop.
     - [domains] is the {e physical} parallelism: how many OCaml domains
       execute those worker slices.  Domain [d] runs workers
@@ -33,9 +33,10 @@
     {!Translation_cache.t.order_dependent_atomics}) runs its worker
     slices on one domain.
 
-    {b Determinism of the merged artifacts.}  Everything a worker
-    produces is private to its slice while it runs and merged only
-    after every domain has been joined, in worker-index order:
+    {b Determinism of the merged artifacts.}  On more than one domain,
+    everything a worker produces is private to its slice while it runs
+    and merged only after every domain has been joined, in worker-index
+    order:
 
     - {!Stats.t}: integer totals are partition-independent; float
       cycle totals are merged in worker order, so they are reproducible
@@ -44,14 +45,15 @@
       genuinely models the parallelism).
     - Events: each worker emits into a private buffer; buffers are
       replayed into the caller's sink worker-by-worker, which
-      reproduces exactly the order the serial simulation emits.
+      reproduces exactly the order a one-domain launch emits.
     - {!Obs.Divergence} profiles: one private profile per worker,
       {!Obs.Divergence.merge}d in worker order.
 
     A worker that raises aborts its domain's remaining slices; every
-    domain is still joined before anything propagates, and the
-    lowest-indexed worker's error is re-raised, so the error surfaced
-    for a given failing launch does not depend on domain scheduling.
+    domain is still joined and every worker's event buffer replayed
+    before anything propagates, and the lowest-indexed worker's error is
+    re-raised, so the error surfaced for a given failing launch does not
+    depend on domain scheduling.
 
     Caveats, documented in DESIGN.md §3.4: {!Translation_cache.Tiered}
     promotion points and injected spurious yields depend on cross-domain
@@ -66,9 +68,7 @@ open Vekt_ptx
     partitioned over [workers] execution managers, executed on
     [domains] OCaml domains (see the module doc for the distinction).
     [workers] is clamped to [1 .. ncta] and [domains] to
-    [1 .. workers].  Parameters otherwise mirror
-    {!Exec_manager.launch_kernel}, which remains the single-threaded
-    reference for this function.
+    [1 .. workers].
 
     [ckpt] arms the checkpoint policy (DESIGN.md §3.5): the pool drives
     {!Exec_manager.run_cta}'s safe-point hooks and assembles whole-launch
@@ -125,170 +125,153 @@ let launch ?(costs = Exec_manager.default_costs) ?fuel ?watchdog
       Mem.load_image params s.Checkpoint.params_image;
       Translation_cache.restore_meta cache ~hotness:s.Checkpoint.hotness
         ~quarantine:s.Checkpoint.quarantine);
-  let run_worker ~parallel ~wsink ~wprofile ~wattr w (wstats : Stats.t) =
-    let c = ref w in
-    while !c < ncta do
-      let ctaid = Launch.unlinear ~dims:grid !c in
-      Exec_manager.run_cta ~costs ?fuel ?watchdog ?inject ~parallel
-        ~sink:wsink ?profile:wprofile ?attr:wattr ~worker:w ?sched ?record
-        ?replay cache ~launch:launch_info ~ctaid ~global ~params ~consts
-        ~stats:wstats ();
-      c := !c + workers
-    done
+  (* Per-worker launch state lives in arrays so a checkpoint taken while
+     worker [w] is mid-CTA can record every sibling's stats and next-CTA
+     position.  [next.(v)] is the CTA worker [v] is inside (while
+     running) or would start next (between CTAs) — exactly the
+     [w_next_cta] contract of {!Checkpoint.worker_snap}.  Each cell has
+     a single writer, its worker. *)
+  let worker_snap w = Option.map (fun s -> s.Checkpoint.worker_snaps.(w)) resume in
+  let wstats =
+    Array.init workers (fun w ->
+        match worker_snap w with
+        | Some snap -> snap.Checkpoint.w_stats
+        | None -> Stats.create ())
   in
+  let next =
+    Array.init workers (fun w ->
+        match worker_snap w with
+        | Some snap -> snap.Checkpoint.w_next_cta
+        | None -> w)
+  in
+  let inflight =
+    Array.init workers (fun w ->
+        Option.bind (worker_snap w) (fun snap -> snap.Checkpoint.w_inflight))
+  in
+  let hooks_for (ctx : Checkpoint.ctx) w : Checkpoint.hooks =
+    let write_snap ~fault ~now save =
+      let worker_snaps =
+        Array.init workers (fun v ->
+            {
+              Checkpoint.w_next_cta = next.(v);
+              w_stats = wstats.(v);
+              w_inflight = (if v = w then Some (save ()) else None);
+            })
+      in
+      let hotness, quarantine = Translation_cache.export_meta cache in
+      let snap =
+        {
+          Checkpoint.kernel = cache.Translation_cache.kernel_name;
+          grid;
+          block;
+          workers;
+          seq = ctx.Checkpoint.seq + 1;
+          global_size = Bytes.length (Mem.bytes global);
+          global_image = Mem.image ?live:ctx.Checkpoint.live_bytes global;
+          params_image = Mem.image params;
+          worker_snaps;
+          fault_state = Option.map Fault.export_state inject;
+          hotness;
+          quarantine;
+        }
+      in
+      let path, bytes = Checkpoint.write ~fault ctx snap in
+      if not fault then begin
+        if Obs.Sink.enabled sink then
+          Obs.Sink.emit sink
+            (Obs.Event.Ckpt_write
+               { ts = now; worker = w; seq = snap.Checkpoint.seq; bytes });
+        Checkpoint.maybe_stop ctx path
+      end
+    in
+    {
+      Checkpoint.tick =
+        (fun ~now ~save ->
+          if Checkpoint.note_iter ctx then write_snap ~fault:false ~now save);
+      on_fault = (fun ~now ~save -> write_snap ~fault:true ~now save);
+    }
+  in
+  (* Worker [w]'s slice: CTAs [w, w+workers, ...] from [next.(w)] on,
+     finishing first the CTA it was interrupted inside, if any. *)
+  let run_slice ~sink ?profile ?attr w =
+    let hooks = Option.map (fun ctx -> hooks_for ctx w) ckpt in
+    let rec from restore =
+      let c = next.(w) in
+      if c < ncta then begin
+        Exec_manager.run_cta ~costs ?fuel ?watchdog ?inject ~sink ?profile
+          ?attr ~worker:w ?sched ?ckpt:hooks ?restore ?record ?replay cache
+          ~launch:launch_info ~ctaid:(Launch.unlinear ~dims:grid c) ~global
+          ~params ~consts ~stats:wstats.(w) ();
+        next.(w) <- c + workers;
+        from None
+      end
+    in
+    let restore = inflight.(w) in
+    inflight.(w) <- None;
+    from restore
+  in
+  (* On one domain, workers write straight into the caller's sink,
+     profile and attribution.  On several, each worker gets private
+     ones — a reversed event buffer, and fresh profile and attribution
+     tables (Hashtbls must not be shared across domains) — merged after
+     the join in worker order.  Integer attribution sums are
+     order-independent, so the merge conserves the total bit-exactly. *)
+  let private_ = domains > 1 in
+  let buffers = Array.init workers (fun _ -> ref []) in
+  let wsink w =
+    if private_ && Obs.Sink.enabled sink then
+      Obs.Sink.fn (fun e -> buffers.(w) := e :: !(buffers.(w)))
+    else sink
+  in
+  let fresh create = Option.map (fun x -> if private_ then create () else x) in
+  let wprofiles =
+    Array.init workers (fun _ -> fresh Obs.Divergence.create profile)
+  in
+  let wattrs = Array.init workers (fun _ -> fresh Obs.Attribution.create attr) in
+  (* domain d executes worker slices d, d+domains, ... in order; its
+     result is the lowest worker index that failed, with the error *)
+  let body d () =
+    let rec slices w =
+      if w >= workers then None
+      else
+        match
+          run_slice ~sink:(wsink w) ?profile:wprofiles.(w) ?attr:wattrs.(w) w
+        with
+        | () -> slices (w + domains)
+        | exception e -> Some (w, e, Printexc.get_raw_backtrace ())
+    in
+    slices d
+  in
+  (* join every domain before propagating anything, so a failure never
+     leaks running workers *)
+  let outcomes =
+    if private_ then
+      Array.map Domain.join (Array.init domains (fun d -> Domain.spawn (body d)))
+    else [| body 0 () |]
+  in
+  (* replay the buffers before any re-raise, so a crash bundle still sees
+     every worker's events — its CTA spans left open where it died *)
+  Array.iter
+    (fun buf -> List.iter (Obs.Sink.emit sink) (List.rev !buf))
+    buffers;
+  (* surface the lowest worker's error *)
+  (match
+     Array.to_list outcomes
+     |> List.filter_map Fun.id
+     |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
+   with
+  | (_, e, bt) :: _ -> Printexc.raise_with_backtrace e bt
+  | [] -> ());
   let aggregate = Stats.create () in
-  if domains = 1 then begin
-    (* Per-worker launch state lives in arrays so a checkpoint taken
-       while worker [w] is mid-CTA can record every sibling's stats and
-       next-CTA position.  [next.(v)] is the CTA worker [v] is inside
-       (while running) or would start next (between CTAs) — exactly the
-       [w_next_cta] contract of {!Checkpoint.worker_snap}. *)
-    let wstats =
-      Array.init workers (fun w ->
-          match resume with
-          | Some s -> s.Checkpoint.worker_snaps.(w).Checkpoint.w_stats
-          | None -> Stats.create ())
-    in
-    let next =
-      Array.init workers (fun w ->
-          match resume with
-          | Some s -> s.Checkpoint.worker_snaps.(w).Checkpoint.w_next_cta
-          | None -> w)
-    in
-    let inflight =
-      Array.init workers (fun w ->
-          match resume with
-          | Some s -> s.Checkpoint.worker_snaps.(w).Checkpoint.w_inflight
-          | None -> None)
-    in
-    let hooks_for (ctx : Checkpoint.ctx) w : Checkpoint.hooks =
-      let write_snap ~fault ~now save =
-        let worker_snaps =
-          Array.init workers (fun v ->
-              {
-                Checkpoint.w_next_cta = next.(v);
-                w_stats = wstats.(v);
-                w_inflight = (if v = w then Some (save ()) else None);
-              })
-        in
-        let hotness, quarantine = Translation_cache.export_meta cache in
-        let snap =
-          {
-            Checkpoint.kernel = cache.Translation_cache.kernel_name;
-            grid;
-            block;
-            workers;
-            seq = ctx.Checkpoint.seq + 1;
-            global_size = Bytes.length (Mem.bytes global);
-            global_image = Mem.image ?live:ctx.Checkpoint.live_bytes global;
-            params_image = Mem.image params;
-            worker_snaps;
-            fault_state = Option.map Fault.export_state inject;
-            hotness;
-            quarantine;
-          }
-        in
-        let path, bytes = Checkpoint.write ~fault ctx snap in
-        if not fault then begin
-          if Obs.Sink.enabled sink then
-            Obs.Sink.emit sink
-              (Obs.Event.Ckpt_write
-                 { ts = now; worker = w; seq = snap.Checkpoint.seq; bytes });
-          Checkpoint.maybe_stop ctx path
-        end
-      in
-      {
-        Checkpoint.tick =
-          (fun ~now ~save ->
-            if Checkpoint.note_iter ctx then write_snap ~fault:false ~now save);
-        on_fault = (fun ~now ~save -> write_snap ~fault:true ~now save);
-      }
-    in
-    for w = 0 to workers - 1 do
-      let hooks = Option.map (fun ctx -> hooks_for ctx w) ckpt in
-      (* finish the CTA this worker was interrupted inside, if any *)
-      (match inflight.(w) with
-      | Some cs ->
-          let c = next.(w) in
-          let ctaid = Launch.unlinear ~dims:grid c in
-          inflight.(w) <- None;
-          Exec_manager.run_cta ~costs ?fuel ?watchdog ?inject ~parallel:false
-            ~sink ?profile ?attr ~worker:w ?sched ?ckpt:hooks ~restore:cs
-            ?record ?replay cache ~launch:launch_info ~ctaid ~global ~params
-            ~consts ~stats:wstats.(w) ();
-          next.(w) <- c + workers
-      | None -> ());
-      let c = ref next.(w) in
-      while !c < ncta do
-        next.(w) <- !c;
-        let ctaid = Launch.unlinear ~dims:grid !c in
-        Exec_manager.run_cta ~costs ?fuel ?watchdog ?inject ~parallel:false
-          ~sink ?profile ?attr ~worker:w ?sched ?ckpt:hooks ?record ?replay
-          cache ~launch:launch_info ~ctaid ~global ~params ~consts
-          ~stats:wstats.(w) ();
-        c := !c + workers;
-        next.(w) <- !c
-      done
-    done;
-    for w = 0 to workers - 1 do
-      Stats.merge_into ~into:aggregate wstats.(w)
-    done
-  end
-  else begin
-    let wstats = Array.init workers (fun _ -> Stats.create ()) in
-    let wprofiles =
-      Array.init workers (fun _ ->
-          Option.map (fun _ -> Obs.Divergence.create ()) profile)
-    in
-    (* per-worker attribution buckets, same private-then-merge discipline
-       as profiles: Attribution.t wraps Hashtbls, which must not be
-       shared across domains.  Integer unit sums are order-independent,
-       so the worker-order merge conserves the total bit-exactly. *)
-    let wattrs =
-      Array.init workers (fun _ ->
-          Option.map (fun _ -> Obs.Attribution.create ()) attr)
-    in
-    (* private reversed event buffer per worker; replayed post-join *)
-    let buffers = Array.init workers (fun _ -> ref []) in
-    let wsink w =
-      if Obs.Sink.enabled sink then
-        Obs.Sink.fn (fun e -> buffers.(w) := e :: !(buffers.(w)))
-      else Obs.Sink.noop
-    in
-    (* domain d executes worker slices d, d+domains, ... in order; its
-       result is the lowest worker index that failed, with the error *)
-    let body d () =
-      let rec slices w =
-        if w >= workers then None
-        else
-          match
-            run_worker ~parallel:true ~wsink:(wsink w)
-              ~wprofile:wprofiles.(w) ~wattr:wattrs.(w) w wstats.(w)
-          with
-          | () -> slices (w + domains)
-          | exception e -> Some (w, e, Printexc.get_raw_backtrace ())
-      in
-      slices d
-    in
-    let spawned = Array.init domains (fun d -> Domain.spawn (body d)) in
-    (* join every domain before propagating anything, so a failure never
-       leaks running workers; then surface the lowest worker's error *)
-    let outcomes = Array.to_list (Array.map Domain.join spawned) in
-    (match
-       List.filter_map (fun o -> o) outcomes
-       |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
-     with
-    | (_, e, bt) :: _ -> Printexc.raise_with_backtrace e bt
-    | [] -> ());
-    for w = 0 to workers - 1 do
-      List.iter (Obs.Sink.emit sink) (List.rev !(buffers.(w)));
+  for w = 0 to workers - 1 do
+    if private_ then begin
       (match (profile, wprofiles.(w)) with
       | Some into, Some p -> Obs.Divergence.merge ~into p
       | _ -> ());
-      (match (attr, wattrs.(w)) with
+      match (attr, wattrs.(w)) with
       | Some into, Some a -> Obs.Attribution.merge ~into a
-      | _ -> ());
-      Stats.merge_into ~into:aggregate wstats.(w)
-    done
-  end;
+      | _ -> ()
+    end;
+    Stats.merge_into ~into:aggregate wstats.(w)
+  done;
   aggregate

@@ -564,62 +564,6 @@ let test_config_validation () =
   (* a healthy config still loads *)
   ignore (Api.load_module dev w.Workload.src)
 
-(* ---- satellite: quarantine ages out on the monotonic clock ---- *)
-
-let test_quarantine_max_age () =
-  let w = Registry.find_exn "vecadd" in
-  let base max_age =
-    {
-      Api.default_config with
-      widths = [ 4; 2; 1 ];
-      inject =
-        Some
-          {
-            Fault.seed = 7;
-            specs =
-              [
-                Fault.Compile_fail
-                  { ws = Some 4; tier = None; kernel = None; p = 1.0 };
-              ];
-          };
-      recover = true;
-      quarantine_ttl = 1000 (* launch-count TTL effectively never *);
-      quarantine_max_age_us = max_age;
-    }
-  in
-  let failures_per_launch config =
-    let dev = Api.create_device () in
-    let m = Api.load_module ~config dev w.Workload.src in
-    let inst = w.Workload.setup dev in
-    let launch () =
-      Api.launch m ~kernel:w.Workload.kernel ~grid:inst.Workload.grid
-        ~block:inst.Workload.block ~args:inst.Workload.args
-    in
-    let f1 =
-      counter_value m ~kernel:w.Workload.kernel (launch ())
-        "fallback.compile_failures"
-    in
-    let f2 =
-      counter_value m ~kernel:w.Workload.kernel (launch ())
-        "fallback.compile_failures"
-    in
-    (f1, f2)
-  in
-  (* control: under the launch-count TTL alone the width stays
-     quarantined, so a second launch adds no compile failures *)
-  let c1, c2 = failures_per_launch (base None) in
-  Alcotest.(check bool) "count TTL: width attempted once" true (c1 >= 1);
-  Alcotest.(check int) "count TTL: second launch skips the width" c1 c2;
-  (* a zero age bound expires the entry on the monotonic clock the
-     moment it lands, so the width keeps being re-attempted (and keeps
-     failing) — the cumulative count grows across launches despite the
-     huge launch-count TTL *)
-  let a1, a2 = failures_per_launch (base (Some 0.0)) in
-  Alcotest.(check bool) "age bound: width attempted" true (a1 >= 1);
-  Alcotest.(check bool)
-    (Fmt.str "age bound: second launch re-attempts (%d -> %d)" a1 a2)
-    true (a2 > a1)
-
 (* ---- registration ---- *)
 
 let () =
@@ -673,10 +617,5 @@ let () =
       ( "config",
         [
           Alcotest.test_case "validation at load" `Quick test_config_validation;
-        ] );
-      ( "quarantine-age",
-        [
-          Alcotest.test_case "monotonic age bound" `Quick
-            test_quarantine_max_age;
         ] );
     ]

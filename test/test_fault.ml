@@ -5,7 +5,7 @@
 
 module Api = Vekt_runtime.Api
 module TC = Vekt_runtime.Translation_cache
-module EM = Vekt_runtime.Exec_manager
+module WP = Vekt_runtime.Worker_pool
 module Fault = Vekt_runtime.Fault
 module Sched = Vekt_runtime.Scheduler
 module Stats = Vekt_runtime.Stats
@@ -164,13 +164,13 @@ let test_quarantine_skips_failed_width () =
     (counter_value m ~kernel r2 "fallback.compile_failures");
   Alcotest.(check bool) "second launch: quarantine skips" true
     (counter_value m ~kernel r2 "fallback.quarantine_skips" > 0);
-  (* the lock-free path used by parallel workers serves the published
-     narrower width and must count the skip too, on any core count *)
+  (* a direct query is served the narrower width from the published
+     snapshot and must count the skip too *)
   let skips = counter_value m ~kernel r2 "fallback.quarantine_skips" in
   let cache = Api.kernel_cache m ~kernel in
-  let _, served = TC.get_fallback cache ~parallel:true ~ws:4 () in
-  Alcotest.(check int) "parallel query: served the narrower width" 2 served;
-  Alcotest.(check int) "parallel query: skip counted" (skips + 1)
+  let _, served = TC.get_fallback cache ~ws:4 () in
+  Alcotest.(check int) "snapshot query: served the narrower width" 2 served;
+  Alcotest.(check int) "snapshot query: skip counted" (skips + 1)
     (counter_value m ~kernel r2 "fallback.quarantine_skips")
 
 let test_quarantine_expires_after_ttl () =
@@ -275,7 +275,7 @@ let test_barrier_starvation_diagnostic () =
   in
   let params = Launch.param_block k [ Launch.Ptr 0 ] in
   match
-    EM.launch_kernel ~sched:never cache ~grid:(Launch.dim3 1)
+    WP.launch ~workers:4 ~domains:1 ~sched:never cache ~grid:(Launch.dim3 1)
       ~block:(Launch.dim3 4) ~global:(Mem.create 64) ~params
       ~consts:(Mem.create 0)
   with

@@ -569,6 +569,33 @@ let test_report_golden_structure () =
 (* --- flight recorder: a launch dying on an injected fault leaves its
    launch and CTA spans open, and the crash bundle captures them --- *)
 
+module WP = Vekt_runtime.Worker_pool
+
+(* The same trap on four workers running on four domains: every
+   worker's buffered events reach the sink before the error is
+   re-raised, so the CTA the trap killed is still an open span. *)
+let check_open_cta_span_on_domains (w : Workload.t) config =
+  let tracer = Trace.create () in
+  let dev = Api.create_device () in
+  let m = Api.load_module ~config dev w.Workload.src in
+  let inst = w.Workload.setup ~scale:1 dev in
+  let cache = Api.kernel_cache m ~kernel:w.Workload.kernel in
+  let k = Option.get (Vekt_ptx.Ast.find_kernel m.Api.ast w.Workload.kernel) in
+  let params = Vekt_ptx.Launch.param_block k inst.Workload.args in
+  match
+    WP.launch ~workers:4 ~domains:4 ~sink:(Trace.sink tracer)
+      ?inject:m.Api.fault cache ~grid:inst.Workload.grid
+      ~block:inst.Workload.block ~global:dev.Api.global ~params
+      ~consts:m.Api.consts
+  with
+  | _ -> Alcotest.fail "expected the injected trap to escape the pool"
+  | exception Vekt_error.Error _ ->
+      let forest = Span.of_events (Trace.events tracer) in
+      Alcotest.(check bool) "cta span left open on 4 domains" true
+        (List.exists
+           (fun (s : Span.t) -> s.Span.kind = Event.Sk_cta)
+           forest.Span.open_spans)
+
 let test_crash_bundle_on_injected_fault () =
   let w = W_vecadd.workload in
   let tracer = Trace.create () in
@@ -592,10 +619,11 @@ let test_crash_bundle_on_injected_fault () =
   | _ -> Alcotest.fail "expected the injected trap to escape"
   | exception Vekt_error.Error err ->
       let forest = Span.of_events (Trace.events tracer) in
-      Alcotest.(check bool) "launch span left open" true
-        (List.exists
-           (fun (s : Span.t) -> s.Span.kind = Event.Sk_launch)
-           forest.Span.open_spans);
+      let left_open kind =
+        List.exists (fun (s : Span.t) -> s.Span.kind = kind) forest.Span.open_spans
+      in
+      Alcotest.(check bool) "launch span left open" true (left_open Event.Sk_launch);
+      Alcotest.(check bool) "cta span left open" true (left_open Event.Sk_cta);
       let bundle =
         Jsonx.to_string
           (Report.crash_bundle ~kernel:w.Workload.kernel ~error:err ~trace:tracer ())
@@ -610,7 +638,8 @@ let test_crash_bundle_on_injected_fault () =
           "\"open_spans\"";
           "\"ring\"";
           "launch vecadd";
-        ]
+        ];
+      check_open_cta_span_on_domains w config
 
 let () =
   Alcotest.run "obs"

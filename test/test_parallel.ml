@@ -91,8 +91,8 @@ let test_registry_differential (w : Workload.t) () =
   | Error e -> Alcotest.failf "%s workers=1: %s" w.Workload.name e);
   List.iter
     (fun workers ->
-      let _, _, _, serial = run_pool w ~workers ~domains:1 in
-      let devp, _, instp, par = run_pool w ~workers ~domains:workers in
+      let _, ms, _, serial = run_pool w ~workers ~domains:1 in
+      let devp, mp, instp, par = run_pool w ~workers ~domains:workers in
       (match instp.Workload.check devp with
       | Ok () -> ()
       | Error e ->
@@ -107,6 +107,20 @@ let test_registry_differential (w : Workload.t) () =
         (Fmt.str "%s workers=%d domains=%d vs serial slices" w.Workload.name
            workers workers)
         ~serial ~par;
+      (* a cache counter means the same on every path: one miss and one
+         build per key, every other query a hit.  Hits are compared as
+         the sum {!TC.hit_rate} uses; which of the two counters a hit
+         lands in depends on the tier its entry has reached. *)
+      let cache_counts m =
+        let c = Api.kernel_cache m ~kernel:w.Workload.kernel in
+        ( c.TC.compile_count,
+          c.TC.misses,
+          c.TC.hits + Atomic.get c.TC.par_hits )
+      in
+      Alcotest.(check (triple int int int))
+        (Fmt.str "%s workers=%d: compiles, misses, hits match serial"
+           w.Workload.name workers)
+        (cache_counts ms) (cache_counts mp);
       (* integer totals are partition-independent *)
       Alcotest.(check int)
         (Fmt.str "%s workers=%d: dyn_instrs matches workers=1" w.Workload.name

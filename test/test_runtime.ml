@@ -4,7 +4,7 @@
 
 module Api = Vekt_runtime.Api
 module TC = Vekt_runtime.Translation_cache
-module EM = Vekt_runtime.Exec_manager
+module WP = Vekt_runtime.Worker_pool
 module Stats = Vekt_runtime.Stats
 module Interp = Vekt_vm.Interp
 module Vectorize = Vekt_transform.Vectorize
@@ -117,14 +117,14 @@ let test_cache_entry_ids_shared () =
 
 (* --- Execution manager --- *)
 
-let launch ?(mode = Vectorize.Dynamic) ?(block = 32) ?(grid = 1) ?workers ?fuel
-    src ~kernel =
+let launch ?(mode = Vectorize.Dynamic) ?(block = 32) ?(grid = 1) ?(workers = 4)
+    ?fuel src ~kernel =
   let cache = TC.prepare ~mode (Parser.parse_module src) ~kernel in
   let global = Mem.create 1024 in
   let k = Option.get (Ast.find_kernel (Parser.parse_module src) kernel) in
   let params = Launch.param_block k [ Launch.Ptr 0 ] in
   let stats =
-    EM.launch_kernel ?workers ?fuel cache ~grid:(Launch.dim3 grid)
+    WP.launch ~workers ~domains:1 ?fuel cache ~grid:(Launch.dim3 grid)
       ~block:(Launch.dim3 block) ~global ~params ~consts:(Mem.create 0)
   in
   (stats, global)
@@ -168,7 +168,7 @@ let test_em_static_warps_row_aligned () =
   let k = Option.get (Ast.find_kernel (Parser.parse_module src) "rows") in
   let params = Launch.param_block k [ Launch.Ptr 0 ] in
   let stats =
-    EM.launch_kernel cache ~grid:(Launch.dim3 1)
+    WP.launch ~workers:4 ~domains:1 cache ~grid:(Launch.dim3 1)
       ~block:(Launch.dim3 6 ~y:4) (* 6-wide rows: warps must split 4+2 *)
       ~global ~params ~consts:(Mem.create 0)
   in

@@ -5,7 +5,7 @@
 
 module Api = Vekt_runtime.Api
 module TC = Vekt_runtime.Translation_cache
-module EM = Vekt_runtime.Exec_manager
+module WP = Vekt_runtime.Worker_pool
 module Sched = Vekt_runtime.Scheduler
 module Stats = Vekt_runtime.Stats
 module Passes = Vekt_transform.Passes
@@ -149,8 +149,9 @@ LOOP:
   let k = Option.get (Ast.find_kernel (Parser.parse_module spin_src) "spin") in
   let params = Launch.param_block k [ Launch.Ptr 0 ] in
   match
-    EM.launch_kernel ~fuel:64 cache ~grid:(Launch.dim3 1) ~block:(Launch.dim3 2)
-      ~global:(Mem.create 64) ~params ~consts:(Mem.create 0)
+    WP.launch ~workers:4 ~domains:1 ~fuel:64 cache ~grid:(Launch.dim3 1)
+      ~block:(Launch.dim3 2) ~global:(Mem.create 64) ~params
+      ~consts:(Mem.create 0)
   with
   | _ -> Alcotest.fail "expected a structured fuel error"
   | exception Vekt_error.Error (Vekt_error.Fuel _ as e) ->
@@ -287,6 +288,24 @@ let test_eviction_lru_and_capacity () =
   ignore (TC.get c ~ws:2 ());
   Alcotest.(check int) "evicted width recompiles" (compiles + 1) c.TC.compile_count
 
+(* Regression: a tier-1 hit served from the published snapshot must
+   refresh its LRU stamp.  Without it the hottest width (4) is the
+   oldest entry when width 1 needs room, so it is evicted and rebuilt:
+   4 compiles and 2 evictions instead of 3 and 1. *)
+let test_eviction_lru_refreshed_by_snapshot_hits () =
+  let w = Registry.find_exn "vecadd" in
+  let c =
+    TC.prepare ~capacity:2 (Parser.parse_module w.Workload.src)
+      ~kernel:w.Workload.kernel
+  in
+  List.iter
+    (fun ws -> ignore (TC.get_fallback c ~ws ()))
+    ([ 4; 2 ] @ List.init 5 (fun _ -> 4) @ [ 1; 4 ]);
+  Alcotest.(check int) "three compiles" 3 c.TC.compile_count;
+  Alcotest.(check int) "one eviction" 1 c.TC.evictions;
+  Alcotest.(check bool) "hot ws=4 still resident" true
+    (Hashtbl.mem c.TC.specializations (4, ""))
+
 let test_eviction_never_evicts_executing_entry () =
   let c = prepare_tiered ~capacity:1 ~hot_threshold:100 () in
   let e4 = TC.get c ~ws:4 () in
@@ -359,6 +378,8 @@ let () =
           Alcotest.test_case "eager is tier 1" `Quick
             test_eager_compiles_optimized_immediately;
           Alcotest.test_case "LRU eviction" `Quick test_eviction_lru_and_capacity;
+          Alcotest.test_case "LRU refreshed by snapshot hits" `Quick
+            test_eviction_lru_refreshed_by_snapshot_hits;
           Alcotest.test_case "pinned never evicted" `Quick
             test_eviction_never_evicts_executing_entry;
           Alcotest.test_case "metrics exported" `Quick test_tiered_metrics_exported;
