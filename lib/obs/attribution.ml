@@ -35,14 +35,15 @@ let entry_tbl t entry_id =
       tbl
 
 (** Charge one dynamic execution of a block: [shares] is the per-line
-    split, [units] its exact sum (both precomputed by the timing model). *)
-let charge t ~entry_id ((shares, units) : (int * int) array * int) =
+    split as [[| line; units; line; units; ... |]], [units] its exact sum
+    (both precomputed by the timing model). *)
+let charge t ~entry_id ((shares, units) : int array * int) =
   t.total_units <- t.total_units + units;
   let tbl = entry_tbl t entry_id in
-  Array.iter
-    (fun (line, u) ->
-      Hashtbl.replace tbl line (Option.value (Hashtbl.find_opt tbl line) ~default:0 + u))
-    shares
+  for k = 0 to (Array.length shares / 2) - 1 do
+    let line = shares.(2 * k) and u = shares.((2 * k) + 1) in
+    Hashtbl.replace tbl line (Option.value (Hashtbl.find_opt tbl line) ~default:0 + u)
+  done
 
 (** Fold [d] into [into].  Pure integer sums, so merge order cannot
     change any bucket or the total. *)

@@ -350,9 +350,8 @@ let run_cta ?(costs = default_costs) ?(fuel = 5_000_000) ?watchdog
       ~finally:(fun () -> Translation_cache.unpin entry)
       (fun () ->
         try
-          Interp.exec ?on_access ~timing:entry.Translation_cache.timing
-            ~counters:stats.Stats.counters ?profile ?attr
-            entry.Translation_cache.vfunc ~launch warp mem
+          Interp.run ?on_access ~counters:stats.Stats.counters ?profile ?attr
+            entry.Translation_cache.code ~launch warp mem
         with
         | Interp.Out_of_fuel -> fuel_error ()
         | Vekt_error.Error (Vekt_error.Trap tr) ->

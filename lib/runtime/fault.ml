@@ -198,7 +198,7 @@ let check_compile t ~kernel ~ws ~tier : string option =
       | _ -> None)
     t.config.specs
 
-(** Per-access hook for {!Vekt_vm.Interp.exec}: raises {!Mem.Fault} at
+(** Per-access hook for {!Vekt_vm.Interp.run}: raises {!Mem.Fault} at
     the configured [nth] memory instruction.  [None] when no mem-trap
     spec targets [kernel], so the un-injected interpreter path is
     untouched. *)

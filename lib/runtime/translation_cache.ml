@@ -54,13 +54,16 @@ module Dce = Vekt_transform.Dce
 module Passes = Vekt_transform.Passes
 module Machine = Vekt_vm.Machine
 module Timing = Vekt_vm.Timing
+module Interp = Vekt_vm.Interp
 open Vekt_ptx
 
 module Obs = Vekt_obs
 
 type entry = {
   vfunc : Ir.func;
-  timing : Timing.t;
+  code : Interp.t;
+      (** [vfunc] lowered once, with its timing analysis's per-block
+          charges: what warps run *)
   vect : Vectorize.vectorized;
   static_instrs : int;  (** static instruction count after optimization *)
   compile_us : float;  (** measured wall time this specialization cost to build *)
@@ -96,9 +99,10 @@ type t = {
   shared_bytes : int;
   local_bytes : int;  (** per-thread local memory: declared + spill area *)
   order_dependent_atomics : bool;
-      (** the kernel has a global [atom.exch] or [atom.cas], whose final
-          memory image depends on the order CTAs run in; such launches
-          stay on one domain ({!Worker_pool.launch}) *)
+      (** the kernel has a global [atom.exch] or [atom.cas], or a global
+          atomic whose returned value is read: its memory image or its
+          modelled cycles depend on the order CTAs run in, so its
+          launches stay on one domain ({!Worker_pool.launch}) *)
   mode : Vectorize.mode;
   affine : bool;  (** coalesce affine/uniform memory accesses (§4 future work) *)
   specialize_args : bool;
@@ -154,9 +158,22 @@ let default_widths = [ 4; 2; 1 ]
 let default_hot_threshold = 3
 let default_quarantine_ttl = 3
 
-(* Global exchange and compare-and-swap are the atomics whose result
-   depends on the order of the updates; add/min/max commute. *)
+(* A global atomic makes a launch depend on the order CTAs run in when
+   its update does not commute (exchange, compare-and-swap) or when the
+   old value it returns is read: a kernel that elects its last CTA by
+   branching on that value (threadfence) takes different paths, and so
+   models different cycles, depending on which CTA got there first.
+   Add, min and max whose result nothing reads leave the same image in
+   any order. *)
 let has_order_dependent_atomics (f : Ir.func) =
+  let blocks = Ir.blocks f in
+  let read = Hashtbl.create 64 in
+  let mark = List.iter (fun r -> Hashtbl.replace read r ()) in
+  List.iter
+    (fun (b : Ir.block) ->
+      List.iter (fun (li : Ir.li) -> mark (Ir.uses li.Ir.i)) b.Ir.insts;
+      mark (Ir.term_uses b.Ir.term))
+    blocks;
   List.exists
     (fun (b : Ir.block) ->
       List.exists
@@ -164,9 +181,10 @@ let has_order_dependent_atomics (f : Ir.func) =
           match li.Ir.i with
           | Ir.Atomic (Ast.Global, (Ast.Atom_exch | Ast.Atom_cas), _, _, _, _, _, _) ->
               true
+          | Ir.Atomic (Ast.Global, _, _, d, _, _, _, _) -> Hashtbl.mem read d
           | _ -> false)
         b.Ir.insts)
-    (Ir.blocks f)
+    blocks
 
 (** Parse-time preparation of one kernel: frontend to scalar IR plus the
     divergence plan shared by all specializations. *)
@@ -333,12 +351,13 @@ let compile_build (t : t) ~sink ~now ~worker ~scalar ~ws ~tier : entry =
   else ignore (Dce.run vect.Vectorize.func);
   if t.verify then Verify.check_exn vect.Vectorize.func;
   let timing = Timing.analyze t.machine vect.Vectorize.func in
+  let code = Interp.compile ~timing vect.Vectorize.func in
   let compile_us = Clock.elapsed_us wall0 in
   t.compile_count <- t.compile_count + 1;
   t.compile_wall_us <- t.compile_wall_us +. compile_us;
   {
     vfunc = vect.Vectorize.func;
-    timing;
+    code;
     vect;
     static_instrs = Ir.size vect.Vectorize.func;
     compile_us;

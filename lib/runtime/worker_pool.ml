@@ -28,10 +28,12 @@
     the interpreter.  Serialized add/min/max commute, so the final
     global-memory image is bit-identical to a serial run.  Exchange and
     compare-and-swap do not: their result depends on which CTA's update
-    lands first, so a kernel containing a global [atom.exch] or
-    [atom.cas] (flagged at translation,
-    {!Translation_cache.t.order_dependent_atomics}) runs its worker
-    slices on one domain.
+    lands first.  Nor does any atomic whose returned value the kernel
+    reads: a CTA that branches on it (threadfence's last-CTA election)
+    runs a different path, and models different cycles, depending on
+    the order.  A kernel with either kind of global atomic (flagged at
+    translation, {!Translation_cache.t.order_dependent_atomics}) runs
+    its worker slices on one domain.
 
     {b Determinism of the merged artifacts.}  On more than one domain,
     everything a worker produces is private to its slice while it runs

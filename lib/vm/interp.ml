@@ -1,17 +1,42 @@
-(** Interpreter for compiled (vectorized) IR functions.
+(** Compiled execution of vectorized IR functions: compile once, run
+    many times.
 
-    Plays the role of the native code the paper's LLVM JIT emits: the
-    execution manager calls a specialization with a warp of thread
-    contexts and an entry-point ID; the function runs — through the
-    scheduler block, an entry handler, vectorized bodies — until it yields
-    ([Return]), having recorded each lane's resume point and the warp's
-    resume status in the context objects.
+    Plays the role of the native code the paper's LLVM JIT emits.  A
+    specialization is lowered {e once}, by {!compile}, when the
+    translation cache builds it: blocks become array indices and
+    terminators carry target indices, operands become slots of a flat
+    register file (immediates get pre-filled slots), each computing
+    instruction becomes a closure specialized on its lane count, value
+    class and {!Vekt_ptx.Scalar_ops} operation, and each block's modelled
+    cycles, flops, kind and source-line shares are looked up once.  The
+    glue the vectorizer wraps around every subkernel — lane packing and
+    unpacking, context reads, spills, restores, resume points — is most
+    of the static code, so each run of it becomes one closure over a
+    table of packed steps rather than one closure per instruction.
 
-    Results are bit-identical to the {!Vekt_ptx.Emulator} oracle because
-    both defer scalar semantics to {!Vekt_ptx.Scalar_ops}.  When a
-    {!Timing.t} is supplied, simulated cycles are accumulated per executed
-    block and attributed to the block's kind (body / scheduler / entry /
-    exit), which Figure 9 reports. *)
+    The execution manager then {!run}s the compiled code with a warp of
+    thread contexts and an entry-point ID, as many times as it likes;
+    the code runs — through the scheduler block, an entry handler,
+    vectorized bodies — until it yields ([Return]), having recorded each
+    lane's resume point and the warp's resume status in the context
+    objects.  [~fuel:n] lets exactly [n] blocks run in one call.
+
+    Results are bit-identical to the {!Vekt_ptx.Emulator} oracle: values
+    keep the [I]/[F] tags {!Vekt_ptx.Scalar_ops} gives them.  A register
+    whose every definition produces one tag lives unboxed, in a float
+    array or a byte buffer of int64 patterns; the few registers that may
+    hold either tag live boxed.  Fast paths reproduce
+    {!Vekt_ptx.Scalar_ops} on unboxed lanes for the common operations;
+    every other instruction boxes its lanes and calls
+    {!Vekt_ptx.Scalar_ops} itself.
+
+    A compiled value is immutable and captures no per-call state: every
+    {!run} resets a register file to the compiled defaults and brings
+    its own fuel, warp and memories, so one specialization can run on
+    several domains at once.  When compiled with a {!Timing.t}, simulated
+    cycles are accumulated per executed block and attributed to the
+    block's kind (body / scheduler / entry / exit), which Figure 9
+    reports. *)
 
 module Ir = Vekt_ir.Ir
 module Ty = Vekt_ir.Ty
@@ -120,30 +145,978 @@ let merge_counters ~(into : counters) (d : counters) =
     (fun (_, get, set) -> set into (get into +. get d))
     cycle_counter_fields
 
-(** Register values: scalars or lane arrays. *)
-type rval = S of Scalar_ops.value | V of Scalar_ops.value array
+(* ------------------------------------------------------------------ *)
+(* Register file *)
 
-let default_rval (ty : Ty.t) =
-  let z = if Ast.is_float ty.Ty.elt then Scalar_ops.F 0.0 else Scalar_ops.I 0L in
-  if ty.Ty.width = 1 then S z else V (Array.make ty.Ty.width z)
+(* Unboxed 64/32-bit access to byte buffers: compiler primitives, so a
+   lane read or written through them never allocates. *)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32"
+external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32"
+external bswap32 : int32 -> int32 = "%bswap_int32"
+external bswap64 : int64 -> int64 = "%bswap_int64"
 
-let lane_val (v : rval) i =
-  match v with S x -> x | V a -> a.(i)
+(** Where a register's lanes live.  The class follows the [I]/[F] tags
+    the register can hold ({!infer_tags}), not its declared type. *)
+type cls =
+  | Cf  (** only [F] values: unboxed in [rf] *)
+  | Ci  (** only [I] values: unboxed int64 patterns in [ri] *)
+  | Cb  (** both: boxed in [rb] *)
 
-let scalar_val = function
-  | S x -> x
-  | V _ -> raise (Trap "vector value in scalar position")
+(** A compiled operand or destination: lane [l] is slot
+    [base_of s + l * stride_of s] of the [cls_of s] store.  Vector
+    registers have stride 1; scalar registers and immediates have
+    stride 0, so they splat into vector positions exactly as a scalar
+    value does.  Packed into one immediate, so a compiled closure holds
+    its operands in single words. *)
+type src = int
 
-let as_addr v =
-  match scalar_val v with
+let src ~cls ~base ~width =
+  if width > 0x1ff then invalid_arg "Interp: vector wider than 511 lanes";
+  let c = match cls with Cf -> 0 | Ci -> 1 | Cb -> 2 in
+  (base lsl 12) lor (width lsl 3) lor ((if width = 1 then 0 else 1) lsl 2) lor c
+
+let cls_of (s : src) = match s land 3 with 0 -> Cf | 1 -> Ci | _ -> Cb
+let[@inline] stride_of (s : src) = (s lsr 2) land 1
+let width_of (s : src) = (s lsr 3) land 0x1ff
+let[@inline] base_of (s : src) = s lsr 12
+
+(* Lane [lane] of [s], as a scalar operand. *)
+let lane_of (s : src) lane = src ~cls:(cls_of s) ~base:(base_of s + (lane * stride_of s)) ~width:1
+
+(** Per-call state: the register file (reset to the compiled default),
+    the warp, its memories and the call's hooks. *)
+type state = {
+  rf : float array;
+  ri : Bytes.t;
+  rb : Scalar_ops.value array;
+  warp : warp;
+  mem : memories;
+  launch : launch_info;
+  counters : counters;
+  on_access : (Ast.space -> addr:int -> width:int -> unit) option;
+}
+
+let[@inline] fget st s l = st.rf.(base_of s + (l * stride_of s))
+let[@inline] fset st s l x = st.rf.(base_of s + l) <- x
+let[@inline] iget st s l = get64 st.ri ((base_of s + (l * stride_of s)) lsl 3)
+let[@inline] iset st s l x = set64 st.ri ((base_of s + l) lsl 3) x
+
+(* Boxed lane access, for the paths that call {!Scalar_ops} directly. *)
+let get st s l : Scalar_ops.value =
+  let k = base_of s + (l * stride_of s) in
+  match cls_of s with
+  | Cf -> Scalar_ops.F st.rf.(k)
+  | Ci -> Scalar_ops.I (get64 st.ri (k lsl 3))
+  | Cb -> st.rb.(k)
+
+let put st d l (v : Scalar_ops.value) =
+  let k = base_of d + l in
+  match (cls_of d, v) with
+  | Cf, Scalar_ops.F x -> st.rf.(k) <- x
+  | Ci, Scalar_ops.I x -> set64 st.ri (k lsl 3) x
+  | Cb, v -> st.rb.(k) <- v
+  | (Cf | Ci), _ -> raise (Trap "value tag outside its register's class")
+
+(* ------------------------------------------------------------------ *)
+(* {!Scalar_ops} on unboxed lanes.  Each helper is the corresponding
+   [Scalar_ops] function with the [I]/[F] wrapper peeled off; callers
+   only reach them when every lane involved carries the tag the
+   operation expects. *)
+
+(* [Scalar_ops.norm_int] for one type, as shift amounts. *)
+type norm = { sh : int; signed : bool; pred : bool }
+
+(* What compiled code needs of a type: shared records, so a closure holds
+   a pointer and a glue step an index ({!dtype_index}). *)
+type dtype_info = { size : int; fl : bool; f32 : bool; n : norm }
+
+let dtype_list = Ast.[ Pred; B8; B16; B32; B64; U8; U16; U32; U64; S8; S16; S32; S64; F32; F64 ]
+
+let dtypes =
+  Array.of_list
+    (List.map
+       (fun ty ->
+         let size = Ast.size_of ty in
+         let n = { sh = 64 - (8 * size); signed = Ast.is_signed ty; pred = ty = Ast.Pred } in
+         { size; fl = Ast.is_float ty; f32 = ty = Ast.F32; n })
+       dtype_list)
+
+let dtype_index (ty : Ast.dtype) =
+  let rec find k = function
+    | t :: rest -> if t = ty then k else find (k + 1) rest
+    | [] -> invalid_arg "Interp.dtype_index"
+  in
+  find 0 dtype_list
+
+let norm_of ty = dtypes.(dtype_index ty).n
+let s32 = norm_of Ast.S32
+
+let[@inline] norm n v =
+  if n.pred then if Int64.equal v 0L then 0L else 1L
+  else if n.signed then Int64.shift_right (Int64.shift_left v n.sh) n.sh
+  else Int64.shift_right_logical (Int64.shift_left v n.sh) n.sh
+
+let[@inline] round_f32 x = Int32.float_of_bits (Int32.bits_of_float x)
+
+(* [Scalar_ops.as_float] of an [F] lane: [f32] rounds to single. *)
+let[@inline] rnd f32 x = if f32 then round_f32 x else x
+
+let fbin_ok = function
+  | Ast.Add | Ast.Sub | Ast.Mul_lo | Ast.Div | Ast.Min | Ast.Max -> true
+  | _ -> false
+
+let[@inline] fbin op x y =
+  match op with
+  | Ast.Add -> x +. y
+  | Ast.Sub -> x -. y
+  | Ast.Mul_lo -> x *. y
+  | Ast.Div -> x /. y
+  | Ast.Min -> if x <= y || y <> y then x else y
+  | Ast.Max -> if x >= y || y <> y then x else y
+  | _ -> nan
+
+let ibin_ok = function
+  | Ast.Add | Ast.Sub | Ast.Mul_lo | Ast.And | Ast.Or | Ast.Xor | Ast.Shl
+  | Ast.Shr | Ast.Min | Ast.Max ->
+      true
+  | _ -> false
+
+(* Unsigned order as signed order with the sign bit flipped. *)
+let[@inline] order n x = if n.signed then x else Int64.add x Int64.min_int
+
+(* [x] and [y] already normalized for [n]; the result is not. *)
+let[@inline] ibin op n x y =
+  match op with
+  | Ast.Add -> Int64.add x y
+  | Ast.Sub -> Int64.sub x y
+  | Ast.Mul_lo -> Int64.mul x y
+  | Ast.And -> Int64.logand x y
+  | Ast.Or -> Int64.logor x y
+  | Ast.Xor -> Int64.logxor x y
+  | Ast.Shl ->
+      let amt = Int64.to_int (Int64.logand y 0xFFFF_FFFFL) in
+      if amt >= 64 - n.sh then 0L else Int64.shift_left x amt
+  | Ast.Shr ->
+      let amt = Int64.to_int (Int64.logand y 0xFFFF_FFFFL) in
+      if n.signed then Int64.shift_right x (if amt > 63 then 63 else amt)
+      else if amt >= 64 - n.sh then 0L
+      else Int64.shift_right_logical x amt
+  | Ast.Min -> if order n x <= order n y then x else y
+  | Ast.Max -> if order n x >= order n y then x else y
+  | _ -> 0L
+
+let[@inline] fcmp op (x : float) y =
+  match op with
+  | Ast.Eq -> x = y
+  | Ast.Ne -> x <> y
+  | Ast.Lt -> x < y
+  | Ast.Le -> x <= y
+  | Ast.Gt -> x > y
+  | Ast.Ge -> x >= y
+
+let[@inline] icmp op (x : int64) y =
+  match op with
+  | Ast.Eq -> x = y
+  | Ast.Ne -> x <> y
+  | Ast.Lt -> x < y
+  | Ast.Le -> x <= y
+  | Ast.Gt -> x > y
+  | Ast.Ge -> x >= y
+
+let funop_ok = function
+  | Ast.Neg | Ast.Abs | Ast.Sqrt | Ast.Rsqrt | Ast.Rcp -> true
+  | _ -> false
+
+let[@inline] funop op x =
+  match op with
+  | Ast.Neg -> -.x
+  | Ast.Abs -> Float.abs x
+  | Ast.Sqrt -> sqrt x
+  | Ast.Rsqrt -> 1.0 /. sqrt x
+  | Ast.Rcp -> 1.0 /. x
+  | _ -> nan
+
+(* [Scalar_ops.cvt] from a float to an integer type, before [norm]. *)
+let[@inline] ftoi f =
+  let t = Float.trunc f in
+  if t <> t then 0L
+  else if t >= 9.22e18 then Int64.max_int
+  else if t <= -9.22e18 then Int64.min_int
+  else Int64.of_float t
+
+let[@inline] of_bool b = if b then 1L else 0L
+
+(* ------------------------------------------------------------------ *)
+(* Memory: [Mem.load]/[Mem.store] on raw little-endian bit patterns *)
+
+let[@inline] seg st = function
+  | Ast.Param -> st.mem.params
+  | Ast.Global -> st.mem.global
+  | Ast.Shared -> st.mem.shared
+  | Ast.Local -> st.mem.local
+  | Ast.Const -> st.mem.consts
+
+(* One tripwire call per memory instruction executed; a no-op branch
+   when no hook is installed. *)
+let[@inline] touch st sp addr width =
+  match st.on_access with None -> () | Some h -> h sp ~addr ~width
+
+let[@inline] load_bits m width a =
+  Mem.check ~op:"load" m a width;
+  let b = Mem.bytes m in
+  if width = 4 then
+    Int64.of_int32 (if Sys.big_endian then bswap32 (get32 b a) else get32 b a)
+  else if width = 8 then if Sys.big_endian then bswap64 (get64 b a) else get64 b a
+  else if width = 2 then Int64.of_int (Bytes.get_uint16_le b a)
+  else Int64.of_int (Bytes.get_uint8 b a)
+
+let[@inline] store_bits m width a bits =
+  Mem.check ~op:"store" m a width;
+  let b = Mem.bytes m in
+  if width = 4 then
+    let v = Int64.to_int32 bits in
+    set32 b a (if Sys.big_endian then bswap32 v else v)
+  else if width = 8 then set64 b a (if Sys.big_endian then bswap64 bits else bits)
+  else if width = 2 then Bytes.set_uint16_le b a (Int64.to_int (Int64.logand bits 0xffffL))
+  else Bytes.set_uint8 b a (Int64.to_int (Int64.logand bits 0xffL))
+
+(* [Scalar_ops.of_bits] / [to_bits] for float types (4 or 8 bytes). *)
+let[@inline] float_of_bits width bits =
+  if width = 4 then Int32.float_of_bits (Int64.to_int32 bits) else Int64.float_of_bits bits
+
+let[@inline] bits_of_float width x =
+  if width = 4 then Int64.of_int32 (Int32.bits_of_float x) else Int64.bits_of_float x
+
+let as_addr = function
   | Scalar_ops.I x -> Int64.to_int x
   | Scalar_ops.F _ -> raise (Trap "float used as address")
 
-(** Execute [f] for [warp] until it returns to the execution manager.
+(* ------------------------------------------------------------------ *)
+(* Compiled code *)
 
-    @param fuel maximum dynamic blocks executed in this call (default 10M):
+type code = state -> unit
+
+type term =
+  | Goto of int
+  | If of src * int * int
+  | Switch of src * (int * int) array * int  (** first matching case wins *)
+  | Yield
+  | Fail of string  (** trap once the block's instructions have run *)
+
+type cost = { cycles : float; flops : int; shares : int array * int }
+
+type block = {
+  label : string;
+  kind : Ir.bkind;
+  cost : cost option;  (** [None] when compiled without timing *)
+  code : code array;  (** each starts one instruction, a glue run several *)
+  term : term;
+}
+
+type t = {
+  name : string;
+  warp_size : int;
+  entry : int;
+  blocks : block array;
+  (* The default register file, which every {!run} starts from and
+     nothing writes: zeroed registers, then the immediates' slots. *)
+  nf : int;  (** float slots; the last [Array.length f_imms] hold immediates *)
+  f_imms : float array;
+  ni : int;  (** int slots; the last [Bytes.length i_imms / 8] hold immediates *)
+  i_imms : Bytes.t;
+  rb0 : Scalar_ops.value array;  (** boxed slots, all of them *)
+}
+
+let tag_i = 1
+let tag_f = 2
+let tag_of_elt elt = if Ast.is_float elt then tag_f else tag_i
+let tag_of_value = function Scalar_ops.I _ -> tag_i | Scalar_ops.F _ -> tag_f
+
+(** The tags each register can hold: its zero default's, plus what every
+    definition can produce.  Moves, selects and lane shuffles pass their
+    operands' tags through, hence the fixpoint. *)
+let infer_tags (f : Ir.func) ~(used : bool array) : int array =
+  let tags =
+    Array.init f.Ir.nregs (fun r -> if used.(r) then tag_of_elt (Ir.reg_ty f r).Ty.elt else 0)
+  in
+  let tag = function Ir.R r -> tags.(r) | Ir.Imm (v, _) -> tag_of_value v in
+  let produced = function
+    | Ir.Bin (_, ty, _, _, _) | Ir.Un (_, ty, _, _) | Ir.Fma (ty, _, _, _, _) ->
+        tag_of_elt ty.Ty.elt
+    | Ir.Cvt (ty, _, _, _) -> tag_of_elt ty.Ty.elt
+    | Ir.Load (_, ty, _, _, _)
+    | Ir.Vload (_, ty, _, _, _)
+    | Ir.Atomic (_, _, ty, _, _, _, _, _)
+    | Ir.Restore (_, _, _, ty) ->
+        tag_of_elt ty
+    | Ir.Cmp _ | Ir.Reduce_add _ | Ir.Ctx_read _ -> tag_i
+    | Ir.Mov (_, _, a) | Ir.Broadcast (_, _, a) | Ir.Extract (_, _, a, _) -> tag a
+    | Ir.Select (_, _, _, a, b) | Ir.Insert (_, _, a, _, b) -> tag a lor tag b
+    | Ir.Store _ | Ir.Vstore _ | Ir.Spill _ | Ir.Set_resume _ | Ir.Set_status _ -> 0
+  in
+  let insts = List.concat_map (fun (b : Ir.block) -> b.Ir.insts) (Ir.blocks f) in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    List.iter
+      (fun ({ Ir.i; _ } : Ir.li) ->
+        match Ir.def i with
+        | Some d ->
+            let t = tags.(d) lor produced i in
+            if t <> tags.(d) then begin
+              tags.(d) <- t;
+              changed := true
+            end
+        | None -> ())
+      insts
+  done;
+  tags
+
+(* Malformed IR compiles to a closure that traps only when executed, so
+   a bad instruction on a path never taken costs nothing. *)
+exception Bad of string
+
+(* Boxed element-wise maps over the lanes of [d]: the path for every
+   operation, class and type the unboxed fast paths do not cover. *)
+let map1 d a fn : code =
+ fun st ->
+  for l = 0 to width_of d - 1 do
+    put st d l (fn (get st a l))
+  done
+
+let map2 d a b fn : code =
+ fun st ->
+  for l = 0 to width_of d - 1 do
+    put st d l (fn (get st a l) (get st b l))
+  done
+
+let map3 d a b c fn : code =
+ fun st ->
+  for l = 0 to width_of d - 1 do
+    put st d l (fn (get st a l) (get st b l) (get st c l))
+  done
+
+(* Context fields as small integers, so glue tables can hold them. *)
+let field_code =
+  let dim = function Ast.X -> 0 | Ast.Y -> 1 | Ast.Z -> 2 in
+  function
+  | Ir.Tid d -> dim d
+  | Ir.Ntid d -> 3 + dim d
+  | Ir.Ctaid d -> 6 + dim d
+  | Ir.Nctaid d -> 9 + dim d
+  | Ir.Lane -> 12
+  | Ir.Local_base -> 13
+  | Ir.Warp_width -> 14
+  | Ir.Entry_id -> 15
+
+let ctx_value st code lane =
+  let t = st.warp.lanes.(lane) in
+  let dim (d : Launch.dim3) k = if k = 0 then d.Launch.x else if k = 1 then d.Launch.y else d.Launch.z in
+  if code < 3 then dim t.tid code
+  else if code < 6 then dim st.launch.block (code - 3)
+  else if code < 9 then dim t.ctaid (code - 6)
+  else if code < 12 then dim st.launch.grid (code - 9)
+  else if code = 12 then lane
+  else if code = 13 then t.local_base
+  else if code = 14 then Array.length st.warp.lanes
+  else st.warp.entry_id
+
+(* [w] lanes written to [d] from [srcs]: each source is scalar or at
+   least [w] wide. *)
+let lanes d w srcs =
+  if width_of d <> w then raise (Bad "destination width differs from the operation's");
+  List.iter
+    (fun s -> if stride_of s = 1 && width_of s < w then raise (Bad "vector operand too narrow"))
+    srcs
+
+let scalar s = if stride_of s = 1 then raise (Bad "vector value in scalar position") else s
+
+(* Lower one instruction that is not a lane copy, spill or restore to a
+   closure.  [src]/[dst] resolve operands to slots. *)
+let compile_op ~ws ~(src : Ir.operand -> src) ~(dst : Ir.vreg -> src) (i : Ir.instr)
+    : code =
+  let scalar o = scalar (src o) in
+  match i with
+  | Ir.Bin (op, ty, d, a, b) -> (
+      let w = ty.Ty.width and elt = ty.Ty.elt in
+      let d = dst d and a = src a and b = src b in
+      lanes d w [ a; b ];
+      match (cls_of d, cls_of a, cls_of b) with
+      | Cf, Cf, Cf when Ast.is_float elt && fbin_ok op ->
+          let r = elt = Ast.F32 in
+          fun st ->
+            for l = 0 to width_of d - 1 do
+              fset st d l (rnd r (fbin op (rnd r (fget st a l)) (rnd r (fget st b l))))
+            done
+      | Ci, Ci, Ci when (not (Ast.is_float elt)) && elt <> Ast.Pred && ibin_ok op ->
+          let n = norm_of elt in
+          fun st ->
+            for l = 0 to width_of d - 1 do
+              iset st d l
+                (norm n (ibin op n (norm n (iget st a l)) (norm n (iget st b l))))
+            done
+      | _ -> map2 d a b (Scalar_ops.binop op elt))
+  | Ir.Un (op, ty, d, a) -> (
+      let w = ty.Ty.width and elt = ty.Ty.elt in
+      let d = dst d and a = src a in
+      lanes d w [ a ];
+      match (cls_of d, cls_of a) with
+      | Cf, Cf when Ast.is_float elt && funop_ok op ->
+          let r = elt = Ast.F32 in
+          fun st ->
+            for l = 0 to width_of d - 1 do
+              fset st d l (rnd r (funop op (rnd r (fget st a l))))
+            done
+      | _ -> map1 d a (Scalar_ops.unop op elt))
+  | Ir.Fma (ty, d, a, b, c) -> (
+      let w = ty.Ty.width and elt = ty.Ty.elt in
+      let d = dst d and a = src a and b = src b and c = src c in
+      lanes d w [ a; b; c ];
+      match (cls_of d, cls_of a, cls_of b, cls_of c) with
+      | Cf, Cf, Cf, Cf when Ast.is_float elt ->
+          let r = elt = Ast.F32 in
+          fun st ->
+            for l = 0 to width_of d - 1 do
+              let p = rnd r (rnd r (fget st a l) *. rnd r (fget st b l)) in
+              fset st d l (rnd r (p +. rnd r (fget st c l)))
+            done
+      | Ci, Ci, Ci, Ci when not (Ast.is_float elt) ->
+          let n = norm_of elt in
+          fun st ->
+            for l = 0 to width_of d - 1 do
+              let x = norm n (iget st a l) and y = norm n (iget st b l) in
+              iset st d l (norm n (Int64.add (Int64.mul x y) (norm n (iget st c l))))
+            done
+      | _ -> map3 d a b c (Scalar_ops.mad elt))
+  | Ir.Cmp (op, ty, d, a, b) -> (
+      let w = ty.Ty.width and elt = ty.Ty.elt in
+      let d = dst d and a = src a and b = src b in
+      lanes d w [ a; b ];
+      match (cls_of d, cls_of a, cls_of b) with
+      | Ci, Cf, Cf when Ast.is_float elt ->
+          let r = elt = Ast.F32 in
+          fun st ->
+            for l = 0 to width_of d - 1 do
+              iset st d l (of_bool (fcmp op (rnd r (fget st a l)) (rnd r (fget st b l))))
+            done
+      | Ci, Ci, Ci when not (Ast.is_float elt) ->
+          let n = norm_of elt in
+          fun st ->
+            for l = 0 to width_of d - 1 do
+              let x = order n (norm n (iget st a l)) and y = order n (norm n (iget st b l)) in
+              iset st d l (of_bool (icmp op x y))
+            done
+      | _ -> map2 d a b (fun x y -> Scalar_ops.of_bool (Scalar_ops.cmp op elt x y)))
+  | Ir.Select (ty, d, c, a, b) -> (
+      let w = ty.Ty.width in
+      let d = dst d and c = src c and a = src a and b = src b in
+      lanes d w [ c; a; b ];
+      match (cls_of c, cls_of d, cls_of a, cls_of b) with
+      | Ci, Cf, Cf, Cf ->
+          fun st ->
+            for l = 0 to width_of d - 1 do
+              fset st d l (if iget st c l <> 0L then fget st a l else fget st b l)
+            done
+      | Ci, Ci, Ci, Ci ->
+          fun st ->
+            for l = 0 to width_of d - 1 do
+              iset st d l (if iget st c l <> 0L then iget st a l else iget st b l)
+            done
+      | _ -> map3 d c a b (fun cv x y -> if Scalar_ops.to_bool cv then x else y))
+  | Ir.Mov _ | Ir.Broadcast _ | Ir.Extract _ | Ir.Insert _ | Ir.Spill _ | Ir.Restore _
+  | Ir.Set_status _ ->
+      invalid_arg "Interp.compile_op: lowered as glue"
+  | Ir.Cvt (dt, sty, d, a) -> (
+      let w = dt.Ty.width and de = dt.Ty.elt and se = sty.Ty.elt in
+      let d = dst d and a = src a in
+      lanes d w [ a ];
+      let rd = de = Ast.F32 and rs = se = Ast.F32 in
+      match (cls_of d, cls_of a, Ast.is_float de, Ast.is_float se) with
+      | Cf, Cf, true, true ->
+          fun st ->
+            for l = 0 to width_of d - 1 do
+              fset st d l (rnd rd (rnd rs (fget st a l)))
+            done
+      | Cf, Ci, true, false ->
+          let ns = norm_of se in
+          fun st ->
+            for l = 0 to width_of d - 1 do
+              fset st d l (rnd rd (Int64.to_float (norm ns (iget st a l))))
+            done
+      | Ci, Cf, false, true ->
+          let nd = norm_of de in
+          fun st ->
+            for l = 0 to width_of d - 1 do
+              iset st d l (norm nd (ftoi (rnd rs (fget st a l))))
+            done
+      | Ci, Ci, false, false ->
+          let nd = norm_of de and ns = norm_of se in
+          fun st ->
+            for l = 0 to width_of d - 1 do
+              iset st d l (norm nd (norm ns (iget st a l)))
+            done
+      | _ -> map1 d a (Scalar_ops.cvt ~dst:de ~src:se))
+  | Ir.Load (sp, ty, d, base, off) -> (
+      let d = dst d and base = scalar base and width = Ast.size_of ty in
+      lanes d 1 [];
+      match (cls_of base, cls_of d, Ast.is_float ty) with
+      | Ci, Cf, true ->
+          fun st ->
+            let a = Int64.to_int (iget st base 0) + off in
+            touch st sp a width;
+            fset st d 0 (float_of_bits width (load_bits (seg st sp) width a))
+      | Ci, Ci, false ->
+          let n = norm_of ty in
+          fun st ->
+            let a = Int64.to_int (iget st base 0) + off in
+            touch st sp a width;
+            iset st d 0 (norm n (load_bits (seg st sp) width a))
+      | _ ->
+          fun st ->
+            let a = as_addr (get st base 0) + off in
+            touch st sp a width;
+            put st d 0 (Mem.load (seg st sp) ty a))
+  | Ir.Store (sp, ty, base, off, v) -> (
+      let base = scalar base and v = scalar v and width = Ast.size_of ty in
+      match (cls_of base, cls_of v, Ast.is_float ty) with
+      | Ci, Cf, true ->
+          let r = ty = Ast.F32 in
+          fun st ->
+            let a = Int64.to_int (iget st base 0) + off in
+            touch st sp a width;
+            store_bits (seg st sp) width a (bits_of_float width (rnd r (fget st v 0)))
+      | Ci, Ci, false ->
+          let n = norm_of ty in
+          fun st ->
+            let a = Int64.to_int (iget st base 0) + off in
+            touch st sp a width;
+            store_bits (seg st sp) width a (norm n (iget st v 0))
+      | _ ->
+          fun st ->
+            let a = as_addr (get st base 0) + off in
+            touch st sp a width;
+            Mem.store (seg st sp) ty a (get st v 0))
+  | Ir.Vload (sp, ty, d, base, off) ->
+      let d = dst d and base = scalar base and sz = Ast.size_of ty in
+      lanes d ws [];
+      fun st ->
+        let a = as_addr (get st base 0) + off and m = seg st sp in
+        touch st sp a (sz * ws);
+        for l = 0 to ws - 1 do
+          put st d l (Mem.load m ty (a + (l * sz)))
+        done
+  | Ir.Vstore (sp, ty, base, off, v) ->
+      let base = scalar base and v = src v and sz = Ast.size_of ty in
+      if stride_of v = 1 && width_of v < ws then raise (Bad "vector operand too narrow");
+      fun st ->
+        let a = as_addr (get st base 0) + off and m = seg st sp in
+        touch st sp a (sz * ws);
+        for l = 0 to ws - 1 do
+          Mem.store m ty (a + (l * sz)) (get st v l)
+        done
+  | Ir.Atomic (sp, op, ty, d, base, off, v, c) ->
+      let d = dst d and base = scalar base and v = scalar v in
+      let c = Option.map scalar c in
+      lanes d 1 [];
+      fun st ->
+        let s = seg st sp in
+        let addr = as_addr (get st base 0) + off in
+        touch st sp addr (Ast.size_of ty);
+        let arg = get st v 0 and cmp = Option.map (fun c -> get st c 0) c in
+        let rmw () =
+          let old = Mem.load s ty addr in
+          Mem.store s ty addr (Scalar_ops.atom op ty old arg cmp);
+          old
+        in
+        put st d 0
+          (match sp with
+          | Ast.Global -> Mutex.protect global_atomic_lock rmw
+          | _ -> rmw ())
+  | Ir.Reduce_add (d, a) -> (
+      let d = dst d and a = src a in
+      lanes d 1 [];
+      let n = if stride_of a = 1 then width_of a else 1 in
+      match (cls_of d, cls_of a) with
+      | Ci, Ci ->
+          fun st ->
+            let sum = ref 0L in
+            for l = 0 to n - 1 do
+              sum := Int64.add !sum (norm s32 (iget st a l))
+            done;
+            iset st d 0 !sum
+      | _ ->
+          fun st ->
+            let sum = ref 0L in
+            for l = 0 to n - 1 do
+              sum := Int64.add !sum (Scalar_ops.as_int Ast.S32 (get st a l))
+            done;
+            put st d 0 (Scalar_ops.I !sum))
+  | Ir.Ctx_read (d, field, lane) ->
+      let d = dst d and code = field_code field in
+      lanes d 1 [];
+      fun st -> put st d 0 (Scalar_ops.I (Int64.of_int (ctx_value st code lane)))
+  | Ir.Set_resume (lane, v) ->
+      let v = scalar v in
+      fun st ->
+        st.warp.lanes.(lane).resume_point <-
+          Int64.to_int (Scalar_ops.as_int Ast.S32 (get st v 0))
+
+(* Glue: the data movement the vectorizer wraps around every subkernel
+   (lane packing and unpacking, context reads, spills, restores, resume
+   points and status) is most of a specialization's static code.  One
+   closure per glue instruction would make the compiled code larger
+   than the IR it came from, so a block's consecutive glue instructions
+   lower to one immutable table of steps, each packed into a single
+   int, which one closure ({!glue_run}) walks.  A step is a kind (bits
+   0-2), a [counted] bit marking the first step of each instruction,
+   and the kind's fields above them. *)
+let counted = 8
+
+let copy_kind = function Cf -> 0 | Ci -> 1 | Cb -> 2
+let spill_kind = 3
+let restore_kind = 4
+let ctx_kind = 5
+let resume_kind = 6
+let status_kind = 7
+
+let status_code = function Ir.Status_branch -> 0 | Ir.Status_barrier -> 1 | Ir.Status_exit -> 2
+let status_of_code = function 0 -> Ir.Status_branch | 1 -> Ir.Status_barrier | _ -> Ir.Status_exit
+
+(* [value] as a [bits]-wide field at [shift]; [Exit] when it does not
+   fit (512 lanes, 4 MB of local memory per lane, 8M register slots). *)
+let field ~shift ~bits value =
+  if value < 0 || value >= 1 lsl bits then raise Exit;
+  value lsl shift
+
+let[@inline] get_field x ~shift ~bits = (x lsr shift) land ((1 lsl bits) - 1)
+
+(* Layouts.  copy: destination slot at 4, source slot at 30.  spill and
+   restore: lane at 4, {!dtypes} index at 13, byte offset in the lane's
+   local block at 17, register slot at 39.  ctx: lane at 4, field code at
+   13, destination slot at 17.  resume: lane at 4, source slot at 13.
+   status: code at 4. *)
+let copy_step cls ~dst ~src =
+  copy_kind cls lor field ~shift:4 ~bits:26 dst lor field ~shift:30 ~bits:32 src
+
+let lane_step kind ~lane ~ty ~slot ~reg =
+  kind lor field ~shift:4 ~bits:9 lane lor field ~shift:13 ~bits:4 (dtype_index ty)
+  lor field ~shift:17 ~bits:22 slot lor field ~shift:39 ~bits:23 reg
+
+(* What one instruction lowers to: its own closure, or glue steps. *)
+type piece = Op of code | Glue of int list
+
+let lower_instr ~ws ~src ~dst (i : Ir.instr) : piece =
+  let glue = function first :: rest -> Glue ((first lor counted) :: rest) | [] -> Op ignore in
+  (* Lanes [0, w) of [d] from [a] (a splat when [a] is scalar), then lane
+     [lane] from [s]: slot copies when the classes agree. *)
+  let copies d w a extra =
+    let same (s : src) = cls_of s = cls_of d in
+    if same a && Option.fold ~none:true ~some:(fun (_, s) -> same s) extra then
+      (* inserting into the register itself leaves the other lanes be *)
+      let in_place = base_of a = base_of d && stride_of a = 1 in
+      let fill =
+        if extra <> None && in_place then []
+        else List.init w (fun l -> (base_of d + l, base_of a + (l * stride_of a)))
+      in
+      let set = Option.fold ~none:[] ~some:(fun (lane, s) -> [ (base_of d + lane, base_of s) ]) extra in
+      glue (List.map (fun (dst, src) -> copy_step (cls_of d) ~dst ~src) (fill @ set))
+    else
+      Op
+        (fun st ->
+          for l = 0 to w - 1 do
+            put st d l (get st a l)
+          done;
+          Option.iter (fun (lane, s) -> put st d lane (get st s 0)) extra)
+  in
+  let natural (s : src) ty = cls_of s = if Ast.is_float ty then Cf else Ci in
+  match i with
+  | Ir.Mov (ty, d, a) ->
+      let w = ty.Ty.width and d = dst d and a = src a in
+      lanes d w [ a ];
+      copies d w a None
+  | Ir.Broadcast (ty, d, a) ->
+      let w = ty.Ty.width and d = dst d and a = scalar (src a) in
+      lanes d w [];
+      copies d w a None
+  | Ir.Extract (_, d, a, lane) ->
+      let d = dst d and a = src a in
+      lanes d 1 [];
+      if stride_of a = 1 && lane >= width_of a then raise (Bad "lane out of range");
+      copies d 1 (lane_of a lane) None
+  | Ir.Insert (ty, d, v, lane, s) ->
+      let d = dst d and v = src v and s = scalar (src s) in
+      let w = if stride_of v = 1 then width_of v else ty.Ty.width in
+      lanes d w [];
+      if lane >= w then raise (Bad "lane out of range");
+      copies d w v (Some (lane, s))
+  | Ir.Spill (lane, slot, ty, v) ->
+      let v = src v in
+      if stride_of v = 1 && lane >= width_of v then raise (Bad "lane out of range");
+      if natural v ty then
+        glue [ lane_step spill_kind ~lane ~ty ~slot ~reg:(base_of v + (lane * stride_of v)) ]
+      else
+        Op
+          (fun st ->
+            st.counters.spills <- st.counters.spills + 1;
+            Mem.store st.mem.local ty (st.warp.lanes.(lane).local_base + slot) (get st v lane))
+  | Ir.Restore (d, lane, slot, ty) ->
+      let d = dst d in
+      lanes d 1 [];
+      if natural d ty then glue [ lane_step restore_kind ~lane ~ty ~slot ~reg:(base_of d) ]
+      else
+        Op
+          (fun st ->
+            st.counters.restores <- st.counters.restores + 1;
+            put st d 0 (Mem.load st.mem.local ty (st.warp.lanes.(lane).local_base + slot)))
+  | Ir.Ctx_read (d, f, lane) when cls_of (dst d) = Ci ->
+      let d = dst d in
+      lanes d 1 [];
+      glue
+        [
+          ctx_kind lor field ~shift:4 ~bits:9 lane
+          lor field ~shift:13 ~bits:4 (field_code f)
+          lor field ~shift:17 ~bits:32 (base_of d);
+        ]
+  | Ir.Set_resume (lane, v) when cls_of (src v) = Ci ->
+      let v = scalar (src v) in
+      glue [ resume_kind lor field ~shift:4 ~bits:9 lane lor field ~shift:13 ~bits:32 (base_of v) ]
+  | Ir.Set_status s -> glue [ status_kind lor field ~shift:4 ~bits:2 (status_code s) ]
+  | _ -> Op (compile_op ~ws ~src ~dst i)
+
+let compile_instr ~ws ~src ~dst i =
+  try lower_instr ~ws ~src ~dst i
+  with Exit -> raise (Bad "lane, local offset or register file beyond the glue step layout")
+
+(* Walk a glue table.  Every step counts itself, so a fault part-way
+   through leaves the counters as if each instruction ran on its own. *)
+let glue_run (g : int array) : code =
+ fun st ->
+  let c = st.counters in
+  for k = 0 to Array.length g - 1 do
+    let x = g.(k) in
+    if x land counted <> 0 then c.dyn_instrs <- c.dyn_instrs + 1;
+    match x land 7 with
+    | 0 -> st.rf.(get_field x ~shift:4 ~bits:26) <- st.rf.(x lsr 30)
+    | 1 -> set64 st.ri (get_field x ~shift:4 ~bits:26 lsl 3) (get64 st.ri ((x lsr 30) lsl 3))
+    | 2 -> st.rb.(get_field x ~shift:4 ~bits:26) <- st.rb.(x lsr 30)
+    | 3 ->
+        c.spills <- c.spills + 1;
+        let t = dtypes.(get_field x ~shift:13 ~bits:4) and reg = x lsr 39 in
+        let bits =
+          if t.fl then bits_of_float t.size (rnd t.f32 st.rf.(reg))
+          else norm t.n (get64 st.ri (reg lsl 3))
+        in
+        let lane = st.warp.lanes.(get_field x ~shift:4 ~bits:9) in
+        store_bits st.mem.local t.size (lane.local_base + get_field x ~shift:17 ~bits:22) bits
+    | 4 ->
+        c.restores <- c.restores + 1;
+        let t = dtypes.(get_field x ~shift:13 ~bits:4) and reg = x lsr 39 in
+        let lane = st.warp.lanes.(get_field x ~shift:4 ~bits:9) in
+        let bits =
+          load_bits st.mem.local t.size (lane.local_base + get_field x ~shift:17 ~bits:22)
+        in
+        if t.fl then st.rf.(reg) <- float_of_bits t.size bits
+        else set64 st.ri (reg lsl 3) (norm t.n bits)
+    | 5 ->
+        let v = ctx_value st (get_field x ~shift:13 ~bits:4) (get_field x ~shift:4 ~bits:9) in
+        set64 st.ri ((x lsr 17) lsl 3) (Int64.of_int v)
+    | 6 ->
+        st.warp.lanes.(get_field x ~shift:4 ~bits:9).resume_point <-
+          Int64.to_int (norm s32 (get64 st.ri ((x lsr 13) lsl 3)))
+    | _ -> st.warp.status <- status_of_code (x lsr 4)
+  done
+
+(* A block's closures.  {!run} counts one instruction before calling
+   each; a glue run counts the rest of its instructions itself, so its
+   first step is left uncounted. *)
+let fuse (pieces : piece list) : code array =
+  let rec go acc = function
+    | [] -> Array.of_list (List.rev acc)
+    | Op c :: rest -> go (c :: acc) rest
+    | Glue _ :: _ as ps ->
+        let rec take steps = function
+          | Glue g :: rest -> take (List.rev_append g steps) rest
+          | rest -> (Array.of_list (List.rev steps), rest)
+        in
+        let steps, rest = take [] ps in
+        steps.(0) <- steps.(0) land lnot counted;
+        go (glue_run steps :: acc) rest
+  in
+  go [] pieces
+
+(** Lower [f] once.  With [timing], every block also carries its
+    modelled cycles, flops and source-line shares, charged per execution
+    by {!run}. *)
+let compile ?timing (f : Ir.func) : t =
+  (* Registers no instruction mentions (left behind by the passes) get
+     no slots. *)
+  let used = Array.make f.Ir.nregs false in
+  let mark = List.iter (fun r -> used.(r) <- true) in
+  List.iter
+    (fun (b : Ir.block) ->
+      List.iter
+        (fun ({ Ir.i; _ } : Ir.li) ->
+          mark (Option.to_list (Ir.def i));
+          mark (Ir.uses i))
+        b.Ir.insts;
+      mark (Ir.term_uses b.Ir.term))
+    (Ir.blocks f);
+  let tags = infer_tags f ~used in
+  let nf = ref 0 and ni = ref 0 and nb = ref 0 in
+  let alloc cls w =
+    let n = match cls with Cf -> nf | Ci -> ni | Cb -> nb in
+    let base = !n in
+    n := base + w;
+    base
+  in
+  let cls_of_tags t = if t = tag_f then Cf else if t = tag_i then Ci else Cb in
+  let regs =
+    Array.init f.Ir.nregs (fun r ->
+        if not used.(r) then None
+        else
+          let ty = Ir.reg_ty f r in
+          let cls = cls_of_tags tags.(r) and w = ty.Ty.width in
+          let zero = if Ast.is_float ty.Ty.elt then Scalar_ops.F 0.0 else Scalar_ops.I 0L in
+          Some (src ~cls ~base:(alloc cls w) ~width:w, zero))
+  in
+  let slot r = fst (Option.get regs.(r)) in
+  let f_regs = !nf and i_regs = !ni in
+  let imms = Hashtbl.create 16 in
+  let src = function
+    | Ir.R r -> slot r
+    | Ir.Imm (v, _) -> (
+        let key =
+          match v with
+          | Scalar_ops.I x -> (tag_i, x)
+          | Scalar_ops.F x -> (tag_f, Int64.bits_of_float x)
+        in
+        match Hashtbl.find_opt imms key with
+        | Some (s, _) -> s
+        | None ->
+            let cls = cls_of_tags (fst key) in
+            let s = src ~cls ~base:(alloc cls 1) ~width:1 in
+            Hashtbl.replace imms key (s, v);
+            s)
+  in
+  let blocks = Ir.blocks f in
+  let index = Hashtbl.create 16 in
+  List.iteri (fun k (b : Ir.block) -> Hashtbl.replace index b.Ir.label k) blocks;
+  let target l =
+    match Hashtbl.find_opt index l with
+    | Some k -> k
+    | None -> invalid_arg (Fmt.str "Interp.compile: no block %s in %s" l f.Ir.fname)
+  in
+  let lower_term = function
+    | Ir.Jump l -> Goto (target l)
+    | Ir.Branch (c, t, e) ->
+        let c = src c in
+        if stride_of c = 1 then Fail "vector value in scalar position"
+        else If (c, target t, target e)
+    | Ir.Switch (v, cases, default) ->
+        let v = src v in
+        if stride_of v = 1 then Fail "vector value in scalar position"
+        else
+          Switch
+            ( v,
+              Array.of_list (List.map (fun (x, l) -> (x, target l)) cases),
+              target default )
+    | Ir.Barrier _ -> Fail "barrier terminator in compiled function"
+    | Ir.Return -> Yield
+  in
+  let lower (b : Ir.block) =
+    let code =
+      fuse
+        (List.map
+           (fun ({ Ir.i; _ } : Ir.li) ->
+             try compile_instr ~ws:f.Ir.warp_size ~src ~dst:slot i
+             with Bad reason -> Op (fun _ -> raise (Trap reason)))
+           b.Ir.insts)
+    in
+    let cost =
+      Option.map
+        (fun t ->
+          let l = b.Ir.label in
+          {
+            cycles = Timing.cycles t l;
+            flops = Timing.flops t l;
+            shares = Timing.line_shares t l;
+          })
+        timing
+    in
+    { label = b.Ir.label; kind = b.Ir.kind; cost; code; term = lower_term b.Ir.term }
+  in
+  let blocks = Array.of_list (List.map lower blocks) in
+  let f_imms = Array.make (!nf - f_regs) 0.0 and i_imms = Bytes.make ((!ni - i_regs) * 8) '\000' in
+  let rb0 = Array.make !nb (Scalar_ops.I 0L) in
+  let init (s : src) v =
+    for l = 0 to width_of s - 1 do
+      let k = base_of s + l in
+      match (cls_of s, v) with
+      | Cf, Scalar_ops.F x -> if k >= f_regs then f_imms.(k - f_regs) <- x
+      | Ci, Scalar_ops.I x -> if k >= i_regs then set64 i_imms ((k - i_regs) lsl 3) x
+      | _ -> rb0.(k) <- v
+    done
+  in
+  Array.iter (Option.iter (fun (s, zero) -> init s zero)) regs;
+  Hashtbl.iter (fun _ (s, v) -> init s v) imms;
+  {
+    name = f.Ir.fname;
+    warp_size = f.Ir.warp_size;
+    entry = target f.Ir.entry;
+    blocks;
+    nf = !nf;
+    f_imms;
+    ni = !ni;
+    i_imms;
+    rb0;
+  }
+
+(* Each domain keeps one register file and lends it to one call at a
+   time: a call resets it to the compiled defaults, so nothing leaks from
+   the previous call, and no call allocates a register file on the major
+   heap.  A call made while the domain's file is lent out (from a hook,
+   or from another thread of the domain) gets a fresh one. *)
+type spare = {
+  mutable sf : float array;
+  mutable si : Bytes.t;
+  mutable sb : Scalar_ops.value array;
+  mutable lent : bool;
+}
+
+let spare =
+  Domain.DLS.new_key (fun () -> { sf = [||]; si = Bytes.empty; sb = [||]; lent = false })
+
+(* A register file holding [c]'s defaults, and whether it is [s]'s. *)
+let borrow s c =
+  (* nothing between the test and the set can switch threads *)
+  let own = not s.lent in
+  if own then s.lent <- true;
+  let nb = Array.length c.rb0 in
+  let rf, ri, rb =
+    if own then begin
+      if Array.length s.sf < c.nf then s.sf <- Array.make c.nf 0.0;
+      if Bytes.length s.si < c.ni * 8 then s.si <- Bytes.create (c.ni * 8);
+      if Array.length s.sb < nb then s.sb <- Array.make nb (Scalar_ops.I 0L);
+      (s.sf, s.si, s.sb)
+    end
+    else (Array.make c.nf 0.0, Bytes.create (c.ni * 8), Array.make nb (Scalar_ops.I 0L))
+  in
+  let fz = c.nf - Array.length c.f_imms and iz = (c.ni * 8) - Bytes.length c.i_imms in
+  Array.fill rf 0 fz 0.0;
+  Array.blit c.f_imms 0 rf fz (Array.length c.f_imms);
+  Bytes.fill ri 0 iz '\000';
+  Bytes.blit c.i_imms 0 ri iz (Bytes.length c.i_imms);
+  Array.blit c.rb0 0 rb 0 nb;
+  (rf, ri, rb, own)
+
+(** Run [c] for [warp] until it returns to the execution manager.
+
+    @param fuel maximum blocks executed in this call (default 10M):
     uniform loops run entirely inside the function, so a diverging kernel
-    with a runaway uniform loop must be bounded here.
+    with a runaway uniform loop must be bounded here.  Exactly [fuel]
+    blocks may run; entering one more raises {!Out_of_fuel}.
     @param profile when given, per-block execution counts are recorded
     into its hotness table (the divergence profiler's input); [None]
     costs one match per block.
@@ -156,12 +1129,11 @@ let as_addr v =
     re-raised as {!Vekt_error.Error} with the warp's thread/CTA context
     attached at this boundary, so the raw segment exception never
     escapes to the user. *)
-let exec ?timing ?(counters = fresh_counters ()) ?(fuel = 10_000_000)
+let run ?(counters = fresh_counters ()) ?(fuel = 10_000_000)
     ?(profile : Vekt_obs.Divergence.t option)
     ?(attr : Vekt_obs.Attribution.t option)
     ?(on_access : (Ast.space -> addr:int -> width:int -> unit) option)
-    (f : Ir.func) ~(launch : launch_info) (warp : warp) (mem : memories) :
-    unit =
+    (c : t) ~(launch : launch_info) (warp : warp) (mem : memories) : unit =
   (* Structured trap with this warp's context: CTA and linear tid of the
      first lane (the faulting lane when the access is per-warp), plus
      the entry point the warp was dispatched at.  The modelled cycle is
@@ -171,7 +1143,7 @@ let exec ?timing ?(counters = fresh_counters ()) ?(fuel = 10_000_000)
     Vekt_error.Error
       (Vekt_error.Trap
          {
-           kernel = f.Ir.fname;
+           kernel = c.name;
            cta = Some (t0.ctaid.Launch.x, t0.ctaid.Launch.y, t0.ctaid.Launch.z);
            tid = Some (Launch.linear ~dims:launch.block t0.tid);
            entry = Some warp.entry_id;
@@ -180,215 +1152,79 @@ let exec ?timing ?(counters = fresh_counters ()) ?(fuel = 10_000_000)
            reason;
          })
   in
-  if Array.length warp.lanes <> f.Ir.warp_size then
+  if Array.length warp.lanes <> c.warp_size then
     raise
       (ctx_error
          (Fmt.str "warp has %d lanes but %s is a %d-wide specialization"
-            (Array.length warp.lanes) f.Ir.fname f.Ir.warp_size));
+            (Array.length warp.lanes) c.name c.warp_size));
   counters.kernel_calls <- counters.kernel_calls + 1;
-  let regs = Array.init f.Ir.nregs (fun r -> default_rval (Ir.reg_ty f r)) in
-  let operand (o : Ir.operand) : rval =
-    match o with Ir.R r -> regs.(r) | Ir.Imm (v, _) -> S v
-  in
-  let seg = function
-    | Ast.Param -> mem.params
-    | Ast.Global -> mem.global
-    | Ast.Shared -> mem.shared
-    | Ast.Local -> mem.local
-    | Ast.Const -> mem.consts
-  in
-  let dim3_field (d : Launch.dim3) = function
-    | Ast.X -> d.Launch.x
-    | Ast.Y -> d.Launch.y
-    | Ast.Z -> d.Launch.z
-  in
-  let ctx_read field lane =
-    let t = warp.lanes.(lane) in
-    let v =
-      match field with
-      | Ir.Tid d -> dim3_field t.tid d
-      | Ir.Ntid d -> dim3_field launch.block d
-      | Ir.Ctaid d -> dim3_field t.ctaid d
-      | Ir.Nctaid d -> dim3_field launch.grid d
-      | Ir.Lane -> lane
-      | Ir.Local_base -> t.local_base
-      | Ir.Warp_width -> f.Ir.warp_size
-      | Ir.Entry_id -> warp.entry_id
-    in
-    Scalar_ops.I (Int64.of_int v)
-  in
-  let elementwise ty fn ops =
-    if ty.Ty.width = 1 then S (fn (List.map (fun o -> lane_val o 0) ops))
-    else V (Array.init ty.Ty.width (fun i -> fn (List.map (fun o -> lane_val o i) ops)))
-  in
-  (* One tripwire call per memory instruction executed; a no-op branch
-     when no hook is installed, so the uninstrumented path costs nothing
-     beyond the match. *)
-  let touch sp ~addr ~width =
-    match on_access with None -> () | Some h -> h sp ~addr ~width
-  in
-  let exec_instr (i : Ir.instr) =
-    counters.dyn_instrs <- counters.dyn_instrs + 1;
-    match i with
-    | Ir.Bin (op, ty, d, a, b) ->
-        regs.(d) <-
-          elementwise ty
-            (function [ x; y ] -> Scalar_ops.binop op ty.Ty.elt x y | _ -> assert false)
-            [ operand a; operand b ]
-    | Ir.Un (op, ty, d, a) ->
-        regs.(d) <-
-          elementwise ty
-            (function [ x ] -> Scalar_ops.unop op ty.Ty.elt x | _ -> assert false)
-            [ operand a ]
-    | Ir.Fma (ty, d, a, b, c) ->
-        regs.(d) <-
-          elementwise ty
-            (function
-              | [ x; y; z ] -> Scalar_ops.mad ty.Ty.elt x y z | _ -> assert false)
-            [ operand a; operand b; operand c ]
-    | Ir.Cmp (op, ty, d, a, b) ->
-        regs.(d) <-
-          elementwise ty
-            (function
-              | [ x; y ] -> Scalar_ops.of_bool (Scalar_ops.cmp op ty.Ty.elt x y)
-              | _ -> assert false)
-            [ operand a; operand b ]
-    | Ir.Select (ty, d, c, a, b) ->
-        regs.(d) <-
-          elementwise ty
-            (function
-              | [ cv; x; y ] -> if Scalar_ops.to_bool cv then x else y
-              | _ -> assert false)
-            [ operand c; operand a; operand b ]
-    | Ir.Mov (ty, d, a) ->
-        regs.(d) <- elementwise ty (function [ x ] -> x | _ -> assert false) [ operand a ]
-    | Ir.Cvt (dt, st, d, a) ->
-        regs.(d) <-
-          elementwise dt
-            (function
-              | [ x ] -> Scalar_ops.cvt ~dst:dt.Ty.elt ~src:st.Ty.elt x
-              | _ -> assert false)
-            [ operand a ]
-    | Ir.Load (sp, ty, d, base, off) ->
-        let a = as_addr (operand base) + off in
-        touch sp ~addr:a ~width:(Ast.size_of ty);
-        regs.(d) <- S (Mem.load (seg sp) ty a)
-    | Ir.Store (sp, ty, base, off, v) ->
-        let a = as_addr (operand base) + off in
-        touch sp ~addr:a ~width:(Ast.size_of ty);
-        Mem.store (seg sp) ty a (scalar_val (operand v))
-    | Ir.Vload (sp, ty, d, base, off) ->
-        let seg = seg sp in
-        let a = as_addr (operand base) + off in
-        let sz = Ast.size_of ty in
-        touch sp ~addr:a ~width:(sz * f.Ir.warp_size);
-        regs.(d) <-
-          V (Array.init f.Ir.warp_size (fun i -> Mem.load seg ty (a + (i * sz))))
-    | Ir.Vstore (sp, ty, base, off, v) ->
-        let seg = seg sp in
-        let a = as_addr (operand base) + off in
-        let sz = Ast.size_of ty in
-        touch sp ~addr:a ~width:(sz * f.Ir.warp_size);
-        let v = operand v in
-        for i = 0 to f.Ir.warp_size - 1 do
-          Mem.store seg ty (a + (i * sz)) (lane_val v i)
-        done
-    | Ir.Atomic (sp, op, ty, d, base, off, v, c) ->
-        let s = seg sp in
-        let addr = as_addr (operand base) + off in
-        touch sp ~addr ~width:(Ast.size_of ty);
-        let arg = scalar_val (operand v)
-        and cmp = Option.map (fun c -> scalar_val (operand c)) c in
-        let old =
-          match sp with
-          | Ast.Global ->
-              Mutex.protect global_atomic_lock (fun () ->
-                  let old = Mem.load s ty addr in
-                  Mem.store s ty addr (Scalar_ops.atom op ty old arg cmp);
-                  old)
-          | _ ->
-              let old = Mem.load s ty addr in
-              Mem.store s ty addr (Scalar_ops.atom op ty old arg cmp);
-              old
-        in
-        regs.(d) <- S old
-    | Ir.Broadcast (ty, d, a) ->
-        let x = scalar_val (operand a) in
-        regs.(d) <- V (Array.make ty.Ty.width x)
-    | Ir.Extract (_, d, a, lane) -> regs.(d) <- S (lane_val (operand a) lane)
-    | Ir.Insert (ty, d, v, lane, s) ->
-        let dst =
-          match operand v with
-          | V a -> Array.copy a
-          | S x -> Array.make ty.Ty.width x
-        in
-        dst.(lane) <- scalar_val (operand s);
-        regs.(d) <- V dst
-    | Ir.Reduce_add (d, a) ->
-        let v = operand a in
-        let n = match v with V a -> Array.length a | S _ -> 1 in
-        let sum = ref 0L in
-        for i = 0 to n - 1 do
-          sum := Int64.add !sum (Scalar_ops.as_int Ast.S32 (lane_val v i))
-        done;
-        regs.(d) <- S (Scalar_ops.I !sum)
-    | Ir.Ctx_read (d, field, lane) -> regs.(d) <- S (ctx_read field lane)
-    | Ir.Spill (lane, slot, ty, v) ->
-        counters.spills <- counters.spills + 1;
-        let addr = warp.lanes.(lane).local_base + slot in
-        Mem.store mem.local ty addr (lane_val (operand v) lane)
-    | Ir.Restore (d, lane, slot, ty) ->
-        counters.restores <- counters.restores + 1;
-        let addr = warp.lanes.(lane).local_base + slot in
-        regs.(d) <- S (Mem.load mem.local ty addr)
-    | Ir.Set_resume (lane, v) ->
-        warp.lanes.(lane).resume_point <-
-          Int64.to_int (Scalar_ops.as_int Ast.S32 (scalar_val (operand v)))
-    | Ir.Set_status s -> warp.status <- s
-  in
-  let account (b : Ir.block) =
+  let s = Domain.DLS.get spare in
+  let rf, ri, rb, owned = borrow s c in
+  let st = { rf; ri; rb; warp; mem; launch; counters; on_access } in
+  let account (b : block) =
     counters.blocks_executed <- counters.blocks_executed + 1;
     (match profile with
     | None -> ()
-    | Some p -> Vekt_obs.Divergence.touch_block p b.Ir.label);
-    match timing with
+    | Some p -> Vekt_obs.Divergence.touch_block p b.label);
+    match b.cost with
     | None -> ()
-    | Some t ->
-        let c = Timing.cycles t b.Ir.label in
-        counters.flops <- counters.flops + Timing.flops t b.Ir.label;
-        (match b.Ir.kind with
-        | Ir.Body -> counters.cycles_body <- counters.cycles_body +. c
-        | Ir.Scheduler -> counters.cycles_scheduler <- counters.cycles_scheduler +. c
-        | Ir.Entry_handler -> counters.cycles_entry <- counters.cycles_entry +. c
-        | Ir.Exit_handler -> counters.cycles_exit <- counters.cycles_exit +. c);
+    | Some k -> (
+        counters.flops <- counters.flops + k.flops;
+        (match b.kind with
+        | Ir.Body -> counters.cycles_body <- counters.cycles_body +. k.cycles
+        | Ir.Scheduler -> counters.cycles_scheduler <- counters.cycles_scheduler +. k.cycles
+        | Ir.Entry_handler -> counters.cycles_entry <- counters.cycles_entry +. k.cycles
+        | Ir.Exit_handler -> counters.cycles_exit <- counters.cycles_exit +. k.cycles);
         (* Source-line attribution: charge the block's precomputed integer
            line shares under the entry point this warp was dispatched at.
            [entry_id] is read at charge time, so scheduler-block work before
            an entry handler runs lands under the entry being dispatched. *)
-        (match attr with
+        match attr with
         | None -> ()
-        | Some a ->
-            Vekt_obs.Attribution.charge a ~entry_id:warp.entry_id
-              (Timing.line_shares t b.Ir.label))
+        | Some a -> Vekt_obs.Attribution.charge a ~entry_id:warp.entry_id k.shares)
   in
-  let fuel_left = ref fuel in
-  let rec run_block label =
-    decr fuel_left;
-    if !fuel_left <= 0 then raise Out_of_fuel;
-    let b = Ir.block f label in
-    account b;
-    List.iter (fun ({ Ir.i; _ } : Ir.li) -> exec_instr i) b.Ir.insts;
-    match b.Ir.term with
-    | Ir.Jump l -> run_block l
-    | Ir.Branch (c, t, e) ->
-        if Scalar_ops.to_bool (scalar_val (operand c)) then run_block t else run_block e
-    | Ir.Switch (v, cases, default) ->
-        let x = Int64.to_int (Scalar_ops.as_int Ast.S32 (scalar_val (operand v))) in
-        run_block
-          (match List.assoc_opt x cases with Some l -> l | None -> default)
-    | Ir.Barrier _ -> raise (Trap "barrier terminator in compiled function")
-    | Ir.Return -> ()
+  let fuel_left = ref fuel and pc = ref c.entry and running = ref true in
+  let execute () =
+    while !running do
+      if !fuel_left <= 0 then raise Out_of_fuel;
+      decr fuel_left;
+      let b = c.blocks.(!pc) in
+      account b;
+      let code = b.code in
+      for k = 0 to Array.length code - 1 do
+        counters.dyn_instrs <- counters.dyn_instrs + 1;
+        code.(k) st
+      done;
+      match b.term with
+      | Goto t -> pc := t
+      | If (cond, t, e) ->
+          let taken =
+            match cls_of cond with
+            | Ci -> iget st cond 0 <> 0L
+            | _ -> Scalar_ops.to_bool (get st cond 0)
+          in
+          pc := if taken then t else e
+      | Switch (v, cases, default) ->
+          let x =
+            match cls_of v with
+            | Ci -> Int64.to_int (norm s32 (iget st v 0))
+            | _ -> Int64.to_int (Scalar_ops.as_int Ast.S32 (get st v 0))
+          in
+          let rec find k =
+            if k = Array.length cases then default
+            else
+              let key, target = cases.(k) in
+              if key = x then target else find (k + 1)
+          in
+          pc := find 0
+      | Yield -> running := false
+      | Fail reason -> raise (Trap reason)
+    done
   in
-  try run_block f.Ir.entry with
-  | Mem.Fault a -> raise (ctx_error ~access:a "memory fault")
-  | Trap reason -> raise (ctx_error reason)
+  Fun.protect
+    ~finally:(fun () -> if owned then s.lent <- false)
+    (fun () ->
+      try execute () with
+      | Mem.Fault a -> raise (ctx_error ~access:a "memory fault")
+      | Trap reason -> raise (ctx_error reason))
+

@@ -5,8 +5,8 @@
     port availability, an idealized out-of-order core with an unbounded
     window), estimate register pressure from per-instruction liveness and
     charge spill traffic for the excess, and record the resulting cycle
-    cost.  The interpreter then accumulates [cycles b] for every dynamic
-    execution of block [b].
+    cost.  {!Interp.compile} copies [cycles b] into the compiled block,
+    and {!Interp.run} accumulates it for every dynamic execution of [b].
 
     This is the stand-in for "LLVM JIT code running on the i7-2600": the
     lane-width speedup, the latency-hiding-with-ILP effect and the
@@ -142,11 +142,11 @@ type t = {
   machine : Machine.t;
   costs : (string, block_cost) Hashtbl.t;
   term_cost : float;  (** per-block terminator/branch overhead *)
-  shares : (string, (int * int) array * int) Hashtbl.t;
-      (** per block: source-line shares [(line, units); ...] of the block's
-          full cost (terminator included) and their exact sum.  Line 0 is
-          the "runtime overhead" bucket: terminators plus synthetic
-          instructions with no source provenance. *)
+  shares : (string, int array * int) Hashtbl.t;
+      (** per block: source-line shares [[| line; units; line; units; ... |]]
+          of the block's full cost (terminator included) and their exact
+          sum.  Line 0 is the "runtime overhead" bucket: terminators plus
+          synthetic instructions with no source provenance. *)
 }
 
 let flops_of_instr (f : Ir.func) (i : Ir.instr) =
@@ -241,7 +241,7 @@ let analyze_block (m : Machine.t) (f : Ir.func) (live : Liveness.t) (b : Ir.bloc
    sum exactly to [total_units].  The terminator (and any instruction with
    no provenance) weighs in on line 0. *)
 let compute_shares (m : Machine.t) (f : Ir.func) (b : Ir.block) ~(total_units : int) :
-    (int * int) array * int =
+    int array * int =
   let weights : (int, int) Hashtbl.t = Hashtbl.create 8 in
   let add_weight line w =
     Hashtbl.replace weights line
@@ -278,10 +278,10 @@ let compute_shares (m : Machine.t) (f : Ir.func) (b : Ir.block) ~(total_units : 
     let l, u = out.(idx) in
     out.(idx) <- (l, u + 1)
   done;
-  (out, total_units)
+  (Array.concat (Array.to_list (Array.map (fun (l, u) -> [| l; u |]) out)), total_units)
 
-(** Analyze every block of a compiled function once; the interpreter then
-    charges [cycles] per dynamic block execution. *)
+(** Analyze every block of a compiled function once; the compiled code
+    then charges [cycles] per dynamic block execution. *)
 let analyze (m : Machine.t) (f : Ir.func) : t =
   let live = Liveness.compute f in
   let term_cost = 1.0 in
@@ -309,9 +309,9 @@ let flops t label = match block_cost t label with Some c -> c.flops | None -> 0
     together with their exact integer sum; [cycles t label] is the same
     quantity in float cycles.  Unknown labels cost [term_cost] only,
     charged to the line-0 overhead bucket. *)
-let line_shares t label : (int * int) array * int =
+let line_shares t label : int array * int =
   match Hashtbl.find_opt t.shares label with
   | Some s -> s
   | None ->
       let u = units_of_cycles t.term_cost in
-      ([| (0, u) |], u)
+      ([| 0; u |], u)

@@ -356,6 +356,30 @@ let test_order_dependent_atomics () =
       (Mem.equal serial.Api.global dev.Api.global)
   done
 
+(* threadfence elects its last CTA by branching on the value a global
+   atom.add returns, so which CTA does the final reduction - and the
+   modelled cycles - depend on the order CTAs run in.  Asked for 4
+   domains, the pool must run it on one: every repetition reports the
+   serial cycles and leaves the serial memory image. *)
+let test_returned_atomic_on_one_domain () =
+  let w = W_threadfence.workload in
+  let serial, m, _, serial_stats = run_pool w ~workers:4 ~domains:1 in
+  Alcotest.(check bool) "threadfence flagged order-dependent" true
+    (Api.kernel_cache m ~kernel:w.Workload.kernel).TC.order_dependent_atomics;
+  for rep = 1 to 5 do
+    let dev, _, inst, stats = run_pool w ~workers:4 ~domains:4 in
+    (match inst.Workload.check dev with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "threadfence rep %d: %s" rep e);
+    Alcotest.(check (float 0.0))
+      (Fmt.str "threadfence rep %d: cycles match serial" rep)
+      serial_stats.Stats.wall_cycles stats.Stats.wall_cycles;
+    Alcotest.(check bool)
+      (Fmt.str "threadfence rep %d: memory bit-identical to serial" rep)
+      true
+      (Mem.equal serial.Api.global dev.Api.global)
+  done
+
 (* ---- fault-injection differential ---- *)
 
 (* Every 4-wide build fails (p = 1.0, deterministic under the cache
@@ -495,6 +519,8 @@ let () =
         ] );
       ( "atomics",
         [
+          Alcotest.test_case "returned atomic on one domain" `Quick
+            test_returned_atomic_on_one_domain;
           Alcotest.test_case "exch/cas on one domain" `Quick
             test_order_dependent_atomics;
         ] );

@@ -1,6 +1,7 @@
 (* Tests for the vector-machine substrate: machine descriptions, the µop
    timing model (scoreboard, chunking, register-pressure spills) and the
-   IR interpreter. *)
+   compiled IR engine (built with [Builder], lowered by [Interp.compile],
+   executed by [Interp.run]). *)
 
 module Ir = Vekt_ir.Ir
 module Ty = Vekt_ir.Ty
@@ -184,7 +185,7 @@ let test_interp_vector_arith () =
   let f = Builder.func b in
   Vekt_ir.Verify.check_exn f;
   let mem = mems () in
-  Interp.exec f ~launch:launch1 (warp4 ()) mem;
+  Interp.run (Interp.compile f) ~launch:launch1 (warp4 ()) mem;
   Alcotest.(check (list int)) "squares" [ 0; 1; 4; 9 ] (Mem.read_i32s mem.Interp.global ~at:0 4)
 
 let test_interp_spill_restore_roundtrip () =
@@ -214,7 +215,7 @@ let test_interp_spill_restore_roundtrip () =
   Vekt_ir.Verify.check_exn f;
   let mem = mems () in
   let counters = Interp.fresh_counters () in
-  Interp.exec ~counters f ~launch:launch1 (warp4 ()) mem;
+  Interp.run ~counters (Interp.compile f) ~launch:launch1 (warp4 ()) mem;
   Alcotest.(check (list (float 0.0))) "roundtrip" [ 0.; 1.; 2.; 3. ]
     (Mem.read_f32s mem.Interp.global ~at:0 4);
   Alcotest.(check int) "restores counted" 4 counters.Interp.restores;
@@ -237,7 +238,7 @@ let test_interp_switch_and_resume () =
   let f = Builder.func b in
   let mem = mems () in
   let w = warp4 ~entry:7 () in
-  Interp.exec f ~launch:launch1 w mem;
+  Interp.run (Interp.compile f) ~launch:launch1 w mem;
   Alcotest.(check bool) "status barrier" true (w.Interp.status = Ir.Status_barrier);
   Alcotest.(check int) "lane 2 resume" 102 w.Interp.lanes.(2).Interp.resume_point
 
@@ -261,7 +262,7 @@ let test_interp_reduce_add () =
   Builder.set_term b Ir.Return;
   let f = Builder.func b in
   let mem = mems () in
-  Interp.exec f ~launch:launch1 (warp4 ()) mem;
+  Interp.run (Interp.compile f) ~launch:launch1 (warp4 ()) mem;
   Alcotest.(check int) "two lanes >= 2" 2 (Mem.read_i32 mem.Interp.global 0)
 
 let test_interp_wrong_warp_width () =
@@ -271,7 +272,7 @@ let test_interp_wrong_warp_width () =
   let f = Builder.func b in
   Alcotest.(check bool) "trapped with warp context" true
     (try
-       Interp.exec f ~launch:launch1 (warp4 ()) (mems ());
+       Interp.run (Interp.compile f) ~launch:launch1 (warp4 ()) (mems ());
        false
      with Vekt_error.Error (Vekt_error.Trap { kernel = "t"; _ }) -> true)
 
@@ -281,7 +282,7 @@ let test_interp_fuel () =
   Builder.set_term b (Ir.Jump "entry");
   let f = Builder.func b in
   Alcotest.check_raises "fuel" Interp.Out_of_fuel (fun () ->
-      Interp.exec ~fuel:100 f ~launch:launch1 (warp4 ()) (mems ()))
+      Interp.run ~fuel:100 (Interp.compile f) ~launch:launch1 (warp4 ()) (mems ()))
 
 let test_interp_imm_splat () =
   let b = Builder.create ~warp_size:4 "t" in
@@ -296,8 +297,124 @@ let test_interp_imm_splat () =
   Builder.set_term b Ir.Return;
   let f = Builder.func b in
   let mem = mems () in
-  Interp.exec f ~launch:launch1 (warp4 ()) mem;
+  Interp.run (Interp.compile f) ~launch:launch1 (warp4 ()) mem;
   Alcotest.(check (float 0.0)) "splat lane 3" 3.5 (Mem.read_f32 mem.Interp.global 0)
+
+(* Exactly [fuel] blocks may run: an [n]-block chain needs [~fuel:n]. *)
+let test_interp_fuel_exact () =
+  let n = 5 in
+  let b = Builder.create ~warp_size:4 "t" in
+  for k = 0 to n - 1 do
+    ignore (Builder.start_block b (Fmt.str "b%d" k));
+    Builder.set_term b (if k = n - 1 then Ir.Return else Ir.Jump (Fmt.str "b%d" (k + 1)))
+  done;
+  let c = Interp.compile (Builder.func b) in
+  Interp.run ~fuel:n c ~launch:launch1 (warp4 ()) (mems ());
+  Alcotest.check_raises "one block short" Interp.Out_of_fuel (fun () ->
+      Interp.run ~fuel:(n - 1) c ~launch:launch1 (warp4 ()) (mems ()))
+
+(* Entry 0 inserts 5 into lane 0 and entry 1 inserts 9 into lane 1 of a
+   vector register nothing else writes; both then store all four lanes.
+   Each run must start from the zero register, whatever the previous run
+   of the same compiled code left behind. *)
+let insert_kernel () =
+  let b = Builder.create ~warp_size:4 "t" in
+  let v4 = Ty.vector Ast.S32 4 in
+  let x = Builder.fresh_reg b v4 in
+  ignore (Builder.start_block b "entry" ~kind:Ir.Scheduler);
+  let eid = Builder.emit_val b s32 (fun d -> Ir.Ctx_read (d, Ir.Entry_id, 0)) in
+  Builder.set_term b (Ir.Switch (Ir.R eid, [ (0, "e0"); (1, "e1") ], "e0"));
+  List.iter
+    (fun (label, lane, v) ->
+      ignore (Builder.start_block b label);
+      Builder.emit b (Ir.Insert (v4, x, Ir.R x, lane, imm_i v));
+      Builder.set_term b (Ir.Jump "out"))
+    [ ("e0", 0, 5); ("e1", 1, 9) ];
+  ignore (Builder.start_block b "out");
+  for l = 0 to 3 do
+    let s = Builder.emit_val b s32 (fun d -> Ir.Extract (Ast.S32, d, Ir.R x, l)) in
+    Builder.emit b
+      (Ir.Store (Ast.Global, Ast.S32, Ir.Imm (Scalar_ops.I (Int64.of_int (4 * l)), Ast.S64), 0,
+                 Ir.R s))
+  done;
+  Builder.set_term b Ir.Return;
+  Interp.compile (Builder.func b)
+
+let test_interp_runs_isolated () =
+  let c = insert_kernel () in
+  let run entry =
+    let mem = mems () in
+    Interp.run c ~launch:launch1 (warp4 ~entry ()) mem;
+    Mem.read_i32s mem.Interp.global ~at:0 4
+  in
+  Alcotest.(check (list int)) "first run" [ 5; 0; 0; 0 ] (run 0);
+  Alcotest.(check (list int)) "second run" [ 0; 9; 0; 0 ] (run 1);
+  (* a run started while another holds this domain's register file *)
+  let inner = ref [] in
+  let mem = mems () in
+  let on_access _ ~addr ~width:_ =
+    if addr = 0 && !inner = [] then inner := run 1
+  in
+  Interp.run ~on_access c ~launch:launch1 (warp4 ()) mem;
+  Alcotest.(check (list int)) "nested run" [ 0; 9; 0; 0 ] !inner;
+  Alcotest.(check (list int)) "outer run" [ 5; 0; 0; 0 ]
+    (Mem.read_i32s mem.Interp.global ~at:0 4)
+
+(* Lane [l] of CTA [k] stores [(tid + 1) * 1.5 + ctaid] at
+   [16 * ctaid + 4 * l]: one compiled function, two warps. *)
+let test_interp_shared_across_domains () =
+  let b = Builder.create ~warp_size:4 "t" in
+  ignore (Builder.start_block b "entry");
+  let f4 = Ty.vector Ast.F32 4 in
+  let x = Builder.fresh_reg b f4 in
+  for l = 0 to 3 do
+    let t = Builder.emit_val b (Ty.scalar Ast.U32) (fun d -> Ir.Ctx_read (d, Ir.Tid Ast.X, l)) in
+    let tf = Builder.emit_val b f32 (fun d -> Ir.Cvt (f32, Ty.scalar Ast.U32, d, Ir.R t)) in
+    Builder.emit b (Ir.Insert (f4, x, Ir.R x, l, Ir.R tf))
+  done;
+  let cta = Builder.emit_val b (Ty.scalar Ast.U32) (fun d -> Ir.Ctx_read (d, Ir.Ctaid Ast.X, 0)) in
+  let ctaf = Builder.emit_val b f32 (fun d -> Ir.Cvt (f32, Ty.scalar Ast.U32, d, Ir.R cta)) in
+  let y = Builder.emit_val b f4 (fun d -> Ir.Bin (Ast.Add, f4, d, Ir.R x, imm_f 1.0)) in
+  let ctav = Builder.emit_val b f4 (fun d -> Ir.Broadcast (f4, d, Ir.R ctaf)) in
+  let z = Builder.emit_val b f4 (fun d -> Ir.Fma (f4, d, Ir.R y, imm_f 1.5, Ir.R ctav)) in
+  let u64 = Ty.scalar Ast.U64 in
+  let cta64 = Builder.emit_val b u64 (fun d -> Ir.Cvt (u64, Ty.scalar Ast.U32, d, Ir.R cta)) in
+  let base =
+    Builder.emit_val b u64 (fun d ->
+        Ir.Bin (Ast.Mul_lo, u64, d, Ir.R cta64, Ir.Imm (Scalar_ops.I 16L, Ast.U64)))
+  in
+  Builder.emit b (Ir.Vstore (Ast.Global, Ast.F32, Ir.R base, 0, Ir.R z));
+  Builder.set_term b Ir.Return;
+  let f = Builder.func b in
+  Vekt_ir.Verify.check_exn f;
+  let c = Interp.compile f in
+  let warp cta =
+    {
+      Interp.lanes =
+        Array.init 4 (fun i ->
+            { Interp.tid = Launch.dim3 i; ctaid = Launch.dim3 cta; local_base = i * 64;
+              resume_point = 0 });
+      entry_id = 0;
+      status = Ir.Status_exit;
+    }
+  in
+  let serial = mems () in
+  Interp.run c ~launch:launch1 (warp 0) serial;
+  Interp.run c ~launch:launch1 (warp 1) serial;
+  Alcotest.(check (list (float 0.0))) "serial"
+    [ 1.5; 3.0; 4.5; 6.0; 2.5; 4.0; 5.5; 7.0 ]
+    (Mem.read_f32s serial.Interp.global ~at:0 8);
+  let shared = mems () in
+  let spin cta () =
+    for _ = 1 to 500 do
+      Interp.run c ~launch:launch1 (warp cta) shared
+    done
+  in
+  let d0 = Domain.spawn (spin 0) and d1 = Domain.spawn (spin 1) in
+  Domain.join d0;
+  Domain.join d1;
+  Alcotest.(check bool) "two domains match serial" true
+    (Mem.equal serial.Interp.global shared.Interp.global)
 
 let () =
   Alcotest.run "vm"
@@ -324,5 +441,9 @@ let () =
           Alcotest.test_case "warp width" `Quick test_interp_wrong_warp_width;
           Alcotest.test_case "fuel" `Quick test_interp_fuel;
           Alcotest.test_case "imm splat" `Quick test_interp_imm_splat;
+          Alcotest.test_case "fuel exact" `Quick test_interp_fuel_exact;
+          Alcotest.test_case "runs isolated" `Quick test_interp_runs_isolated;
+          Alcotest.test_case "shared across domains" `Quick
+            test_interp_shared_across_domains;
         ] );
     ]
