@@ -14,7 +14,6 @@
                    the execution manager is key")
      ablate-sched  warp-formation policy sweep (dynamic vs barrier-aware)
      ablate-tier   tiered JIT vs eager compilation (compile wall time)
-     bechamel      wall-clock microbenchmarks of the dynamic compiler
 
    `main.exe` with no arguments runs all paper experiments; pass section
    names to select.  `--scale N` grows problem sizes. *)
@@ -22,13 +21,8 @@
 module Api = Vekt_runtime.Api
 module Stats = Vekt_runtime.Stats
 module TC = Vekt_runtime.Translation_cache
-module Interp = Vekt_vm.Interp
 module Machine = Vekt_vm.Machine
 module Vectorize = Vekt_transform.Vectorize
-module Ptx_to_ir = Vekt_transform.Ptx_to_ir
-module Plan = Vekt_transform.Plan
-module J = Vekt_obs.Jsonx
-open Vekt_ptx
 open Vekt_workloads
 
 let scale = ref 2
@@ -411,282 +405,6 @@ let ablate_tier () =
     TC.default_hot_threshold
 
 (* ------------------------------------------------------------------ *)
-(* Worker-pool scaling: real wall-clock over domain counts *)
-
-(* Unlike every section above (which reports *modelled* cycles), this
-   one measures host wall-clock time of the launch itself, because the
-   worker pool is real parallelism: one OCaml domain per execution
-   manager.  Each (workload, workers) cell gets a fresh module, one
-   untimed warmup launch (pays JIT compilation once), then the best of
-   [reps] timed launches.  Results land in BENCH_parallel.json;
-   speedups only materialize on hosts with spare cores, so the host's
-   core count is recorded alongside. *)
-let scaling_out = ref "BENCH_parallel.json"
-
-let scaling () =
-  header "Scaling: domain-parallel worker pool (host wall-clock)";
-  let worker_counts = [ 1; 2; 4; 8 ] in
-  let reps = 5 in
-  let cores = Domain.recommended_domain_count () in
-  Fmt.pr
-    "host reports %d usable cores; best-of-%d per cell, percentiles over reps@."
-    cores reps;
-  Fmt.pr "%-14s %6s" "application" "ncta";
-  List.iter (fun w -> Fmt.pr " %10s" (Fmt.str "w%d us" w)) worker_counts;
-  Fmt.pr " %9s %8s %8s %8s@." "x at w4" "p50 w4" "p95 w4" "p99 w4";
-  let module Clock = Vekt_runtime.Clock in
-  let module Metrics = Vekt_obs.Metrics in
-  let reg = Metrics.create () in
-  let results =
-    List.map
-      (fun (w : Workload.t) ->
-        let cell workers =
-          let dev = Api.create_device () in
-          let config = { Api.default_config with workers = Some workers } in
-          let m = Api.load_module ~config dev w.Workload.src in
-          let inst = w.Workload.setup ~scale:!scale dev in
-          let launch () =
-            ignore
-              (Api.launch m ~kernel:w.Workload.kernel ~grid:inst.Workload.grid
-                 ~block:inst.Workload.block ~args:inst.Workload.args)
-          in
-          launch () (* warmup: JIT compiles land here *);
-          (* Every rep lands in a histogram so the artifact carries the
-             rep-to-rep launch-latency spread, not just the minimum. *)
-          let h =
-            Metrics.histogram reg
-              (Fmt.str "%s.w%d.launch_us" w.Workload.name workers)
-          in
-          let best = ref infinity in
-          for _ = 1 to reps do
-            let t0 = Clock.now_us () in
-            launch ();
-            let us = Clock.elapsed_us t0 in
-            Metrics.observe h (int_of_float us);
-            best := Float.min !best us
-          done;
-          (Launch.count inst.Workload.grid, !best, h)
-        in
-        let cells = List.map (fun n -> (n, cell n)) worker_counts in
-        let ncta, base, _ = snd (List.hd cells) in
-        Fmt.pr "%-14s %6d" w.Workload.name ncta;
-        List.iter (fun (_, (_, us, _)) -> Fmt.pr " %10.0f" us) cells;
-        let sp4 =
-          match List.assoc_opt 4 cells with
-          | Some (_, us, _) when us > 0.0 -> base /. us
-          | _ -> 0.0
-        in
-        (match List.assoc_opt 4 cells with
-        | Some (_, _, h4) ->
-            let p50, p95, p99 = Metrics.percentiles h4 in
-            Fmt.pr " %8.2fx %8d %8d %8d@." sp4 p50 p95 p99
-        | None -> Fmt.pr " %8.2fx@." sp4);
-        (w.Workload.name, ncta, List.map (fun (n, (_, us, h)) -> (n, us, h)) cells))
-      Registry.all
-  in
-  let wall_of n cells =
-    List.find_opt (fun (m, _, _) -> m = n) cells
-    |> Option.map (fun (_, us, _) -> us)
-  in
-  let fast4 =
-    List.filter
-      (fun (_, ncta, cells) ->
-        ncta >= 2
-        &&
-        match (wall_of 1 cells, wall_of 4 cells) with
-        | Some b, Some u when u > 0.0 -> b /. u >= 1.5
-        | _ -> false)
-      results
-  in
-  Fmt.pr "%d/%d multi-CTA workloads reach >=1.5x at 4 workers on this host@."
-    (List.length fast4)
-    (List.length (List.filter (fun (_, ncta, _) -> ncta >= 2) results));
-  (* one {"<workers>": value} object per measured quantity *)
-  let per_workers f cells =
-    J.Obj (List.map (fun (n, us, h) -> (string_of_int n, f us h)) cells)
-  in
-  let workload (name, ncta, cells) =
-    let base = Option.value (wall_of 1 cells) ~default:0.0 in
-    J.Obj
-      [
-        ("name", J.Str name);
-        ("ncta", J.Int ncta);
-        ("wall_us", per_workers (fun us _ -> J.Float us) cells);
-        ( "speedup",
-          per_workers
-            (fun us _ -> J.Float (if us > 0.0 && base > 0.0 then base /. us else 0.0))
-            cells );
-        ( "launch_us_pct",
-          per_workers
-            (fun _ h ->
-              let p50, p95, p99 = Metrics.percentiles h in
-              J.Obj [ ("p50", J.Int p50); ("p95", J.Int p95); ("p99", J.Int p99) ])
-            cells );
-      ]
-  in
-  write_file !scaling_out
-    (J.to_line
-       (J.Obj
-          [
-            ("host_cores", J.Int cores);
-            ("scale", J.Int !scale);
-            ("reps", J.Int reps);
-            ("workers", J.List (List.map (fun n -> J.Int n) worker_counts));
-            ("workloads", J.List (List.map workload results));
-          ]));
-  Fmt.pr "wrote %s@." !scaling_out
-
-(* ------------------------------------------------------------------ *)
-(* Checkpoint overhead: wall-clock cost of snapshotting in-flight
-   launches (DESIGN.md §3.5) *)
-
-(* Wall-clock again, like [scaling]: snapshot serialization and the
-   write to disk are host-side costs invisible to the modelled-cycle
-   clocks.  Each (workload, interval) cell gets a fresh module, one
-   untimed warmup launch, then the best of [reps] timed launches; the
-   snapshot count and bytes written come from the launch's checkpoint
-   bookkeeping.  Interval 0 is the no-checkpoint baseline (run serial,
-   as checkpointing is, so the ratio isolates the snapshot cost). *)
-let ckpt_out = ref "BENCH_checkpoint.json"
-
-let ckpt () =
-  header "Checkpoint overhead: snapshot interval vs wall-clock";
-  let intervals = [ 0; 64; 512 ] in
-  let reps = 2 in
-  let dir = Filename.concat (Filename.get_temp_dir_name ()) "vekt-bench-ckpt" in
-  let module Clock = Vekt_runtime.Clock in
-  Fmt.pr "snapshots land in %s; timing best-of-%d per cell@." dir reps;
-  Fmt.pr "%-14s %6s" "application" "ncta";
-  List.iter
-    (fun n -> Fmt.pr " %10s" (if n = 0 then "off us" else Fmt.str "e%d us" n))
-    intervals;
-  Fmt.pr " %9s %9s@." "ovh e64" "snaps e64";
-  let results =
-    List.map
-      (fun (w : Workload.t) ->
-        let cell every =
-          let dev = Api.create_device () in
-          let config =
-            {
-              Api.default_config with
-              workers = Some 1;
-              checkpoint_every = every;
-              checkpoint_dir = dir;
-            }
-          in
-          let m = Api.load_module ~config dev w.Workload.src in
-          let inst = w.Workload.setup ~scale:!scale dev in
-          let launch () =
-            ignore
-              (Api.launch m ~kernel:w.Workload.kernel ~grid:inst.Workload.grid
-                 ~block:inst.Workload.block ~args:inst.Workload.args)
-          in
-          launch () (* warmup: JIT compiles land here *);
-          let best = ref infinity in
-          for _ = 1 to reps do
-            let t0 = Clock.now_us () in
-            launch ();
-            best := Float.min !best (Clock.elapsed_us t0)
-          done;
-          let snaps, bytes =
-            match m.Api.last_ckpt with
-            | Some c ->
-                ( c.Vekt_runtime.Checkpoint.writes,
-                  c.Vekt_runtime.Checkpoint.bytes_written )
-            | None -> (0, 0)
-          in
-          (Launch.count inst.Workload.grid, !best, snaps, bytes)
-        in
-        let cells = List.map (fun n -> (n, cell n)) intervals in
-        let ncta, base, _, _ = snd (List.hd cells) in
-        Fmt.pr "%-14s %6d" w.Workload.name ncta;
-        List.iter (fun (_, (_, us, _, _)) -> Fmt.pr " %10.0f" us) cells;
-        (match List.assoc_opt 64 cells with
-        | Some (_, us, snaps, _) when base > 0.0 ->
-            Fmt.pr " %8.2fx %9d@." (us /. base) snaps
-        | _ -> Fmt.pr "@.");
-        (w.Workload.name, ncta, cells))
-      Registry.all
-  in
-  let workload (name, ncta, cells) =
-    let _, base, _, _ = List.assoc 0 cells in
-    let field f = J.Obj (List.map (fun (n, c) -> (string_of_int n, f c)) cells) in
-    J.Obj
-      [
-        ("name", J.Str name);
-        ("ncta", J.Int ncta);
-        ("wall_us", field (fun (_, us, _, _) -> J.Float us));
-        ("snapshots", field (fun (_, _, s, _) -> J.Int s));
-        ("bytes", field (fun (_, _, _, b) -> J.Int b));
-        ( "overhead",
-          field (fun (_, us, _, _) -> J.Float (if base > 0.0 then us /. base else 0.0)) );
-      ]
-  in
-  write_file !ckpt_out
-    (J.to_line
-       (J.Obj
-          [
-            ("scale", J.Int !scale);
-            ("reps", J.Int reps);
-            ("intervals", J.List (List.map (fun n -> J.Int n) intervals));
-            ("workloads", J.List (List.map workload results));
-          ]));
-  Fmt.pr "wrote %s@." !ckpt_out
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel wall-clock microbenchmarks of the dynamic compiler itself *)
-
-let bechamel () =
-  header "Bechamel: dynamic-compiler wall-clock microbenchmarks";
-  let open Bechamel in
-  let src = W_blackscholes.src in
-  let parsed = Parser.parse_module src in
-  let tr () = Ptx_to_ir.frontend parsed ~kernel:"blackscholes" in
-  let translated = tr () in
-  let plan =
-    Plan.compute translated.Ptx_to_ir.func
-      ~local_decl_bytes:translated.Ptx_to_ir.local_decl_bytes
-  in
-  let tests =
-    [
-      Test.make ~name:"parse" (Staged.stage (fun () -> Parser.parse_module src));
-      Test.make ~name:"frontend (typecheck+ifconv+translate)"
-        (Staged.stage (fun () -> tr ()));
-      Test.make ~name:"vectorize w4"
-        (Staged.stage (fun () ->
-             Vectorize.run ~plan translated.Ptx_to_ir.func ~ws:4));
-      Test.make ~name:"vectorize+optimize w4"
-        (Staged.stage (fun () ->
-             let v = Vectorize.run ~plan translated.Ptx_to_ir.func ~ws:4 in
-             Vekt_transform.Passes.optimize v.Vectorize.func));
-      Test.make ~name:"timing analysis w4"
-        (Staged.stage
-           (let v = Vectorize.run ~plan translated.Ptx_to_ir.func ~ws:4 in
-            fun () -> Vekt_vm.Timing.analyze Machine.sse4 v.Vectorize.func));
-    ]
-  in
-  let benchmark test =
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 100) () in
-    Benchmark.all cfg instances test
-  in
-  let analyze results =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true
-        ~predictors:[| Measure.run |]
-    in
-    Analyze.all ols Toolkit.Instance.monotonic_clock results
-  in
-  let t = Test.make_grouped ~name:"compiler" ~fmt:"%s %s" tests in
-  let results = analyze (benchmark t) in
-  Hashtbl.iter
-    (fun name ols ->
-      match Analyze.OLS.estimates ols with
-      | Some [ est ] -> Fmt.pr "%-45s %10.1f ns/run@." name est
-      | _ -> Fmt.pr "%-45s (no estimate)@." name)
-    results
-
-(* ------------------------------------------------------------------ *)
 
 let all_sections =
   [
@@ -704,9 +422,6 @@ let all_sections =
     ("ablate-spec", ablate_spec);
     ("ablate-sched", ablate_sched);
     ("ablate-tier", ablate_tier);
-    ("scaling", scaling);
-    ("ckpt", ckpt);
-    ("bechamel", bechamel);
   ]
 
 let paper_sections =
@@ -720,12 +435,6 @@ let () =
         parse_args rest
     | "--trace-dir" :: dir :: rest ->
         trace_dir := Some dir;
-        parse_args rest
-    | "--scaling-out" :: path :: rest ->
-        scaling_out := path;
-        parse_args rest
-    | "--ckpt-out" :: path :: rest ->
-        ckpt_out := path;
         parse_args rest
     | x :: rest -> x :: parse_args rest
     | [] -> []

@@ -15,7 +15,11 @@
      f32s:a,b,c     allocate and fill with floats, pass pointer
      i32s:a,b,c     allocate and fill with ints, pass pointer
    e.g.  vektc run k.ptx -k vecadd --grid 8 --block 128 \
-           -a f32s:1,2,3,4 -a f32s:5,6,7,8 -a zeros:16 -a i32:4 --dump f32:2:4 *)
+           -a f32s:1,2,3,4 -a f32s:5,6,7,8 -a zeros:16 -a i32:4 --dump f32:2:4
+
+   Module configuration for `compile`, `run` and `submit` is given only
+   as repeatable `-c KEY=VALUE` pairs (e.g. `-c ws=4 -c static`); with
+   none, a launch runs under Api.default_config. *)
 
 module Ir = Vekt_ir.Ir
 module Pp = Vekt_ir.Pp
@@ -73,33 +77,36 @@ let file_arg =
 let kernel_arg =
   Arg.(value & opt (some string) None & info [ "k"; "kernel" ] ~docv:"NAME" ~doc:"Kernel name")
 
-let ws_arg =
-  Arg.(value & opt int 4 & info [ "ws"; "warp-size" ] ~docv:"N" ~doc:"Warp size to specialize for")
-
-let static_arg =
-  Arg.(value & flag & info [ "static" ] ~doc:"Static warp formation with thread-invariant elimination")
-
-let affine_arg =
-  Arg.(value & flag & info [ "affine" ] ~doc:"Coalesce affine/uniform memory accesses")
-
-let pipeline_arg =
+(* -c KEY=VALUE, shared by compile, run and submit: the pairs go
+   unchanged to Api.config_of_spec (run, compile) or to the daemon's
+   load-module request (submit), which calls the same function. *)
+let config_arg =
+  let parse kv =
+    match String.index_opt kv '=' with
+    | Some i ->
+        Ok (String.sub kv 0 i, String.sub kv (i + 1) (String.length kv - i - 1))
+    | None -> Ok (kv, "true")
+  in
+  let print ppf (k, v) = Fmt.pf ppf "%s=%s" k v in
   Arg.(
     value
-    & opt (some string) None
-    & info [ "pipeline" ] ~docv:"SPEC"
+    & opt_all (conv' ~docv:"KEY=VALUE" (parse, print)) []
+    & info [ "c"; "config" ] ~docv:"KEY=VALUE"
         ~doc:
-          "Optimization pass pipeline, e.g. constfold,cse,dce,fusion:fix \
-           (comma-separated pass names; :fix or :fix=N runs the sequence to \
-           fixpoint with bound N). Default: every pass to fixpoint.")
+          "Module configuration (repeatable); a bare KEY means KEY=true. The \
+           keys are those of the daemon's load-module request: mode, static, \
+           affine, optimize, verify, specialize-args, ws, widths, sched, \
+           pipeline, tiered, hot-threshold, cache-cap, inject, inject-seed, \
+           watchdog, quarantine-ttl, recover, workers, checkpoint-every, \
+           checkpoint-dir, record, replay. Keys not given keep their default \
+           (dynamic warp formation at widths 4,2,1).")
 
-let parse_pipeline_opt = function
-  | None -> Vekt_transform.Passes.default_pipeline
-  | Some spec -> (
-      match Vekt_transform.Passes.parse_pipeline spec with
-      | Ok p -> p
-      | Error e ->
-          Fmt.epr "bad --pipeline: %s@." e;
-          exit 1)
+let config_of_pairs pairs =
+  match Api.config_of_spec pairs with
+  | Ok c -> c
+  | Error e ->
+      Fmt.epr "bad configuration: %s@." e;
+      exit 1
 
 (* ---- check ---- *)
 
@@ -121,7 +128,8 @@ let check_cmd =
 (* ---- compile ---- *)
 
 let compile_cmd =
-  let run file kernel ws static stage pipeline =
+  let run file kernel config stage =
+    let config = config_of_pairs config in
     let _, m = load file in
     let kernel = pick_kernel m kernel in
     let tr = Ptx_to_ir.frontend m ~kernel in
@@ -130,11 +138,13 @@ let compile_cmd =
       let plan =
         Plan.compute tr.Ptx_to_ir.func ~local_decl_bytes:tr.Ptx_to_ir.local_decl_bytes
       in
-      let mode = if static then Vectorize.Static_tie else Vectorize.Dynamic in
-      let v = Vectorize.run ~mode ~plan tr.Ptx_to_ir.func ~ws in
+      let v =
+        Vectorize.run ~mode:config.Api.mode ~affine:config.Api.affine ~plan
+          tr.Ptx_to_ir.func ~ws:(List.hd config.Api.widths)
+      in
       if stage = "vectorized" then Fmt.pr "%a@." Pp.func v.Vectorize.func
       else begin
-        let pipeline = parse_pipeline_opt pipeline in
+        let pipeline = config.Api.pipeline in
         let st = Passes.run ~pipeline v.Vectorize.func in
         Fmt.pr "%a@." Pp.func v.Vectorize.func;
         Fmt.epr "; optimized (%a, %d round%s): %s — %d instructions@."
@@ -156,9 +166,7 @@ let compile_cmd =
   in
   Cmd.v
     (Cmd.info "compile" ~doc:"Compile a kernel and dump the IR")
-    Term.(
-      const run $ file_arg $ kernel_arg $ ws_arg $ static_arg $ stage_arg
-      $ pipeline_arg)
+    Term.(const run $ file_arg $ kernel_arg $ config_arg $ stage_arg)
 
 (* ---- argument specs for run/emulate ---- *)
 
@@ -169,23 +177,44 @@ let parse_arg_spec (dev : Api.device) spec : Api.parsed_arg =
   | Ok a -> a
   | Error e -> Fmt.failwith "%s" e
 
-let dump_result dev (args : Api.parsed_arg list) spec =
-  (* spec: ty:argindex:count *)
-  match String.split_on_char ':' spec with
-  | [ ty; idx; count ] -> (
-      let idx = int_of_string idx and count = int_of_string count in
-      match (List.nth args idx).Api.addr with
-      | None -> Fmt.failwith "argument %d is not a buffer" idx
-      | Some a -> (
-          match ty with
-          | "f32" ->
-              Fmt.pr "arg%d: %a@." idx
-                Fmt.(list ~sep:sp float)
-                (Api.read_f32s dev a count)
-          | "i32" ->
-              Fmt.pr "arg%d: %a@." idx Fmt.(list ~sep:sp int) (Api.read_i32s dev a count)
-          | _ -> Fmt.failwith "dump type must be f32 or i32"))
-  | _ -> Fmt.failwith "bad dump spec %S (want ty:arg:count)" spec
+(* --dump TY:ARG:N, shared by run, emulate and submit: after the launch,
+   print N values of type TY from the buffer passed as argument ARG, on
+   one line. *)
+type dump = { spec : string; ty : string; arg : int; count : int }
+
+let dump_conv =
+  let parse spec =
+    let bad () =
+      Error (Fmt.str "bad dump spec %S (want TY:ARG:N, TY f32 or i32)" spec)
+    in
+    match String.split_on_char ':' spec with
+    | [ (("f32" | "i32") as ty); arg; count ] -> (
+        match (int_of_string_opt arg, int_of_string_opt count) with
+        | Some arg, Some count when arg >= 0 && count >= 0 ->
+            Ok { spec; ty; arg; count }
+        | _ -> bad ())
+    | _ -> bad ()
+  in
+  Arg.conv' ~docv:"TY:ARG:N" (parse, fun ppf d -> Fmt.string ppf d.spec)
+
+(* [addr i] is the device address of argument [i] if it is a buffer;
+   [read ty addr count] renders the values. *)
+let print_dumps ~addr ~read dumps =
+  List.iter
+    (fun d ->
+      match addr d.arg with
+      | None ->
+          Fmt.failwith "bad dump spec %S: no buffer at argument %d" d.spec d.arg
+      | Some a ->
+          Fmt.pr "arg%d: %s@." d.arg (String.concat " " (read d.ty a d.count)))
+    dumps
+
+let print_device_dumps dev (args : Api.parsed_arg list) =
+  print_dumps
+    ~addr:(fun i -> Option.bind (List.nth_opt args i) (fun a -> a.Api.addr))
+    ~read:(fun ty a n ->
+      if ty = "f32" then List.map (Fmt.str "%g") (Api.read_f32s dev a n)
+      else List.map string_of_int (Api.read_i32s dev a n))
 
 let grid_arg = Arg.(value & opt int 1 & info [ "grid" ] ~docv:"N" ~doc:"Grid size (x)")
 let block_arg = Arg.(value & opt int 32 & info [ "block" ] ~docv:"N" ~doc:"CTA size (x)")
@@ -194,7 +223,12 @@ let args_arg =
   Arg.(value & opt_all string [] & info [ "a"; "arg" ] ~docv:"SPEC" ~doc:"Kernel argument spec")
 
 let dump_arg =
-  Arg.(value & opt_all string [] & info [ "dump" ] ~docv:"TY:ARG:N" ~doc:"Dump buffer after run")
+  Arg.(
+    value & opt_all dump_conv []
+    & info [ "dump" ] ~docv:"TY:ARG:N"
+        ~doc:
+          "Print $(i,N) values of type $(i,TY) (f32 or i32) from buffer \
+           argument $(i,ARG) after the run, on one line")
 
 (* ---- run ---- *)
 
@@ -203,54 +237,13 @@ let write_file path contents =
   output_string oc contents;
   close_out oc
 
-let has_suffix ~suffix s =
-  let n = String.length s and m = String.length suffix in
-  n >= m && String.sub s (n - m) m = suffix
-
 let run_cmd =
-  let run file kernel grid block arg_specs dumps static affine ws workers sched
-      pipeline tiered hot_threshold cache_cap inject inject_seed watchdog
-      quarantine_ttl recover checkpoint_every checkpoint_dir checkpoint_stop
-      resume deadline_ms record replay trace profile metrics report =
+  let run file kernel grid block arg_specs dumps config checkpoint_stop resume
+      deadline_ms trace profile metrics report =
+    let config = config_of_pairs config in
     let src, m = load file in
     let kernel = pick_kernel m kernel in
     let dev = Api.create_device () in
-    (* The flag set is flattened to the same string-keyed spec the
-       daemon's load-module request uses; Api.config_of_spec is the one
-       construction path, so CLI and server semantics cannot drift. *)
-    let opt key f v = Option.map (fun x -> (key, f x)) v in
-    let spec =
-      List.filter_map Fun.id
-        [
-          Some ("static", string_of_bool static);
-          Some ("affine", string_of_bool affine);
-          Some ("ws", string_of_int ws);
-          opt "workers" string_of_int workers;
-          opt "sched" Fun.id sched;
-          opt "pipeline" Fun.id pipeline;
-          Some ("tiered", string_of_bool tiered);
-          Some ("hot-threshold", string_of_int hot_threshold);
-          opt "cache-cap" string_of_int cache_cap;
-          (match inject with
-          | [] -> None
-          | specs -> Some ("inject", String.concat ";" specs));
-          Some ("inject-seed", string_of_int inject_seed);
-          opt "watchdog" string_of_int watchdog;
-          Some ("quarantine-ttl", string_of_int quarantine_ttl);
-          Some ("recover", string_of_bool recover);
-          Some ("checkpoint-every", string_of_int checkpoint_every);
-          Some ("checkpoint-dir", checkpoint_dir);
-          opt "record" Fun.id record;
-          opt "replay" Fun.id replay;
-        ]
-    in
-    let config =
-      match Api.config_of_spec spec with
-      | Ok c -> c
-      | Error e ->
-          Fmt.epr "bad configuration: %s@." e;
-          exit 1
-    in
     let args = List.map (parse_arg_spec dev) arg_specs in
     (* --report is the full observatory: it force-enables the tracer
        (spans), line attribution and the divergence profile even when
@@ -306,7 +299,7 @@ let run_cmd =
         Fmt.epr "recovered from fault via reference emulator: %a@."
           Vekt_error.pp err
     | None -> ());
-    List.iter (dump_result dev args) dumps;
+    print_device_dumps dev args dumps;
     let em, yld, body = Stats.cycle_breakdown r.Api.stats in
     Fmt.pr
       "%.0f cycles (%.3f ms), %.2f GFLOP/s, avg warp %.2f; cycles: EM %.0f%% yield %.0f%% kernel %.0f%%@."
@@ -315,7 +308,7 @@ let run_cmd =
     (match (trace, tracer) with
     | Some path, Some t ->
         let contents =
-          if has_suffix ~suffix:".txt" path then Obs.Trace.to_text t
+          if String.ends_with ~suffix:".txt" path then Obs.Trace.to_text t
           else Obs.Trace.to_chrome_json t
         in
         write_file path contents;
@@ -336,7 +329,7 @@ let run_cmd =
     | Some rpath, Some t ->
         let rep =
           Vekt_runtime.Report.build ~kernel ~src
-            ~workers:(Option.value workers ~default:dev.Api.workers)
+            ~workers:(Option.value config.Api.workers ~default:dev.Api.workers)
             ~trace:t
             ~attr:(Option.value attr ~default:(Obs.Attribution.create ()))
             ?profile:prof r
@@ -353,7 +346,7 @@ let run_cmd =
         if path = "-" then Obs.Metrics.pp Fmt.stdout reg
         else begin
           let contents =
-            if has_suffix ~suffix:".json" path then
+            if String.ends_with ~suffix:".json" path then
               Jsonx.to_string (Obs.Metrics.to_json reg)
             else Obs.Metrics.to_csv reg
           in
@@ -401,106 +394,6 @@ let run_cmd =
              profiling. If the launch dies on a structured error, a crash \
              bundle is dumped to $(docv).crash.json instead.")
   in
-  let sched_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "sched" ] ~docv:"POLICY"
-          ~doc:
-            "Warp-formation policy: dynamic, static, or barrier \
-             (barrier-aware). Default: dynamic formation, or static when \
-             $(b,--static) vectorization is on (TIE code requires it).")
-  in
-  let tiered_arg =
-    Arg.(
-      value & flag
-      & info [ "tiered" ]
-          ~doc:
-            "Tiered JIT: serve an unoptimized specialization immediately and \
-             promote it through the full pass pipeline once hot (see \
-             $(b,--hot-threshold)).")
-  in
-  let hot_threshold_arg =
-    Arg.(
-      value
-      & opt int Vekt_runtime.Translation_cache.default_hot_threshold
-      & info [ "hot-threshold" ] ~docv:"N"
-          ~doc:"Cache queries of one specialization before tier promotion")
-  in
-  let inject_arg =
-    Arg.(
-      value & opt_all string []
-      & info [ "inject" ] ~docv:"SPEC"
-          ~doc:
-            "Inject a deterministic fault (repeatable):              $(b,compile-fail:ws=4,tier=1,kernel=K,p=0.5),              $(b,mem-trap:nth=100,kernel=K), or $(b,yield:every=8).              Implies $(b,--recover).")
-  in
-  let inject_seed_arg =
-    Arg.(
-      value & opt int Vekt_runtime.Fault.default_seed
-      & info [ "inject-seed" ] ~docv:"N"
-          ~doc:"Seed for probabilistic fault injection (deterministic)")
-  in
-  let watchdog_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "watchdog" ] ~docv:"N"
-          ~doc:
-            "Arm the livelock watchdog: fail the launch when a thread is              re-dispatched at the same entry point with no progress $(docv)              times in a row")
-  in
-  let quarantine_ttl_arg =
-    Arg.(
-      value
-      & opt int Vekt_runtime.Translation_cache.default_quarantine_ttl
-      & info [ "quarantine-ttl" ] ~docv:"N"
-          ~doc:
-            "Successful launches a failed specialization width sits in              quarantine before being retried")
-  in
-  let recover_arg =
-    Arg.(
-      value & flag
-      & info [ "recover" ]
-          ~doc:
-            "On a recoverable fault (compile failure, trap, deadlock), roll              device memory back and re-run the launch on the reference              emulator")
-  in
-  let cache_cap_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "cache-cap" ] ~docv:"N"
-          ~doc:
-            "Bound the specialization table to $(docv) entries with LRU \
-             eviction (default: unbounded)")
-  in
-  let workers_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "workers" ] ~docv:"N"
-          ~doc:
-            "Execution-manager worker domains: the grid's CTAs are \
-             statically partitioned over $(docv) parallel workers \
-             (clamped to the CTA count; 1 = serial). Default: the \
-             simulated device's core count. Results are bit-identical \
-             to $(b,--workers 1).")
-  in
-  let checkpoint_every_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "checkpoint-every" ] ~docv:"N"
-          ~doc:
-            "Snapshot the in-flight launch every $(docv) scheduler \
-             iterations (0 = off). Snapshots land in \
-             $(b,--checkpoint-dir); the newest one is the resume \
-             candidate for $(b,--resume) and for in-launch fault \
-             recovery under $(b,--recover).")
-  in
-  let checkpoint_dir_arg =
-    Arg.(
-      value & opt string "vekt-ckpt"
-      & info [ "checkpoint-dir" ] ~docv:"DIR"
-          ~doc:"Directory snapshots are written to")
-  in
   let checkpoint_stop_arg =
     Arg.(
       value
@@ -519,7 +412,7 @@ let run_cmd =
           ~doc:
             "Resume an interrupted launch from snapshot file $(docv) \
              instead of starting from scratch (same kernel, grid, block \
-             and $(b,--workers) as the snapshotted run)")
+             and $(b,-c workers) as the snapshotted run)")
   in
   let deadline_ms_arg =
     Arg.(
@@ -532,54 +425,30 @@ let run_cmd =
              deadline error (a partial snapshot is kept when checkpointing \
              is on)")
   in
-  let record_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "record" ] ~docv:"LOG"
-          ~doc:
-            "Record every warp-formation decision of the launch to \
-             $(docv) for later $(b,--replay)")
-  in
-  let replay_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "replay" ] ~docv:"LOG"
-          ~doc:
-            "Re-execute the exact schedule recorded in $(docv), failing \
-             with a structured error if execution diverges from it")
-  in
   Cmd.v
     (Cmd.info "run" ~doc:"Launch a kernel on the simulated vector machine")
     Term.(
       const run $ file_arg $ kernel_arg $ grid_arg $ block_arg $ args_arg $ dump_arg
-      $ static_arg $ affine_arg $ ws_arg $ workers_arg $ sched_arg $ pipeline_arg
-      $ tiered_arg
-      $ hot_threshold_arg $ cache_cap_arg $ inject_arg $ inject_seed_arg
-      $ watchdog_arg $ quarantine_ttl_arg $ recover_arg $ checkpoint_every_arg
-      $ checkpoint_dir_arg $ checkpoint_stop_arg $ resume_arg $ deadline_ms_arg
-      $ record_arg $ replay_arg $ trace_arg $ profile_arg $ metrics_arg
-      $ report_arg)
+      $ config_arg $ checkpoint_stop_arg $ resume_arg $ deadline_ms_arg
+      $ trace_arg $ profile_arg $ metrics_arg $ report_arg)
 
 (* ---- emulate ---- *)
 
 let emulate_cmd =
   let run file kernel grid block arg_specs dumps =
     let src, m = load file in
-    ignore m;
-    let kernel' = pick_kernel (Parser.parse_module src) kernel in
+    let kernel = pick_kernel m kernel in
     let dev = Api.create_device () in
     let api_m = Api.load_module dev src in
     let args = List.map (parse_arg_spec dev) arg_specs in
     let g =
-      Api.launch_reference api_m ~kernel:kernel' ~grid:(Launch.dim3 grid)
+      Api.launch_reference api_m ~kernel ~grid:(Launch.dim3 grid)
         ~block:(Launch.dim3 block)
         ~args:(List.map (fun a -> a.Api.launch_arg) args)
     in
     (* copy emulator results back so dumps read them *)
     Bytes.blit (Mem.bytes g) 0 (Mem.bytes dev.Api.global) 0 (Mem.size g);
-    List.iter (dump_result dev args) dumps;
+    print_device_dumps dev args dumps;
     Fmt.pr "emulated OK@."
   in
   Cmd.v
@@ -901,18 +770,7 @@ let submit_cmd =
     let r = expect_ok "open-session" (req "open-session" [ ("tenant", Jsonx.Str tenant) ]) in
     let session = Option.get (Jsonx.int_mem "session" r) in
     let sfield = ("session", Jsonx.Int session) in
-    let config =
-      Jsonx.Obj
-        (List.map
-           (fun kv ->
-             match String.index_opt kv '=' with
-             | Some i ->
-                 ( String.sub kv 0 i,
-                   Jsonx.Str (String.sub kv (i + 1) (String.length kv - i - 1))
-                 )
-             | None -> (kv, Jsonx.Str "true"))
-           config_pairs)
-    in
+    let config = Jsonx.Obj (List.map (fun (k, v) -> (k, Jsonx.Str v)) config_pairs) in
     let r =
       expect_ok "load-module"
         (req "load-module" [ sfield; ("src", Jsonx.Str src); ("config", config) ])
@@ -975,34 +833,28 @@ let submit_cmd =
         Fmt.pr "preempted %d time(s); queue wait %.1f ms@." p (w /. 1000.)
     | _ -> ());
     (* dumps read buffers back through the protocol, by submit-time addr *)
-    List.iter
-      (fun spec ->
-        match String.split_on_char ':' spec with
-        | [ ty; idx; count ] -> (
-            let idx = int_of_string idx in
-            match List.nth_opt arg_addrs idx with
-            | Some (Jsonx.Int addr) ->
-                let r =
-                  expect_ok "read"
-                    (req "read"
-                       [
-                         sfield;
-                         ("addr", Jsonx.Int addr);
-                         ("ty", Jsonx.Str ty);
-                         ("count", Jsonx.Int (int_of_string count));
-                       ])
-                in
-                let vals = Option.value (Jsonx.list_mem "values" r) ~default:[] in
-                Fmt.pr "arg%d:%a@." idx
-                  (fun ppf ->
-                    List.iter (function
-                      | Jsonx.Int n -> Fmt.pf ppf " %d" n
-                      | Jsonx.Float x -> Fmt.pf ppf " %g" x
-                      | _ -> ()))
-                  vals
-            | _ -> Fmt.failwith "argument %d is not a buffer" idx)
-        | _ -> Fmt.failwith "bad dump spec %S (want ty:arg:count)" spec)
-      dumps;
+    print_dumps dumps
+      ~addr:(fun i ->
+        match List.nth_opt arg_addrs i with
+        | Some (Jsonx.Int a) -> Some a
+        | _ -> None)
+      ~read:(fun ty addr count ->
+        let r =
+          expect_ok "read"
+            (req "read"
+               [
+                 sfield;
+                 ("addr", Jsonx.Int addr);
+                 ("ty", Jsonx.Str ty);
+                 ("count", Jsonx.Int count);
+               ])
+        in
+        List.filter_map
+          (function
+            | Jsonx.Int n -> Some (string_of_int n)
+            | Jsonx.Float x -> Some (Fmt.str "%g" x)
+            | _ -> None)
+          (Option.value (Jsonx.list_mem "values" r) ~default:[]));
     ignore (expect_ok "close-session" (req "close-session" [ sfield ]))
   in
   let tenant_arg =
@@ -1022,15 +874,6 @@ let submit_cmd =
     Arg.(
       value & opt (some string) None
       & info [ "label" ] ~docv:"NAME" ~doc:"Job label (default: kernel name)")
-  in
-  let config_arg =
-    Arg.(
-      value & opt_all string []
-      & info [ "c"; "config" ] ~docv:"KEY=VALUE"
-          ~doc:
-            "Module configuration knob (repeatable), same keys as the \
-             load-module protocol request: tiered=true, hot-threshold=2, \
-             ws=4, sched=barrier, ...")
   in
   let poll_ms_arg =
     Arg.(

@@ -136,8 +136,9 @@ let sched_policy (c : config) : Scheduler.t =
     (Option.value c.sched ~default:(Scheduler.default_kind_for c.mode))
 
 (** Build a {!config} from a string-keyed spec — the one construction
-    path shared verbatim by the [vektc run] flag set and the daemon
-    protocol's [load-module] request, so the two fronts cannot drift.
+    path shared verbatim by the [-c KEY=VALUE] pairs of [vektc compile],
+    [vektc run] and [vektc submit] and the daemon protocol's
+    [load-module] request, so the fronts cannot drift.
 
     Recognized keys (values are strings):
     [mode] (dynamic|static), [static] (bool shorthand for [mode]),

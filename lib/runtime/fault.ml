@@ -2,7 +2,7 @@
     fault-tolerance subsystem).
 
     Faults are described by declarative {!spec}s — parsed from
-    [--inject] command-line strings or built programmatically — and
+    [inject] config strings or built programmatically — and
     armed per launch through {!Api.config}.  All decisions are
     deterministic: probabilistic specs draw from a seeded xorshift
     generator, counting specs ("the Nth memory access", "every Kth
@@ -57,8 +57,9 @@ let find_i fields k = List.assoc_opt k fields |> Option.map (function `I n -> n 
 let find_s fields k =
   List.assoc_opt k fields |> Option.map (function `S s -> s | _ -> "")
 
-(** Parse one [--inject] argument, e.g. ["compile-fail:ws=4,tier=1,p=0.5"],
-    ["mem-trap:nth=100,kernel=saxpy"], ["yield:every=8"]. *)
+(** Parse one fault spec of an [inject] config value, e.g.
+    ["compile-fail:ws=4,tier=1,p=0.5"], ["mem-trap:nth=100,kernel=saxpy"],
+    ["yield:every=8"]. *)
 let parse_spec s : (spec, string) result =
   let kind, body =
     match String.index_opt s ':' with

@@ -79,7 +79,7 @@ open Vekt_ptx
     from scratch.  Either one forces [domains = 1]: a consistent cut
     needs at most one CTA in flight, and the modelled [workers]
     partition is what the snapshot preserves, so resuming a
-    [--workers 4] launch still replays four modelled workers.  So does
+    [workers = 4] launch still replays four modelled workers.  So does
     a kernel with order-dependent global atomics (see the module
     doc).  [record]
     and [replay] thread the schedule log through; recording is safe
