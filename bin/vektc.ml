@@ -477,18 +477,7 @@ let info_cmd =
       plan.Plan.entry_ids;
     Fmt.pr "  thread-invariant instructions: %.1f%% (%.1f%% under static warps)@."
       (100. *. Invariance.invariant_fraction f)
-      (100.
-      *. (let variants = Invariance.variant_regs ~static_warps:true f in
-          let total = ref 0 and inv = ref 0 in
-          List.iter
-            (fun (b : Ir.block) ->
-              List.iter
-                (fun ({ Ir.i; _ } : Ir.li) ->
-                  incr total;
-                  if Invariance.instr_invariant ~static_warps:true variants i then incr inv)
-                b.Ir.insts)
-            (Ir.blocks f);
-          if !total = 0 then 0.0 else float_of_int !inv /. float_of_int !total));
+      (100. *. Invariance.invariant_fraction ~static_warps:true f);
     Fmt.pr "  uniform branches: %d@." (List.length (Invariance.uniform_branches f))
   in
   Cmd.v

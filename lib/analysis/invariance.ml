@@ -77,16 +77,17 @@ let instr_invariant ?(static_warps = false) variants i =
   && List.for_all (fun r -> not (ISet.mem r variants)) (Ir.uses i)
 
 (** Fraction of instructions in [f] that are thread-invariant — comparable
-    to the ~15% of PTX operands Collange et al. report (paper §6.2). *)
-let invariant_fraction (f : Ir.func) : float =
-  let variants = variant_regs f in
+    to the ~15% of PTX operands Collange et al. report (paper §6.2).
+    [static_warps] counts under consecutive-tid warps, as {!variant_regs}. *)
+let invariant_fraction ?static_warps (f : Ir.func) : float =
+  let variants = variant_regs ?static_warps f in
   let total = ref 0 and inv = ref 0 in
   List.iter
     (fun b ->
       List.iter
         (fun { Ir.i; _ } ->
           incr total;
-          if instr_invariant variants i then incr inv)
+          if instr_invariant ?static_warps variants i then incr inv)
         b.Ir.insts)
     (Ir.blocks f);
   if !total = 0 then 0.0 else float_of_int !inv /. float_of_int !total

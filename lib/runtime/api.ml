@@ -626,19 +626,22 @@ let launch ?fuel ?(sink = Vekt_obs.Sink.noop)
   in
   let params = Launch.param_block k args in
   let ncta = Launch.count grid in
+  (* A replay log or a snapshot must have been taken of this very
+     launch; [fail] raises the caller's structured error. *)
+  let check_shape ~fail ~what ~kernel:k ~grid:g ~block:b =
+    if k <> kernel then
+      fail (Fmt.str "%s records kernel %s, launch runs %s" what k kernel);
+    if g <> grid || b <> block then
+      fail (Fmt.str "grid/block shape differs from the %s's launch" what)
+  in
   (* replay drives the launch under the partition it was recorded with,
      so worker-keyed decisions land on the workers that made them *)
   let replay_log = Option.map Replay.load m.config.replay in
-  (match replay_log with
-  | None -> ()
-  | Some log ->
-      let fail reason = Replay.bad ~path:log.Replay.path reason in
-      if log.Replay.kernel <> kernel then
-        fail
-          (Fmt.str "log records kernel %s, launch runs %s" log.Replay.kernel
-             kernel);
-      if log.Replay.grid <> grid || log.Replay.block <> block then
-        fail "grid/block shape differs from the recorded launch");
+  Option.iter
+    (fun (log : Replay.t) ->
+      check_shape ~fail:(Replay.bad ~path:log.Replay.path) ~what:"log"
+        ~kernel:log.Replay.kernel ~grid:log.Replay.grid ~block:log.Replay.block)
+    replay_log;
   let workers =
     let w =
       match replay_log with
@@ -650,44 +653,39 @@ let launch ?fuel ?(sink = Vekt_obs.Sink.noop)
   (* cross-process resume: validate the snapshot against this launch
      before trusting any of its images.  A damaged or mismatched
      snapshot is a structured error; with [recover] armed it is instead
-     noted and the launch falls back to the emulator oracle. *)
-  let resume_rejected = ref None in
-  let try_resume () =
-    Option.map
-      (fun path ->
-        let s = Checkpoint.read path in
+     counted as rejected and the launch takes the ladder's last rung. *)
+  let resumed =
+    match resume with
+    | None -> Ok None
+    | Some path -> (
         let fail reason =
           raise
             (Vekt_error.Error
                (Vekt_error.Checkpoint { path; what = "checkpoint"; reason }))
         in
-        if s.Checkpoint.kernel <> kernel then
-          fail
-            (Fmt.str "snapshot is of kernel %s, launch runs %s"
-               s.Checkpoint.kernel kernel);
-        if s.Checkpoint.grid <> grid || s.Checkpoint.block <> block then
-          fail "grid/block shape differs from the snapshotted launch";
-        if s.Checkpoint.workers <> workers then
-          fail
-            (Fmt.str "snapshot partitions over %d workers, launch over %d"
-               s.Checkpoint.workers workers);
-        if s.Checkpoint.global_size > Mem.size m.device.global then
-          fail "snapshot's global segment exceeds this device";
-        if Bytes.length s.Checkpoint.params_image <> Mem.size params then
-          fail "parameter block size differs from the snapshotted launch";
-        (* continue the snapshot's deterministic fault schedule instead
-           of re-injecting from scratch *)
-        (match (m.fault, s.Checkpoint.fault_state) with
-        | Some inj, Some st -> Fault.import_state inj st
-        | _ -> ());
-        (path, s))
-      resume
-  in
-  let resumed =
-    try try_resume ()
-    with Vekt_error.Error (Vekt_error.Checkpoint _ as err) when m.config.recover ->
-      resume_rejected := Some err;
-      None
+        match
+          let s = Checkpoint.read path in
+          check_shape ~fail ~what:"snapshot" ~kernel:s.Checkpoint.kernel
+            ~grid:s.Checkpoint.grid ~block:s.Checkpoint.block;
+          if s.Checkpoint.workers <> workers then
+            fail
+              (Fmt.str "snapshot partitions over %d workers, launch over %d"
+                 s.Checkpoint.workers workers);
+          if s.Checkpoint.global_size > Mem.size m.device.global then
+            fail "snapshot's global segment exceeds this device";
+          if Bytes.length s.Checkpoint.params_image <> Mem.size params then
+            fail "parameter block size differs from the snapshotted launch";
+          (* continue the snapshot's deterministic fault schedule
+             instead of re-injecting from scratch *)
+          (match (m.fault, s.Checkpoint.fault_state) with
+          | Some inj, Some st -> Fault.import_state inj st
+          | _ -> ());
+          s
+        with
+        | s -> Ok (Some (s.Checkpoint.seq, path, s))
+        | exception Vekt_error.Error (Vekt_error.Checkpoint _ as err)
+          when m.config.recover ->
+            Error err)
   in
   let ctx =
     if
@@ -703,26 +701,16 @@ let launch ?fuel ?(sink = Vekt_obs.Sink.noop)
           ?stop_after:checkpoint_stop ?preempt ~live_bytes:m.device.brk
           ~kernel ?deadline_ms ~every:m.config.checkpoint_every ()
       in
-      (* number snapshots after the one we resumed from *)
+      (* number snapshots after the one we resume from *)
       (match resumed with
-      | Some (_, s) -> c.Checkpoint.seq <- s.Checkpoint.seq
-      | None -> ());
+      | Ok (Some (seq, _, _)) -> c.Checkpoint.seq <- seq
+      | Ok None -> ()
+      | Error _ -> c.Checkpoint.rejected <- c.Checkpoint.rejected + 1);
       Some c
     end
     else None
   in
   m.last_ckpt <- ctx;
-  (match (!resume_rejected, ctx) with
-  | Some _, Some c -> c.Checkpoint.rejected <- c.Checkpoint.rejected + 1
-  | _ -> ());
-  (match (resumed, ctx) with
-  | Some (path, s), Some c ->
-      c.Checkpoint.resumes <- c.Checkpoint.resumes + 1;
-      if Vekt_obs.Sink.enabled sink then
-        Vekt_obs.Sink.emit sink
-          (Vekt_obs.Event.Ckpt_resume
-             { ts = 0.0; worker = 0; seq = s.Checkpoint.seq; path })
-  | _ -> ());
   (match replay_log with
   | Some log when Vekt_obs.Sink.enabled sink ->
       Vekt_obs.Sink.emit sink
@@ -756,11 +744,37 @@ let launch ?fuel ?(sink = Vekt_obs.Sink.noop)
     Translation_cache.tick_quarantine cache ~sink ();
     stats
   in
-  (* Recovery ladder: resume from the newest in-launch snapshot (only if
-     strictly newer than the last one tried — a deterministic fault must
-     not loop), and past that the emulator oracle on rolled-back memory. *)
-  let rec attempt ~(rs : Checkpoint.t option) ~last_seq =
-    match run_vectorized ?rs () with
+  (* The ladder's last rung: roll global memory back and re-run the
+     launch under the emulator oracle. *)
+  let fallback err =
+    Option.iter
+      (fun b -> Bytes.blit b 0 (Mem.bytes m.device.global) 0 (Bytes.length b))
+      snapshot;
+    m.emulator_runs <- m.emulator_runs + 1;
+    ignore
+      (Emulator.run m.ast ~kernel ~args ~global:m.device.global ~grid ~block);
+    (Stats.create (), Some err)
+  in
+  (* Recovery ladder: run from [rs], a [(seq, path, snapshot)] to resume
+     from, if any.  On a recoverable fault, resume from the newest
+     in-launch snapshot (only if strictly newer than the last one tried
+     — a deterministic fault must not loop), and past that fall back to
+     the oracle. *)
+  let rec attempt rs =
+    let last_seq =
+      match rs with
+      | None -> 0
+      | Some (seq, path, _) ->
+          Option.iter
+            (fun c ->
+              c.Checkpoint.resumes <- c.Checkpoint.resumes + 1;
+              if Vekt_obs.Sink.enabled sink then
+                Vekt_obs.Sink.emit sink
+                  (Vekt_obs.Event.Ckpt_resume { ts = 0.0; worker = 0; seq; path }))
+            ctx;
+          seq
+    in
+    match run_vectorized ?rs:(Option.map (fun (_, _, s) -> s) rs) () with
     | stats -> (stats, None)
     | exception Vekt_error.Error err
       when m.config.recover && Vekt_error.recoverable err -> (
@@ -778,27 +792,7 @@ let launch ?fuel ?(sink = Vekt_obs.Sink.noop)
                     None)
               | _ -> None)
         in
-        match next with
-        | Some (seq, path, s) ->
-            (match ctx with
-            | Some c ->
-                c.Checkpoint.resumes <- c.Checkpoint.resumes + 1;
-                if Vekt_obs.Sink.enabled sink then
-                  Vekt_obs.Sink.emit sink
-                    (Vekt_obs.Event.Ckpt_resume { ts = 0.0; worker = 0; seq; path })
-            | None -> ());
-            attempt ~rs:(Some s) ~last_seq:seq
-        | None ->
-            (match snapshot with
-            | Some bytes ->
-                Bytes.blit bytes 0 (Mem.bytes m.device.global) 0
-                  (Bytes.length bytes)
-            | None -> ());
-            m.emulator_runs <- m.emulator_runs + 1;
-            ignore
-              (Emulator.run m.ast ~kernel ~args ~global:m.device.global ~grid
-                 ~block);
-            (Stats.create (), Some err))
+        match next with Some _ -> attempt next | None -> fallback err)
   in
   (* Root span of the launch's trace.  The begin sits at modelled cycle 0
      on worker 0; the end is stamped with the launch's wall cycles (max
@@ -812,20 +806,9 @@ let launch ?fuel ?(sink = Vekt_obs.Sink.noop)
          { ts = 0.0; wall_us = Clock.now_us (); worker = 0;
            kind = Vekt_obs.Event.Sk_launch; name = launch_span_name });
   let stats, recovered =
-    match !resume_rejected with
-    | Some err ->
-        (* the snapshot we were asked to resume from is unusable and
-           nothing has run yet: go straight to the oracle *)
-        m.emulator_runs <- m.emulator_runs + 1;
-        ignore
-          (Emulator.run m.ast ~kernel ~args ~global:m.device.global ~grid
-             ~block);
-        (Stats.create (), Some err)
-    | None ->
-        attempt
-          ~rs:(Option.map snd resumed)
-          ~last_seq:
-            (match resumed with Some (_, s) -> s.Checkpoint.seq | None -> 0)
+    (* a rejected snapshot leaves nothing to run from: straight to the
+       oracle *)
+    match resumed with Ok rs -> attempt rs | Error err -> fallback err
   in
   (* a schedule log is only meaningful for a clean, uninterrupted run *)
   (match (m.config.record, recorder, recovered) with

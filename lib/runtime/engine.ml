@@ -102,12 +102,6 @@ let find_or_build t ~key build : Translation_cache.t =
           Mutex.unlock t.lock;
           raise e)
 
-let cache_count t =
-  Mutex.lock t.lock;
-  let n = Hashtbl.length t.caches in
-  Mutex.unlock t.lock;
-  n
-
 (** Engine-wide counters, for the daemon's [stats] scrape. *)
 let metrics_into t (reg : Vekt_obs.Metrics.t) =
   let module M = Vekt_obs.Metrics in

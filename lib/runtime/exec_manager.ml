@@ -46,8 +46,9 @@ let rec take k = function
   | x :: rest when k > 0 -> x :: take (k - 1) rest
   | _ -> []
 
-(** Execute one CTA to completion under scheduling policy [sched]
-    (default: the policy matching the cache's vectorization mode).
+(** Execute one CTA to completion under scheduling policy [sched],
+    which {!Worker_pool.launch} has already checked against the cache's
+    vectorization mode.
     [fuel] bounds the number of subkernel calls (divergent runaway loops
     yield forever otherwise); exhausting it raises a structured
     {!Vekt_error.Fuel} naming the kernel and CTA.
@@ -70,26 +71,17 @@ let rec take k = function
     its [on_fault] hook runs just before a watchdog raises.  [restore]
     starts the CTA from a {!Checkpoint.cta_snap} instead of fresh
     thread contexts.  [record] logs every scheduling decision;
-    [replay] substitutes a recorded schedule for the live policy and
-    raises a structured {!Vekt_error.Checkpoint} if execution diverges
-    from it. *)
+    [replay] takes each decision from a recorded schedule instead of
+    the live policy, through the same loop, and raises a structured
+    {!Vekt_error.Checkpoint} if a decision does not fit the live state. *)
 let run_cta ?(costs = default_costs) ?(fuel = 5_000_000) ?watchdog
     ?(inject : Fault.t option) ?(sink = Obs.Sink.noop) ?(profile : Obs.Divergence.t option)
     ?(attr : Obs.Attribution.t option) ?(worker = 0)
-    ?sched ?(ckpt : Checkpoint.hooks option)
+    ~(sched : Scheduler.t) ?(ckpt : Checkpoint.hooks option)
     ?(restore : Checkpoint.cta_snap option) ?(record : Replay.recorder option)
     ?(replay : Replay.t option) (cache : Translation_cache.t)
     ~(launch : Interp.launch_info) ~(ctaid : Launch.dim3) ~(global : Mem.t)
     ~(params : Mem.t) ~(consts : Mem.t) ~(stats : Stats.t) () : unit =
-  let sched =
-    match sched with
-    | Some s ->
-        Scheduler.validate ~mode:cache.Translation_cache.mode s;
-        s
-    | None ->
-        Scheduler.of_kind
-          (Scheduler.default_kind_for cache.Translation_cache.mode)
-  in
   let block = launch.Interp.block in
   let n = Launch.count block in
   let bad_snapshot reason =
@@ -258,23 +250,19 @@ let run_cta ?(costs = default_costs) ?(fuel = 5_000_000) ?watchdog
               threads = stuck_threads ();
             }))
   in
-  (* --- the three scheduler-step outcomes, shared by the live and
-     replay paths.  In replay mode [expected]/[expect_ws] carry the
-     recorded values to assert against; in record mode each outcome is
-     appended to the schedule log. *)
-  let do_release ~expected =
+  let count_state st =
+    Array.fold_left
+      (fun acc (t : Scheduler.thr) -> if t.Scheduler.state = st then acc + 1 else acc)
+      0 threads
+  in
+  (* --- the three scheduler-step outcomes.  Each applies one decision,
+     live or logged alike, and appends it to the schedule log in record
+     mode. *)
+  let do_release ~released =
     (* No runnable thread: every live thread is parked at the barrier.
        Release them all (barriers synchronize live threads; threads
        that already exited don't count, same as the oracle). *)
-    let released = ref 0 in
-    Array.iter
-      (fun (t : Scheduler.thr) ->
-        if t.state = Scheduler.Blocked then begin
-          t.state <- Scheduler.Ready;
-          incr released
-        end)
-      threads;
-    if !released = 0 then
+    if released = 0 then
       (* live threads remain but none is runnable and none is parked
          at the barrier: the policy starved them (distinct from the
          normal all-exited loop exit, where [remaining] hits 0) *)
@@ -283,21 +271,19 @@ let run_cta ?(costs = default_costs) ?(fuel = 5_000_000) ?watchdog
            "scheduler %s found no runnable thread and the barrier queue is \
             empty with %d threads live"
            sched.Scheduler.name !remaining);
-    (match (expected, replay) with
-    | Some e, Some log when e <> !released ->
-        Replay.diverged log ~cta:cta_linear
-          (Fmt.str "barrier released %d threads, log recorded %d" !released e)
-    | _ -> ());
+    Array.iter
+      (fun (t : Scheduler.thr) ->
+        if t.state = Scheduler.Blocked then t.state <- Scheduler.Ready)
+      threads;
     (match record with
-    | Some r ->
-        Replay.record r ~cta:cta_linear (Replay.Barrier { released = !released })
+    | Some r -> Replay.record r ~cta:cta_linear (Replay.Barrier { released })
     | None -> ());
-    stats.Stats.barrier_releases <- stats.Stats.barrier_releases + !released;
+    stats.Stats.barrier_releases <- stats.Stats.barrier_releases + released;
     stats.Stats.em_cycles <-
-      stats.Stats.em_cycles +. (float_of_int !released *. costs.per_barrier_release);
+      stats.Stats.em_cycles +. (float_of_int released *. costs.per_barrier_release);
     if Obs.Sink.enabled sink then
       Obs.Sink.emit sink
-        (Obs.Event.Barrier_release { ts = now (); worker; released = !released })
+        (Obs.Event.Barrier_release { ts = now (); worker; released })
   in
   let do_spurious_yield ~start =
     (* spurious yield: skip the dispatch entirely; the selected thread
@@ -308,25 +294,25 @@ let run_cta ?(costs = default_costs) ?(fuel = 5_000_000) ?watchdog
     | None -> ());
     pool.Scheduler.cursor <- (start + 1) mod n
   in
-  let do_dispatch ~start ~members ~count ~scanned ~ws_req ~expect_ws =
+  (* [members] holds exactly [ws] threads Ready at [entry_id]; the cache
+     query degrades through the fallback chain, so the width actually
+     served can be narrower, which only a live decision may be. *)
+  let do_dispatch ~start ~entry_id ~ws ~scanned ~members =
     stats.Stats.em_cycles <-
       stats.Stats.em_cycles
       +. (float_of_int scanned *. costs.per_candidate_scan);
-    let entry_id = threads.(start).Scheduler.info.Interp.resume_point in
-    (* the policy already tracked the member count: no List.length
-       here.  The cache query degrades through the fallback chain, so
-       the width actually served can be narrower than the best fit. *)
-    let entry, ws =
+    let entry, served =
       Translation_cache.get_fallback cache ~params ~sink ~now:(now ())
-        ~worker ~ws:ws_req ()
+        ~worker ~ws ()
     in
-    (match (expect_ws, replay) with
-    | Some e, Some log when e <> ws ->
+    (match replay with
+    | Some log when served <> ws ->
         Replay.diverged log ~cta:cta_linear
-          (Fmt.str "cache served width %d at entry %d, log recorded %d" ws
-             entry_id e)
+          (Fmt.str "cache served width %d at entry %d, log recorded %d" served
+             entry_id ws)
     | _ -> ());
-    let members = if ws = count then members else take ws members in
+    let members = if served = ws then members else take served members in
+    let ws = served in
     (match record with
     | Some r ->
         Replay.record r ~cta:cta_linear
@@ -336,9 +322,8 @@ let run_cta ?(costs = default_costs) ?(fuel = 5_000_000) ?watchdog
       Obs.Sink.emit sink
         (Obs.Event.Warp_formed
            { ts = now (); worker; entry_id; size = ws; scanned });
-    let lanes =
-      Array.of_list (List.map (fun i -> threads.(i).Scheduler.info) members)
-    in
+    let lanes = Array.make ws threads.(start).Scheduler.info in
+    List.iteri (fun k i -> lanes.(k) <- threads.(i).Scheduler.info) members;
     let warp = { Interp.lanes; entry_id; status = Ir.Status_exit } in
     Stats.record_warp stats ws;
     stats.Stats.em_cycles <- stats.Stats.em_cycles +. costs.per_kernel_call;
@@ -346,13 +331,15 @@ let run_cta ?(costs = default_costs) ?(fuel = 5_000_000) ?watchdog
     let spills0 = stats.Stats.counters.Interp.spills in
     let call_ts = if Obs.Sink.enabled sink then now () else 0.0 in
     Translation_cache.pin entry;
-    Fun.protect
-      ~finally:(fun () -> Translation_cache.unpin entry)
-      (fun () ->
-        try
-          Interp.run ?on_access ~counters:stats.Stats.counters ?profile ?attr
-            entry.Translation_cache.code ~launch warp mem
-        with
+    (match
+       Interp.run ?on_access ~counters:stats.Stats.counters ?profile ?attr
+         entry.Translation_cache.code ~launch warp mem
+     with
+    | () -> Translation_cache.unpin entry
+    | exception e -> (
+        let bt = Printexc.get_raw_backtrace () in
+        Translation_cache.unpin entry;
+        match e with
         | Interp.Out_of_fuel -> fuel_error ()
         | Vekt_error.Error (Vekt_error.Trap tr) ->
             (* the interpreter attached thread context but only knows
@@ -365,7 +352,8 @@ let run_cta ?(costs = default_costs) ?(fuel = 5_000_000) ?watchdog
                       tr with
                       kernel = cache.Translation_cache.kernel_name;
                       cycle = Some (now ());
-                    })));
+                    }))
+        | e -> Printexc.raise_with_backtrace e bt));
     (match profile with
     | None -> ()
     | Some p ->
@@ -430,6 +418,90 @@ let run_cta ?(costs = default_costs) ?(fuel = 5_000_000) ?watchdog
           members);
     pool.Scheduler.cursor <- (start + 1) mod n
   in
+  (* A logged decision must be one the live policy could have taken in
+     the live state: a log recorded against different code or data, or
+     edited by hand, diverges with a structured error before it touches
+     memory. *)
+  let check log (d : Replay.decision) =
+    let fail fmt = Fmt.kstr (Replay.diverged log ~cta:cta_linear) fmt in
+    let in_range what i =
+      if i < 0 || i >= n then fail "%s %d outside CTA of %d threads" what i n
+    in
+    match d with
+    | Replay.Barrier { released } ->
+        let ready = count_state Scheduler.Ready in
+        if ready > 0 then fail "barrier released with %d threads runnable" ready;
+        let parked = count_state Scheduler.Blocked in
+        if parked <> released then
+          fail "barrier released %d threads, log recorded %d" parked released
+    | Replay.Yield { start } -> in_range "yield start" start
+    | Replay.Dispatch { start; entry_id; ws; members; scanned = _ } ->
+        in_range "dispatch start" start;
+        if ws < 1 then fail "dispatch at width %d" ws;
+        let rec go count seen = function
+          | [] ->
+              if count <> ws then
+                fail "warp of %d members, log recorded width %d" count ws
+          | i :: rest ->
+              in_range "member" i;
+              if List.mem i seen then fail "member %d appears twice in one warp" i;
+              let t = threads.(i) in
+              if t.Scheduler.state <> Scheduler.Ready then
+                fail "member %d not runnable at recorded dispatch" i;
+              let at = t.Scheduler.info.Interp.resume_point in
+              if at <> entry_id then
+                fail "member %d parked at entry %d, log recorded entry %d" i at
+                  entry_id;
+              go (count + 1) (i :: seen) rest
+        in
+        go 0 [] members
+  in
+  let spend_call () =
+    if !calls_left = 0 then fuel_error ();
+    decr calls_left
+  in
+  let injected () =
+    match inject with Some inj -> Fault.spurious_yield inj | None -> false
+  in
+  let want = Translation_cache.max_width cache in
+  (* This iteration's decision: the recorded one, checked against the
+     live state, or the live policy's plus the fault injector's.  A
+     replayed dispatch still consumes the injector's counter, in
+     lockstep, so a later transition out of replay stays
+     deterministic. *)
+  let decide () : Replay.decision =
+    match replay with
+    | Some log ->
+        let d = Replay.next log ~cta:cta_linear in
+        check log d;
+        (match d with
+        | Replay.Barrier _ -> ()
+        | Replay.Yield _ | Replay.Dispatch _ ->
+            spend_call ();
+            ignore (injected ()));
+        d
+    | None -> (
+        match sched.Scheduler.select pool with
+        | None -> Replay.Barrier { released = count_state Scheduler.Blocked }
+        | Some start ->
+            spend_call ();
+            if injected () then Replay.Yield { start }
+            else
+              (* the policy already tracked the member count: no
+                 List.length here *)
+              let w = sched.Scheduler.form pool ~start ~want in
+              let ws = Translation_cache.best_width cache w.Scheduler.count in
+              Replay.Dispatch
+                {
+                  start;
+                  entry_id = threads.(start).Scheduler.info.Interp.resume_point;
+                  ws;
+                  scanned = w.Scheduler.scanned;
+                  members =
+                    (if ws = w.Scheduler.count then w.Scheduler.members
+                     else take ws w.Scheduler.members);
+                })
+  in
   (* CTA span: brackets the whole scheduling loop.  Intentionally not
      exception-protected — a CTA killed mid-flight (fuel, deadlock,
      injected fault) leaves its span open, which is exactly what the
@@ -442,85 +514,17 @@ let run_cta ?(costs = default_costs) ?(fuel = 5_000_000) ?watchdog
       (Obs.Event.Span_begin
          { ts = now (); wall_us = Clock.now_us (); worker;
            kind = Obs.Event.Sk_cta; name = cta_span_name });
-  (match replay with
-  | Some log ->
-      (* Replay mode: the recorded schedule drives the loop; the live
-         policy is bypassed entirely.  Each decision is validated
-         against live state before it is applied, so a log recorded
-         against different code or data diverges with a structured
-         error instead of silently corrupting memory. *)
-      while !remaining > 0 do
-        (match ckpt with
-        | Some h -> h.Checkpoint.tick ~now:(now ()) ~save
-        | None -> ());
-        match Replay.next log ~cta:cta_linear with
-        | Replay.Barrier { released } -> do_release ~expected:(Some released)
-        | Replay.Yield { start } ->
-            if start < 0 || start >= n then
-              Replay.diverged log ~cta:cta_linear
-                (Fmt.str "yield start %d outside CTA of %d threads" start n);
-            if !calls_left = 0 then fuel_error ();
-            decr calls_left;
-            ignore
-              (match inject with
-              | Some inj -> Fault.spurious_yield inj
-              | None -> false);
-            do_spurious_yield ~start
-        | Replay.Dispatch { start; entry_id; ws; scanned; members } ->
-            if start < 0 || start >= n then
-              Replay.diverged log ~cta:cta_linear
-                (Fmt.str "dispatch start %d outside CTA of %d threads" start n);
-            List.iter
-              (fun i ->
-                if i < 0 || i >= n then
-                  Replay.diverged log ~cta:cta_linear
-                    (Fmt.str "member %d outside CTA of %d threads" i n);
-                let t = threads.(i) in
-                if t.Scheduler.state <> Scheduler.Ready then
-                  Replay.diverged log ~cta:cta_linear
-                    (Fmt.str "member %d not runnable at recorded dispatch" i);
-                if t.Scheduler.info.Interp.resume_point <> entry_id then
-                  Replay.diverged log ~cta:cta_linear
-                    (Fmt.str
-                       "member %d parked at entry %d, log recorded entry %d" i
-                       t.Scheduler.info.Interp.resume_point entry_id))
-              members;
-            if !calls_left = 0 then fuel_error ();
-            decr calls_left;
-            (* consume the injector's dispatch counter in lockstep so a
-               later transition out of replay stays deterministic *)
-            ignore
-              (match inject with
-              | Some inj -> Fault.spurious_yield inj
-              | None -> false);
-            do_dispatch ~start ~members ~count:(List.length members) ~scanned
-              ~ws_req:ws ~expect_ws:(Some ws)
-      done;
-      Replay.check_drained log ~cta:cta_linear
-  | None ->
-      while !remaining > 0 do
-        (match ckpt with
-        | Some h -> h.Checkpoint.tick ~now:(now ()) ~save
-        | None -> ());
-        match sched.Scheduler.select pool with
-        | None -> do_release ~expected:None
-        | Some start ->
-            if !calls_left = 0 then fuel_error ();
-            decr calls_left;
-            if
-              match inject with
-              | Some inj -> Fault.spurious_yield inj
-              | None -> false
-            then do_spurious_yield ~start
-            else begin
-              let want = Translation_cache.max_width cache in
-              let w = sched.Scheduler.form pool ~start ~want in
-              do_dispatch ~start ~members:w.Scheduler.members
-                ~count:w.Scheduler.count ~scanned:w.Scheduler.scanned
-                ~ws_req:(Translation_cache.best_width cache w.Scheduler.count)
-                ~expect_ws:None
-            end
-      done);
+  while !remaining > 0 do
+    (match ckpt with
+    | Some h -> h.Checkpoint.tick ~now:(now ()) ~save
+    | None -> ());
+    match decide () with
+    | Replay.Barrier { released } -> do_release ~released
+    | Replay.Yield { start } -> do_spurious_yield ~start
+    | Replay.Dispatch { start; entry_id; ws; scanned; members } ->
+        do_dispatch ~start ~entry_id ~ws ~scanned ~members
+  done;
+  Option.iter (fun log -> Replay.check_drained log ~cta:cta_linear) replay;
   if Obs.Sink.enabled sink then
     Obs.Sink.emit sink
       (Obs.Event.Span_end

@@ -8,11 +8,14 @@
     execution manager takes — barrier releases, spurious yields, and
     dispatches with their start thread, entry id, served width, scan
     count and member set — keyed by the CTA's linear index.  A replay
-    run feeds the log back in place of the live policy: the manager
-    re-executes the exact schedule and {e asserts} at each step that the
-    live state still matches the recorded decision (members ready at the
-    recorded entry, cache serving the recorded width), raising a
-    structured {!Vekt_error.Checkpoint} on any divergence.
+    run feeds the log back in place of the live policy, through the
+    same scheduling loop: the manager re-executes the exact schedule and
+    {e checks} each recorded decision against the live state before
+    applying it (a dispatch names exactly [ws] distinct members, each
+    ready at the recorded entry, and the cache serves that width; a
+    barrier release finds nothing runnable and the recorded count
+    parked), raising a structured {!Vekt_error.Checkpoint} on any
+    divergence.
 
     CTAs are keyed by linear index, not worker, so a log records the
     complete schedule regardless of how CTAs were physically
@@ -109,10 +112,9 @@ let pp_decision ppf (cta, d) =
       Fmt.pf ppf "d %d %d %d %d %d %a" cta p.start p.entry_id p.scanned p.ws
         pp_members p.members
 
-(** Finish a recording into an in-memory log (the form the tests use;
-    {!save} is this plus a file). *)
-let of_recorder ?(path = "(memory)") (r : recorder) ~kernel ~grid ~block
-    ~workers : t =
+(** Finish a recording into a replayable log; {!load} rebuilds one
+    from the file {!save} writes. *)
+let of_recorder ~path (r : recorder) ~kernel ~grid ~block ~workers : t =
   {
     path;
     kernel;
@@ -200,11 +202,11 @@ let load (path : string) : t =
       in
       if ncta < 1 || ncta <> Launch.count grid then
         bad ~path (Fmt.str "ncta %d does not match the recorded grid" ncta);
-      let cells = Array.init ncta (fun _ -> ref []) in
+      let r = recorder ~ncta in
       let add cta d =
         if cta < 0 || cta >= ncta then
           bad ~path (Fmt.str "decision for CTA %d outside grid of %d" cta ncta);
-        cells.(cta) := d :: !(cells.(cta))
+        record r ~cta d
       in
       let rec go = function
         | [] -> bad ~path "missing end marker (truncated log)"
@@ -234,13 +236,5 @@ let load (path : string) : t =
             go rest
       in
       go rest;
-      {
-        path;
-        kernel;
-        grid;
-        block;
-        workers;
-        steps = Array.map (fun cell -> Array.of_list (List.rev !cell)) cells;
-        pos = Array.make ncta 0;
-      })
+      of_recorder ~path r ~kernel ~grid ~block ~workers)
   | _ -> bad ~path "missing or unsupported header"

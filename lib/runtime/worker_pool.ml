@@ -70,7 +70,9 @@ open Vekt_ptx
     partitioned over [workers] execution managers, executed on
     [domains] OCaml domains (see the module doc for the distinction).
     [workers] is clamped to [1 .. ncta] and [domains] to
-    [1 .. workers].
+    [1 .. workers].  [sched] is resolved once here: the policy matching
+    the cache's vectorization mode when absent, checked against the mode
+    when given.
 
     [ckpt] arms the checkpoint policy (DESIGN.md §3.5): the pool drives
     {!Exec_manager.run_cta}'s safe-point hooks and assembles whole-launch
@@ -108,8 +110,14 @@ let launch ?(costs = Exec_manager.default_costs) ?fuel ?watchdog
       in
       max 1 (min d workers)
   in
-  (* fail a bad policy × mode combination before spawning anything *)
-  Option.iter (Scheduler.validate ~mode:cache.Translation_cache.mode) sched;
+  (* resolve the policy once per launch, and fail a bad policy × mode
+     combination before spawning anything *)
+  let mode = cache.Translation_cache.mode in
+  let sched =
+    Option.value sched
+      ~default:(Scheduler.of_kind (Scheduler.default_kind_for mode))
+  in
+  Scheduler.validate ~mode sched;
   (match profile with
   | Some p ->
       Obs.Divergence.set_entry_names p (Translation_cache.entry_ids cache)
@@ -201,7 +209,7 @@ let launch ?(costs = Exec_manager.default_costs) ?fuel ?watchdog
       let c = next.(w) in
       if c < ncta then begin
         Exec_manager.run_cta ~costs ?fuel ?watchdog ?inject ~sink ?profile
-          ?attr ~worker:w ?sched ?ckpt:hooks ?restore ?record ?replay cache
+          ?attr ~worker:w ~sched ?ckpt:hooks ?restore ?record ?replay cache
           ~launch:launch_info ~ctaid:(Launch.unlinear ~dims:grid c) ~global
           ~params ~consts ~stats:wstats.(w) ();
         next.(w) <- c + workers;

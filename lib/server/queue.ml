@@ -303,93 +303,113 @@ let tick t : int =
   Mutex.unlock t.lock;
   !n
 
+(* Create a job and put it in its tenant's FIFO, at the head when
+   [front].  Caller holds the lock and has admitted the job.  If its
+   priority strictly exceeds the running job's, the running job's
+   preemption token is flipped: it will snapshot and yield at its next
+   safe point. *)
+let enqueue_locked t (ten : tenant) ~label ~priority ~sink ~deadline_ms ~front
+    ~resume ~cleanup ~run : job =
+  let id = t.next_id in
+  t.next_id <- id + 1;
+  let now = Clock.now_us () in
+  let j =
+    {
+      id;
+      tenant = ten.name;
+      label;
+      priority;
+      preempt = Checkpoint.preempt_token ();
+      sink;
+      deadline_ms;
+      deadline_us =
+        Option.map (fun ms -> now +. (float_of_int ms *. 1000.)) deadline_ms;
+      cleanup;
+      run;
+      state = Queued;
+      resume_path = resume;
+      cancel_requested = false;
+      enqueued_us = now;
+      wait_us = 0.0;
+      preemptions = 0;
+    }
+  in
+  Hashtbl.replace t.jobs id j;
+  ten.pending <- (if front then j :: ten.pending else ten.pending @ [ j ]);
+  ten.active <- ten.active + 1;
+  t.pending_count <- t.pending_count + 1;
+  note_backlog t;
+  emit_wait_span j ~closing:false;
+  (match t.running with
+  | Some r when priority > r.priority && not r.cancel_requested ->
+      Checkpoint.request_preempt r.preempt
+  | _ -> ());
+  Condition.broadcast t.cond;
+  j
+
 (** Submit a job.  Rejected with a structured {!Vekt_error.Resource}
     when the tenant's quota is full, or {!Vekt_error.Overloaded} (with
     a [retry_after_ms] hint) when the queue is in shedding mode and the
-    job's priority doesn't strictly beat everything already queued.  If
-    the new job's priority strictly exceeds the running job's, the
-    running job's preemption token is flipped — it will snapshot and
-    yield at its next safe point.  [sink] receives [Sk_queue] span
-    begin/end pairs bracketing each stretch the job spends waiting.
-    [deadline_ms] bounds the job's whole life (queue wait + run) from
-    this call; [front] enqueues at the head of the tenant's FIFO and
-    [resume] seeds the snapshot to continue from — both are the
-    restart-recovery path re-admitting launches that were in flight
-    when the previous daemon process died. *)
+    job's priority doesn't strictly beat everything already queued.
+    [sink] receives [Sk_queue] span begin/end pairs bracketing each
+    stretch the job spends waiting.  [deadline_ms] bounds the job's
+    whole life (queue wait + run) from this call. *)
 let submit t ~tenant ?(label = "job") ?(priority = 0) ?(sink = Obs.Sink.noop)
-    ?deadline_ms ?(front = false) ?resume ?(cleanup = fun () -> ()) ~run () :
+    ?deadline_ms ?(cleanup = fun () -> ()) ~run () :
     (job, Vekt_error.t) result =
   Mutex.lock t.lock;
   let ten = tenant_of t tenant in
   note_backlog t;
-  if t.shedding && priority <= best_pending_priority t then begin
-    t.shed <- t.shed + 1;
-    t.rejected <- t.rejected + 1;
-    let err =
-      Vekt_error.Overloaded
-        {
-          queued = t.pending_count;
-          limit = t.high_watermark;
-          retry_after_ms = retry_after_ms t;
-        }
-    in
-    emit_health sink ~tenant ~action:Obs.Event.Sv_shed ~detail:label;
-    Mutex.unlock t.lock;
-    Error err
-  end
-  else if ten.active >= ten.quota then begin
-    t.rejected <- t.rejected + 1;
-    Mutex.unlock t.lock;
-    Error
-      (Vekt_error.Resource
-         {
-           what = Fmt.str "tenant %s job quota" tenant;
-           requested = ten.active + 1;
-           available = ten.quota;
-         })
-  end
-  else begin
-    let id = t.next_id in
-    t.next_id <- id + 1;
-    let now = Clock.now_us () in
-    let deadline_ms =
-      match deadline_ms with Some _ -> deadline_ms | None -> ten.default_deadline_ms
-    in
-    let j =
-      {
-        id;
-        tenant;
-        label;
-        priority;
-        preempt = Checkpoint.preempt_token ();
-        sink;
-        deadline_ms;
-        deadline_us =
-          Option.map (fun ms -> now +. (float_of_int ms *. 1000.)) deadline_ms;
-        cleanup;
-        run;
-        state = Queued;
-        resume_path = resume;
-        cancel_requested = false;
-        enqueued_us = now;
-        wait_us = 0.0;
-        preemptions = 0;
-      }
-    in
-    Hashtbl.replace t.jobs id j;
-    ten.pending <- (if front then j :: ten.pending else ten.pending @ [ j ]);
-    ten.active <- ten.active + 1;
-    t.pending_count <- t.pending_count + 1;
-    note_backlog t;
-    emit_wait_span j ~closing:false;
-    (match t.running with
-    | Some r when priority > r.priority && not r.cancel_requested ->
-        Checkpoint.request_preempt r.preempt
-    | _ -> ());
-    Condition.broadcast t.cond;
-    Mutex.unlock t.lock;
-    Ok j
-  end
+  let r =
+    if t.shedding && priority <= best_pending_priority t then begin
+      t.shed <- t.shed + 1;
+      t.rejected <- t.rejected + 1;
+      emit_health sink ~tenant ~action:Obs.Event.Sv_shed ~detail:label;
+      Error
+        (Vekt_error.Overloaded
+           {
+             queued = t.pending_count;
+             limit = t.high_watermark;
+             retry_after_ms = retry_after_ms t;
+           })
+    end
+    else if ten.active >= ten.quota then begin
+      t.rejected <- t.rejected + 1;
+      Error
+        (Vekt_error.Resource
+           {
+             what = Fmt.str "tenant %s job quota" tenant;
+             requested = ten.active + 1;
+             available = ten.quota;
+           })
+    end
+    else
+      let deadline_ms =
+        match deadline_ms with
+        | Some _ -> deadline_ms
+        | None -> ten.default_deadline_ms
+      in
+      Ok
+        (enqueue_locked t ten ~label ~priority ~sink ~deadline_ms ~front:false
+           ~resume:None ~cleanup ~run)
+  in
+  Mutex.unlock t.lock;
+  r
+
+(** Re-admit a job a dead daemon process had already admitted (restart
+    recovery): it goes to the head of its tenant's FIFO, continues from
+    [resume] if that snapshot exists, and skips the quota and shedding
+    checks, since the job was admitted once.  It still counts toward
+    the tenant's active jobs.  It runs without a deadline: its elapsed
+    budget died with the predecessor. *)
+let readmit t ~tenant ~label ~priority ~sink ?resume ~cleanup ~run () : job =
+  Mutex.lock t.lock;
+  let j =
+    enqueue_locked t (tenant_of t tenant) ~label ~priority ~sink
+      ~deadline_ms:None ~front:true ~resume ~cleanup ~run
+  in
+  Mutex.unlock t.lock;
+  j
 
 (* Pick the next job (caller holds the lock): highest head priority
    wins outright; within a priority level the tenant with the lowest
@@ -642,20 +662,6 @@ let shutdown t =
   Mutex.lock t.lock;
   t.stopping <- true;
   Condition.broadcast t.cond;
-  Mutex.unlock t.lock
-
-(** Block until no job is queued, preempted or running (or the queue is
-    shut down) — the test/CI barrier for "everything submitted has
-    finished". *)
-let quiesce t =
-  Mutex.lock t.lock;
-  let busy () =
-    Option.is_some t.running
-    || Hashtbl.fold (fun _ ten acc -> acc || ten.pending <> []) t.tenants false
-  in
-  while busy () && not t.stopping do
-    Condition.wait t.cond t.lock
-  done;
   Mutex.unlock t.lock
 
 let tenant_stats t : (string * (int * int * int)) list =

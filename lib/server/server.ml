@@ -24,9 +24,13 @@
 
     - every submitted launch writes a [manifest.json] into its job
       directory before admission; a successor process rescans the
-      checkpoint root, re-admits manifested jobs at the front of the
-      queue under their original tenants, and resumes from the newest
-      snapshot each launch had reached;
+      checkpoint root and rebuilds each manifested job through the
+      same module-load and admission functions the request handlers
+      use, then re-admits it at the front of the queue under its
+      original tenant, resuming from the newest snapshot it had
+      reached.  A recovered job skips the quota and shedding checks,
+      since the dead process acknowledged it, but counts toward its
+      tenant's active jobs;
     - per-tenant archived tallies are journalled (line-JSON, atomically
       rewritten) so [stats] attribution survives the restart;
     - a leftover socket path is reclaimed after probing that no live
@@ -316,38 +320,140 @@ let write_manifest ~jdir (fields : (string * J.t) list) =
     ~path:(Filename.concat jdir "manifest.json")
     (J.to_string (J.Obj fields))
 
-let manifest_fields ~tenant ~label ~priority ~kernel ~grid ~block ~specs ~addrs
-    ~src ~spec ~preemptible ~deadline_ms : (string * J.t) list =
-  [
-    ("tenant", J.Str tenant);
-    ("label", J.Str label);
-    ("priority", J.Int priority);
-    ("kernel", J.Str kernel);
-    ("grid", dim3_json grid);
-    ("block", dim3_json block);
-    ("args", J.List (List.map (fun s -> J.Str s) specs));
-    (* resolved buffer addresses, parallel to [args]; the client was
-       told these, so a from-scratch recovery must re-pin them *)
-    ( "arg-addrs",
-      J.List
-        (List.map
-           (function None -> J.Null | Some a -> J.Int a)
-           addrs) );
-    ("src", J.Str src);
-    ("config", J.Obj (List.map (fun (k, v) -> (k, J.Str v)) spec));
-    ("preemptible", J.Bool preemptible);
-  ]
-  @ match deadline_ms with None -> [] | Some ms -> [ ("deadline-ms", J.Int ms) ]
+(* ---- the one admission path, shared by the handlers and recovery ---- *)
 
-(* Re-admit one job directory left by a dead predecessor: rebuild the
-   module and argument block in a fresh recovery session for the
-   original tenant, then enqueue at the front with the newest snapshot
-   as the resume point (the snapshot's global-memory image overwrites
-   whatever the fresh arg parse allocated, so execution continues with
-   the original addresses and data).  A manifest with no snapshot
-   reruns from scratch.  The recovered launch runs without a deadline:
-   its elapsed budget died with the predecessor, and killing recovered
-   work on a guess would defeat the recovery. *)
+(* Load [req]'s "src" under its "config" into session [s]: the
+   [load-module] handler, and restart recovery from a manifest, whose
+   keys are the request's. *)
+let add_module (s : session) req : int * mod_entry =
+  let src = P.req_str req "src" in
+  let spec = config_spec_of_json req in
+  let config =
+    match Api.config_of_spec spec with
+    | Ok c -> c
+    | Error msg -> raise (P.Bad_request msg)
+  in
+  let me =
+    {
+      me_mod = Api.load_module ~config ~sink:s.s_sink s.s_dev src;
+      me_src = src;
+      me_spec = spec;
+    }
+  in
+  let id = s.s_next_module in
+  s.s_next_module <- id + 1;
+  Hashtbl.replace s.s_modules id me;
+  (id, me)
+
+(* Admit the launch [req] describes against module [me] of session
+   [s]: resolve its argument specs in the session's arena and enqueue
+   it; also returns the buffer addresses the client is told.  [req] is
+   a [submit-launch] request, or a dead predecessor's manifest (same
+   keys).  A fresh submit ([recover = None]) writes its manifest into a
+   new job directory and must pass the queue's quota and shedding
+   checks; a rejection raises the structured error and leaves no
+   directory behind.  A recovered job ([recover = Some jdir])
+   was admitted once already: its buffers are pinned at the addresses
+   the client was told ("arg-addrs"), and it re-enters at the front of
+   the queue from the newest snapshot in [jdir], whose global image
+   overwrites the fresh arguments, or from scratch if there is none. *)
+let admit t (s : session) (me : mod_entry) req ~recover : Queue.job * J.t =
+  let kernel = P.req_str req "kernel" in
+  let grid = P.req_dim3 req "grid" in
+  let block = P.req_dim3 req "block" in
+  let priority = Option.value (P.opt_int "priority" req) ~default:0 in
+  let label = Option.value (P.opt_str "label" req) ~default:kernel in
+  let preemptible = Option.value (P.opt_bool "preemptible" req) ~default:true in
+  let deadline_ms = P.opt_int "deadline-ms" req in
+  let specs =
+    match J.list_mem "args" req with
+    | None -> []
+    | Some l ->
+        List.map
+          (function J.Str s -> s | _ -> P.bad "args: want spec strings")
+          l
+  in
+  let pins =
+    match (recover, J.list_mem "arg-addrs" req) with
+    | Some _, Some l when List.length l = List.length specs ->
+        List.map (function J.Int a -> Some a | _ -> None) l
+    | _ -> List.map (fun _ -> None) specs
+  in
+  let parsed =
+    List.map2
+      (fun spec pin ->
+        Option.iter (Api.reserve_to s.s_dev) pin;
+        match Api.arg_of_spec s.s_dev spec with
+        | Ok a -> a
+        | Error msg -> raise (P.Bad_request msg))
+      specs pins
+  in
+  let args = List.map (fun a -> a.Api.launch_arg) parsed in
+  let addrs =
+    J.List
+      (List.map
+         (fun a -> match a.Api.addr with None -> J.Null | Some n -> J.Int n)
+         parsed)
+  in
+  let jdir =
+    match recover with
+    | Some jdir -> jdir
+    | None ->
+        Mutex.lock t.lock;
+        let n = t.next_job_dir in
+        t.next_job_dir <- n + 1;
+        Mutex.unlock t.lock;
+        Filename.concat t.ckpt_dir (Fmt.str "job-%d" n)
+  in
+  let run =
+    launch_run s me.me_mod ~kernel ~grid ~block ~args ~preemptible ~jdir
+  in
+  let cleanup () = rm_rf jdir in
+  let j =
+    match recover with
+    | Some _ ->
+        Queue.readmit t.queue ~tenant:s.s_tenant ~label ~priority
+          ~sink:s.s_sink
+          ?resume:(Checkpoint.newest_snapshot ~dir:jdir)
+          ~cleanup ~run ()
+    | None -> (
+        write_manifest ~jdir
+          ([
+             ("tenant", J.Str s.s_tenant);
+             ("label", J.Str label);
+             ("priority", J.Int priority);
+             ("kernel", J.Str kernel);
+             ("grid", dim3_json grid);
+             ("block", dim3_json block);
+             ("args", J.List (List.map (fun s -> J.Str s) specs));
+             (* the addresses the client is told, parallel to [args]: a
+                from-scratch recovery must re-pin them *)
+             ("arg-addrs", addrs);
+             ("src", J.Str me.me_src);
+             ( "config",
+               J.Obj (List.map (fun (k, v) -> (k, J.Str v)) me.me_spec) );
+             ("preemptible", J.Bool preemptible);
+           ]
+          @
+          match deadline_ms with
+          | None -> []
+          | Some ms -> [ ("deadline-ms", J.Int ms) ]);
+        match
+          Queue.submit t.queue ~tenant:s.s_tenant ~label ~priority
+            ~sink:s.s_sink ?deadline_ms ~cleanup ~run ()
+        with
+        | Ok j -> j
+        | Error e ->
+            rm_rf jdir;
+            raise (Vekt_error.Error e))
+  in
+  s.s_jobs <- j.Queue.id :: s.s_jobs;
+  (j, addrs)
+
+(* Re-admit one job directory left by a dead predecessor, in a fresh
+   session for its original tenant.  A job that cannot be rebuilt (torn
+   manifest, source that no longer parses) raises, and its session is
+   dropped again. *)
 let recover_one t ~jdir =
   let mj =
     match
@@ -358,81 +464,31 @@ let recover_one t ~jdir =
     | Ok j -> j
     | Error msg -> failwith msg
   in
-  let tenant = P.req_str mj "tenant" in
-  let label = P.req_str mj "label" in
-  let kernel = P.req_str mj "kernel" in
-  let priority = Option.value (P.opt_int "priority" mj) ~default:0 in
-  let preemptible = Option.value (P.opt_bool "preemptible" mj) ~default:true in
-  let grid = P.req_dim3 mj "grid" in
-  let block = P.req_dim3 mj "block" in
-  let src = P.req_str mj "src" in
-  let spec = config_spec_of_json mj in
-  let specs =
-    match J.list_mem "args" mj with
-    | None -> []
-    | Some l ->
-        List.map (function J.Str s -> s | _ -> failwith "manifest args") l
-  in
-  (* the addresses the dead daemon acknowledged to its client, parallel
-     to [specs]; absent in manifests written before they were recorded *)
-  let addrs =
-    match J.list_mem "arg-addrs" mj with
-    | Some l when List.length l = List.length specs ->
-        List.map (function J.Int a -> Some a | _ -> None) l
-    | _ -> List.map (fun _ -> None) specs
-  in
-  let s = new_session t tenant in
-  let config =
-    match Api.config_of_spec spec with Ok c -> c | Error msg -> failwith msg
-  in
-  let m = Api.load_module ~config ~sink:s.s_sink s.s_dev src in
-  let mid = s.s_next_module in
-  s.s_next_module <- mid + 1;
-  Hashtbl.replace s.s_modules mid { me_mod = m; me_src = src; me_spec = spec };
-  (* Re-parse each spec with its buffer pinned at the original address:
-     the recovery session's arena is fresh, but the client holds the
-     dead daemon's addresses, and a from-scratch rerun must write its
-     outputs where the client will read them. *)
-  let parsed =
-    List.map2
-      (fun spec addr ->
-        (match addr with
-        | Some a -> Api.reserve_to s.s_dev a
-        | None -> ());
-        match Api.arg_of_spec s.s_dev spec with
-        | Ok a -> a
-        | Error msg -> failwith msg)
-      specs addrs
-  in
-  let args = List.map (fun a -> a.Api.launch_arg) parsed in
-  let resume = Checkpoint.newest_snapshot ~dir:jdir in
-  let run = launch_run s m ~kernel ~grid ~block ~args ~preemptible ~jdir in
-  match
-    Queue.submit t.queue ~tenant ~label ~priority ~sink:s.s_sink ~front:true
-      ?resume
-      ~cleanup:(fun () -> rm_rf jdir)
-      ~run ()
-  with
-  | Error _ -> ()
-  | Ok j ->
-      s.s_jobs <- j.Queue.id :: s.s_jobs;
-      Queue.emit_health s.s_sink ~tenant ~action:Obs.Event.Sv_recovered
+  let s = new_session t (P.req_str mj "tenant") in
+  match admit t s (snd (add_module s mj)) mj ~recover:(Some jdir) with
+  | exception e ->
+      Mutex.lock t.lock;
+      Hashtbl.remove t.sessions s.s_id;
+      Mutex.unlock t.lock;
+      raise e
+  | j, _ ->
+      Queue.emit_health s.s_sink ~tenant:s.s_tenant
+        ~action:Obs.Event.Sv_recovered
         ~detail:
-          (Fmt.str "job %d (%s)%s" j.Queue.id label
-             (match resume with
-             | Some p -> " from " ^ p
-             | None -> " from scratch"));
+          (Fmt.str "job %d (%s) from %s" j.Queue.id j.Queue.label
+             (Option.value j.Queue.resume_path ~default:"scratch"));
       t.recovered <-
-        { r_job = j.Queue.id; r_session = s.s_id; r_tenant = tenant;
-          r_label = label }
+        { r_job = j.Queue.id; r_session = s.s_id; r_tenant = s.s_tenant;
+          r_label = j.Queue.label }
         :: t.recovered
 
 (* Rescan the checkpoint root for a dead predecessor's job directories
-   and re-admit each, oldest submission first (they all go to the
-   queue front, so iterate ascending to preserve original order within
-   a tenant).  A directory that fails to recover — torn manifest,
-   source that no longer parses — is skipped and left on disk for
-   post-mortem rather than failing daemon startup. *)
+   and re-admit each, newest submission first: each goes to the front
+   of its tenant's queue, so the oldest ends up at the head and the
+   original order within a tenant is preserved.  A directory that fails
+   to recover — torn manifest, source that no longer parses — is
+   skipped and left on disk for post-mortem rather than failing daemon
+   startup. *)
 let recover_jobs t =
   let entries = try Sys.readdir t.ckpt_dir with Sys_error _ -> [||] in
   let jobdirs =
@@ -449,7 +505,7 @@ let recover_jobs t =
                with
                | Some n, true -> Some (n, path)
                | _ -> None))
-    |> List.sort compare
+    |> List.sort (fun a b -> compare b a)
   in
   t.next_job_dir <-
     List.fold_left (fun acc (n, _) -> max acc (n + 1)) t.next_job_dir jobdirs;
@@ -555,17 +611,7 @@ let close_session t req : J.t =
 
 let load_module t req : J.t =
   let s = session_of t req in
-  let src = P.req_str req "src" in
-  let spec = config_spec_of_json req in
-  let config =
-    match Api.config_of_spec spec with
-    | Ok c -> c
-    | Error msg -> raise (P.Bad_request msg)
-  in
-  let m = Api.load_module ~config ~sink:s.s_sink s.s_dev src in
-  let id = s.s_next_module in
-  s.s_next_module <- id + 1;
-  Hashtbl.replace s.s_modules id { me_mod = m; me_src = src; me_spec = spec };
+  let id, _ = add_module s req in
   P.ok [ ("module", J.Int id) ]
 
 let malloc t req : J.t =
@@ -661,67 +707,8 @@ let dedup_store t s key (resp : J.t) =
   end
 
 let do_submit_launch t (s : session) req : J.t =
-  let me = module_of s req in
-  let kernel = P.req_str req "kernel" in
-  let grid = P.req_dim3 req "grid" in
-  let block = P.req_dim3 req "block" in
-  let priority = Option.value (P.opt_int "priority" req) ~default:0 in
-  let label = Option.value (P.opt_str "label" req) ~default:kernel in
-  let preemptible = Option.value (P.opt_bool "preemptible" req) ~default:true in
-  let deadline_ms = P.opt_int "deadline-ms" req in
-  let specs =
-    match J.list_mem "args" req with
-    | None -> []
-    | Some l ->
-        List.map
-          (function J.Str s -> s | _ -> P.bad "args: want spec strings")
-          l
-  in
-  let parsed =
-    List.map
-      (fun spec ->
-        match Api.arg_of_spec s.s_dev spec with
-        | Ok a -> a
-        | Error msg -> raise (P.Bad_request msg))
-      specs
-  in
-  let args = List.map (fun a -> a.Api.launch_arg) parsed in
-  Mutex.lock t.lock;
-  let jdir =
-    Filename.concat t.ckpt_dir (Fmt.str "job-%d" t.next_job_dir)
-  in
-  t.next_job_dir <- t.next_job_dir + 1;
-  Mutex.unlock t.lock;
-  write_manifest ~jdir
-    (manifest_fields ~tenant:s.s_tenant ~label ~priority ~kernel ~grid ~block
-       ~specs
-       ~addrs:(List.map (fun a -> a.Api.addr) parsed)
-       ~src:me.me_src ~spec:me.me_spec ~preemptible ~deadline_ms);
-  let run =
-    launch_run s me.me_mod ~kernel ~grid ~block ~args ~preemptible ~jdir
-  in
-  match
-    Queue.submit t.queue ~tenant:s.s_tenant ~label ~priority ~sink:s.s_sink
-      ?deadline_ms
-      ~cleanup:(fun () -> rm_rf jdir)
-      ~run ()
-  with
-  | Error e ->
-      (* never admitted: no recovery state to keep *)
-      rm_rf jdir;
-      P.error_json e
-  | Ok j ->
-      s.s_jobs <- j.Queue.id :: s.s_jobs;
-      P.ok
-        [
-          ("job", J.Int j.Queue.id);
-          ( "args",
-            J.List
-              (List.map
-                 (fun a ->
-                   match a.Api.addr with None -> J.Null | Some n -> J.Int n)
-                 parsed) );
-        ]
+  let j, addrs = admit t s (module_of s req) req ~recover:None in
+  P.ok [ ("job", J.Int j.Queue.id); ("args", addrs) ]
 
 let submit_launch t req : J.t =
   let s = session_of t req in

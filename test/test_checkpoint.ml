@@ -406,13 +406,48 @@ let test_replay_divergence_detected () =
   let grid = inst.Workload.grid in
   run { Api.default_config with record = Some log } ~grid;
   (* a different block shape cannot follow the recorded schedule *)
-  match
-    run { Api.default_config with replay = Some log }
-      ~grid:{ grid with Launch.x = grid.Launch.x + 1 }
-  with
+  (match
+     run { Api.default_config with replay = Some log }
+       ~grid:{ grid with Launch.x = grid.Launch.x + 1 }
+   with
   | () -> Alcotest.fail "replay against a different grid accepted"
   | exception e ->
-      Alcotest.(check bool) "structured divergence" true (is_ckpt_error e)
+      Alcotest.(check bool) "structured divergence" true (is_ckpt_error e));
+  (* a dispatch edited to repeat a thread, drop one or add one must be
+     refused before it runs, not executed with wrong lanes *)
+  let base = { Api.default_config with workers = Some 1 } in
+  run { base with record = Some log } ~grid;
+  let lines = In_channel.with_open_bin log In_channel.input_lines in
+  let edited members =
+    let path = Filename.concat tmpdir "diverge-edited.sched" in
+    let first = ref true in
+    Out_channel.with_open_bin path (fun oc ->
+        List.iter
+          (fun line ->
+            let line =
+              match String.split_on_char ' ' line with
+              | [ "d"; cta; start; entry; scanned; ws; ms ] when !first ->
+                  first := false;
+                  Alcotest.(check string) "first dispatch packs 0-3" "0,1,2,3" ms;
+                  String.concat " " [ "d"; cta; start; entry; scanned; ws; members ]
+              | _ -> line
+            in
+            output_string oc (line ^ "\n"))
+          lines);
+    path
+  in
+  List.iter
+    (fun members ->
+      match run { base with replay = Some (edited members) } ~grid with
+      | () -> Alcotest.failf "replay with members %s accepted" members
+      | exception Vekt_error.Error (Vekt_error.Checkpoint { reason; _ }) ->
+          Alcotest.(check bool)
+            (Fmt.str "members %s: %s" members reason)
+            true
+            (String.starts_with ~prefix:"replay diverged" reason)
+      | exception e ->
+          Alcotest.failf "members %s: %s" members (Printexc.to_string e))
+    [ "0,1,2,2"; "0,1,2"; "0,1,2,3,4" ]
 
 let test_replay_log_truncation_rejected () =
   let w = Registry.find_exn "vecadd" in

@@ -15,6 +15,7 @@ module Obs = Vekt_obs
 module J = Vekt_server.Jsonx
 module Queue = Vekt_server.Queue
 module Server = Vekt_server.Server
+module Io = Vekt_chaos.Io
 open Vekt_ptx
 open Vekt_workloads
 
@@ -1099,6 +1100,74 @@ let test_server_restart_recovery () =
   Alcotest.(check int) "recovery counted" 1
     (engine_counter stats "server.recovered_launches")
 
+(* ---- restart recovery keeps every acknowledged job ---- *)
+
+(* A predecessor under watermarks 2/1 acknowledges three jobs of one
+   tenant: A and B, then C once A has started and drained the backlog
+   below the low watermark.  It dies while A writes its preemption
+   snapshot, so A stays running and B and C queued, all manifested. *)
+let crash_with_three_jobs dir =
+  let srv = Server.create ~ckpt_dir:dir ~high_watermark:2 ~low_watermark:1 () in
+  let s = open_session srv "t" in
+  let _ = load_vecadd srv s in
+  let a, _ = submit_vecadd srv s in
+  let _ = submit_vecadd srv s in
+  Queue.request_preempt (Server.queue srv) ~id:a;
+  let crash = { Io.real with Io.write_file = (fun _ _ -> raise Io.Crash) } in
+  (match Io.with_impl crash (fun () -> Queue.step (Server.queue srv)) with
+  | _ -> Alcotest.fail "A's snapshot write did not crash"
+  | exception Io.Crash -> ());
+  ignore (submit_vecadd srv s)
+
+let check_all_recovered ~what srv =
+  Alcotest.(check int) (what ^ ": all three jobs re-admitted") 3
+    (List.length (Server.recovered srv));
+  let stats = get_ok "stats" (Server.handle srv (cmd "stats" [])) in
+  Alcotest.(check int) (what ^ ": one session per recovered job") 3
+    (engine_counter stats "server.sessions_open");
+  drain (Server.queue srv);
+  List.iter
+    (fun (r : Server.recovered) ->
+      match Queue.info (Server.queue srv) ~id:r.Server.r_job with
+      | Some i ->
+          Alcotest.(check string) (what ^ ": recovered job done") "done"
+            (Queue.state_name i.Queue.i_state)
+      | None -> Alcotest.fail "recovered job vanished")
+    (Server.recovered srv)
+
+let test_server_recovery_skips_shedding () =
+  let dir = Filename.concat tmpdir "srv-ack-shed" in
+  crash_with_three_jobs dir;
+  check_all_recovered ~what:"same limits"
+    (Server.create ~ckpt_dir:dir ~high_watermark:2 ~low_watermark:1 ())
+
+let test_server_recovery_skips_quota () =
+  let dir = Filename.concat tmpdir "srv-ack-quota" in
+  crash_with_three_jobs dir;
+  (* a job whose source no longer parses cannot be rebuilt: it stays on
+     disk for post-mortem and leaves no session behind *)
+  let broken = Filename.concat dir "job-99" in
+  Sys.mkdir broken 0o755;
+  Out_channel.with_open_bin (Filename.concat broken "manifest.json") (fun oc ->
+      output_string oc
+        (J.to_string
+           (J.Obj
+              [
+                ("tenant", J.Str "t");
+                ("kernel", J.Str "vecadd");
+                ("grid", J.Int 1);
+                ("block", J.Int 4);
+                ("src", J.Str "not ptx");
+              ])));
+  let srv = Server.create ~ckpt_dir:dir ~quota:2 () in
+  check_all_recovered ~what:"tighter quota" srv;
+  Alcotest.(check bool) "unrecoverable job left on disk" true
+    (Sys.file_exists broken);
+  Alcotest.(check (list string)) "recovered jobs swept once done"
+    [ "job-99" ]
+    (Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> String.starts_with ~prefix:"job-" f))
+
 let test_server_tally_journal () =
   let ckpt = Filename.concat tmpdir "srv-journal" in
   let srv1 = Server.create ~ckpt_dir:ckpt () in
@@ -1275,6 +1344,10 @@ let () =
             test_server_reap_idle;
           Alcotest.test_case "restart recovery bit-identical" `Quick
             test_server_restart_recovery;
+          Alcotest.test_case "recovery skips shedding" `Quick
+            test_server_recovery_skips_shedding;
+          Alcotest.test_case "recovery skips quota" `Quick
+            test_server_recovery_skips_quota;
           Alcotest.test_case "tally journal survives restart" `Quick
             test_server_tally_journal;
           Alcotest.test_case "stalled client + stale socket" `Quick
