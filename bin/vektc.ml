@@ -2,7 +2,7 @@
 
    Subcommands:
      check    parse and type-check a PTX module
-     compile  run the compilation pipeline, dumping IR at each stage
+     compile  dump the IR the translation cache builds for a kernel
      run      launch a kernel on the simulated vector machine
      emulate  launch a kernel on the reference scalar emulator
      info     static facts about a kernel (entry points, invariance, ...)
@@ -23,12 +23,11 @@
 
 module Ir = Vekt_ir.Ir
 module Pp = Vekt_ir.Pp
-module Ptx_to_ir = Vekt_transform.Ptx_to_ir
 module Plan = Vekt_transform.Plan
-module Vectorize = Vekt_transform.Vectorize
 module Passes = Vekt_transform.Passes
 module Invariance = Vekt_analysis.Invariance
 module Api = Vekt_runtime.Api
+module TC = Vekt_runtime.Translation_cache
 module Stats = Vekt_runtime.Stats
 module Obs = Vekt_obs
 module Jsonx = Vekt_obs.Jsonx
@@ -42,23 +41,15 @@ let read_file path =
   close_in ic;
   s
 
-let load path =
+(* Read [path] and hand its source to [load], one of the library's
+   loaders (Typecheck.load, Api.load_module); a structured load error
+   names the file and exits 1. *)
+let load path load =
   let src = read_file path in
-  let m =
-    try Parser.parse_module src with
-    | Parser.Error (msg, line) ->
-        Fmt.epr "%s:%d: parse error: %s@." path line msg;
-        exit 1
-    | Lexer.Error (msg, line) ->
-        Fmt.epr "%s:%d: lex error: %s@." path line msg;
-        exit 1
-  in
-  (match Typecheck.check_module m with
-  | [] -> ()
-  | errs ->
-      List.iter (fun e -> Fmt.epr "type error: %a@." Typecheck.pp_error e) errs;
-      exit 1);
-  (src, m)
+  try (src, load src)
+  with Vekt_error.Error e ->
+    Fmt.epr "%s: %a@." path Vekt_error.pp e;
+    exit 1
 
 let pick_kernel m = function
   | Some k -> k
@@ -108,11 +99,20 @@ let config_of_pairs pairs =
       Fmt.epr "bad configuration: %s@." e;
       exit 1
 
+(* The translation cache a launch of [kernel] under [config] runs from;
+   compile and info print what it holds.  Nothing is launched, so the
+   device arena stays small. *)
+let load_cache file kernel config =
+  let dev = Api.create_device ~global_bytes:4096 () in
+  let _, m = load file (Api.load_module ~config dev) in
+  let kernel = pick_kernel m.Api.ast kernel in
+  (kernel, Api.kernel_cache m ~kernel)
+
 (* ---- check ---- *)
 
 let check_cmd =
   let run file =
-    let _, m = load file in
+    let _, m = load file Typecheck.load in
     Fmt.pr "%s: %d kernel(s), %d const bank(s) — OK@." file
       (List.length m.Ast.m_kernels) (List.length m.Ast.m_consts);
     List.iter
@@ -129,43 +129,32 @@ let check_cmd =
 
 let compile_cmd =
   let run file kernel config stage =
-    let config = config_of_pairs config in
-    let _, m = load file in
-    let kernel = pick_kernel m kernel in
-    let tr = Ptx_to_ir.frontend m ~kernel in
-    if stage = "scalar" then Fmt.pr "%a@." Pp.func tr.Ptx_to_ir.func
-    else begin
-      let plan =
-        Plan.compute tr.Ptx_to_ir.func ~local_decl_bytes:tr.Ptx_to_ir.local_decl_bytes
-      in
-      let v =
-        Vectorize.run ~mode:config.Api.mode ~affine:config.Api.affine ~plan
-          tr.Ptx_to_ir.func ~ws:(List.hd config.Api.widths)
-      in
-      if stage = "vectorized" then Fmt.pr "%a@." Pp.func v.Vectorize.func
-      else begin
-        let pipeline = config.Api.pipeline in
-        let st = Passes.run ~pipeline v.Vectorize.func in
-        Fmt.pr "%a@." Pp.func v.Vectorize.func;
-        Fmt.epr "; optimized (%a, %d round%s): %s — %d instructions@."
-          Passes.pp_pipeline pipeline st.Passes.rounds
-          (if st.Passes.rounds = 1 then "" else "s")
-          (String.concat ", "
-             (List.map
-                (fun (name, c) -> Fmt.str "%s %d" name c)
-                st.Passes.per_pass))
-          (Ir.size v.Vectorize.func)
-      end
-    end
+    let _, c = load_cache file kernel (config_of_pairs config) in
+    match stage with
+    | None -> Fmt.pr "%a@." Pp.func c.TC.scalar
+    | Some tier ->
+        let e = TC.build c ~ws:(TC.max_width c) ~tier in
+        Fmt.pr "%a@." Pp.func e.TC.vfunc;
+        let changes name =
+          Option.map (Fmt.str "%s %d" name) (Hashtbl.find_opt c.TC.pass_stats name)
+        in
+        Fmt.epr "; tier %d, %s — %d instructions@." e.TC.tier
+          (if c.TC.optimize && e.TC.tier >= 1 then
+             Fmt.str "optimized (%a): %s" Passes.pp_pipeline c.TC.pipeline
+               (String.concat ", " (List.filter_map changes (Passes.pass_names ())))
+           else "not optimized")
+          e.TC.static_instrs
   in
   let stage_arg =
+    let stages = [ ("scalar", None); ("vectorized", Some 0); ("optimized", Some 1) ] in
     Arg.(
-      value
-      & opt (enum [ ("scalar", "scalar"); ("vectorized", "vectorized"); ("optimized", "optimized") ]) "optimized"
-      & info [ "stage" ] ~doc:"Pipeline stage to dump: scalar, vectorized, optimized")
+      value & opt (enum stages) (Some 1)
+      & info [ "stage" ]
+          ~doc:"IR to dump: scalar, vectorized (tier 0) or optimized (tier 1)")
   in
   Cmd.v
-    (Cmd.info "compile" ~doc:"Compile a kernel and dump the IR")
+    (Cmd.info "compile"
+       ~doc:"Dump the IR the translation cache builds for a kernel")
     Term.(const run $ file_arg $ kernel_arg $ config_arg $ stage_arg)
 
 (* ---- argument specs for run/emulate ---- *)
@@ -232,19 +221,20 @@ let dump_arg =
 
 (* ---- run ---- *)
 
-let write_file path contents =
-  let oc = open_out_bin path in
-  output_string oc contents;
-  close_out oc
+(* The one writer for run's artifacts: [-] prints [stdout] on standard
+   output; any other path gets [file ()] and [note] announces it. *)
+let write_artifact path ~stdout ~file ~note =
+  if path = "-" then stdout Fmt.stdout
+  else begin
+    Out_channel.with_open_bin path (fun oc -> output_string oc (file ()));
+    note path
+  end
 
 let run_cmd =
   let run file kernel grid block arg_specs dumps config checkpoint_stop resume
       deadline_ms trace profile metrics report =
     let config = config_of_pairs config in
-    let src, m = load file in
-    let kernel = pick_kernel m kernel in
     let dev = Api.create_device () in
-    let args = List.map (parse_arg_spec dev) arg_specs in
     (* --report is the full observatory: it force-enables the tracer
        (spans), line attribution and the divergence profile even when
        their individual flags are off *)
@@ -261,23 +251,24 @@ let run_cmd =
       if profile || Option.is_some report then Some (Obs.Divergence.create ())
       else None
     in
-    let api_m = Api.load_module ~config ~sink dev src in
+    let src, api_m = load file (Api.load_module ~config ~sink dev) in
+    let kernel = pick_kernel api_m.Api.ast kernel in
+    let args = List.map (parse_arg_spec dev) arg_specs in
     (* flight recorder: a launch that dies on a structured error dumps
        the ring tail, the open span stack and the error itself before
        the error propagates *)
     let crash_dump (err : Vekt_error.t) =
       match (report, tracer) with
       | Some rpath, Some t ->
-          let bundle =
+          let bundle () =
             Jsonx.to_string
               (Vekt_runtime.Report.crash_bundle ~kernel ~error:err ~trace:t ())
           in
-          if rpath = "-" then Fmt.pr "%s@." bundle
-          else begin
-            let path = rpath ^ ".crash.json" in
-            write_file path bundle;
-            Fmt.epr "crash bundle -> %s@." path
-          end
+          write_artifact
+            (if rpath = "-" then rpath else rpath ^ ".crash.json")
+            ~stdout:(fun ppf -> Fmt.pf ppf "%s@." (bundle ()))
+            ~file:bundle
+            ~note:(Fmt.epr "crash bundle -> %s@.")
       | _ -> ()
     in
     let r =
@@ -307,13 +298,14 @@ let run_cmd =
       (100. *. yld) (100. *. body);
     (match (trace, tracer) with
     | Some path, Some t ->
-        let contents =
-          if String.ends_with ~suffix:".txt" path then Obs.Trace.to_text t
-          else Obs.Trace.to_chrome_json t
-        in
-        write_file path contents;
-        Fmt.pr "trace: %d events (%d dropped) -> %s@." (Obs.Trace.recorded t)
-          (Obs.Trace.dropped t) path
+        write_artifact path
+          ~stdout:(fun ppf -> Fmt.string ppf (Obs.Trace.to_text t))
+          ~file:(fun () ->
+            if String.ends_with ~suffix:".txt" path then Obs.Trace.to_text t
+            else Obs.Trace.to_chrome_json t)
+          ~note:
+            (Fmt.pr "trace: %d events (%d dropped) -> %s@."
+               (Obs.Trace.recorded t) (Obs.Trace.dropped t))
     | _ -> ());
     (match prof with
     | Some p when profile ->
@@ -334,27 +326,24 @@ let run_cmd =
             ~attr:(Option.value attr ~default:(Obs.Attribution.create ()))
             ?profile:prof r
         in
-        if rpath = "-" then Fmt.pr "%s" (Vekt_runtime.Report.render rep)
-        else begin
-          write_file rpath (Jsonx.to_string (Vekt_runtime.Report.to_json rep));
-          Fmt.pr "report -> %s@." rpath
-        end
+        write_artifact rpath
+          ~stdout:(fun ppf -> Fmt.string ppf (Vekt_runtime.Report.render rep))
+          ~file:(fun () ->
+            Jsonx.to_string (Vekt_runtime.Report.to_json rep))
+          ~note:(Fmt.pr "report -> %s@.")
     | _ -> ());
     match metrics with
     | Some path ->
         let reg = Api.metrics api_m ~kernel r in
-        if path = "-" then Obs.Metrics.pp Fmt.stdout reg
-        else begin
-          let contents =
+        write_artifact path
+          ~stdout:(fun ppf -> Obs.Metrics.pp ppf reg)
+          ~file:(fun () ->
             if String.ends_with ~suffix:".json" path then
               Jsonx.to_string (Obs.Metrics.to_json reg)
-            else Obs.Metrics.to_csv reg
-          in
-          write_file path contents;
-          Fmt.pr "metrics: %d series -> %s@."
-            (List.length (Obs.Metrics.names reg))
-            path
-        end
+            else Obs.Metrics.to_csv reg)
+          ~note:
+            (Fmt.pr "metrics: %d series -> %s@."
+               (List.length (Obs.Metrics.names reg)))
     | None -> ()
   in
   let trace_arg =
@@ -436,10 +425,9 @@ let run_cmd =
 
 let emulate_cmd =
   let run file kernel grid block arg_specs dumps =
-    let src, m = load file in
-    let kernel = pick_kernel m kernel in
     let dev = Api.create_device () in
-    let api_m = Api.load_module dev src in
+    let _, api_m = load file (Api.load_module dev) in
+    let kernel = pick_kernel api_m.Api.ast kernel in
     let args = List.map (parse_arg_spec dev) arg_specs in
     let g =
       Api.launch_reference api_m ~kernel ~grid:(Launch.dim3 grid)
@@ -459,16 +447,16 @@ let emulate_cmd =
 
 let info_cmd =
   let run file kernel =
-    let _, m = load file in
-    let kernel = pick_kernel m kernel in
-    let tr = Ptx_to_ir.frontend m ~kernel in
-    let f = tr.Ptx_to_ir.func in
-    let plan = Plan.compute f ~local_decl_bytes:tr.Ptx_to_ir.local_decl_bytes in
+    let kernel, c = load_cache file kernel Api.default_config in
+    let f = c.TC.scalar and plan = c.TC.plan in
     Fmt.pr "kernel %s@." kernel;
     Fmt.pr "  scalar IR: %d instructions in %d blocks@." (Ir.size f)
       (List.length (Ir.blocks f));
+    (* local: the declared area as laid out (16-aligned), then the spills *)
     Fmt.pr "  shared memory: %d bytes/CTA; local: %d bytes/thread (+%d spill)@."
-      tr.Ptx_to_ir.shared_bytes tr.Ptx_to_ir.local_decl_bytes plan.Plan.spill_bytes;
+      c.TC.shared_bytes
+      (c.TC.local_bytes - plan.Plan.spill_bytes)
+      plan.Plan.spill_bytes;
     Fmt.pr "  entry points:@.";
     List.iter
       (fun (l, id) ->
@@ -752,7 +740,7 @@ let submit_cmd =
   let run file kernel grid block arg_specs dumps socket tenant priority label
       config_pairs poll_ms deadline_ms max_retries idem_key =
     Random.self_init ();
-    let src, m = load file in
+    let src, m = load file Typecheck.load in
     let kernel = pick_kernel m kernel in
     let conn = connect socket in
     let req cmd fields = request conn (Jsonx.Obj (("cmd", Jsonx.Str cmd) :: fields)) in

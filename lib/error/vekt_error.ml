@@ -141,6 +141,11 @@ type t =
 
 exception Error of t
 
+(** A compile-class error raised before any specialization exists, so
+    with no width or tier: a load or frontend failure. *)
+let compile ~kernel ~line stage reason =
+  Error (Compile { kernel; ws = None; tier = None; stage; line; reason })
+
 let pp_cta ppf (x, y, z) = Fmt.pf ppf "(%d,%d,%d)" x y z
 
 let pp_thread_diag ppf d =

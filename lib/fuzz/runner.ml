@@ -20,8 +20,6 @@
 module A = Vekt_ptx.Ast
 module Mem = Vekt_ptx.Mem
 module Launch = Vekt_ptx.Launch
-module Parser = Vekt_ptx.Parser
-module Lexer = Vekt_ptx.Lexer
 module Typecheck = Vekt_ptx.Typecheck
 module Emulator = Vekt_ptx.Emulator
 module Scalar_ops = Vekt_ptx.Scalar_ops
@@ -158,157 +156,152 @@ let error_tag = function
   | e -> Printexc.to_string e
 
 let run_spec ?(fuel = default_fuel) (spec : Gen.t) : outcome =
-  match Parser.parse_module spec.src with
-  | exception Parser.Error (m, _) -> Rejected ("parse: " ^ normalize m)
-  | exception Lexer.Error (m, _) -> Rejected ("lex: " ^ normalize m)
+  match Typecheck.load spec.src with
+  | exception Vekt_error.Error (Vekt_error.Compile c) ->
+      Rejected (Vekt_error.stage_name c.stage ^ ": " ^ normalize c.reason)
   | ast -> (
-      match Typecheck.check_module ast with
-      | e :: _ ->
-          Rejected
-            ("typecheck: " ^ normalize (Fmt.str "%a" Typecheck.pp_error e))
-      | [] -> (
-          let grid = Launch.dim3 spec.grid and block = Launch.dim3 spec.block in
-          let engine = Engine.create ~workers:1 () in
-          let fresh_device () =
-            Api.create_device ~engine ~workers:1 ~global_bytes:device_bytes ()
+      let grid = Launch.dim3 spec.grid and block = Launch.dim3 spec.block in
+      let engine = Engine.create ~workers:1 () in
+      let fresh_device () =
+        Api.create_device ~engine ~workers:1 ~global_bytes:device_bytes ()
+      in
+      (* oracle: serialize every thread through the reference emulator *)
+      let dref = fresh_device () in
+      let args = setup dref in
+      match
+        let global = Mem.copy dref.Api.global in
+        ignore
+          (Emulator.run ~fuel ast ~kernel:spec.kernel ~args ~global ~grid
+             ~block);
+        global
+      with
+      | exception e -> Rejected ("oracle: " ^ normalize (error_tag e))
+      | oracle -> (
+          let divs = ref [] in
+          let compared = ref 0 in
+          let rejected = ref None in
+          let diverge cfg what = divs := { cfg; what } :: !divs in
+          let launch_leg cname config =
+            let d = fresh_device () in
+            let m = Api.load_module ~config d spec.src in
+            let args = setup d in
+            let rep =
+              Api.launch ~fuel m ~kernel:spec.kernel ~grid ~block ~args
+            in
+            incr compared;
+            if not (Mem.equal d.Api.global oracle) then
+              diverge cname "memory image differs from the oracle";
+            rep
           in
-          (* oracle: serialize every thread through the reference emulator *)
-          let dref = fresh_device () in
-          let args = setup dref in
-          match
-            let global = Mem.copy dref.Api.global in
-            ignore
-              (Emulator.run ~fuel ast ~kernel:spec.kernel ~args ~global ~grid
-                 ~block);
-            global
-          with
-          | exception e -> Rejected ("oracle: " ^ normalize (error_tag e))
-          | oracle -> (
-              let divs = ref [] in
-              let compared = ref 0 in
-              let rejected = ref None in
-              let diverge cfg what = divs := { cfg; what } :: !divs in
-              let launch_leg cname config =
-                let d = fresh_device () in
-                let m = Api.load_module ~config d spec.src in
-                let args = setup d in
-                let rep =
-                  Api.launch ~fuel m ~kernel:spec.kernel ~grid ~block ~args
-                in
-                incr compared;
-                if not (Mem.equal d.Api.global oracle) then
-                  diverge cname "memory image differs from the oracle";
-                rep
-              in
-              let guarded cname f =
-                match f () with
-                | r -> Some r
-                | exception Vekt_error.Error (Vekt_error.Compile c)
-                  when c.stage = Vekt_error.Frontend ->
-                    (* width-independent frontend gap: tally, not a bug *)
-                    rejected := Some ("frontend: " ^ normalize c.reason);
-                    None
-                | exception e ->
-                    diverge cname ("raised: " ^ error_tag e);
-                    None
-              in
-              let baseline = ref None in
-              List.iter
-                (fun leg ->
-                  let config = config_of_leg leg in
-                  match
-                    guarded leg.cname (fun () -> launch_leg leg.cname config)
-                  with
-                  | None -> ()
-                  | Some rep ->
-                      (* integer stats conservation across the matrix *)
-                      if rep.Api.stats.threads_launched <> Launch.count grid * Launch.count block
-                      then
+          let guarded cname f =
+            match f () with
+            | r -> Some r
+            | exception Vekt_error.Error (Vekt_error.Compile c)
+              when c.stage = Vekt_error.Frontend ->
+                (* width-independent frontend gap: tally, not a bug *)
+                rejected := Some ("frontend: " ^ normalize c.reason);
+                None
+            | exception e ->
+                diverge cname ("raised: " ^ error_tag e);
+                None
+          in
+          let baseline = ref None in
+          List.iter
+            (fun leg ->
+              let config = config_of_leg leg in
+              match
+                guarded leg.cname (fun () -> launch_leg leg.cname config)
+              with
+              | None -> ()
+              | Some rep ->
+                  (* integer stats conservation across the matrix *)
+                  if rep.Api.stats.threads_launched <> Launch.count grid * Launch.count block
+                  then
+                    diverge leg.cname
+                      (Fmt.str "threads_launched %d, expected %d"
+                         rep.Api.stats.threads_launched
+                         (Launch.count grid * Launch.count block));
+                  (match !baseline with
+                  | None ->
+                      baseline :=
+                        Some (leg.cname, rep.Api.stats.barrier_releases)
+                  | Some (bname, releases) ->
+                      if rep.Api.stats.barrier_releases <> releases then
                         diverge leg.cname
-                          (Fmt.str "threads_launched %d, expected %d"
-                             rep.Api.stats.threads_launched
-                             (Launch.count grid * Launch.count block));
-                      (match !baseline with
-                      | None ->
-                          baseline :=
-                            Some (leg.cname, rep.Api.stats.barrier_releases)
-                      | Some (bname, releases) ->
-                          if rep.Api.stats.barrier_releases <> releases then
-                            diverge leg.cname
-                              (Fmt.str
-                                 "barrier_releases %d, but %s released %d"
-                                 rep.Api.stats.barrier_releases bname releases));
-                      if leg.twin then
-                        ignore
-                          (guarded (leg.cname ^ "-w4") (fun () ->
-                               let d4 = fresh_device () in
-                               let m4 =
-                                 Api.load_module
-                                   ~config:{ config with workers = Some 4 }
-                                   d4 spec.src
-                               in
-                               let args4 = setup d4 in
-                               let rep4 =
-                                 Api.launch ~fuel m4 ~kernel:spec.kernel ~grid
-                                   ~block ~args:args4
-                               in
-                               incr compared;
-                               if not (Mem.equal d4.Api.global oracle) then
+                          (Fmt.str
+                             "barrier_releases %d, but %s released %d"
+                             rep.Api.stats.barrier_releases bname releases));
+                  if leg.twin then
+                    ignore
+                      (guarded (leg.cname ^ "-w4") (fun () ->
+                           let d4 = fresh_device () in
+                           let m4 =
+                             Api.load_module
+                               ~config:{ config with workers = Some 4 }
+                               d4 spec.src
+                           in
+                           let args4 = setup d4 in
+                           let rep4 =
+                             Api.launch ~fuel m4 ~kernel:spec.kernel ~grid
+                               ~block ~args:args4
+                           in
+                           incr compared;
+                           if not (Mem.equal d4.Api.global oracle) then
+                             diverge (leg.cname ^ "-w4")
+                               "memory image differs from the oracle";
+                           List.iter2
+                             (fun (what, a) (_, b) ->
+                               if a <> b then
                                  diverge (leg.cname ^ "-w4")
-                                   "memory image differs from the oracle";
-                               List.iter2
-                                 (fun (what, a) (_, b) ->
-                                   if a <> b then
-                                     diverge (leg.cname ^ "-w4")
-                                       (Fmt.str "%s: %d with 4 workers, %d with 1"
-                                          what b a))
-                                 (int_counters rep.Api.stats)
-                                 (int_counters rep4.Api.stats);
-                               rep4)))
-                matrix;
-              (* checkpoint leg: force a snapshot, resume from it, and the
-                 stitched run must land on the oracle image *)
-              ignore
-                (guarded "ckpt-resume" (fun () ->
-                     let dir = Filename.concat "_fuzz" "ckpt" in
-                     (try Sys.mkdir "_fuzz" 0o755 with Sys_error _ -> ());
-                     (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
-                     let config =
-                       { (config_of_leg
-                            { cname = "ckpt"; mode = Vectorize.Dynamic; ws = 4;
-                              affine = false; sched = None; twin = false })
-                         with checkpoint_every = 2; checkpoint_dir = dir }
-                     in
-                     let d = fresh_device () in
-                     let m = Api.load_module ~config d spec.src in
-                     let args = setup d in
-                     let snapshot = ref None in
-                     (match
-                        Api.launch ~fuel ~checkpoint_stop:1 m ~kernel:spec.kernel
-                          ~grid ~block ~args
-                      with
-                     | _rep -> ()  (* too short to reach a safe point *)
-                     | exception Checkpoint.Stop path ->
-                         snapshot := Some path;
-                         ignore
-                           (Api.launch ~fuel ~resume:path m ~kernel:spec.kernel
-                              ~grid ~block ~args));
-                     incr compared;
-                     if not (Mem.equal d.Api.global oracle) then
-                       diverge "ckpt-resume"
-                         "memory image differs from the oracle after resume";
-                     (* the resume run keeps checkpointing to completion, so
-                        sweep every snapshot this kernel left behind *)
-                     Array.iter
-                       (fun f ->
-                         if Filename.check_suffix f ".ckpt" then
-                           try Sys.remove (Filename.concat dir f)
-                           with Sys_error _ -> ())
-                       (try Sys.readdir dir with Sys_error _ -> [||])));
-              match (!divs, !rejected) with
-              | [], None -> Clean !compared
-              | [], Some tag -> Rejected tag
-              | divs, _ -> Diverged (List.rev divs))))
+                                   (Fmt.str "%s: %d with 4 workers, %d with 1"
+                                      what b a))
+                             (int_counters rep.Api.stats)
+                             (int_counters rep4.Api.stats);
+                           rep4)))
+            matrix;
+          (* checkpoint leg: force a snapshot, resume from it, and the
+             stitched run must land on the oracle image *)
+          ignore
+            (guarded "ckpt-resume" (fun () ->
+                 let dir = Filename.concat "_fuzz" "ckpt" in
+                 (try Sys.mkdir "_fuzz" 0o755 with Sys_error _ -> ());
+                 (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
+                 let config =
+                   { (config_of_leg
+                        { cname = "ckpt"; mode = Vectorize.Dynamic; ws = 4;
+                          affine = false; sched = None; twin = false })
+                     with checkpoint_every = 2; checkpoint_dir = dir }
+                 in
+                 let d = fresh_device () in
+                 let m = Api.load_module ~config d spec.src in
+                 let args = setup d in
+                 let snapshot = ref None in
+                 (match
+                    Api.launch ~fuel ~checkpoint_stop:1 m ~kernel:spec.kernel
+                      ~grid ~block ~args
+                  with
+                 | _rep -> ()  (* too short to reach a safe point *)
+                 | exception Checkpoint.Stop path ->
+                     snapshot := Some path;
+                     ignore
+                       (Api.launch ~fuel ~resume:path m ~kernel:spec.kernel
+                          ~grid ~block ~args));
+                 incr compared;
+                 if not (Mem.equal d.Api.global oracle) then
+                   diverge "ckpt-resume"
+                     "memory image differs from the oracle after resume";
+                 (* the resume run keeps checkpointing to completion, so
+                    sweep every snapshot this kernel left behind *)
+                 Array.iter
+                   (fun f ->
+                     if Filename.check_suffix f ".ckpt" then
+                       try Sys.remove (Filename.concat dir f)
+                       with Sys_error _ -> ())
+                   (try Sys.readdir dir with Sys_error _ -> [||])));
+          match (!divs, !rejected) with
+          | [], None -> Clean !compared
+          | [], Some tag -> Rejected tag
+          | divs, _ -> Diverged (List.rev divs)))
 
 (* --------------------------------------------------------------- *)
 (* Campaign driver                                                  *)

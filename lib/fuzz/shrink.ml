@@ -17,7 +17,6 @@
 module A = Vekt_ptx.Ast
 module Printer = Vekt_ptx.Printer
 module Typecheck = Vekt_ptx.Typecheck
-module Parser = Vekt_ptx.Parser
 
 (* Cap on deletion candidates: each well-typed one replays the whole
    config matrix, so a pathological shrink must not dominate the
@@ -77,7 +76,7 @@ let chunks ~max_evals ~(try_candidate : 'a list -> 'w option) (l : 'a list) :
   (!best, !witness)
 
 let minimize ~(still_fails : Gen.t -> bool) (spec : Gen.t) : Gen.t =
-  match Parser.parse_module spec.src with
+  match Typecheck.load spec.src with
   | exception _ -> spec
   | m -> (
       match A.find_kernel m spec.kernel with
@@ -86,11 +85,9 @@ let minimize ~(still_fails : Gen.t -> bool) (spec : Gen.t) : Gen.t =
           (* only well-typed candidates reach the expensive predicate *)
           let try_candidate regs body =
             let cand = rebuild spec m k body regs in
-            match Parser.parse_module cand.src with
+            match Typecheck.load cand.src with
             | exception _ -> None
-            | m' ->
-                if Typecheck.check_module m' = [] && still_fails cand then Some cand
-                else None
+            | _ -> if still_fails cand then Some cand else None
           in
           let body, best =
             chunks ~max_evals ~try_candidate:(try_candidate k.A.k_regs)

@@ -614,9 +614,3 @@ let parse_module src =
     m_funcs = List.rev !funcs;
     m_kernels = List.rev !kernels;
   }
-
-(** Convenience: parse a module that contains exactly one kernel. *)
-let parse_kernel_exn src =
-  match (parse_module src).Ast.m_kernels with
-  | [ k ] -> k
-  | ks -> invalid_arg (Fmt.str "parse_kernel_exn: %d kernels" (List.length ks))

@@ -14,8 +14,6 @@ type error = { what : string; where : string }
 let err what where = { what; where }
 let pp_error fmt e = Fmt.pf fmt "%s (in %s)" e.what e.where
 
-exception Type_error of error
-
 let width_class ty =
   match ty with Pred -> `Pred | _ -> `Bits (size_of ty * 8)
 
@@ -242,6 +240,26 @@ let check_module (m : modul) : error list =
   @ List.concat_map (check_func_decl ~funcs:m.m_funcs) m.m_funcs
   @ List.concat_map (check_kernel ~consts ~funcs:m.m_funcs) m.m_kernels
 
-(** Raise [Type_error] on the first problem found. *)
-let check_module_exn m =
-  match check_module m with [] -> () | e :: _ -> raise (Type_error e)
+(** The one PTX loader: parse [src], then type-check the module.  A
+    failure raises the structured {!Vekt_error.Compile} of its stage
+    ([Lex], [Parse] with its line, or [Typecheck], whose reason names
+    every error).  [phase] wraps each stage's work: {!load} runs them
+    bare, and the host API runs each inside a span. *)
+let load_with ~phase src : modul =
+  let fail line stage reason =
+    raise (Vekt_error.compile ~kernel:"" ~line stage reason)
+  in
+  let m =
+    phase Vekt_error.Parse (fun () ->
+        try Parser.parse_module src with
+        | Parser.Error (msg, line) -> fail (Some line) Vekt_error.Parse msg
+        | Lexer.Error (msg, line) -> fail (Some line) Vekt_error.Lex msg)
+  in
+  phase Vekt_error.Typecheck (fun () ->
+      match check_module m with
+      | [] -> m
+      | errs ->
+          fail None Vekt_error.Typecheck
+            (String.concat "; " (List.map (Fmt.str "%a" pp_error) errs)))
+
+let load src = load_with ~phase:(fun _ run -> run ()) src

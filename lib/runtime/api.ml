@@ -17,10 +17,6 @@ module Interp = Vekt_vm.Interp
 module Vectorize = Vekt_transform.Vectorize
 open Vekt_ptx
 
-let compile_error ?(kernel = "") ?ws ?tier ?line ~stage reason =
-  Vekt_error.Error
-    (Vekt_error.Compile { kernel; ws; tier; stage; line; reason })
-
 (** One session: per-client state layered over a shared {!Engine.t}.
     The device owns what must be private to a client — global memory,
     the allocator, launch bookkeeping — while the engine owns the
@@ -109,6 +105,9 @@ let validate_config (c : config) =
   (match c.workers with
   | Some w when w <= 0 -> bad "config.workers (want >= 1)" w 1
   | _ -> ());
+  let narrowest = List.fold_left min max_int c.widths in
+  if narrowest <> 1 then
+    bad "config.widths (want each >= 1, including 1)" narrowest 1;
   if c.checkpoint_every < 0 then
     bad "config.checkpoint_every (want >= 0)" c.checkpoint_every 0;
   if c.quarantine_ttl < 0 then
@@ -463,12 +462,6 @@ let arg_of_spec (d : device) spec : (parsed_arg, string) result =
         | k -> Error (Fmt.str "unknown arg kind %S" k)
       with Failure _ -> Error (Fmt.str "bad arg spec %S" spec))
 
-(** Parse, type-check and register a PTX module.  Kernels are analyzed and
-    translated lazily on first launch (the translation cache is shared by
-    all launches of this module).  [sink] receives [parse] and
-    [typecheck] span events (worker 0, modelled time 0 — module loading
-    happens before any modelled cycle elapses; the spans' width is wall
-    time). *)
 (* Canonical fingerprint of every knob that shapes compiled code or
    cache behavior — the config part of the engine's shared-cache key.
    Knobs that only affect the launch driver (workers, checkpointing,
@@ -499,6 +492,13 @@ let config_fingerprint (c : config) (machine : Machine.t) : string =
        c.quarantine_ttl machine.Machine.name);
   Digest.to_hex (Digest.string (Buffer.contents b))
 
+(** Parse, type-check ({!Typecheck.load_with}) and register a PTX
+    module; a bad module or configuration raises a structured
+    {!Vekt_error.Error}.  Kernels are analyzed and translated lazily on
+    first launch (the translation cache is shared by all launches of
+    this module).  [sink] receives [parse] and [typecheck] span events
+    (worker 0, modelled time 0 — module loading happens before any
+    modelled cycle elapses; the spans' width is wall time). *)
 let load_module ?(config = default_config) ?(sink = Vekt_obs.Sink.noop)
     (d : device) (src : string) : modul =
   let sink = Vekt_obs.Sink.tee (Engine.sink d.engine) sink in
@@ -516,20 +516,10 @@ let load_module ?(config = default_config) ?(sink = Vekt_obs.Sink.noop)
     else body ()
   in
   let ast =
-    load_span Vekt_obs.Event.Sk_parse "parse" (fun () ->
-        try Parser.parse_module src with
-        | Parser.Error (msg, line) ->
-            raise (compile_error ~stage:Vekt_error.Parse ~line msg)
-        | Lexer.Error (msg, line) ->
-            raise (compile_error ~stage:Vekt_error.Lex ~line msg))
+    Typecheck.load_with src ~phase:(function
+      | Vekt_error.Parse -> load_span Vekt_obs.Event.Sk_parse "parse"
+      | _ -> load_span Vekt_obs.Event.Sk_typecheck "typecheck")
   in
-  load_span Vekt_obs.Event.Sk_typecheck "typecheck" (fun () ->
-      match Typecheck.check_module ast with
-      | [] -> ()
-      | e :: _ ->
-          raise
-            (compile_error ~stage:Vekt_error.Typecheck
-               (Fmt.str "%a" Typecheck.pp_error e)));
   (* reject incompatible policy × vectorization combinations up front;
      a bad policy is a host programming error, not a guest fault *)
   Scheduler.validate ~mode:config.mode (sched_policy config);
@@ -554,17 +544,12 @@ let kernel_cache (m : modul) ~kernel : Translation_cache.t =
   | Some c -> c
   | None ->
       let build () =
-        try
-          Translation_cache.prepare ~mode:m.config.mode ~affine:m.config.affine
-            ~specialize_args:m.config.specialize_args ~machine:m.device.machine
-            ~widths:m.config.widths ~optimize:m.config.optimize
-            ~pipeline:m.config.pipeline ~tiering:m.config.tiering
-            ?capacity:m.config.cache_capacity ~verify:m.config.verify
-            ?fault:m.fault ~quarantine_ttl:m.config.quarantine_ttl m.ast
-            ~kernel
-        with Vekt_transform.Ptx_to_ir.Unsupported u ->
-          raise
-            (compile_error ~kernel ~stage:Vekt_error.Frontend u.construct)
+        Translation_cache.prepare ~mode:m.config.mode ~affine:m.config.affine
+          ~specialize_args:m.config.specialize_args ~machine:m.device.machine
+          ~widths:m.config.widths ~optimize:m.config.optimize
+          ~pipeline:m.config.pipeline ~tiering:m.config.tiering
+          ?capacity:m.config.cache_capacity ~verify:m.config.verify
+          ?fault:m.fault ~quarantine_ttl:m.config.quarantine_ttl m.ast ~kernel
       in
       let c =
         (* fault-injecting modules keep private caches: the injector's
@@ -621,7 +606,7 @@ let launch ?fuel ?(sink = Vekt_obs.Sink.noop)
     | Some k -> k
     | None ->
         raise
-          (compile_error ~kernel ~stage:Vekt_error.Frontend
+          (Vekt_error.compile ~kernel ~line:None Vekt_error.Frontend
              (Fmt.str "no kernel named %s" kernel))
   in
   let params = Launch.param_block k args in

@@ -187,7 +187,8 @@ let has_order_dependent_atomics (f : Ir.func) =
     blocks
 
 (** Parse-time preparation of one kernel: frontend to scalar IR plus the
-    divergence plan shared by all specializations. *)
+    divergence plan shared by all specializations.  A construct the
+    frontend rejects is a structured {!Vekt_error.Compile}. *)
 let prepare ?(mode = Vectorize.Dynamic) ?(affine = false) ?(specialize_args = false)
     ?(machine = Machine.sse4) ?(widths = default_widths) ?(optimize = true)
     ?(pipeline = Passes.default_pipeline) ?(tiering = Eager) ?capacity
@@ -201,7 +202,12 @@ let prepare ?(mode = Vectorize.Dynamic) ?(affine = false) ?(specialize_args = fa
   (match capacity with
   | Some c when c < 1 -> invalid_arg "Translation_cache.prepare: capacity must be >= 1"
   | _ -> ());
-  let tr = Ptx_to_ir.frontend m ~kernel in
+  let tr =
+    try Ptx_to_ir.frontend m ~kernel
+    with Ptx_to_ir.Unsupported u ->
+      raise
+        (Vekt_error.compile ~kernel ~line:None Vekt_error.Frontend u.construct)
+  in
   let plan = Plan.compute tr.Ptx_to_ir.func ~local_decl_bytes:tr.Ptx_to_ir.local_decl_bytes in
   {
     kernel_name = kernel;
@@ -379,10 +385,15 @@ let compile_entry (t : t) ~sink ~now ~worker ~scalar ~ws ~tier : entry =
   | None -> ());
   try compile_build t ~sink ~now ~worker ~scalar ~ws ~tier with
   | Vekt_error.Error _ as e -> raise e
-  | Ptx_to_ir.Unsupported u ->
-      raise (compile_error t ~ws ~tier ~stage:Vekt_error.Frontend u.construct)
   | Failure msg | Invalid_argument msg ->
       raise (compile_error t ~ws ~tier ~stage:Vekt_error.Vectorize msg)
+
+(** Build the generic [ws]-wide specialization at [tier] as a miss or a
+    promotion would, without entering it in the table ([vektc compile]). *)
+let build (t : t) ~ws ~tier : entry =
+  Mutex.protect t.lock (fun () ->
+      compile_entry t ~sink:Obs.Sink.noop ~now:0.0 ~worker:0 ~scalar:t.scalar
+        ~ws ~tier)
 
 let emit_compile (t : t) sink ~now ~worker ~ws (e : entry) =
   if Obs.Sink.enabled sink then begin

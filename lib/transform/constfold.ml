@@ -14,7 +14,8 @@ module Ir = Vekt_ir.Ir
 module Ty = Vekt_ir.Ty
 open Vekt_ptx
 
-type stats = { folded : int; branches_folded : int }
+(** [substituted] counts register operands rewritten to their constant. *)
+type stats = { folded : int; substituted : int; branches_folded : int }
 
 let eval_pure (i : Ir.instr) : (Scalar_ops.value * Ast.dtype) option =
   let imm = function Ir.Imm (v, ty) -> Some (v, ty) | Ir.R _ -> None in
@@ -55,7 +56,7 @@ let eval_pure (i : Ir.instr) : (Scalar_ops.value * Ast.dtype) option =
   | _ -> None
 
 let run (f : Ir.func) : stats =
-  let folded = ref 0 and branches_folded = ref 0 in
+  let folded = ref 0 and substituted = ref 0 and branches_folded = ref 0 in
   List.iter
     (fun (b : Ir.block) ->
       (* register -> known constant, invalidated on redefinition *)
@@ -68,10 +69,15 @@ let run (f : Ir.func) : stats =
             | _ -> o)
         | Ir.Imm _ -> o
       in
+      let subst_counted o =
+        let o' = subst o in
+        if o' != o then incr substituted;
+        o'
+      in
       b.Ir.insts <-
         List.map
           (fun (li : Ir.li) ->
-            let i = Ir.map_operands subst li.Ir.i in
+            let i = Ir.map_operands subst_counted li.Ir.i in
             match Ir.def i with
             | None -> { li with Ir.i }
             | Some d -> (
@@ -106,4 +112,5 @@ let run (f : Ir.func) : stats =
             | v -> Ir.Switch (v, cases, d))
         | t -> t))
     (Ir.blocks f);
-  { folded = !folded; branches_folded = !branches_folded }
+  { folded = !folded; substituted = !substituted;
+    branches_folded = !branches_folded }

@@ -37,7 +37,8 @@ let registry : pass list =
       run =
         (fun f ->
           let s = Constfold.run f in
-          s.Constfold.folded + s.Constfold.branches_folded);
+          s.Constfold.folded + s.Constfold.substituted
+          + s.Constfold.branches_folded);
     };
     { name = "cse"; run = Cse.run };
     { name = "dce"; run = Dce.run };

@@ -83,16 +83,16 @@ let header_round_trip () =
    if-conversion must live at the widened type. *)
 
 let ifconv_guarded_mul_wide () =
-  let k =
-    Parser.parse_kernel_exn
-      ".entry k (.param .u64 p) {\n\
-      \  .reg .s32 %s0;\n\
-      \  .reg .s64 %w0;\n\
-      \  .reg .pred %q0;\n\
-      \  @%q0 mul.wide.s32 %w0, 14, %s0;\n\
-      \  ret;\n\
-       }"
+  let src =
+    ".entry k (.param .u64 p) {\n\
+    \  .reg .s32 %s0;\n\
+    \  .reg .s64 %w0;\n\
+    \  .reg .pred %q0;\n\
+    \  @%q0 mul.wide.s32 %w0, 14, %s0;\n\
+    \  ret;\n\
+     }"
   in
+  let k = List.hd (Parser.parse_module src).Ast.m_kernels in
   let k' = Vekt_transform.Ifconv.run k in
   Alcotest.(check bool) "postcondition" true (Vekt_transform.Ifconv.is_clean k');
   match List.assoc_opt "%__ifc1" k'.Ast.k_regs with

@@ -3,6 +3,12 @@
 
 open Vekt_ptx
 
+(* the one kernel of a single-kernel module *)
+let parse_kernel_exn src =
+  match (Parser.parse_module src).Ast.m_kernels with
+  | [ k ] -> k
+  | ks -> Alcotest.failf "parse_kernel_exn: %d kernels" (List.length ks)
+
 let vecadd_src =
   {|
 .entry vecadd (.param .u64 a, .param .u64 b, .param .u64 c, .param .u32 n)
@@ -91,7 +97,7 @@ let test_parse_vecadd () =
 
 let test_parse_guard () =
   let k =
-    Parser.parse_kernel_exn
+    parse_kernel_exn
       {|.entry g () { .reg .pred %p; .reg .u32 %r; @!%p add.u32 %r, %r, 1; exit; }|}
   in
   match k.Ast.k_body with
@@ -100,7 +106,7 @@ let test_parse_guard () =
 
 let test_parse_shared_local () =
   let k =
-    Parser.parse_kernel_exn
+    parse_kernel_exn
       {|.entry s ()
         { .shared .f32 tile[128]; .local .u32 scratch[4]; .reg .u64 %a;
           mov.u64 %a, tile; exit; }|}
@@ -234,7 +240,7 @@ DBL:
 
 let test_parse_atom () =
   let k =
-    Parser.parse_kernel_exn
+    parse_kernel_exn
       {|.entry a (.param .u64 p)
         { .reg .u32 %old, %v; .reg .u64 %addr; ld.param.u64 %addr, [p];
           atom.global.add.u32 %old, [%addr], %v; exit; }|}
@@ -303,7 +309,7 @@ let test_tc_clean_vecadd () =
 (* --- CFG --- *)
 
 let test_cfg_blocks () =
-  let k = Parser.parse_kernel_exn vecadd_src in
+  let k = parse_kernel_exn vecadd_src in
   let cfg = Cfg.of_kernel k in
   (* entry block, fallthrough block, DONE *)
   Alcotest.(check int) "block count" 3 (List.length cfg.Cfg.blocks);
@@ -316,7 +322,7 @@ let test_cfg_blocks () =
 
 let test_cfg_barrier_splits () =
   let k =
-    Parser.parse_kernel_exn
+    parse_kernel_exn
       {|.entry b () { .reg .u32 %r; add.u32 %r, %r, 1; bar.sync 0; add.u32 %r, %r, 2; exit; }|}
   in
   let cfg = Cfg.of_kernel k in
@@ -327,7 +333,7 @@ let test_cfg_barrier_splits () =
 
 let test_cfg_guarded_exit () =
   let k =
-    Parser.parse_kernel_exn
+    parse_kernel_exn
       {|.entry e () { .reg .pred %p; .reg .u32 %r; @%p exit; add.u32 %r, %r, 1; exit; }|}
   in
   let cfg = Cfg.of_kernel k in
@@ -339,7 +345,7 @@ let test_cfg_guarded_exit () =
   | _ -> Alcotest.fail "guarded exit should become cbr to exit stub"
 
 let test_cfg_roundtrip_body () =
-  let k = Parser.parse_kernel_exn vecadd_src in
+  let k = parse_kernel_exn vecadd_src in
   let cfg = Cfg.of_kernel k in
   let k2 = { k with Ast.k_body = Cfg.to_body cfg } in
   (* Rebuilt body must still typecheck and produce an equivalent CFG. *)
@@ -352,7 +358,7 @@ let test_cfg_roundtrip_body () =
     (List.length cfg2.Cfg.blocks)
 
 let test_cfg_rpo () =
-  let k = Parser.parse_kernel_exn vecadd_src in
+  let k = parse_kernel_exn vecadd_src in
   let cfg = Cfg.of_kernel k in
   let rpo = Cfg.reverse_postorder cfg in
   Alcotest.(check string) "entry first" cfg.Cfg.entry (List.hd rpo).Cfg.label

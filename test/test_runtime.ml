@@ -324,7 +324,68 @@ let test_api_bad_module () =
        ignore (Api.load_module dev {|.entry k () { add.u32 %a, %a, 1; exit; }|});
        false
      with Vekt_error.Error (Vekt_error.Compile c) ->
-       c.stage = Vekt_error.Typecheck)
+       c.stage = Vekt_error.Typecheck);
+  (* the reason names every type error, not just the first *)
+  match Api.load_module dev {|.entry k () { add.u32 %a, %a, 1; bra NOPE; }|} with
+  | _ -> Alcotest.fail "ill-typed module loaded"
+  | exception Vekt_error.Error (Vekt_error.Compile c) ->
+      let mentions sub =
+        let n = String.length sub in
+        let rec at i =
+          i + n <= String.length c.reason
+          && (String.sub c.reason i n = sub || at (i + 1))
+        in
+        at 0
+      in
+      Alcotest.(check bool) "first error named" true (mentions "%a not declared");
+      Alcotest.(check bool) "last error named" true (mentions "NOPE")
+
+(* A width below 1, or a width list without the scalar width 1, is a
+   structured error at load, before any launch needs the fallback. *)
+let test_api_bad_widths () =
+  List.iter
+    (fun (key, value, narrowest) ->
+      let config = Result.get_ok (Api.config_of_spec [ (key, value) ]) in
+      let dev = Api.create_device ~global_bytes:4096 () in
+      match Api.load_module ~config dev {|.entry k () { exit; }|} with
+      | _ -> Alcotest.failf "%s=%s loaded" key value
+      | exception Vekt_error.Error (Vekt_error.Resource r) ->
+          Alcotest.(check int)
+            (Fmt.str "%s=%s: narrowest width" key value)
+            narrowest r.requested)
+    [ ("widths", "4,2", 2); ("ws", "0", 0) ]
+
+(* The dump is what runs: [vektc compile] prints TC.build's IR, which
+   must be the IR of the specialization a launch's cache miss builds,
+   under the default configuration, optimize=false and static mode. *)
+let test_compile_dump_is_what_runs () =
+  let dump spec (w : Vekt_workloads.Workload.t) =
+    let config = Result.get_ok (Api.config_of_spec spec) in
+    let dev = Api.create_device ~global_bytes:4096 () in
+    let m = Api.load_module ~config dev w.src in
+    let c = Api.kernel_cache m ~kernel:w.kernel in
+    let ws = TC.max_width c in
+    let ir (e : TC.entry) = Fmt.str "%a" Vekt_ir.Pp.func e.TC.vfunc in
+    let shown = ir (TC.build c ~ws ~tier:1) in
+    Alcotest.(check string) (Fmt.str "%s: dump is the cache's build" w.name)
+      (ir (TC.get c ~ws ())) shown;
+    shown
+  in
+  (* the apps whose pipeline changes the IR beyond tier 0's DCE sweep *)
+  let optimized_apps =
+    [ "reduction"; "matrixmul"; "scan"; "histogram"; "transpose"; "scalarprod";
+      "bitonic"; "binomial"; "montecarlo"; "fastwalsh"; "atomics"; "threadfence" ]
+  in
+  List.iter
+    (fun (w : Vekt_workloads.Workload.t) ->
+      let default = dump [] w in
+      ignore (dump [ ("mode", "static") ] w);
+      let unoptimized = dump [ ("optimize", "false") ] w in
+      if List.mem w.name optimized_apps then
+        Alcotest.(check bool)
+          (w.name ^ ": optimize=false shows the unoptimized build")
+          true (default <> unoptimized))
+    Vekt_workloads.Registry.all
 
 let test_api_unknown_kernel () =
   let dev = Api.create_device () in
@@ -386,5 +447,8 @@ let () =
           Alcotest.test_case "bad module" `Quick test_api_bad_module;
           Alcotest.test_case "unknown kernel" `Quick test_api_unknown_kernel;
           Alcotest.test_case "arg mismatch" `Quick test_api_arg_mismatch;
+          Alcotest.test_case "bad widths" `Quick test_api_bad_widths;
+          Alcotest.test_case "compile dump is what runs" `Quick
+            test_compile_dump_is_what_runs;
         ] );
     ]

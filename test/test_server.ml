@@ -659,6 +659,26 @@ let test_server_handle_end_to_end () =
   Alcotest.(check int) "bob's tally archived after close" 0
     (tenant_counter stats "bob" "jit.compiles")
 
+(* Widths without the scalar width, or below 1, are refused when the
+   module loads: the daemon must not acknowledge a module whose every
+   launch would then fail. *)
+let test_server_bad_widths () =
+  let srv = Server.create ~ckpt_dir:(Filename.concat tmpdir "srv-widths") () in
+  let s = open_session srv "dana" in
+  List.iter
+    (fun widths ->
+      Alcotest.(check string) ("widths=" ^ widths) "resource"
+        (get_err ("widths=" ^ widths)
+           (Server.handle srv
+              (cmd "load-module"
+                 [
+                   ("session", J.Int s);
+                   ("src", J.Str vecadd.Workload.src);
+                   ("config", J.Obj [ ("widths", J.Str widths) ]);
+                 ]))))
+    [ "4,2"; "4,0,1" ];
+  Alcotest.(check int) "a good module still loads" 0 (load_vecadd srv s)
+
 let test_server_quota_rejection () =
   let srv =
     Server.create ~ckpt_dir:(Filename.concat tmpdir "srv-quota") ()
@@ -1312,6 +1332,8 @@ let () =
             test_server_handle_end_to_end;
           Alcotest.test_case "quota rejection over protocol" `Quick
             test_server_quota_rejection;
+          Alcotest.test_case "bad widths rejected at load" `Quick
+            test_server_bad_widths;
         ] );
       ( "jsonx-hardening",
         [

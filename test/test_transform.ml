@@ -14,7 +14,10 @@ module ISet = Set.Make (Int)
 open Vekt_ptx
 
 let parse src = Parser.parse_module src
-let kernel_of src = Parser.parse_kernel_exn src
+let kernel_of src =
+  match (parse src).Ast.m_kernels with
+  | [ k ] -> k
+  | ks -> Alcotest.failf "kernel_of: %d kernels" (List.length ks)
 
 (* --- Ifconv --- *)
 
@@ -460,6 +463,23 @@ let test_constfold_arith () =
   in
   Alcotest.(check bool) "42" true has42
 
+(* A substitution alone is a change: a fixpoint pipeline must not stop
+   after a round that rewrote an operand to an immediate. *)
+let test_constfold_substitution_counts () =
+  let store_of_const () =
+    let b = Vekt_ir.Builder.create "cf" in
+    ignore (Vekt_ir.Builder.start_block b "entry");
+    let x = Vekt_ir.Builder.emit_val b s32 (fun d -> Ir.Mov (s32, d, imm 6)) in
+    Vekt_ir.Builder.emit b (Ir.Store (Ast.Global, Ast.S32, imm 0, 0, Ir.R x));
+    Vekt_ir.Builder.set_term b Ir.Return;
+    Vekt_ir.Builder.func b
+  in
+  let st = Constfold.run (store_of_const ()) in
+  Alcotest.(check int) "substituted" 1 st.Constfold.substituted;
+  Alcotest.(check int) "folded" 0 st.Constfold.folded;
+  let pass = Option.get (Passes.find_pass "constfold") in
+  Alcotest.(check int) "one change reported" 1 (pass.Passes.run (store_of_const ()))
+
 let test_constfold_kill_on_redef () =
   let b = Vekt_ir.Builder.create "cf" in
   ignore (Vekt_ir.Builder.start_block b "entry");
@@ -766,6 +786,8 @@ let () =
           Alcotest.test_case "arith" `Quick test_constfold_arith;
           Alcotest.test_case "kill on redef" `Quick test_constfold_kill_on_redef;
           Alcotest.test_case "branch" `Quick test_constfold_branch;
+          Alcotest.test_case "substitution counts" `Quick
+            test_constfold_substitution_counts;
         ] );
       ( "cse",
         [
