@@ -3,100 +3,127 @@
     Drives the yield-on-diverge transformation: live-out registers at a
     divergence site are spilled by the exit handler; live-in registers at an
     entry point are restored by its entry handler (paper Algorithms 3/4).
-    Also reported as the "values restored per entry" statistic (Figure 8). *)
+    Also reported as the "values restored per entry" statistic (Figure 8).
+    The same solution feeds dead-code elimination ({!Vekt_transform.Dce})
+    and the timing model's register-pressure walk ({!Vekt_vm.Timing}).
+
+    Register sets are dense bitsets over the function's [nregs] registers
+    and blocks are indexed by their layout position, so one dataflow step
+    is a few word operations per block.  The least fixpoint is unique, so
+    the sets are those of the textbook set-based formulation. *)
 
 module Ir = Vekt_ir.Ir
-module Ty = Vekt_ir.Ty
-
 
 module ISet = Set.Make (Int)
 
+(** Mutable dense register sets: bit [r mod int_size] of word
+    [r / int_size] is register [r]. *)
+module Bits = struct
+  type t = int array
+
+  let bpw = Sys.int_size
+  let create nregs = Array.make ((nregs + bpw - 1) / bpw) 0
+  let mem (s : t) r = s.(r / bpw) land (1 lsl (r mod bpw)) <> 0
+
+  let add (s : t) r =
+    let w = r / bpw in
+    s.(w) <- s.(w) lor (1 lsl (r mod bpw))
+
+  let remove (s : t) r =
+    let w = r / bpw in
+    s.(w) <- s.(w) land lnot (1 lsl (r mod bpw))
+
+  (** Apply [f] to every member, in increasing order. *)
+  let iter f (s : t) =
+    Array.iteri
+      (fun w word ->
+        let word = ref word and r = ref (w * bpw) in
+        while !word <> 0 do
+          if !word land 1 <> 0 then f !r;
+          word := !word lsr 1;
+          incr r
+        done)
+      s
+
+  let to_iset s =
+    let acc = ref ISet.empty in
+    iter (fun r -> acc := ISet.add r !acc) s;
+    !acc
+end
+
 type t = {
-  live_in : (string, ISet.t) Hashtbl.t;
-  live_out : (string, ISet.t) Hashtbl.t;
+  index : (string, int) Hashtbl.t;  (** block label -> layout position *)
+  nregs : int;
+  live_in : Bits.t array;
+  live_out : Bits.t array;
 }
 
+(** The backward transfer of one instruction: [live] goes from the set
+    live after [i] to the set live before it. *)
+let step (live : Bits.t) (i : Ir.instr) =
+  (match Ir.def i with Some d -> Bits.remove live d | None -> ());
+  Ir.iter_uses (Bits.add live) i
+
 (** Per-block [gen] (upward-exposed uses) and [kill] (definitions). *)
-let gen_kill (b : Ir.block) =
-  let gen = ref ISet.empty and kill = ref ISet.empty in
+let gen_kill nregs (b : Ir.block) =
+  let gen = Bits.create nregs and kill = Bits.create nregs in
+  let use r = if not (Bits.mem kill r) then Bits.add gen r in
   List.iter
     (fun { Ir.i; _ } ->
-      List.iter (fun r -> if not (ISet.mem r !kill) then gen := ISet.add r !gen) (Ir.uses i);
-      match Ir.def i with Some d -> kill := ISet.add d !kill | None -> ())
+      Ir.iter_uses use i;
+      match Ir.def i with Some d -> Bits.add kill d | None -> ())
     b.insts;
-  List.iter
-    (fun r -> if not (ISet.mem r !kill) then gen := ISet.add r !gen)
-    (Ir.term_uses b.term);
-  (!gen, !kill)
+  List.iter use (Ir.term_uses b.term);
+  (gen, kill)
 
 let compute (f : Ir.func) : t =
-  let live_in = Hashtbl.create 16 and live_out = Hashtbl.create 16 in
-  let gk = Hashtbl.create 16 in
-  List.iter
-    (fun b ->
-      Hashtbl.replace gk b.Ir.label (gen_kill b);
-      Hashtbl.replace live_in b.Ir.label ISet.empty;
-      Hashtbl.replace live_out b.Ir.label ISet.empty)
-    (Ir.blocks f);
-  (* Iterate to fixpoint; post-order-ish sweep converges fast on reducible
-     kernels.  Unreachable blocks participate too (harmless). *)
+  let blocks = Array.of_list (Ir.blocks f) in
+  let n = Array.length blocks and nregs = f.Ir.nregs in
+  let index = Hashtbl.create (2 * n) in
+  Array.iteri (fun k b -> Hashtbl.replace index b.Ir.label k) blocks;
+  let succs =
+    Array.map
+      (fun b -> Array.of_list (List.map (Hashtbl.find index) (Ir.successors b)))
+      blocks
+  in
+  let gk = Array.map (gen_kill nregs) blocks in
+  let live_in = Array.init n (fun _ -> Bits.create nregs) in
+  let live_out = Array.init n (fun _ -> Bits.create nregs) in
+  let words = (nregs + Bits.bpw - 1) / Bits.bpw in
+  (* Iterate to fixpoint; a reverse-layout sweep converges fast on
+     reducible kernels.  Unreachable blocks participate too (harmless). *)
   let changed = ref true in
   while !changed do
     changed := false;
-    List.iter
-      (fun b ->
-        let label = b.Ir.label in
-        let out =
-          List.fold_left
-            (fun acc s -> ISet.union acc (Hashtbl.find live_in s))
-            ISet.empty (Ir.successors b)
-        in
-        let gen, kill = Hashtbl.find gk label in
-        let inn = ISet.union gen (ISet.diff out kill) in
-        if not (ISet.equal out (Hashtbl.find live_out label)) then begin
-          Hashtbl.replace live_out label out;
+    for k = n - 1 downto 0 do
+      let gen, kill = gk.(k) and out = live_out.(k) and inn = live_in.(k) in
+      let ss = succs.(k) in
+      for w = 0 to words - 1 do
+        let o = ref 0 in
+        Array.iter (fun s -> o := !o lor live_in.(s).(w)) ss;
+        let i = gen.(w) lor (!o land lnot kill.(w)) in
+        if !o <> out.(w) || i <> inn.(w) then begin
+          out.(w) <- !o;
+          inn.(w) <- i;
           changed := true
-        end;
-        if not (ISet.equal inn (Hashtbl.find live_in label)) then begin
-          Hashtbl.replace live_in label inn;
-          changed := true
-        end)
-      (List.rev (Ir.blocks f))
+        end
+      done
+    done
   done;
-  { live_in; live_out }
+  { index; nregs; live_in; live_out }
 
-let live_in t label = Option.value (Hashtbl.find_opt t.live_in label) ~default:ISet.empty
-let live_out t label = Option.value (Hashtbl.find_opt t.live_out label) ~default:ISet.empty
+let find sets t label =
+  match Hashtbl.find_opt t.index label with
+  | Some k -> Some sets.(k)
+  | None -> None
 
-(** Per-instruction liveness within one block, scanned backwards from the
-    block's live-out set.  Returns, in instruction order, the set of
-    registers live {e after} each instruction.  Used by the VM's register
-    allocator to estimate pressure. *)
-let per_instruction (t : t) (b : Ir.block) : ISet.t array =
-  let n = List.length b.insts in
-  let after = Array.make (max n 1) ISet.empty in
-  let live = ref (live_out t b.Ir.label) in
-  List.iter (fun r -> live := ISet.add r !live) (Ir.term_uses b.term);
-  let insts = Array.of_list b.insts in
-  for idx = n - 1 downto 0 do
-    after.(idx) <- !live;
-    let i = insts.(idx).Ir.i in
-    (match Ir.def i with Some d -> live := ISet.remove d !live | None -> ());
-    List.iter (fun r -> live := ISet.add r !live) (Ir.uses i)
-  done;
-  after
+let as_iset = function Some s -> Bits.to_iset s | None -> ISet.empty
+let live_in t label = as_iset (find t.live_in t label)
+let live_out t label = as_iset (find t.live_out t label)
 
-(** Maximum simultaneously-live register count anywhere in the function,
-    weighted by [weight] (e.g. vector registers vs scalar). *)
-let max_pressure ?(weight = fun _ -> 1) (f : Ir.func) (t : t) : int =
-  let best = ref 0 in
-  List.iter
-    (fun b ->
-      let after = per_instruction t b in
-      Array.iter
-        (fun s ->
-          let p = ISet.fold (fun r acc -> acc + weight r) s 0 in
-          if p > !best then best := p)
-        after)
-    (Ir.blocks f);
-  !best
+(** A fresh mutable copy of [label]'s live-out set (empty for an unknown
+    label), for backward walks over the block's instructions. *)
+let live_out_copy t label =
+  match find t.live_out t label with
+  | Some s -> Array.copy s
+  | None -> Bits.create t.nregs

@@ -179,33 +179,43 @@ let def = function
 
 let operand_reg = function R r -> Some r | Imm _ -> None
 
+(** Apply [fn] to every register an instruction reads, in operand order,
+    without building the {!uses} list. *)
+let iter_uses fn i =
+  let op = function R r -> fn r | Imm _ -> () in
+  match i with
+  | Bin (_, _, _, a, b) | Cmp (_, _, _, a, b) ->
+      op a;
+      op b
+  | Un (_, _, _, a)
+  | Mov (_, _, a)
+  | Cvt (_, _, _, a)
+  | Load (_, _, _, a, _)
+  | Vload (_, _, _, a, _)
+  | Broadcast (_, _, a)
+  | Extract (_, _, a, _)
+  | Reduce_add (_, a)
+  | Spill (_, _, _, a)
+  | Set_resume (_, a) ->
+      op a
+  | Fma (_, _, a, b, c) | Select (_, _, a, b, c) ->
+      op a;
+      op b;
+      op c
+  | Store (_, _, a, _, b) | Vstore (_, _, a, _, b) | Insert (_, _, a, _, b) ->
+      op a;
+      op b
+  | Atomic (_, _, _, _, base, _, b, c) ->
+      op base;
+      op b;
+      Option.iter op c
+  | Ctx_read _ | Restore _ | Set_status _ -> ()
+
 (** Registers read by an instruction. *)
 let uses i =
-  let ops =
-    match i with
-    | Bin (_, _, _, a, b) -> [ a; b ]
-    | Un (_, _, _, a) -> [ a ]
-    | Fma (_, _, a, b, c) -> [ a; b; c ]
-    | Cmp (_, _, _, a, b) -> [ a; b ]
-    | Select (_, _, c, a, b) -> [ c; a; b ]
-    | Mov (_, _, a) -> [ a ]
-    | Cvt (_, _, _, a) -> [ a ]
-    | Load (_, _, _, base, _) -> [ base ]
-    | Store (_, _, base, _, v) -> [ base; v ]
-    | Vload (_, _, _, base, _) -> [ base ]
-    | Vstore (_, _, base, _, v) -> [ base; v ]
-    | Atomic (_, _, _, _, base, _, b, c) -> base :: b :: Option.to_list c
-    | Broadcast (_, _, a) -> [ a ]
-    | Extract (_, _, a, _) -> [ a ]
-    | Insert (_, _, v, _, s) -> [ v; s ]
-    | Reduce_add (_, a) -> [ a ]
-    | Ctx_read _ -> []
-    | Spill (_, _, _, v) -> [ v ]
-    | Restore _ -> []
-    | Set_resume (_, v) -> [ v ]
-    | Set_status _ -> []
-  in
-  List.filter_map operand_reg ops
+  let acc = ref [] in
+  iter_uses (fun r -> acc := r :: !acc) i;
+  List.rev !acc
 
 let term_uses = function
   | Jump _ | Barrier _ | Return -> []

@@ -176,9 +176,34 @@ let cmp op ty a b =
     | Gt -> c > 0
     | Ge -> c >= 0
 
+(** Float→integer conversion as PTX defines it: truncate toward zero,
+    then clamp to the range of [dst] (NaN converts to 0).  Partially apply
+    to [dst] to hoist the bounds out of a loop. *)
+let float_to_int dst =
+  let bits = min 64 (8 * size_of dst) in
+  if is_signed dst then
+    let hi = Float.ldexp 1.0 (bits - 1) in
+    let max_v = norm_int dst (Int64.pred (Int64.shift_left 1L (bits - 1)))
+    and min_v = norm_int dst (Int64.shift_left 1L (bits - 1)) in
+    fun f ->
+      let t = Float.trunc f in
+      if Float.is_nan t then 0L
+      else if t >= hi then max_v
+      else if t < -.hi then min_v
+      else Int64.of_float t
+  else
+    let hi = Float.ldexp 1.0 bits and max_v = norm_int dst (-1L) in
+    fun f ->
+      let t = Float.trunc f in
+      if Float.is_nan t || t <= 0.0 then 0L
+      else if t >= hi then max_v
+      else if t >= 0x1p63 then Int64.add (Int64.of_float (t -. 0x1p63)) Int64.min_int
+      else Int64.of_float t
+
 (** Type conversion.  Float→int truncates toward zero (PTX [.rzi] default in
-    the kernels we accept); int width changes normalize per the destination
-    type after extending per the source type's signedness. *)
+    the kernels we accept) and saturates ({!float_to_int}); int width
+    changes normalize per the destination type after extending per the
+    source type's signedness. *)
 let cvt ~dst ~src v =
   match (is_float dst, is_float src) with
   | true, true -> F (as_float dst (F (as_float src v)))
@@ -186,16 +211,7 @@ let cvt ~dst ~src v =
       let x = as_int src v in
       let f = Int64.to_float x in
       F (if dst = F32 then round_f32 f else f)
-  | false, true ->
-      let f = as_float src v in
-      let truncated = Float.trunc f in
-      let i =
-        if Float.is_nan truncated then 0L
-        else if truncated >= 9.22e18 then Int64.max_int
-        else if truncated <= -9.22e18 then Int64.min_int
-        else Int64.of_float truncated
-      in
-      I (norm_int dst i)
+  | false, true -> I (norm_int dst (float_to_int dst (as_float src v)))
   | false, false -> I (norm_int dst (as_int src v))
 
 let atom op ty old v extra =

@@ -36,23 +36,30 @@ let run (f : Ir.func) : int =
       let ver r = Option.value (Hashtbl.find_opt version r) ~default:0 in
       let bump r = Hashtbl.replace version r (ver r + 1) in
       (* expression key -> (result reg, result version at definition) *)
-      let avail : (string, Ir.vreg * int) Hashtbl.t = Hashtbl.create 32 in
+      let avail : (Ir.instr * int64 list, Ir.vreg * int) Hashtbl.t = Hashtbl.create 32 in
       let key i =
-        (* Stringify with operand versions spliced in; the destination is
-           normalized out by keying on the def-less instruction text. *)
+        (* The instruction itself with operand versions spliced in and the
+           destination normalized out, compared structurally.  Float
+           immediates are keyed by their bits (zeroed in the instruction,
+           listed beside it): structural float equality would merge 0.0
+           with -0.0. *)
+        let bits = ref [] in
         let versioned =
           Ir.map_operands
             (function
               | Ir.R r -> Ir.R ((r * 1_000_000) + ver r)
+              | Ir.Imm (Vekt_ptx.Scalar_ops.F x, ty) ->
+                  bits := Int64.bits_of_float x :: !bits;
+                  Ir.Imm (Vekt_ptx.Scalar_ops.F 0.0, ty)
               | o -> o)
             i
         in
-        let shown =
+        let shape =
           match Ir.def versioned with
           | Some _ -> Ir.with_def 0 versioned
           | None -> versioned
         in
-        Fmt.to_to_string Vekt_ir.Pp.instr shown
+        (shape, !bits)
       in
       b.Ir.insts <-
         List.map

@@ -7,7 +7,7 @@
 
 module Ir = Vekt_ir.Ir
 module Liveness = Vekt_analysis.Liveness
-module ISet = Set.Make (Int)
+module Bits = Liveness.Bits
 
 (** One liveness-compute-and-sweep.  Returns the number of removed
     instructions. *)
@@ -16,8 +16,8 @@ let sweep (f : Ir.func) : int =
   let removed = ref 0 in
   List.iter
     (fun (b : Ir.block) ->
-      let out = ref (Liveness.live_out live b.Ir.label) in
-      List.iter (fun r -> out := ISet.add r !out) (Ir.term_uses b.Ir.term);
+      let out = Liveness.live_out_copy live b.Ir.label in
+      List.iter (Bits.add out) (Ir.term_uses b.Ir.term);
       (* Walk backwards, keeping instructions whose def is live or that
          have side effects. *)
       let kept =
@@ -28,12 +28,11 @@ let sweep (f : Ir.func) : int =
               (not (Ir.is_pure i))
               ||
               match Ir.def i with
-              | Some d -> ISet.mem d !out
+              | Some d -> Bits.mem out d
               | None -> true
             in
             if keep then begin
-              (match Ir.def i with Some d -> out := ISet.remove d !out | None -> ());
-              List.iter (fun r -> out := ISet.add r !out) (Ir.uses i);
+              Liveness.step out i;
               li :: kept
             end
             else begin

@@ -338,14 +338,6 @@ let[@inline] funop op x =
   | Ast.Rcp -> 1.0 /. x
   | _ -> nan
 
-(* [Scalar_ops.cvt] from a float to an integer type, before [norm]. *)
-let[@inline] ftoi f =
-  let t = Float.trunc f in
-  if t <> t then 0L
-  else if t >= 9.22e18 then Int64.max_int
-  else if t <= -9.22e18 then Int64.min_int
-  else Int64.of_float t
-
 let[@inline] of_bool b = if b then 1L else 0L
 
 (* ------------------------------------------------------------------ *)
@@ -646,7 +638,7 @@ let compile_op ~ws ~(src : Ir.operand -> src) ~(dst : Ir.vreg -> src) (i : Ir.in
               fset st d l (rnd rd (Int64.to_float (norm ns (iget st a l))))
             done
       | Ci, Cf, false, true ->
-          let nd = norm_of de in
+          let nd = norm_of de and ftoi = Scalar_ops.float_to_int de in
           fun st ->
             for l = 0 to width_of d - 1 do
               iset st d l (norm nd (ftoi (rnd rs (fget st a l))))

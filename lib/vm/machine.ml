@@ -19,6 +19,16 @@ type port =
 
 let all_ports = [ Fp_mul; Fp_add; Valu; Salu; Shuf; Mem_ld; Mem_st ]
 
+(** Position of a port in {!all_ports}. *)
+let port_index = function
+  | Fp_mul -> 0
+  | Fp_add -> 1
+  | Valu -> 2
+  | Salu -> 3
+  | Shuf -> 4
+  | Mem_ld -> 5
+  | Mem_st -> 6
+
 let port_name = function
   | Fp_mul -> "fp_mul"
   | Fp_add -> "fp_add"

@@ -158,54 +158,98 @@ let flops_of_instr (f : Ir.func) (i : Ir.instr) =
       ignore f;
       0
 
+(* Physical registers each virtual register occupies while live, split
+   into vector and GPR weights; computed once per function. *)
+type weights = { vec : int array; gpr : int array }
+
+let weights (m : Machine.t) (f : Ir.func) : weights =
+  let vec = Array.make f.Ir.nregs 0 and gpr = Array.make f.Ir.nregs 0 in
+  for r = 0 to f.Ir.nregs - 1 do
+    match phys_regs m (Ir.reg_ty f r) with `Vec n -> vec.(r) <- n | `Gpr n -> gpr.(r) <- n
+  done;
+  { vec; gpr }
+
+(* Maximum vector and GPR pressure over the points just after each of the
+   block's instructions, in one backward walk from the block's live-out
+   set: running sums follow the live set as each instruction's definition
+   leaves it and its uses join it.  An empty block has no such point and
+   reports zero. *)
+let pressure (w : weights) (live : Liveness.t) (b : Ir.block) =
+  let max_vec = ref 0 and max_gpr = ref 0 in
+  if b.Ir.insts <> [] then begin
+    let set = Liveness.live_out_copy live b.Ir.label in
+    let v = ref 0 and g = ref 0 in
+    let enter r =
+      v := !v + w.vec.(r);
+      g := !g + w.gpr.(r)
+    in
+    List.iter (Liveness.Bits.add set) (Ir.term_uses b.Ir.term);
+    Liveness.Bits.iter enter set;
+    List.iter
+      (fun ({ Ir.i; _ } : Ir.li) ->
+        if !v > !max_vec then max_vec := !v;
+        if !g > !max_gpr then max_gpr := !g;
+        (match Ir.def i with
+        | Some d when Liveness.Bits.mem set d ->
+            Liveness.Bits.remove set d;
+            v := !v - w.vec.(d);
+            g := !g - w.gpr.(d)
+        | _ -> ());
+        Ir.iter_uses
+          (fun r ->
+            if not (Liveness.Bits.mem set r) then begin
+              Liveness.Bits.add set r;
+              enter r
+            end)
+          i)
+      (List.rev b.Ir.insts)
+  end;
+  (!max_vec, !max_gpr)
+
+(* Per-function state shared by the blocks' analyses: the liveness
+   solution, the pressure weights, and the scoreboard's operand-ready
+   times (0.0 for every register between blocks). *)
+type fstate = { live : Liveness.t; w : weights; ready : float array }
+
 (* Scoreboard over one block: µops issue when their operands are ready and
    their port has a free slot; the block cost is when the last µop's result
-   would be available, floored by the front-end issue rate. *)
-let analyze_block (m : Machine.t) (f : Ir.func) (live : Liveness.t) (b : Ir.block) :
-    block_cost =
-  let port_free = Hashtbl.create 8 in
-  List.iter (fun p -> Hashtbl.replace port_free p 0.0) Machine.all_ports;
-  let ready : (Ir.vreg, float) Hashtbl.t = Hashtbl.create 32 in
+   would be available, floored by the front-end issue rate.  Also returns
+   the block's µop count per source line. *)
+let analyze_block (m : Machine.t) (f : Ir.func) (st : fstate) (b : Ir.block) :
+    block_cost * (int, int) Hashtbl.t =
+  let port_free = Array.make (List.length Machine.all_ports) 0.0 in
+  let line_uops = Hashtbl.create 8 in
   let total_uops = ref 0 and flops = ref 0 in
   let finish = ref 0.0 in
-  let exec_instr i =
+  let exec_instr ({ Ir.i; line } : Ir.li) =
     flops := !flops + flops_of_instr f i;
-    let operands_ready =
-      List.fold_left
-        (fun acc r -> Float.max acc (Option.value (Hashtbl.find_opt ready r) ~default:0.0))
-        0.0 (Ir.uses i)
-    in
-    let done_at = ref operands_ready in
+    let operands_ready = ref 0.0 in
+    Ir.iter_uses (fun r -> operands_ready := Float.max !operands_ready st.ready.(r)) i;
+    let operands_ready = !operands_ready in
+    let done_at = ref operands_ready and n = ref 0 in
     List.iter
       (fun { port; latency } ->
-        incr total_uops;
-        let free = Hashtbl.find port_free port in
-        let issue = Float.max operands_ready free in
-        Hashtbl.replace port_free port (issue +. (1.0 /. m.Machine.throughput port));
+        incr n;
+        let p = Machine.port_index port in
+        let issue = Float.max operands_ready port_free.(p) in
+        port_free.(p) <- issue +. (1.0 /. m.Machine.throughput port);
         done_at := Float.max !done_at (issue +. float_of_int latency))
       (uops_of_instr m f i);
-    (match Ir.def i with Some d -> Hashtbl.replace ready d !done_at | None -> ());
+    total_uops := !total_uops + !n;
+    Hashtbl.replace line_uops line
+      (Option.value (Hashtbl.find_opt line_uops line) ~default:0 + !n);
+    (match Ir.def i with Some d -> st.ready.(d) <- !done_at | None -> ());
     finish := Float.max !finish !done_at
   in
-  List.iter (fun ({ Ir.i; _ } : Ir.li) -> exec_instr i) b.Ir.insts;
-  (* Register pressure within the block. *)
-  let after = Liveness.per_instruction live b in
-  let max_vec = ref 0 and max_gpr = ref 0 in
-  Array.iter
-    (fun set ->
-      let v = ref 0 and g = ref 0 in
-      Liveness.ISet.iter
-        (fun r ->
-          match phys_regs m (Ir.reg_ty f r) with
-          | `Vec n -> v := !v + n
-          | `Gpr n -> g := !g + n)
-        set;
-      if !v > !max_vec then max_vec := !v;
-      if !g > !max_gpr then max_gpr := !g)
-    after;
+  List.iter exec_instr b.Ir.insts;
+  List.iter
+    (fun ({ Ir.i; _ } : Ir.li) ->
+      match Ir.def i with Some d -> st.ready.(d) <- 0.0 | None -> ())
+    b.Ir.insts;
+  let max_vec, max_gpr = pressure st.w st.live b in
   (* Spill traffic for pressure beyond the architectural registers. *)
-  let excess_v = max 0 (!max_vec - m.Machine.vector_regs) in
-  let excess_g = max 0 (!max_gpr - m.Machine.scalar_regs) in
+  let excess_v = max 0 (max_vec - m.Machine.vector_regs) in
+  let excess_g = max 0 (max_gpr - m.Machine.scalar_regs) in
   let spill_uops =
     (excess_v + excess_g) * (m.Machine.spill_load_uops + m.Machine.spill_store_uops)
   in
@@ -220,39 +264,33 @@ let analyze_block (m : Machine.t) (f : Ir.func) (live : Liveness.t) (b : Ir.bloc
      uses round-trips through the stack; the store-forward latency lands on
      the dependence chains and cannot be hidden. *)
   let spill_serial =
-    let pressure = !max_vec + !max_gpr in
+    let pressure = max_vec + max_gpr in
     if excess_v + excess_g = 0 || pressure = 0 then 0.0
     else
       let fraction = float_of_int (excess_v + excess_g) /. float_of_int pressure in
       m.Machine.spill_serial_factor *. fraction *. float_of_int !total_uops
   in
   let frontend = float_of_int (!total_uops + spill_uops) /. m.Machine.issue_width in
-  {
-    cycles = Float.max !finish frontend +. spill_cycles +. spill_serial;
-    uops = !total_uops;
-    flops = !flops;
-    spill_uops;
-    max_vec_pressure = !max_vec;
-    max_gpr_pressure = !max_gpr;
-  }
+  ( {
+      cycles = Float.max !finish frontend +. spill_cycles +. spill_serial;
+      uops = !total_uops;
+      flops = !flops;
+      spill_uops;
+      max_vec_pressure = max_vec;
+      max_gpr_pressure = max_gpr;
+    },
+    line_uops )
 
 (* Apportion [total_units] across the block's source lines proportionally
    to each line's µop count, with largest-remainder rounding so the shares
    sum exactly to [total_units].  The terminator (and any instruction with
    no provenance) weighs in on line 0. *)
-let compute_shares (m : Machine.t) (f : Ir.func) (b : Ir.block) ~(total_units : int) :
+let compute_shares (line_uops : (int, int) Hashtbl.t) ~(total_units : int) :
     int array * int =
-  let weights : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  let add_weight line w =
-    Hashtbl.replace weights line
-      (Option.value (Hashtbl.find_opt weights line) ~default:0 + w)
-  in
-  add_weight 0 1 (* terminator *);
-  List.iter
-    (fun ({ Ir.i; line } : Ir.li) -> add_weight line (List.length (uops_of_instr m f i)))
-    b.Ir.insts;
+  Hashtbl.replace line_uops 0 (Option.value (Hashtbl.find_opt line_uops 0) ~default:0 + 1)
+  (* terminator *);
   let lines =
-    Hashtbl.fold (fun l w acc -> (l, w) :: acc) weights []
+    Hashtbl.fold (fun l w acc -> (l, w) :: acc) line_uops []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
   in
   let total_w = List.fold_left (fun acc (_, w) -> acc + w) 0 lines in
@@ -283,16 +321,18 @@ let compute_shares (m : Machine.t) (f : Ir.func) (b : Ir.block) ~(total_units : 
 (** Analyze every block of a compiled function once; the compiled code
     then charges [cycles] per dynamic block execution. *)
 let analyze (m : Machine.t) (f : Ir.func) : t =
-  let live = Liveness.compute f in
+  let st =
+    { live = Liveness.compute f; w = weights m f; ready = Array.make f.Ir.nregs 0.0 }
+  in
   let term_cost = 1.0 in
   let costs = Hashtbl.create 16 in
   let shares = Hashtbl.create 16 in
   List.iter
     (fun b ->
-      let c = analyze_block m f live b in
+      let c, line_uops = analyze_block m f st b in
       Hashtbl.replace costs b.Ir.label c;
       let total_units = units_of_cycles (c.cycles +. term_cost) in
-      Hashtbl.replace shares b.Ir.label (compute_shares m f b ~total_units))
+      Hashtbl.replace shares b.Ir.label (compute_shares line_uops ~total_units))
     (Ir.blocks f);
   { machine = m; costs; term_cost; shares }
 

@@ -1,0 +1,142 @@
+(* Reference models of three build layers, in their textbook form: the
+   set-based liveness dataflow, CSE keyed on each candidate's printed
+   text, and register pressure summed over one live set per instruction.
+   The compiler computes the same results with dense bitsets, structural
+   keys and running sums; test_models.ml checks that they agree. *)
+
+module Ir = Vekt_ir.Ir
+module ISet = Set.Make (Int)
+
+module Liveness = struct
+  type t = {
+    live_in : (string, ISet.t) Hashtbl.t;
+    live_out : (string, ISet.t) Hashtbl.t;
+  }
+
+  let gen_kill (b : Ir.block) =
+    let gen = ref ISet.empty and kill = ref ISet.empty in
+    List.iter
+      (fun { Ir.i; _ } ->
+        List.iter
+          (fun r -> if not (ISet.mem r !kill) then gen := ISet.add r !gen)
+          (Ir.uses i);
+        match Ir.def i with Some d -> kill := ISet.add d !kill | None -> ())
+      b.insts;
+    List.iter
+      (fun r -> if not (ISet.mem r !kill) then gen := ISet.add r !gen)
+      (Ir.term_uses b.term);
+    (!gen, !kill)
+
+  let compute (f : Ir.func) : t =
+    let live_in = Hashtbl.create 16 and live_out = Hashtbl.create 16 in
+    let gk = Hashtbl.create 16 in
+    List.iter
+      (fun b ->
+        Hashtbl.replace gk b.Ir.label (gen_kill b);
+        Hashtbl.replace live_in b.Ir.label ISet.empty;
+        Hashtbl.replace live_out b.Ir.label ISet.empty)
+      (Ir.blocks f);
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      List.iter
+        (fun b ->
+          let label = b.Ir.label in
+          let out =
+            List.fold_left
+              (fun acc s -> ISet.union acc (Hashtbl.find live_in s))
+              ISet.empty (Ir.successors b)
+          in
+          let gen, kill = Hashtbl.find gk label in
+          let inn = ISet.union gen (ISet.diff out kill) in
+          if not (ISet.equal out (Hashtbl.find live_out label)) then begin
+            Hashtbl.replace live_out label out;
+            changed := true
+          end;
+          if not (ISet.equal inn (Hashtbl.find live_in label)) then begin
+            Hashtbl.replace live_in label inn;
+            changed := true
+          end)
+        (List.rev (Ir.blocks f))
+    done;
+    { live_in; live_out }
+
+  let live_in t label = Option.value (Hashtbl.find_opt t.live_in label) ~default:ISet.empty
+  let live_out t label = Option.value (Hashtbl.find_opt t.live_out label) ~default:ISet.empty
+
+  (* The registers live after each instruction of [b], in instruction
+     order (one empty set for an empty block). *)
+  let per_instruction (t : t) (b : Ir.block) : ISet.t array =
+    let n = List.length b.insts in
+    let after = Array.make (max n 1) ISet.empty in
+    let live = ref (live_out t b.Ir.label) in
+    List.iter (fun r -> live := ISet.add r !live) (Ir.term_uses b.term);
+    let insts = Array.of_list b.insts in
+    for idx = n - 1 downto 0 do
+      after.(idx) <- !live;
+      let i = insts.(idx).Ir.i in
+      (match Ir.def i with Some d -> live := ISet.remove d !live | None -> ());
+      List.iter (fun r -> live := ISet.add r !live) (Ir.uses i)
+    done;
+    after
+end
+
+(* Maximum vector and GPR pressure of [b] over the sets live after each of
+   its instructions, weighted by the physical registers each occupies. *)
+let pressure (m : Vekt_vm.Machine.t) (f : Ir.func) (live : Liveness.t) (b : Ir.block) =
+  Array.fold_left
+    (fun (max_v, max_g) set ->
+      let v, g =
+        ISet.fold
+          (fun r (v, g) ->
+            match Vekt_vm.Timing.phys_regs m (Ir.reg_ty f r) with
+            | `Vec n -> (v + n, g)
+            | `Gpr n -> (v, g + n))
+          set (0, 0)
+      in
+      (max max_v v, max max_g g))
+    (0, 0)
+    (Liveness.per_instruction live b)
+
+(* Local CSE keyed on the printed text of the versioned, def-normalized
+   instruction. *)
+let cse (f : Ir.func) : int =
+  let replaced = ref 0 in
+  List.iter
+    (fun (b : Ir.block) ->
+      let version : (Ir.vreg, int) Hashtbl.t = Hashtbl.create 32 in
+      let ver r = Option.value (Hashtbl.find_opt version r) ~default:0 in
+      let bump r = Hashtbl.replace version r (ver r + 1) in
+      let avail : (string, Ir.vreg * int) Hashtbl.t = Hashtbl.create 32 in
+      let key i =
+        let versioned =
+          Ir.map_operands (function Ir.R r -> Ir.R ((r * 1_000_000) + ver r) | o -> o) i
+        in
+        let shown =
+          match Ir.def versioned with Some _ -> Ir.with_def 0 versioned | None -> versioned
+        in
+        Fmt.to_to_string Vekt_ir.Pp.instr shown
+      in
+      b.Ir.insts <-
+        List.map
+          (fun (li : Ir.li) ->
+            let i = li.Ir.i in
+            if not (Vekt_transform.Cse.cseable i) then begin
+              (match Ir.def i with Some d -> bump d | None -> ());
+              li
+            end
+            else
+              let d = match Ir.def i with Some d -> d | None -> assert false in
+              let k = key i in
+              match Hashtbl.find_opt avail k with
+              | Some (prev, pver) when prev <> d && ver prev = pver ->
+                  incr replaced;
+                  bump d;
+                  { li with Ir.i = Ir.Mov (Ir.reg_ty f d, d, Ir.R prev) }
+              | _ ->
+                  bump d;
+                  Hashtbl.replace avail k (d, ver d);
+                  li)
+          b.Ir.insts)
+    (Ir.blocks f);
+  !replaced

@@ -647,6 +647,33 @@ let test_ops_cvt_trunc () =
   | Scalar_ops.I v -> Alcotest.(check int64) "trunc neg" (-2L) v
   | _ -> Alcotest.fail "int"
 
+let test_ops_cvt_saturates () =
+  (* PTX clamps float->int conversions to the destination range and
+     converts NaN to 0; in-range values still truncate toward zero. *)
+  let inputs = [ ("1e10", 1e10); ("-1e10", -1e10); ("inf", infinity);
+                 ("-inf", neg_infinity); ("nan", nan); ("-3.7", -3.7); ("200.9", 200.9) ] in
+  let expect =
+    [ (Ast.S32, [ 2147483647L; -2147483648L; 2147483647L; -2147483648L; 0L; -3L; 200L ]);
+      (Ast.U32, [ 4294967295L; 0L; 4294967295L; 0L; 0L; 0L; 200L ]);
+      (Ast.S16, [ 32767L; -32768L; 32767L; -32768L; 0L; -3L; 200L ]);
+      (Ast.U8, [ 255L; 0L; 255L; 0L; 0L; 0L; 200L ]) ]
+  in
+  List.iter
+    (fun (dst, want) ->
+      List.iter2
+        (fun (name, x) want ->
+          List.iter
+            (fun src ->
+              let what =
+                Fmt.str "cvt%s%s %s" (Printer.dtype_str dst) (Printer.dtype_str src) name
+              in
+              match Scalar_ops.cvt ~dst ~src (Scalar_ops.F x) with
+              | Scalar_ops.I v -> Alcotest.(check int64) what want v
+              | Scalar_ops.F _ -> Alcotest.failf "%s: float result" what)
+            [ Ast.F32; Ast.F64 ])
+        inputs want)
+    expect
+
 let test_ops_ucompare () =
   Alcotest.(check bool) "unsigned lt" false
     Scalar_ops.(cmp Ast.Lt Ast.U32 (I 0xFFFFFFFFL) (I 1L));
@@ -798,6 +825,7 @@ let () =
           Alcotest.test_case "mul hi" `Quick test_ops_mul_hi;
           Alcotest.test_case "norm sign" `Quick test_ops_norm_sign;
           Alcotest.test_case "cvt trunc" `Quick test_ops_cvt_trunc;
+          Alcotest.test_case "cvt saturates" `Quick test_ops_cvt_saturates;
           Alcotest.test_case "ucompare" `Quick test_ops_ucompare;
           Alcotest.test_case "bits roundtrip" `Quick test_ops_bits_roundtrip;
         ] );

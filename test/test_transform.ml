@@ -529,6 +529,33 @@ let test_cse_basic () =
   in
   Alcotest.(check bool) "copy of first" true is_copy
 
+let test_cse_signed_zeros () =
+  (* x + 0.0 and x + -0.0 differ (-0.0 + -0.0 is -0.0), so only the
+     repeated x + 0.0 collapses. *)
+  let f32 = Ty.scalar Ast.F32 in
+  let fimm v = Ir.Imm (Scalar_ops.F v, Ast.F32) in
+  let b = Vekt_ir.Builder.create "cse" in
+  ignore (Vekt_ir.Builder.start_block b "entry");
+  let x =
+    Vekt_ir.Builder.emit_val b f32 (fun d -> Ir.Load (Ast.Global, Ast.F32, d, imm 0, 0))
+  in
+  let add z = Vekt_ir.Builder.emit_val b f32 (fun d -> Ir.Bin (Ast.Add, f32, d, Ir.R x, fimm z)) in
+  let pos = add 0.0 in
+  let neg = add (-0.0) in
+  let pos' = add 0.0 in
+  List.iteri
+    (fun k r -> Vekt_ir.Builder.emit b (Ir.Store (Ast.Global, Ast.F32, imm (4 * (k + 1)), 0, Ir.R r)))
+    [ pos; neg; pos' ];
+  Vekt_ir.Builder.set_term b Ir.Return;
+  let f = Vekt_ir.Builder.func b in
+  Alcotest.(check int) "only the repeat replaced" 1 (Cse.run f);
+  let copies =
+    List.filter_map
+      (function { Ir.i = Ir.Mov (_, d, Ir.R s); _ } -> Some (d, s) | _ -> None)
+      (Ir.block f "entry").Ir.insts
+  in
+  Alcotest.(check (list (pair int int))) "copy of the +0.0 sum" [ (pos', pos) ] copies
+
 let test_cse_respects_redefinition () =
   (* non-SSA: x is redefined between the two identical expressions, so the
      second must NOT be replaced. *)
@@ -794,6 +821,7 @@ let () =
           Alcotest.test_case "basic" `Quick test_cse_basic;
           Alcotest.test_case "operand redefined" `Quick test_cse_respects_redefinition;
           Alcotest.test_case "result clobbered" `Quick test_cse_result_clobbered;
+          Alcotest.test_case "signed zeros" `Quick test_cse_signed_zeros;
         ] );
       ( "fusion",
         [
