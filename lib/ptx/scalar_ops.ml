@@ -16,7 +16,12 @@ exception Unsupported of string
 
 let unsupported fmt = Fmt.kstr (fun s -> raise (Unsupported s)) fmt
 
-let round_f32 x = Int32.float_of_bits (Int32.bits_of_float x)
+(** [x] rounded to single precision and widened back: the bits of
+    [Int32.float_of_bits (Int32.bits_of_float x)], in one C conversion
+    each way ([vekt_f32_stubs.c]).  The emulator and the vector machine
+    both round through it. *)
+external round_f32 : float -> float = "vekt_round_f32_byte" "vekt_round_f32"
+[@@unboxed] [@@noalloc]
 
 (** Normalize a raw 64-bit pattern for type [ty]. *)
 let norm_int ty (v : int64) : int64 =

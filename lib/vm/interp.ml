@@ -28,7 +28,10 @@
     hold either tag live boxed.  Fast paths reproduce
     {!Vekt_ptx.Scalar_ops} on unboxed lanes for the common operations;
     every other instruction boxes its lanes and calls
-    {!Vekt_ptx.Scalar_ops} itself.
+    {!Vekt_ptx.Scalar_ops} itself.  [Scalar_ops] rounds every f32
+    operand and result to single; a fast path rounds an operand only
+    where the lowering could not prove it f32-exact ({!infer_tags}), so
+    most f32 operations pay for one rounding, their result's.
 
     A compiled value is immutable and captures no per-call state: every
     {!run} resets a register file to the compiled defaults and brings
@@ -230,7 +233,7 @@ type norm = { sh : int; signed : bool; pred : bool }
 
 (* What compiled code needs of a type: shared records, so a closure holds
    a pointer and a glue step an index ({!dtype_index}). *)
-type dtype_info = { size : int; fl : bool; f32 : bool; n : norm }
+type dtype_info = { size : int; fl : bool; n : norm }
 
 let dtype_list = Ast.[ Pred; B8; B16; B32; B64; U8; U16; U32; U64; S8; S16; S32; S64; F32; F64 ]
 
@@ -240,7 +243,7 @@ let dtypes =
        (fun ty ->
          let size = Ast.size_of ty in
          let n = { sh = 64 - (8 * size); signed = Ast.is_signed ty; pred = ty = Ast.Pred } in
-         { size; fl = Ast.is_float ty; f32 = ty = Ast.F32; n })
+         { size; fl = Ast.is_float ty; n })
        dtype_list)
 
 let dtype_index (ty : Ast.dtype) =
@@ -258,10 +261,9 @@ let[@inline] norm n v =
   else if n.signed then Int64.shift_right (Int64.shift_left v n.sh) n.sh
   else Int64.shift_right_logical (Int64.shift_left v n.sh) n.sh
 
-let[@inline] round_f32 x = Int32.float_of_bits (Int32.bits_of_float x)
-
-(* [Scalar_ops.as_float] of an [F] lane: [f32] rounds to single. *)
-let[@inline] rnd f32 x = if f32 then round_f32 x else x
+(* [x] rounded to single when [r]: an f32 result, or an f32 operand the
+   lowering could not prove exact ({!Scalar_ops.as_float}). *)
+let[@inline] rnd r x = if r then Scalar_ops.round_f32 x else x
 
 let fbin_ok = function
   | Ast.Add | Ast.Sub | Ast.Mul_lo | Ast.Div | Ast.Min | Ast.Max -> true
@@ -325,9 +327,7 @@ let[@inline] icmp op (x : int64) y =
   | Ast.Gt -> x > y
   | Ast.Ge -> x >= y
 
-let funop_ok = function
-  | Ast.Neg | Ast.Abs | Ast.Sqrt | Ast.Rsqrt | Ast.Rcp -> true
-  | _ -> false
+let funop_ok = function Ast.Not -> false | _ -> true
 
 let[@inline] funop op x =
   match op with
@@ -336,7 +336,11 @@ let[@inline] funop op x =
   | Ast.Sqrt -> sqrt x
   | Ast.Rsqrt -> 1.0 /. sqrt x
   | Ast.Rcp -> 1.0 /. x
-  | _ -> nan
+  | Ast.Sin -> sin x
+  | Ast.Cos -> cos x
+  | Ast.Ex2 -> Float.exp2 x
+  | Ast.Lg2 -> Float.log2 x
+  | Ast.Not -> nan
 
 let[@inline] of_bool b = if b then 1L else 0L
 
@@ -423,48 +427,91 @@ type t = {
 
 let tag_i = 1
 let tag_f = 2
-let tag_of_elt elt = if Ast.is_float elt then tag_f else tag_i
-let tag_of_value = function Scalar_ops.I _ -> tag_i | Scalar_ops.F _ -> tag_f
 
-(** The tags each register can hold: its zero default's, plus what every
-    definition can produce.  Moves, selects and lane shuffles pass their
-    operands' tags through, hence the fixpoint. *)
+(* Not a tag: set on a register that may hold an [F] value which is not
+   f32-exact, i.e. one {!Scalar_ops.round_f32} would change. *)
+let inexact = 4
+
+let tag_of_elt elt = if Ast.is_float elt then tag_f else tag_i
+
+(* A result of type [elt]: f32 results are rounded, so exact; anything
+   else may not be. *)
+let facts_of_elt elt = tag_of_elt elt lor (if elt = Ast.F32 then 0 else inexact)
+
+let facts_of_value = function
+  | Scalar_ops.I _ -> tag_i lor inexact
+  | Scalar_ops.F x ->
+      if Int64.equal (Int64.bits_of_float (Scalar_ops.round_f32 x)) (Int64.bits_of_float x)
+      then tag_f
+      else tag_f lor inexact
+
+(** What each register can hold: the [I]/[F] tags of its zero default
+    and of every definition's result, plus {!inexact} unless every [F]
+    value it can hold is f32-exact.  Exact are the zero default, every
+    f32 arithmetic, conversion, load, restore and atomic result, and
+    immediates that survive a round trip through f32.  Moves, selects
+    and lane shuffles pass their operands' facts through, so the facts
+    only grow: a def→use worklist settles them in one sweep plus
+    whatever a grown fact forces again. *)
 let infer_tags (f : Ir.func) ~(used : bool array) : int array =
-  let tags =
+  let facts =
     Array.init f.Ir.nregs (fun r -> if used.(r) then tag_of_elt (Ir.reg_ty f r).Ty.elt else 0)
   in
-  let tag = function Ir.R r -> tags.(r) | Ir.Imm (v, _) -> tag_of_value v in
-  let produced = function
-    | Ir.Bin (_, ty, _, _, _) | Ir.Un (_, ty, _, _) | Ir.Fma (ty, _, _, _, _) ->
-        tag_of_elt ty.Ty.elt
-    | Ir.Cvt (ty, _, _, _) -> tag_of_elt ty.Ty.elt
-    | Ir.Load (_, ty, _, _, _)
-    | Ir.Vload (_, ty, _, _, _)
-    | Ir.Atomic (_, _, ty, _, _, _, _, _)
-    | Ir.Restore (_, _, _, ty) ->
-        tag_of_elt ty
-    | Ir.Cmp _ | Ir.Reduce_add _ | Ir.Ctx_read _ -> tag_i
-    | Ir.Mov (_, _, a) | Ir.Broadcast (_, _, a) | Ir.Extract (_, _, a, _) -> tag a
-    | Ir.Select (_, _, _, a, b) | Ir.Insert (_, _, a, _, b) -> tag a lor tag b
-    | Ir.Store _ | Ir.Vstore _ | Ir.Spill _ | Ir.Set_resume _ | Ir.Set_status _ -> 0
+  let fact = function Ir.R r -> facts.(r) | Ir.Imm (v, _) -> facts_of_value v in
+  (* users.(r): the instructions seen so far that pass [r]'s facts on.
+     One sweep in layout order settles each instruction after recording
+     it as a user of its operands; a result that grows re-settles its
+     users, which catches every read that came before the growth. *)
+  let users = Array.make f.Ir.nregs [] and pending = ref [] in
+  let via i = function Ir.R r -> users.(r) <- i :: users.(r) | Ir.Imm _ -> () in
+  let grow d t =
+    let t = facts.(d) lor t in
+    if t <> facts.(d) then begin
+      facts.(d) <- t;
+      pending := List.rev_append users.(d) !pending
+    end
   in
-  let insts = List.concat_map (fun (b : Ir.block) -> b.Ir.insts) (Ir.blocks f) in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun ({ Ir.i; _ } : Ir.li) ->
-        match Ir.def i with
-        | Some d ->
-            let t = tags.(d) lor produced i in
-            if t <> tags.(d) then begin
-              tags.(d) <- t;
-              changed := true
-            end
-        | None -> ())
-      insts
-  done;
-  tags
+  let settle = function
+    | Ir.Bin (_, ty, d, _, _) | Ir.Un (_, ty, d, _) | Ir.Fma (ty, d, _, _, _) | Ir.Cvt (ty, _, d, _)
+      ->
+        grow d (facts_of_elt ty.Ty.elt)
+    | Ir.Load (_, ty, d, _, _)
+    | Ir.Vload (_, ty, d, _, _)
+    | Ir.Atomic (_, _, ty, d, _, _, _, _)
+    | Ir.Restore (d, _, _, ty) ->
+        grow d (facts_of_elt ty)
+    | Ir.Cmp (_, _, d, _, _) | Ir.Reduce_add (d, _) | Ir.Ctx_read (d, _, _) ->
+        grow d (tag_i lor inexact)
+    | Ir.Mov (_, d, a) | Ir.Broadcast (_, d, a) | Ir.Extract (_, d, a, _) -> grow d (fact a)
+    | Ir.Select (_, d, _, a, b) | Ir.Insert (_, d, a, _, b) -> grow d (fact a lor fact b)
+    | Ir.Store _ | Ir.Vstore _ | Ir.Spill _ | Ir.Set_resume _ | Ir.Set_status _ -> ()
+  in
+  let rec drain () =
+    match !pending with
+    | [] -> ()
+    | i :: rest ->
+        pending := rest;
+        settle i;
+        drain ()
+  in
+  List.iter
+    (fun (b : Ir.block) ->
+      List.iter
+        (fun ({ Ir.i; _ } : Ir.li) ->
+          (match i with
+          | Ir.Mov (_, _, a) | Ir.Broadcast (_, _, a) | Ir.Extract (_, _, a, _) -> via i a
+          | Ir.Select (_, _, _, a, b) | Ir.Insert (_, _, a, _, b) ->
+              via i a;
+              via i b
+          | _ -> ());
+          settle i;
+          drain ())
+        b.Ir.insts)
+    (Ir.blocks f);
+  facts
+
+(** Whether {!infer_tags} proved register [r] f32-exact. *)
+let exact facts r = facts.(r) land inexact = 0
 
 (* Malformed IR compiles to a closure that traps only when executed, so
    a bad instruction on a path never taken costs nothing. *)
@@ -525,23 +572,62 @@ let lanes d w srcs =
 
 let scalar s = if stride_of s = 1 then raise (Bad "vector value in scalar position") else s
 
+(* [Scalar_ops.float_binop] on unboxed lanes: [r] rounds the result to
+   single, [ra]/[rb] the operands.  An f32 operation on exact operands
+   rounds only its result, and add, sub and mul get a closure each, so
+   their lane loops dispatch on nothing. *)
+let fbin_code op ~r ~ra ~rb d a b : code =
+  if r && not (ra || rb) then
+    match op with
+    | Ast.Add ->
+        fun st ->
+          for l = 0 to width_of d - 1 do
+            fset st d l (Scalar_ops.round_f32 (fget st a l +. fget st b l))
+          done
+    | Ast.Sub ->
+        fun st ->
+          for l = 0 to width_of d - 1 do
+            fset st d l (Scalar_ops.round_f32 (fget st a l -. fget st b l))
+          done
+    | Ast.Mul_lo ->
+        fun st ->
+          for l = 0 to width_of d - 1 do
+            fset st d l (Scalar_ops.round_f32 (fget st a l *. fget st b l))
+          done
+    | _ ->
+        fun st ->
+          for l = 0 to width_of d - 1 do
+            fset st d l (Scalar_ops.round_f32 (fbin op (fget st a l) (fget st b l)))
+          done
+  else fun st ->
+    for l = 0 to width_of d - 1 do
+      fset st d l (rnd r (fbin op (rnd ra (fget st a l)) (rnd rb (fget st b l))))
+    done
+
 (* Lower one instruction that is not a lane copy, spill or restore to a
-   closure.  [src]/[dst] resolve operands to slots. *)
-let compile_op ~ws ~(src : Ir.operand -> src) ~(dst : Ir.vreg -> src) (i : Ir.instr)
+   closure.  [src]/[dst] resolve operands to slots; [exact r] says
+   register [r] holds only f32-exact floats ({!infer_tags}). *)
+let compile_op ~ws ~(src : Ir.operand -> src) ~(dst : Ir.vreg -> src) ~exact (i : Ir.instr)
     : code =
   let scalar o = scalar (src o) in
+  (* An operand's slot, and whether an operation that is f32 when [r]
+     must round it on every read ({!Scalar_ops.as_float}): a float
+     immediate is rounded here, once, and a register proved exact is
+     never rounded. *)
+  let fsrc r = function
+    | Ir.Imm (Scalar_ops.F x, ty) when r ->
+        (src (Ir.Imm (Scalar_ops.F (Scalar_ops.round_f32 x), ty)), false)
+    | Ir.R reg as o -> (src o, r && not (exact reg))
+    | o -> (src o, false)
+  in
   match i with
   | Ir.Bin (op, ty, d, a, b) -> (
       let w = ty.Ty.width and elt = ty.Ty.elt in
-      let d = dst d and a = src a and b = src b in
+      let r = elt = Ast.F32 in
+      let d = dst d and a, ra = fsrc r a and b, rb = fsrc r b in
       lanes d w [ a; b ];
       match (cls_of d, cls_of a, cls_of b) with
-      | Cf, Cf, Cf when Ast.is_float elt && fbin_ok op ->
-          let r = elt = Ast.F32 in
-          fun st ->
-            for l = 0 to width_of d - 1 do
-              fset st d l (rnd r (fbin op (rnd r (fget st a l)) (rnd r (fget st b l))))
-            done
+      | Cf, Cf, Cf when Ast.is_float elt && fbin_ok op -> fbin_code op ~r ~ra ~rb d a b
       | Ci, Ci, Ci when (not (Ast.is_float elt)) && elt <> Ast.Pred && ibin_ok op ->
           let n = norm_of elt in
           fun st ->
@@ -552,27 +638,27 @@ let compile_op ~ws ~(src : Ir.operand -> src) ~(dst : Ir.vreg -> src) (i : Ir.in
       | _ -> map2 d a b (Scalar_ops.binop op elt))
   | Ir.Un (op, ty, d, a) -> (
       let w = ty.Ty.width and elt = ty.Ty.elt in
-      let d = dst d and a = src a in
+      let r = elt = Ast.F32 in
+      let d = dst d and a, ra = fsrc r a in
       lanes d w [ a ];
       match (cls_of d, cls_of a) with
       | Cf, Cf when Ast.is_float elt && funop_ok op ->
-          let r = elt = Ast.F32 in
           fun st ->
             for l = 0 to width_of d - 1 do
-              fset st d l (rnd r (funop op (rnd r (fget st a l))))
+              fset st d l (rnd r (funop op (rnd ra (fget st a l))))
             done
       | _ -> map1 d a (Scalar_ops.unop op elt))
   | Ir.Fma (ty, d, a, b, c) -> (
       let w = ty.Ty.width and elt = ty.Ty.elt in
-      let d = dst d and a = src a and b = src b and c = src c in
+      let r = elt = Ast.F32 in
+      let d = dst d and a, ra = fsrc r a and b, rb = fsrc r b and c, rc = fsrc r c in
       lanes d w [ a; b; c ];
       match (cls_of d, cls_of a, cls_of b, cls_of c) with
       | Cf, Cf, Cf, Cf when Ast.is_float elt ->
-          let r = elt = Ast.F32 in
           fun st ->
             for l = 0 to width_of d - 1 do
-              let p = rnd r (rnd r (fget st a l) *. rnd r (fget st b l)) in
-              fset st d l (rnd r (p +. rnd r (fget st c l)))
+              let p = rnd r (rnd ra (fget st a l) *. rnd rb (fget st b l)) in
+              fset st d l (rnd r (p +. rnd rc (fget st c l)))
             done
       | Ci, Ci, Ci, Ci when not (Ast.is_float elt) ->
           let n = norm_of elt in
@@ -584,14 +670,14 @@ let compile_op ~ws ~(src : Ir.operand -> src) ~(dst : Ir.vreg -> src) (i : Ir.in
       | _ -> map3 d a b c (Scalar_ops.mad elt))
   | Ir.Cmp (op, ty, d, a, b) -> (
       let w = ty.Ty.width and elt = ty.Ty.elt in
-      let d = dst d and a = src a and b = src b in
+      let r = elt = Ast.F32 in
+      let d = dst d and a, ra = fsrc r a and b, rb = fsrc r b in
       lanes d w [ a; b ];
       match (cls_of d, cls_of a, cls_of b) with
       | Ci, Cf, Cf when Ast.is_float elt ->
-          let r = elt = Ast.F32 in
           fun st ->
             for l = 0 to width_of d - 1 do
-              iset st d l (of_bool (fcmp op (rnd r (fget st a l)) (rnd r (fget st b l))))
+              iset st d l (of_bool (fcmp op (rnd ra (fget st a l)) (rnd rb (fget st b l))))
             done
       | Ci, Ci, Ci when not (Ast.is_float elt) ->
           let n = norm_of elt in
@@ -622,14 +708,14 @@ let compile_op ~ws ~(src : Ir.operand -> src) ~(dst : Ir.vreg -> src) (i : Ir.in
       invalid_arg "Interp.compile_op: lowered as glue"
   | Ir.Cvt (dt, sty, d, a) -> (
       let w = dt.Ty.width and de = dt.Ty.elt and se = sty.Ty.elt in
-      let d = dst d and a = src a in
+      let rd = de = Ast.F32 in
+      let d = dst d and a, ra = fsrc (se = Ast.F32) a in
       lanes d w [ a ];
-      let rd = de = Ast.F32 and rs = se = Ast.F32 in
       match (cls_of d, cls_of a, Ast.is_float de, Ast.is_float se) with
       | Cf, Cf, true, true ->
           fun st ->
             for l = 0 to width_of d - 1 do
-              fset st d l (rnd rd (rnd rs (fget st a l)))
+              fset st d l (rnd rd (rnd ra (fget st a l)))
             done
       | Cf, Ci, true, false ->
           let ns = norm_of se in
@@ -641,7 +727,7 @@ let compile_op ~ws ~(src : Ir.operand -> src) ~(dst : Ir.vreg -> src) (i : Ir.in
           let nd = norm_of de and ftoi = Scalar_ops.float_to_int de in
           fun st ->
             for l = 0 to width_of d - 1 do
-              iset st d l (norm nd (ftoi (rnd rs (fget st a l))))
+              iset st d l (norm nd (ftoi (rnd ra (fget st a l))))
             done
       | Ci, Ci, false, false ->
           let nd = norm_of de and ns = norm_of se in
@@ -674,11 +760,13 @@ let compile_op ~ws ~(src : Ir.operand -> src) ~(dst : Ir.vreg -> src) (i : Ir.in
       let base = scalar base and v = scalar v and width = Ast.size_of ty in
       match (cls_of base, cls_of v, Ast.is_float ty) with
       | Ci, Cf, true ->
-          let r = ty = Ast.F32 in
+          (* an f32 store needs no rounding first: the conversion to
+             single in [bits_of_float 4] rounds exactly as
+             {!Scalar_ops.round_f32} does *)
           fun st ->
             let a = Int64.to_int (iget st base 0) + off in
             touch st sp a width;
-            store_bits (seg st sp) width a (bits_of_float width (rnd r (fget st v 0)))
+            store_bits (seg st sp) width a (bits_of_float width (fget st v 0))
       | Ci, Ci, false ->
           let n = norm_of ty in
           fun st ->
@@ -799,7 +887,7 @@ let lane_step kind ~lane ~ty ~slot ~reg =
 (* What one instruction lowers to: its own closure, or glue steps. *)
 type piece = Op of code | Glue of int list
 
-let lower_instr ~ws ~src ~dst (i : Ir.instr) : piece =
+let lower_instr ~ws ~src ~dst ~exact (i : Ir.instr) : piece =
   let glue = function first :: rest -> Glue ((first lor counted) :: rest) | [] -> Op ignore in
   (* Lanes [0, w) of [d] from [a] (a splat when [a] is scalar), then lane
      [lane] from [s]: slot copies when the classes agree. *)
@@ -875,10 +963,10 @@ let lower_instr ~ws ~src ~dst (i : Ir.instr) : piece =
       let v = scalar (src v) in
       glue [ resume_kind lor field ~shift:4 ~bits:9 lane lor field ~shift:13 ~bits:32 (base_of v) ]
   | Ir.Set_status s -> glue [ status_kind lor field ~shift:4 ~bits:2 (status_code s) ]
-  | _ -> Op (compile_op ~ws ~src ~dst i)
+  | _ -> Op (compile_op ~ws ~src ~dst ~exact i)
 
-let compile_instr ~ws ~src ~dst i =
-  try lower_instr ~ws ~src ~dst i
+let compile_instr ~ws ~src ~dst ~exact i =
+  try lower_instr ~ws ~src ~dst ~exact i
   with Exit -> raise (Bad "lane, local offset or register file beyond the glue step layout")
 
 (* Walk a glue table.  Every step counts itself, so a fault part-way
@@ -897,7 +985,7 @@ let glue_run (g : int array) : code =
         c.spills <- c.spills + 1;
         let t = dtypes.(get_field x ~shift:13 ~bits:4) and reg = x lsr 39 in
         let bits =
-          if t.fl then bits_of_float t.size (rnd t.f32 st.rf.(reg))
+          if t.fl then bits_of_float t.size st.rf.(reg)
           else norm t.n (get64 st.ri (reg lsl 3))
         in
         let lane = st.warp.lanes.(get_field x ~shift:4 ~bits:9) in
@@ -945,17 +1033,17 @@ let compile ?timing (f : Ir.func) : t =
   (* Registers no instruction mentions (left behind by the passes) get
      no slots. *)
   let used = Array.make f.Ir.nregs false in
-  let mark = List.iter (fun r -> used.(r) <- true) in
+  let mark r = used.(r) <- true in
   List.iter
     (fun (b : Ir.block) ->
       List.iter
         (fun ({ Ir.i; _ } : Ir.li) ->
-          mark (Option.to_list (Ir.def i));
-          mark (Ir.uses i))
+          Option.iter mark (Ir.def i);
+          Ir.iter_uses mark i)
         b.Ir.insts;
-      mark (Ir.term_uses b.Ir.term))
+      List.iter mark (Ir.term_uses b.Ir.term))
     (Ir.blocks f);
-  let tags = infer_tags f ~used in
+  let facts = infer_tags f ~used in
   let nf = ref 0 and ni = ref 0 and nb = ref 0 in
   let alloc cls w =
     let n = match cls with Cf -> nf | Ci -> ni | Cb -> nb in
@@ -963,13 +1051,16 @@ let compile ?timing (f : Ir.func) : t =
     n := base + w;
     base
   in
-  let cls_of_tags t = if t = tag_f then Cf else if t = tag_i then Ci else Cb in
+  let cls_of_tags t =
+    let t = t land (tag_i lor tag_f) in
+    if t = tag_f then Cf else if t = tag_i then Ci else Cb
+  in
   let regs =
     Array.init f.Ir.nregs (fun r ->
         if not used.(r) then None
         else
           let ty = Ir.reg_ty f r in
-          let cls = cls_of_tags tags.(r) and w = ty.Ty.width in
+          let cls = cls_of_tags facts.(r) and w = ty.Ty.width in
           let zero = if Ast.is_float ty.Ty.elt then Scalar_ops.F 0.0 else Scalar_ops.I 0L in
           Some (src ~cls ~base:(alloc cls w) ~width:w, zero))
   in
@@ -1022,7 +1113,7 @@ let compile ?timing (f : Ir.func) : t =
       fuse
         (List.map
            (fun ({ Ir.i; _ } : Ir.li) ->
-             try compile_instr ~ws:f.Ir.warp_size ~src ~dst:slot i
+             try compile_instr ~ws:f.Ir.warp_size ~src ~dst:slot ~exact:(exact facts) i
              with Bad reason -> Op (fun _ -> raise (Trap reason)))
            b.Ir.insts)
     in

@@ -751,9 +751,59 @@ let prop_printer_roundtrip =
       let m = { Ast.m_consts = []; m_funcs = []; m_kernels = [ k ] } in
       Ast.equal_modul m (Parser.parse_module (Printer.to_string m)))
 
+(* [Scalar_ops.round_f32] is a C stub that the emulator and the vector
+   machine both call, so a wrong stub would pass every differential
+   test.  Hold it to OCaml's own single-precision round trip, and check
+   that converting its result to f32 bits gives the bits of converting
+   the unrounded value (why stores and spills need not round first). *)
+let round_f32_agrees x =
+  let bits = Int64.bits_of_float in
+  let r = Scalar_ops.round_f32 x in
+  Int64.equal (bits r) (bits (Int32.float_of_bits (Int32.bits_of_float x)))
+  && Int32.equal (Int32.bits_of_float r) (Int32.bits_of_float x)
+
+(* NaN payloads (quiet, signalling, payload only below the f32 mantissa),
+   signed zeros and infinities, f32 max and the overflow tie, the
+   subnormal boundaries, and ties to even in the normal range; each with
+   its neighbours one double ulp either side. *)
+let round_f32_edges =
+  let centres =
+    [ 0x7FF8000000000000L; 0x7FF0000000000001L; 0x7FF4000000000000L; 0xFFF8000000000001L;
+      0x7FF0000020000000L; 0x7FFFFFFFFFFFFFFFL; 0L; 0x8000000000000000L; 0x7FF0000000000000L;
+      0xFFF0000000000000L; 0x47EFFFFFE0000000L; 0x47EFFFFFF0000000L; 0xC7EFFFFFF0000000L;
+      0x36A0000000000000L; 0x3690000000000000L; 0x3698000000000000L; 0x380FFFFFC0000000L;
+      0x3810000000000000L; 0x380FFFFFE0000000L; 0x3FF0000010000000L; 0x3FF0000030000000L;
+      0xBFF0000010000000L; 0x3FB999999999999AL ]
+  in
+  List.concat_map
+    (fun c -> List.map Int64.float_of_bits [ Int64.pred c; c; Int64.succ c ])
+    centres
+
+let test_round_f32_edges () =
+  List.iter
+    (fun x ->
+      Alcotest.(check bool) (Fmt.str "round_f32 %Lx" (Int64.bits_of_float x)) true
+        (round_f32_agrees x))
+    round_f32_edges
+
+let prop_round_f32 =
+  (* any 64-bit pattern, and doubles near the f32 range: an f32 with
+     random bits below its mantissa *)
+  let near_f32 =
+    QCheck.Gen.map2
+      (fun f low ->
+        Int64.float_of_bits
+          (Int64.logor (Int64.bits_of_float (Int32.float_of_bits f)) (Int64.of_int (low land 0x1FFFFFFF))))
+      QCheck.Gen.int32 QCheck.Gen.int
+  in
+  QCheck.Test.make ~name:"round_f32 = Int32 round trip" ~count:20_000
+    (QCheck.make ~print:(fun x -> Fmt.str "%h (%Lx)" x (Int64.bits_of_float x))
+       QCheck.Gen.(oneof [ map Int64.float_of_bits ui64; near_f32; oneofl round_f32_edges ]))
+    round_f32_agrees
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_norm_idempotent; prop_binop_normalized; prop_printer_roundtrip ]
+    [ prop_norm_idempotent; prop_binop_normalized; prop_printer_roundtrip; prop_round_f32 ]
 
 let () =
   Alcotest.run "ptx"
@@ -828,6 +878,7 @@ let () =
           Alcotest.test_case "cvt saturates" `Quick test_ops_cvt_saturates;
           Alcotest.test_case "ucompare" `Quick test_ops_ucompare;
           Alcotest.test_case "bits roundtrip" `Quick test_ops_bits_roundtrip;
+          Alcotest.test_case "round_f32 edges" `Quick test_round_f32_edges;
         ] );
       ("properties", qcheck_tests);
     ]

@@ -416,6 +416,212 @@ let test_interp_shared_across_domains () =
   Alcotest.(check bool) "two domains match serial" true
     (Mem.equal serial.Interp.global shared.Interp.global)
 
+(* --- f32 exactness ({!Interp.infer_tags}) --- *)
+
+let test_exactness () =
+  let b = Builder.create ~warp_size:1 "t" in
+  ignore (Builder.start_block b "entry");
+  let f64 = Ty.scalar Ast.F64 and at0 = Ir.Imm (Scalar_ops.I 0L, Ast.S64) in
+  let mov src = Builder.emit_val b f32 (fun d -> Ir.Mov (f32, d, src)) in
+  let tenth = mov (imm_f 0.1) and half = mov (imm_f 0.5) in
+  let ld = Builder.emit_val b f32 (fun d -> Ir.Load (Ast.Global, Ast.F32, d, at0, 0)) in
+  let ld64 = Builder.emit_val b f64 (fun d -> Ir.Load (Ast.Global, Ast.F64, d, at0, 8)) in
+  let sum64 = Builder.emit_val b f64 (fun d -> Ir.Bin (Ast.Add, f64, d, Ir.R ld64, Ir.R ld64)) in
+  let sum = Builder.emit_val b f32 (fun d -> Ir.Bin (Ast.Add, f32, d, Ir.R ld, imm_f 0.1)) in
+  let wide = Builder.emit_val b f64 (fun d -> Ir.Cvt (f64, f32, d, Ir.R ld)) in
+  let narrow = Builder.emit_val b f32 (fun d -> Ir.Cvt (f32, f64, d, Ir.R sum64)) in
+  let p = Builder.emit_val b (Ty.scalar Ast.Pred) (fun d -> Ir.Cmp (Ast.Lt, f32, d, Ir.R ld, Ir.R sum)) in
+  let select x y = Builder.emit_val b f32 (fun d -> Ir.Select (f32, d, Ir.R p, Ir.R x, Ir.R y)) in
+  let mixed = select ld tenth and both = select ld half in
+  let chain = mov (Ir.R (mov (Ir.R sum))) and chain64 = mov (Ir.R (mov (Ir.R sum64))) in
+  let default = Builder.fresh_reg b f32 in
+  let early = Builder.fresh_reg b f32 and late = Builder.fresh_reg b f32 in
+  Builder.set_term b (Ir.Jump "loop");
+  ignore (Builder.start_block b "loop");
+  (* [early] reads [late] before the layout reaches [late]'s definition *)
+  Builder.emit b (Ir.Mov (f32, early, Ir.R late));
+  Builder.emit b (Ir.Mov (f32, late, Ir.R chain64));
+  let cycle_a = Builder.fresh_reg b f32 and cycle_b = Builder.fresh_reg b f32 in
+  Builder.emit b (Ir.Mov (f32, cycle_a, Ir.R cycle_b));
+  Builder.emit b (Ir.Mov (f32, cycle_b, Ir.R cycle_a));
+  let keep = [ default; cycle_b ] in
+  List.iter
+    (fun r -> Builder.emit b (Ir.Store (Ast.Global, Ast.F32, at0, 0, Ir.R r)))
+    keep;
+  Builder.set_term b (Ir.Branch (Ir.R p, "loop", "exit"));
+  ignore (Builder.start_block b "exit");
+  Builder.set_term b Ir.Return;
+  let f = Builder.func b in
+  let facts = Interp.infer_tags f ~used:(Array.make f.Ir.nregs true) in
+  List.iter
+    (fun (what, r, want) -> Alcotest.(check bool) what want (Interp.exact facts r))
+    [
+      ("decimal immediate 0.1", tenth, false);
+      ("immediate 0.5", half, true);
+      ("f32 load", ld, true);
+      ("f64 load", ld64, false);
+      ("f64 result", sum64, false);
+      ("f32 result of an inexact operand", sum, true);
+      ("cvt.f64.f32", wide, false);
+      ("cvt.f32.f64", narrow, true);
+      ("selp of exact and 0.1", mixed, false);
+      ("selp of two exact values", both, true);
+      ("mov chain from f32", chain, true);
+      ("mov chain from f64", chain64, false);
+      ("zero default", default, true);
+      ("use before the definition in layout", early, false);
+      ("cycle of exact moves", cycle_b, true);
+    ]
+
+(* --- f32 fast paths against Scalar_ops, bit for bit --- *)
+
+(* Operand values: f32-exact or not, ties to even, the overflow tie,
+   subnormals, NaN, signed zero and infinities.  -0.1 makes [x + 0.1]
+   depend on whether 0.1 is rounded first. *)
+let fp_pool =
+  [| 0.1; -0.1; -0.3; 0x1.000001p0; 0x1.ffffffp127; 1e-45; 0.7; -2.5; 1e30; Float.nan; -0.0;
+     Float.infinity; 0.5; 2.0; 1e-39; 12345.678; -1.0; 3.0; 0x1.0000018p-126 |]
+
+(* A case: name, operand count, the type its result lanes are stored
+   as, how to emit it on vector operands, and its Scalar_ops model. *)
+let fp_cases =
+  let v b vty elt mk = Ir.R (Builder.emit_val b (vty elt) mk) in
+  let bin op =
+    ( "bin " ^ Printer.binop_str op, 2, Ast.F64,
+      (fun b vty -> function
+        | [ x; y ] -> v b vty Ast.F32 (fun d -> Ir.Bin (op, vty Ast.F32, d, x, y))
+        | _ -> assert false),
+      function [ x; y ] -> Scalar_ops.binop op Ast.F32 x y | _ -> assert false )
+  in
+  let un op =
+    ( "un " ^ Printer.unop_str op, 1, Ast.F64,
+      (fun b vty -> function
+        | [ x ] -> v b vty Ast.F32 (fun d -> Ir.Un (op, vty Ast.F32, d, x))
+        | _ -> assert false),
+      function [ x ] -> Scalar_ops.unop op Ast.F32 x | _ -> assert false )
+  in
+  let cmp op =
+    ( "cmp " ^ Printer.cmp_str op, 2, Ast.U32,
+      (fun b vty -> function
+        | [ x; y ] -> v b vty Ast.Pred (fun d -> Ir.Cmp (op, vty Ast.F32, d, x, y))
+        | _ -> assert false),
+      function
+      | [ x; y ] -> Scalar_ops.of_bool (Scalar_ops.cmp op Ast.F32 x y)
+      | _ -> assert false )
+  in
+  let cvt dst src =
+    ( Fmt.str "cvt %s.%s" (Ast.show_dtype dst) (Ast.show_dtype src), 1,
+      (if dst = Ast.S32 then Ast.S32 else Ast.F64),
+      (fun b vty -> function
+        | [ x ] -> v b vty dst (fun d -> Ir.Cvt (vty dst, vty src, d, x))
+        | _ -> assert false),
+      function [ x ] -> Scalar_ops.cvt ~dst ~src x | _ -> assert false )
+  in
+  List.map bin Ast.[ Add; Sub; Mul_lo; Div; Min; Max ]
+  @ List.map un Ast.[ Neg; Abs; Sqrt; Rsqrt; Rcp; Sin; Cos; Ex2; Lg2 ]
+  @ List.map cmp Ast.[ Eq; Ne; Lt; Le; Gt; Ge ]
+  @ List.map (fun (d, s) -> cvt d s) Ast.[ (F64, F32); (F32, F32); (F32, F64); (S32, F32) ]
+  @ [
+      ( "fma", 3, Ast.F64,
+        (fun b vty -> function
+          | [ x; y; z ] -> v b vty Ast.F32 (fun d -> Ir.Fma (vty Ast.F32, d, x, y, z))
+          | _ -> assert false),
+        function [ x; y; z ] -> Scalar_ops.mad Ast.F32 x y z | _ -> assert false );
+      ( "add 0.1 immediate", 1, Ast.F64,
+        (fun b vty -> function
+          | [ x ] -> v b vty Ast.F32 (fun d -> Ir.Bin (Ast.Add, vty Ast.F32, d, x, imm_f 0.1))
+          | _ -> assert false),
+        function [ x ] -> Scalar_ops.binop Ast.Add Ast.F32 x (Scalar_ops.F 0.1) | _ -> assert false );
+      (* the lanes stored as f32 are the store under test *)
+      ( "store", 1, Ast.F32,
+        (fun _ _ -> function [ x ] -> x | _ -> assert false),
+        function [ x ] -> x | _ -> assert false );
+      ( "spill/restore", 1, Ast.F64,
+        (fun b vty -> function
+          | [ x ] ->
+              let ws = (vty Ast.F32).Ty.width in
+              let r = Builder.fresh_reg b (vty Ast.F32) in
+              for l = 0 to ws - 1 do
+                Builder.emit b (Ir.Spill (l, 8, Ast.F32, x));
+                let s = Builder.emit_val b f32 (fun d -> Ir.Restore (d, l, 8, Ast.F32)) in
+                Builder.emit b
+                  (if ws = 1 then Ir.Mov (f32, r, Ir.R s) else Ir.Insert (vty Ast.F32, r, Ir.R r, l, Ir.R s))
+              done;
+              Ir.R r
+          | _ -> assert false),
+        function
+        | [ x ] -> Scalar_ops.of_bits Ast.F32 (Scalar_ops.to_bits Ast.F32 x)
+        | _ -> assert false );
+    ]
+
+let warpn ws =
+  {
+    Interp.lanes =
+      Array.init ws (fun i ->
+          { Interp.tid = Launch.dim3 i; ctaid = Launch.dim3 0; local_base = i * 64; resume_point = 0 });
+    entry_id = 0;
+    status = Ir.Status_exit;
+  }
+
+(* Operand [j] lane [l] is loaded from global[8 (j ws + l)], as f32 (an
+   exact register) or as f64 (an inexact one); result lane [l] is stored
+   after the operands.  Every round rotates the pool through the lanes. *)
+let check_fast_path ~ws ~exact (name, nargs, out, emit, model) =
+  let b = Builder.create ~warp_size:ws "t" in
+  ignore (Builder.start_block b "entry");
+  let vty elt = Ty.make elt ws and ld = if exact then Ast.F32 else Ast.F64 in
+  let at k = Ir.Imm (Scalar_ops.I (Int64.of_int (8 * k)), Ast.S64) in
+  let arg j =
+    let lane l =
+      Builder.emit_val b (Ty.scalar ld) (fun d -> Ir.Load (Ast.Global, ld, d, at ((j * ws) + l), 0))
+    in
+    if ws = 1 then Ir.R (lane 0)
+    else begin
+      let v = Builder.fresh_reg b (vty Ast.F32) in
+      for l = 0 to ws - 1 do
+        Builder.emit b (Ir.Insert (vty Ast.F32, v, Ir.R v, l, Ir.R (lane l)))
+      done;
+      Ir.R v
+    end
+  in
+  let res = emit b vty (List.init nargs arg) in
+  for l = 0 to ws - 1 do
+    let s =
+      if ws = 1 then res
+      else Ir.R (Builder.emit_val b (Ty.scalar out) (fun d -> Ir.Extract (out, d, res, l)))
+    in
+    Builder.emit b (Ir.Store (Ast.Global, out, at ((nargs * ws) + l), 0, s))
+  done;
+  Builder.set_term b Ir.Return;
+  let c = Interp.compile (Builder.func b) in
+  let n = Array.length fp_pool in
+  for round = 0 to n - 1 do
+    let mem = mems ~global:(8 * (nargs + 1) * ws) () in
+    let g = mem.Interp.global in
+    for j = 0 to nargs - 1 do
+      for l = 0 to ws - 1 do
+        Mem.store g ld (8 * ((j * ws) + l)) (Scalar_ops.F fp_pool.((round + (5 * j) + (3 * l)) mod n))
+      done
+    done;
+    Interp.run c ~launch:launch1 (warpn ws) mem;
+    for l = 0 to ws - 1 do
+      let want = model (List.init nargs (fun j -> Mem.load g ld (8 * ((j * ws) + l)))) in
+      let got = Mem.load g out (8 * ((nargs * ws) + l)) in
+      Alcotest.(check int64)
+        (Fmt.str "%s ws=%d %s round %d lane %d" name ws
+           (if exact then "exact" else "inexact") round l)
+        (Scalar_ops.to_bits out want) (Scalar_ops.to_bits out got)
+    done
+  done
+
+let test_fast_paths () =
+  List.iter
+    (fun case ->
+      List.iter
+        (fun ws -> List.iter (fun exact -> check_fast_path ~ws ~exact case) [ true; false ])
+        [ 1; 4 ])
+    fp_cases
+
 let () =
   Alcotest.run "vm"
     [
@@ -445,5 +651,7 @@ let () =
           Alcotest.test_case "runs isolated" `Quick test_interp_runs_isolated;
           Alcotest.test_case "shared across domains" `Quick
             test_interp_shared_across_domains;
+          Alcotest.test_case "f32 exactness" `Quick test_exactness;
+          Alcotest.test_case "f32 fast paths" `Quick test_fast_paths;
         ] );
     ]
