@@ -228,9 +228,3 @@ let classify ?(slotted = []) (f : Ir.func) : (Ir.vreg, cls) Hashtbl.t =
         (Option.value (Hashtbl.find_opt strong r) ~default:Unknown))
     slotted;
   fixpoint ~clamp f
-
-(** Class of an operand under a computed classification. *)
-let operand_cls cls = function
-  | Ir.Imm (Vekt_ptx.Scalar_ops.I v, _) -> Const v
-  | Ir.Imm (Vekt_ptx.Scalar_ops.F _, _) -> Uniform
-  | Ir.R r -> Option.value (Hashtbl.find_opt cls r) ~default:(Const 0L)

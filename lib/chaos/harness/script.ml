@@ -23,14 +23,6 @@ type step =
   | Preempt of { job : string }  (** request preemption at a safe point *)
   | Close of { sid : string }  (** close the session, archiving tallies *)
 
-let step_name = function
-  | Open { sid; tenant } -> Fmt.str "open %s as %s" sid tenant
-  | Load { sid } -> Fmt.str "load %s" sid
-  | Submit { sid; job } -> Fmt.str "submit %s on %s" job sid
-  | Pump n -> Fmt.str "pump %d" n
-  | Preempt { job } -> Fmt.str "preempt %s" job
-  | Close { sid } -> Fmt.str "close %s" sid
-
 let step_json : step -> J.t = function
   | Open { sid; tenant } ->
       J.Obj [ ("op", J.Str "open"); ("sid", J.Str sid); ("tenant", J.Str tenant) ]

@@ -12,12 +12,13 @@
     corrupt state through a read, and keeping the surface small keeps
     the boundary enumeration meaningful.
 
-    The installed implementation is consulted at call time through
-    {!current}, so a recovery server created after {!reset} runs on
-    real syscalls even though the dead predecessor ran under the
-    injector.  Installation is process-global and not synchronised:
-    the chaos harness drives everything single-threaded (the daemon
-    under test uses [Queue.step], never a scheduler domain). *)
+    The implementation is consulted at call time through {!current},
+    which {!with_impl} sets for the extent of one function call, so a
+    recovery server created after that call returns runs on real
+    syscalls even though the dead predecessor ran under the injector.
+    The setting is process-global and not synchronised: the chaos
+    harness drives everything single-threaded (the daemon under test
+    uses [Queue.step], never a scheduler domain). *)
 
 (** Simulated process death, raised by the chaos injector at the
     drilled boundary.  Never raised by the real implementation. *)
@@ -79,9 +80,6 @@ let real : impl =
   }
 
 let current : impl ref = ref real
-let install (i : impl) = current := i
-let reset () = current := real
-
 let with_impl (i : impl) f =
   let prev = !current in
   current := i;

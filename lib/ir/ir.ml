@@ -100,7 +100,6 @@ type bkind = Body | Scheduler | Entry_handler | Exit_handler
     source-line cycle attribution survives the pass pipeline. *)
 type li = { i : instr; line : int }
 
-let at_line line i = { i; line }
 let synthetic i = { i; line = 0 }
 
 type block = {
@@ -134,10 +133,6 @@ let reg_ty f r =
   match Hashtbl.find_opt f.rty r with
   | Some t -> t
   | None -> invalid_arg (Fmt.str "Ir.reg_ty: unknown register %%%d" r)
-
-let operand_ty f = function
-  | R r -> reg_ty f r
-  | Imm (_, ty) -> Ty.scalar ty
 
 let successors b =
   match b.term with

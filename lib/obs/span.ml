@@ -47,12 +47,6 @@ let wall_us (s : t) = Float.max 0.0 (s.wall1 -. s.wall0)
     and every end matched a begin. *)
 let balanced (f : forest) = f.open_spans = [] && f.unmatched_ends = 0
 
-let rec span_count (s : t) =
-  1 + List.fold_left (fun acc c -> acc + span_count c) 0 s.children
-
-let total_spans (f : forest) =
-  List.fold_left (fun acc r -> acc + span_count r) 0 f.roots
-
 (** Rebuild the span forest from an event list (oldest first, e.g.
     {!Trace.events}). *)
 let of_events (evts : Event.t list) : forest =

@@ -9,7 +9,8 @@
     they are emitted by *this* launch.  Teeing a tally sink onto each
     session's sink therefore gives exact per-tenant [jit.*] /
     [fallback.*] / [ckpt.*] counters while the one-shot CLI keeps its
-    existing unlabeled registry untouched.
+    existing unlabeled registry untouched.  A counter both registries
+    export carries the cache's name, so one event has one name.
 
     Scrape-side, several sessions of one tenant are folded together
     with {!Metrics.merge_into}. *)
@@ -22,9 +23,9 @@ let sink (reg : Metrics.t) : Sink.t =
   let hits = Metrics.counter reg "jit.cache_hits" in
   let misses = Metrics.counter reg "jit.cache_misses" in
   let compiles = Metrics.counter reg "jit.compiles" in
-  let compile_us = Metrics.gauge reg "jit.compile_us" in
-  let fallbacks = Metrics.counter reg "fallback.steps" in
-  let quarantined = Metrics.counter reg "fallback.quarantined" in
+  let compile_us = Metrics.gauge reg "jit.compile_wall_us" in
+  let fallbacks = Metrics.counter reg "fallback.compile_failures" in
+  let quarantined = Metrics.counter reg "fallback.quarantine_adds" in
   let ckpt_writes = Metrics.counter reg "ckpt.writes" in
   let ckpt_resumes = Metrics.counter reg "ckpt.resumes" in
   Sink.fn (function

@@ -160,9 +160,6 @@ type stmt =
   | Inst of guard * instr * (int[@equal fun _ _ -> true])
 [@@deriving show { with_path = false }, eq]
 
-(** Source line of a statement (0 when synthetic or a label). *)
-let stmt_line = function Label _ -> 0 | Inst (_, _, line) -> line
-
 type param = { p_name : string; p_ty : dtype }
 [@@deriving show { with_path = false }, eq]
 

@@ -4,7 +4,6 @@ type dim3 = { x : int; y : int; z : int }
 
 let dim3 ?(y = 1) ?(z = 1) x = { x; y; z }
 let count d = d.x * d.y * d.z
-let pp_dim3 fmt d = Fmt.pf fmt "(%d,%d,%d)" d.x d.y d.z
 
 (** Linear index of a coordinate within its dimensions (x fastest). *)
 let linear ~dims { x; y; z } = x + (dims.x * (y + (dims.y * z)))

@@ -114,16 +114,6 @@ let read_i32 t at =
 
 let read_i32s t ~at n = List.init n (fun i -> read_i32 t (at + (4 * i)))
 
-let read_i64 t at =
-  match load t Ast.S64 at with
-  | Scalar_ops.I v -> v
-  | _ -> type_confusion ~what:"i64" t at 8
-
-let read_f64 t at =
-  match load t Ast.F64 at with
-  | Scalar_ops.F f -> f
-  | _ -> type_confusion ~what:"f64" t at 8
-
 let copy t = { t with bytes = Bytes.copy t.bytes }
 
 let equal a b = Bytes.equal a.bytes b.bytes

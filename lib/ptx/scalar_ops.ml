@@ -205,17 +205,30 @@ let float_to_int dst =
       else if t >= 0x1p63 then Int64.add (Int64.of_float (t -. 0x1p63)) Int64.min_int
       else Int64.of_float t
 
-(** Type conversion.  Float→int truncates toward zero (PTX [.rzi] default in
-    the kernels we accept) and saturates ({!float_to_int}); int width
-    changes normalize per the destination type after extending per the
-    source type's signedness. *)
+(** How {!int_to_float} converts from [src] to [dst]: a 64-bit unsigned
+    source reads unsigned (every narrower one normalizes to a pattern
+    that reads the same as signed), and an f32 destination rounds to
+    single.  Compute it once, outside a loop. *)
+let int_to_float_mode ~src ~dst =
+  (if is_signed src || size_of src < 8 then 0 else 1) lor if dst = F32 then 2 else 0
+
+(** Integer→float conversion as PTX's [cvt.rn] defines it: a pattern
+    normalized for the source type, rounded once to the nearest
+    destination value, ties to even, as [mode] ({!int_to_float_mode})
+    says ([vekt_cvt_stubs.c]). *)
+external int_to_float : (int[@untagged]) -> (int64[@unboxed]) -> (float[@unboxed])
+  = "vekt_int_to_float_byte" "vekt_int_to_float"
+[@@noalloc]
+
+(** Type conversion.  Int→float rounds once to the nearest ({!int_to_float});
+    float→int truncates toward zero (PTX [.rzi] default in the kernels we
+    accept) and saturates ({!float_to_int}); int width changes normalize
+    per the destination type after extending per the source type's
+    signedness. *)
 let cvt ~dst ~src v =
   match (is_float dst, is_float src) with
   | true, true -> F (as_float dst (F (as_float src v)))
-  | true, false ->
-      let x = as_int src v in
-      let f = Int64.to_float x in
-      F (if dst = F32 then round_f32 f else f)
+  | true, false -> F (int_to_float (int_to_float_mode ~src ~dst) (as_int src v))
   | false, true -> I (norm_int dst (float_to_int dst (as_float src v)))
   | false, false -> I (norm_int dst (as_int src v))
 

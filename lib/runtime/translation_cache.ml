@@ -3,9 +3,10 @@
     Holds, per kernel, the scalar IR produced by the PTX→IR frontend and
     lazily built specializations per warp size.  Execution managers query
     it with a warp size; a miss triggers vectorization, optimization and
-    timing analysis ("JIT compilation"), whose simulated cost is charged
-    to compilation statistics rather than kernel cycles (the paper
-    translates at kernel granularity, off the measured path).
+    a lowering that costs every block ("JIT compilation").  The build's
+    simulated cost is charged to compilation statistics rather than
+    kernel cycles (the paper translates at kernel granularity, off the
+    measured path).
 
     Compilation is policy-driven:
 
@@ -53,7 +54,6 @@ module Vectorize = Vekt_transform.Vectorize
 module Dce = Vekt_transform.Dce
 module Passes = Vekt_transform.Passes
 module Machine = Vekt_vm.Machine
-module Timing = Vekt_vm.Timing
 module Interp = Vekt_vm.Interp
 open Vekt_ptx
 
@@ -62,9 +62,8 @@ module Obs = Vekt_obs
 type entry = {
   vfunc : Ir.func;
   code : Interp.t;
-      (** [vfunc] lowered once, with its timing analysis's per-block
-          charges: what warps run *)
-  vect : Vectorize.vectorized;
+      (** [vfunc] lowered once, each block with its modelled cost: what
+          warps run *)
   static_instrs : int;  (** static instruction count after optimization *)
   compile_us : float;  (** measured wall time this specialization cost to build *)
   tier : int;  (** 0 = unoptimized fast build, 1 = full pass pipeline *)
@@ -356,15 +355,13 @@ let compile_build (t : t) ~sink ~now ~worker ~scalar ~ws ~tier : entry =
   end
   else ignore (Dce.run vect.Vectorize.func);
   if t.verify then Verify.check_exn vect.Vectorize.func;
-  let timing = Timing.analyze t.machine vect.Vectorize.func in
-  let code = Interp.compile ~timing vect.Vectorize.func in
+  let code = Interp.compile ~machine:t.machine vect.Vectorize.func in
   let compile_us = Clock.elapsed_us wall0 in
   t.compile_count <- t.compile_count + 1;
   t.compile_wall_us <- t.compile_wall_us +. compile_us;
   {
     vfunc = vect.Vectorize.func;
     code;
-    vect;
     static_instrs = Ir.size vect.Vectorize.func;
     compile_us;
     tier;

@@ -109,9 +109,6 @@ let parse_pipeline (spec : string) : (pipeline, string) result =
     number of rounds actually run. *)
 type stats = { per_pass : (string * int) list; rounds : int }
 
-let total_changes (s : stats) =
-  List.fold_left (fun acc (_, c) -> acc + c) 0 s.per_pass
-
 let changes_of (s : stats) name =
   Option.value (List.assoc_opt name s.per_pass) ~default:0
 

@@ -8,7 +8,7 @@
     register file (immediates get pre-filled slots), each computing
     instruction becomes a closure specialized on its lane count, value
     class and {!Vekt_ptx.Scalar_ops} operation, and each block's modelled
-    cycles, flops, kind and source-line shares are looked up once.  The
+    cycles, flops, kind and source-line shares are computed once.  The
     glue the vectorizer wraps around every subkernel — lane packing and
     unpacking, context reads, spills, restores, resume points — is most
     of the static code, so each run of it becomes one closure over a
@@ -36,10 +36,11 @@
     A compiled value is immutable and captures no per-call state: every
     {!run} resets a register file to the compiled defaults and brings
     its own fuel, warp and memories, so one specialization can run on
-    several domains at once.  When compiled with a {!Timing.t}, simulated
-    cycles are accumulated per executed block and attributed to the
-    block's kind (body / scheduler / entry / exit), which Figure 9
-    reports. *)
+    several domains at once.  The walk that lowers a block also costs it
+    with {!Timing.block}, so every compiled block carries its modelled
+    cycles; {!run} accumulates them per executed block and attributes
+    them to the block's kind (body / scheduler / entry / exit), which
+    Figure 9 reports. *)
 
 module Ir = Vekt_ir.Ir
 module Ty = Vekt_ir.Ty
@@ -406,7 +407,7 @@ type cost = { cycles : float; flops : int; shares : int array * int }
 type block = {
   label : string;
   kind : Ir.bkind;
-  cost : cost option;  (** [None] when compiled without timing *)
+  cost : cost;  (** charged per execution, terminator included *)
   code : code array;  (** each starts one instruction, a glue run several *)
   term : term;
 }
@@ -718,10 +719,10 @@ let compile_op ~ws ~(src : Ir.operand -> src) ~(dst : Ir.vreg -> src) ~exact (i 
               fset st d l (rnd rd (rnd ra (fget st a l)))
             done
       | Cf, Ci, true, false ->
-          let ns = norm_of se in
+          let ns = norm_of se and mode = Scalar_ops.int_to_float_mode ~src:se ~dst:de in
           fun st ->
             for l = 0 to width_of d - 1 do
-              fset st d l (rnd rd (Int64.to_float (norm ns (iget st a l))))
+              fset st d l (Scalar_ops.int_to_float mode (norm ns (iget st a l)))
             done
       | Ci, Cf, false, true ->
           let nd = norm_of de and ftoi = Scalar_ops.float_to_int de in
@@ -1026,10 +1027,10 @@ let fuse (pieces : piece list) : code array =
   in
   go [] pieces
 
-(** Lower [f] once.  With [timing], every block also carries its
-    modelled cycles, flops and source-line shares, charged per execution
-    by {!run}. *)
-let compile ?timing (f : Ir.func) : t =
+(** Lower [f] once for [machine]: every block also carries its modelled
+    cycles, flops and source-line shares, charged per execution by
+    {!run}. *)
+let compile ~(machine : Machine.t) (f : Ir.func) : t =
   (* Registers no instruction mentions (left behind by the passes) get
      no slots. *)
   let used = Array.make f.Ir.nregs false in
@@ -1108,6 +1109,7 @@ let compile ?timing (f : Ir.func) : t =
     | Ir.Barrier _ -> Fail "barrier terminator in compiled function"
     | Ir.Return -> Yield
   in
+  let timing = Timing.state machine f in
   let lower (b : Ir.block) =
     let code =
       fuse
@@ -1117,16 +1119,9 @@ let compile ?timing (f : Ir.func) : t =
              with Bad reason -> Op (fun _ -> raise (Trap reason)))
            b.Ir.insts)
     in
+    let c = Timing.block timing b in
     let cost =
-      Option.map
-        (fun t ->
-          let l = b.Ir.label in
-          {
-            cycles = Timing.cycles t l;
-            flops = Timing.flops t l;
-            shares = Timing.line_shares t l;
-          })
-        timing
+      { cycles = c.Timing.cycles +. Timing.term_cost; flops = c.flops; shares = c.shares }
     in
     { label = b.Ir.label; kind = b.Ir.kind; cost; code; term = lower_term b.Ir.term }
   in
@@ -1249,22 +1244,20 @@ let run ?(counters = fresh_counters ()) ?(fuel = 10_000_000)
     (match profile with
     | None -> ()
     | Some p -> Vekt_obs.Divergence.touch_block p b.label);
-    match b.cost with
+    let k = b.cost in
+    counters.flops <- counters.flops + k.flops;
+    (match b.kind with
+    | Ir.Body -> counters.cycles_body <- counters.cycles_body +. k.cycles
+    | Ir.Scheduler -> counters.cycles_scheduler <- counters.cycles_scheduler +. k.cycles
+    | Ir.Entry_handler -> counters.cycles_entry <- counters.cycles_entry +. k.cycles
+    | Ir.Exit_handler -> counters.cycles_exit <- counters.cycles_exit +. k.cycles);
+    (* Source-line attribution: charge the block's precomputed integer
+       line shares under the entry point this warp was dispatched at.
+       [entry_id] is read at charge time, so scheduler-block work before
+       an entry handler runs lands under the entry being dispatched. *)
+    match attr with
     | None -> ()
-    | Some k -> (
-        counters.flops <- counters.flops + k.flops;
-        (match b.kind with
-        | Ir.Body -> counters.cycles_body <- counters.cycles_body +. k.cycles
-        | Ir.Scheduler -> counters.cycles_scheduler <- counters.cycles_scheduler +. k.cycles
-        | Ir.Entry_handler -> counters.cycles_entry <- counters.cycles_entry +. k.cycles
-        | Ir.Exit_handler -> counters.cycles_exit <- counters.cycles_exit +. k.cycles);
-        (* Source-line attribution: charge the block's precomputed integer
-           line shares under the entry point this warp was dispatched at.
-           [entry_id] is read at charge time, so scheduler-block work before
-           an entry handler runs lands under the entry being dispatched. *)
-        match attr with
-        | None -> ()
-        | Some a -> Vekt_obs.Attribution.charge a ~entry_id:warp.entry_id k.shares)
+    | Some a -> Vekt_obs.Attribution.charge a ~entry_id:warp.entry_id k.shares
   in
   let fuel_left = ref fuel and pc = ref c.entry and running = ref true in
   let execute () =

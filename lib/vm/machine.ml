@@ -29,15 +29,6 @@ let port_index = function
   | Mem_ld -> 5
   | Mem_st -> 6
 
-let port_name = function
-  | Fp_mul -> "fp_mul"
-  | Fp_add -> "fp_add"
-  | Valu -> "valu"
-  | Salu -> "salu"
-  | Shuf -> "shuf"
-  | Mem_ld -> "ld"
-  | Mem_st -> "st"
-
 type t = {
   name : string;
   cores : int;
@@ -101,10 +92,6 @@ let sse4 =
 (** The same core modelled with AVX 8-wide float vectors (the paper's
     "expected to scale to arbitrary widths" target). *)
 let avx = { sse4 with name = "sandybridge-avx"; vec_bytes = 32 }
-
-(** A machine with no vector unit: every op is scalar.  Used as a
-    sanity baseline in ablations. *)
-let scalar_only = { sse4 with name = "scalar"; vec_bytes = 4 }
 
 (** Theoretical peak single-precision GFLOP/s (mul+add dual issue). *)
 let peak_sp_gflops m =

@@ -5,8 +5,9 @@
     port availability, an idealized out-of-order core with an unbounded
     window), estimate register pressure from per-instruction liveness and
     charge spill traffic for the excess, and record the resulting cycle
-    cost.  {!Interp.compile} copies [cycles b] into the compiled block,
-    and {!Interp.run} accumulates it for every dynamic execution of [b].
+    cost.  {!Interp.compile} costs each block with {!block} in the walk
+    that lowers it, and {!Interp.run} charges that cost for every dynamic
+    execution of the block.
 
     This is the stand-in for "LLVM JIT code running on the i7-2600": the
     lane-width speedup, the latency-hiding-with-ILP effect and the
@@ -121,13 +122,21 @@ let phys_regs (m : Machine.t) (ty : Ty.t) : [ `Vec of int | `Gpr of int ] =
   else `Gpr 1
 
 type block_cost = {
-  cycles : float;  (** estimated cycles per execution of the block *)
+  cycles : float;  (** estimated cycles per execution, terminator excluded *)
   uops : int;
   flops : int;  (** FP operations per execution (all lanes) *)
   spill_uops : int;  (** µops added by register-pressure spills *)
   max_vec_pressure : int;
   max_gpr_pressure : int;
+  shares : int array * int;
+      (** source-line shares [[| line; units; line; units; ... |]] of one
+          execution's full cost ([cycles +. term_cost]) and their exact
+          sum.  Line 0 is the "runtime overhead" bucket: the terminator
+          plus synthetic instructions with no source provenance. *)
 }
+
+(** Per-block terminator/branch overhead, charged on top of [cycles]. *)
+let term_cost = 1.0
 
 (** Integer sub-cycle units used for source-line attribution: one modelled
     cycle = [attr_scale] units.  Attribution works in integers because the
@@ -138,25 +147,12 @@ let attr_scale = 1_000_000
 
 let units_of_cycles c = int_of_float (Float.round (c *. float_of_int attr_scale))
 
-type t = {
-  machine : Machine.t;
-  costs : (string, block_cost) Hashtbl.t;
-  term_cost : float;  (** per-block terminator/branch overhead *)
-  shares : (string, int array * int) Hashtbl.t;
-      (** per block: source-line shares [[| line; units; line; units; ... |]]
-          of the block's full cost (terminator included) and their exact
-          sum.  Line 0 is the "runtime overhead" bucket: terminators plus
-          synthetic instructions with no source provenance. *)
-}
-
-let flops_of_instr (f : Ir.func) (i : Ir.instr) =
+let flops_of_instr (i : Ir.instr) =
   match i with
   | Ir.Bin (_, ty, _, _, _) | Ir.Un (_, ty, _, _) | Ir.Cmp (_, ty, _, _, _) ->
       if Ast.is_float ty.Ty.elt then ty.Ty.width else 0
   | Ir.Fma (ty, _, _, _, _) -> if Ast.is_float ty.Ty.elt then 2 * ty.Ty.width else 0
-  | _ ->
-      ignore f;
-      0
+  | _ -> 0
 
 (* Physical registers each virtual register occupies while live, split
    into vector and GPR weights; computed once per function. *)
@@ -206,23 +202,71 @@ let pressure (w : weights) (live : Liveness.t) (b : Ir.block) =
   end;
   (!max_vec, !max_gpr)
 
-(* Per-function state shared by the blocks' analyses: the liveness
-   solution, the pressure weights, and the scoreboard's operand-ready
-   times (0.0 for every register between blocks). *)
-type fstate = { live : Liveness.t; w : weights; ready : float array }
+(** Per-function state shared by the blocks' analyses: the liveness
+    solution, the pressure weights, and the scoreboard's operand-ready
+    times.  Every ready time is 0.0 between blocks — {!block} resets the
+    ones it sets — so blocks can be costed one at a time, in any order. *)
+type state = {
+  m : Machine.t;
+  f : Ir.func;
+  live : Liveness.t;
+  w : weights;
+  ready : float array;
+}
 
-(* Scoreboard over one block: µops issue when their operands are ready and
-   their port has a free slot; the block cost is when the last µop's result
-   would be available, floored by the front-end issue rate.  Also returns
-   the block's µop count per source line. *)
-let analyze_block (m : Machine.t) (f : Ir.func) (st : fstate) (b : Ir.block) :
-    block_cost * (int, int) Hashtbl.t =
+let state (m : Machine.t) (f : Ir.func) : state =
+  { m; f; live = Liveness.compute f; w = weights m f; ready = Array.make f.Ir.nregs 0.0 }
+
+(* Apportion [total_units] across the block's source lines proportionally
+   to each line's µop count, with largest-remainder rounding so the shares
+   sum exactly to [total_units].  The terminator (and any instruction with
+   no provenance) weighs in on line 0. *)
+let compute_shares (line_uops : (int, int) Hashtbl.t) ~(total_units : int) :
+    int array * int =
+  Hashtbl.replace line_uops 0 (Option.value (Hashtbl.find_opt line_uops 0) ~default:0 + 1)
+  (* terminator *);
+  let lines =
+    Hashtbl.fold (fun l w acc -> (l, w) :: acc) line_uops []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+  in
+  let total_w = List.fold_left (fun acc (_, w) -> acc + w) 0 lines in
+  let with_rem =
+    Array.of_list
+      (List.map
+         (fun (l, w) -> (l, total_units * w / total_w, total_units * w mod total_w))
+         lines)
+  in
+  let base_sum = Array.fold_left (fun acc (_, u, _) -> acc + u) 0 with_rem in
+  let leftover = total_units - base_sum in
+  (* hand the rounding leftover to the largest remainders; ties broken by
+     position so the result is deterministic *)
+  let order = Array.init (Array.length with_rem) Fun.id in
+  Array.sort
+    (fun i j ->
+      let _, _, ri = with_rem.(i) and _, _, rj = with_rem.(j) in
+      if ri <> rj then compare rj ri else compare i j)
+    order;
+  let out = Array.map (fun (l, u, _) -> (l, u)) with_rem in
+  for k = 0 to leftover - 1 do
+    let idx = order.(k mod Array.length order) in
+    let l, u = out.(idx) in
+    out.(idx) <- (l, u + 1)
+  done;
+  (Array.concat (Array.to_list (Array.map (fun (l, u) -> [| l; u |]) out)), total_units)
+
+(** Cost one block of [st]'s function.  A scoreboard: µops issue when
+    their operands are ready and their port has a free slot; the block
+    cost is when the last µop's result would be available, floored by the
+    front-end issue rate.  The line shares split that cost plus
+    {!term_cost} by each source line's µop count. *)
+let block (st : state) (b : Ir.block) : block_cost =
+  let m = st.m and f = st.f in
   let port_free = Array.make (List.length Machine.all_ports) 0.0 in
   let line_uops = Hashtbl.create 8 in
   let total_uops = ref 0 and flops = ref 0 in
   let finish = ref 0.0 in
   let exec_instr ({ Ir.i; line } : Ir.li) =
-    flops := !flops + flops_of_instr f i;
+    flops := !flops + flops_of_instr i;
     let operands_ready = ref 0.0 in
     Ir.iter_uses (fun r -> operands_ready := Float.max !operands_ready st.ready.(r)) i;
     let operands_ready = !operands_ready in
@@ -271,87 +315,18 @@ let analyze_block (m : Machine.t) (f : Ir.func) (st : fstate) (b : Ir.block) :
       m.Machine.spill_serial_factor *. fraction *. float_of_int !total_uops
   in
   let frontend = float_of_int (!total_uops + spill_uops) /. m.Machine.issue_width in
-  ( {
-      cycles = Float.max !finish frontend +. spill_cycles +. spill_serial;
-      uops = !total_uops;
-      flops = !flops;
-      spill_uops;
-      max_vec_pressure = max_vec;
-      max_gpr_pressure = max_gpr;
-    },
-    line_uops )
+  let cycles = Float.max !finish frontend +. spill_cycles +. spill_serial in
+  {
+    cycles;
+    uops = !total_uops;
+    flops = !flops;
+    spill_uops;
+    max_vec_pressure = max_vec;
+    max_gpr_pressure = max_gpr;
+    shares = compute_shares line_uops ~total_units:(units_of_cycles (cycles +. term_cost));
+  }
 
-(* Apportion [total_units] across the block's source lines proportionally
-   to each line's µop count, with largest-remainder rounding so the shares
-   sum exactly to [total_units].  The terminator (and any instruction with
-   no provenance) weighs in on line 0. *)
-let compute_shares (line_uops : (int, int) Hashtbl.t) ~(total_units : int) :
-    int array * int =
-  Hashtbl.replace line_uops 0 (Option.value (Hashtbl.find_opt line_uops 0) ~default:0 + 1)
-  (* terminator *);
-  let lines =
-    Hashtbl.fold (fun l w acc -> (l, w) :: acc) line_uops []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  let total_w = List.fold_left (fun acc (_, w) -> acc + w) 0 lines in
-  let with_rem =
-    Array.of_list
-      (List.map
-         (fun (l, w) -> (l, total_units * w / total_w, total_units * w mod total_w))
-         lines)
-  in
-  let base_sum = Array.fold_left (fun acc (_, u, _) -> acc + u) 0 with_rem in
-  let leftover = total_units - base_sum in
-  (* hand the rounding leftover to the largest remainders; ties broken by
-     position so the result is deterministic *)
-  let order = Array.init (Array.length with_rem) Fun.id in
-  Array.sort
-    (fun i j ->
-      let _, _, ri = with_rem.(i) and _, _, rj = with_rem.(j) in
-      if ri <> rj then compare rj ri else compare i j)
-    order;
-  let out = Array.map (fun (l, u, _) -> (l, u)) with_rem in
-  for k = 0 to leftover - 1 do
-    let idx = order.(k mod Array.length order) in
-    let l, u = out.(idx) in
-    out.(idx) <- (l, u + 1)
-  done;
-  (Array.concat (Array.to_list (Array.map (fun (l, u) -> [| l; u |]) out)), total_units)
-
-(** Analyze every block of a compiled function once; the compiled code
-    then charges [cycles] per dynamic block execution. *)
-let analyze (m : Machine.t) (f : Ir.func) : t =
-  let st =
-    { live = Liveness.compute f; w = weights m f; ready = Array.make f.Ir.nregs 0.0 }
-  in
-  let term_cost = 1.0 in
-  let costs = Hashtbl.create 16 in
-  let shares = Hashtbl.create 16 in
-  List.iter
-    (fun b ->
-      let c, line_uops = analyze_block m f st b in
-      Hashtbl.replace costs b.Ir.label c;
-      let total_units = units_of_cycles (c.cycles +. term_cost) in
-      Hashtbl.replace shares b.Ir.label (compute_shares line_uops ~total_units))
-    (Ir.blocks f);
-  { machine = m; costs; term_cost; shares }
-
-let block_cost t label = Hashtbl.find_opt t.costs label
-
-let cycles t label =
-  match block_cost t label with
-  | Some c -> c.cycles +. t.term_cost
-  | None -> t.term_cost
-
-let flops t label = match block_cost t label with Some c -> c.flops | None -> 0
-
-(** Source-line shares of one execution of [label] (terminator included)
-    together with their exact integer sum; [cycles t label] is the same
-    quantity in float cycles.  Unknown labels cost [term_cost] only,
-    charged to the line-0 overhead bucket. *)
-let line_shares t label : int array * int =
-  match Hashtbl.find_opt t.shares label with
-  | Some s -> s
-  | None ->
-      let u = units_of_cycles t.term_cost in
-      ([| 0; u |], u)
+(** Cost every block of [f], in layout order: [Ir.blocks f] mapped
+    through {!block}. *)
+let analyze (m : Machine.t) (f : Ir.func) : block_cost list =
+  List.map (block (state m f)) (Ir.blocks f)

@@ -33,19 +33,16 @@ let modes =
 
 let widths = [ 8; 4; 2; 1 ]
 
-let timing_table buf (f : Ir.func) (t : Timing.t) =
-  List.iter
-    (fun (b : Ir.block) ->
-      (match Timing.block_cost t b.Ir.label with
-      | Some c ->
-          Printf.bprintf buf "%s %h %d %d %d %d %d" b.Ir.label c.Timing.cycles c.uops
-            c.flops c.spill_uops c.max_vec_pressure c.max_gpr_pressure
-      | None -> Printf.bprintf buf "%s -" b.Ir.label);
-      let shares, sum = Timing.line_shares t b.Ir.label in
+let timing_table buf (f : Ir.func) (costs : Timing.block_cost list) =
+  List.iter2
+    (fun (b : Ir.block) (c : Timing.block_cost) ->
+      Printf.bprintf buf "%s %h %d %d %d %d %d" b.Ir.label c.cycles c.uops c.flops
+        c.spill_uops c.max_vec_pressure c.max_gpr_pressure;
+      let shares, sum = c.shares in
       Printf.bprintf buf " | %d:" sum;
       Array.iter (Printf.bprintf buf " %d") shares;
       Buffer.add_char buf '\n')
-    (Ir.blocks f)
+    (Ir.blocks f) costs
 
 let line (w : Workload.t) (tr : Ptx_to_ir.t) plan ~mode_name ~mode ~affine ~ws ~tier =
   let f = (Vectorize.run ~mode ~affine ~plan tr.Ptx_to_ir.func ~ws).Vectorize.func in

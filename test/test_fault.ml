@@ -136,6 +136,42 @@ let test_all_widths_fail_recovers_on_emulator () =
         (counter_value m ~kernel report "fallback.emulator_runs"))
     some_workloads
 
+(* --- one name per counted event --- *)
+
+(* A launch's tally sink and the cache's own registry count the same
+   events; a name both export must hold the same value in both.  An
+   injected ws=4 build failure makes the fallback counters non-zero. *)
+let test_tally_matches_cache_metrics () =
+  let w = Registry.find_exn "vecadd" in
+  let config = { Api.default_config with widths; inject = inject_ws4; recover = true } in
+  let dev = Api.create_device () in
+  let m = Api.load_module ~config dev w.Workload.src in
+  let inst = w.Workload.setup dev in
+  let kernel = w.Workload.kernel in
+  let tally = M.create () in
+  let report =
+    Api.launch ~sink:(Vekt_obs.Tally.sink tally) m ~kernel ~grid:inst.Workload.grid
+      ~block:inst.Workload.block ~args:inst.Workload.args
+  in
+  check_ok w dev inst "tallied launch";
+  let cache = Api.metrics m ~kernel report in
+  let shared = List.filter (fun n -> M.find cache n <> None) (M.names tally) in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " exported by both") true (List.mem name shared))
+    [ "jit.compiles"; "jit.compile_wall_us"; "fallback.compile_failures";
+      "fallback.quarantine_adds" ];
+  Alcotest.(check bool) "fallback counted" true
+    (M.counter_value tally "fallback.compile_failures" > 0);
+  List.iter
+    (fun name ->
+      match (M.find tally name, M.find cache name) with
+      | Some (M.Counter a), Some (M.Counter b) -> Alcotest.(check int) name !b !a
+      | Some (M.Gauge a), Some (M.Gauge b) ->
+          Alcotest.(check bool) (Fmt.str "%s: %h = %h" name !a !b) true (Float.equal !a !b)
+      | _ -> Alcotest.failf "%s: kinds differ" name)
+    shared
+
 (* --- quarantine: a failed width is skipped on later launches --- *)
 
 let test_quarantine_skips_failed_width () =
@@ -491,6 +527,8 @@ let () =
         ] );
       ( "quarantine",
         [
+          Alcotest.test_case "tally names match the cache's" `Quick
+            test_tally_matches_cache_metrics;
           Alcotest.test_case "skips failed width" `Quick
             test_quarantine_skips_failed_width;
           Alcotest.test_case "expires after ttl" `Quick

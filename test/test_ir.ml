@@ -1,5 +1,5 @@
 (* Tests for the IR substrate: types, builder, printer, verifier, and the
-   analyses (liveness, dominators, invariance) that the transforms rely
+   analyses (liveness, invariance) that the transforms rely
    on. *)
 
 module Ir = Vekt_ir.Ir
@@ -8,7 +8,6 @@ module Builder = Vekt_ir.Builder
 module Verify = Vekt_ir.Verify
 module Pp = Vekt_ir.Pp
 module Liveness = Vekt_analysis.Liveness
-module Dominators = Vekt_analysis.Dominators
 module Invariance = Vekt_analysis.Invariance
 module ISet = Set.Make (Int)
 open Vekt_ptx
@@ -230,40 +229,10 @@ let test_max_pressure () =
      the GPR pressure is the plain count of live registers. *)
   let p =
     List.fold_left
-      (fun acc (b : Ir.block) ->
-        match Vekt_vm.Timing.block_cost t b.Ir.label with
-        | Some c -> max acc c.Vekt_vm.Timing.max_gpr_pressure
-        | None -> acc)
-      0 (Ir.blocks f)
+      (fun acc (c : Vekt_vm.Timing.block_cost) -> max acc c.max_gpr_pressure)
+      0 t
   in
   Alcotest.(check bool) "pressure sane" true (p >= 1 && p <= 4)
-
-(* --- Dominators --- *)
-
-let test_dominators_diamond () =
-  let f, _, _, _ = build_diamond () in
-  let dom = Dominators.compute f in
-  Alcotest.(check bool) "entry dom join" true (Dominators.dominates dom "entry" "join");
-  Alcotest.(check bool) "then not dom join" false
-    (Dominators.dominates dom "then" "join");
-  Alcotest.(check (option string)) "idom join" (Some "entry") (Dominators.idom dom "join");
-  Alcotest.(check bool) "reflexive" true (Dominators.dominates dom "then" "then")
-
-let test_back_edges () =
-  let b = Builder.create "loop" in
-  ignore (Builder.start_block b "entry");
-  Builder.set_term b (Ir.Jump "head");
-  ignore (Builder.start_block b "head");
-  let p = Builder.fresh_reg b (Ty.scalar Ast.Pred) in
-  Builder.emit b (Ir.Cmp (Ast.Lt, s32, p, imm 1, imm 2));
-  Builder.set_term b (Ir.Branch (Ir.R p, "head", "exit"));
-  ignore (Builder.start_block b "exit");
-  Builder.set_term b Ir.Return;
-  let f = Builder.func b in
-  let dom = Dominators.compute f in
-  Alcotest.(check (list (pair string string))) "one back edge"
-    [ ("head", "head") ]
-    (Dominators.back_edges f dom)
 
 (* --- Invariance --- *)
 
@@ -368,11 +337,6 @@ let () =
           Alcotest.test_case "loop" `Quick test_liveness_loop;
           Alcotest.test_case "per instruction" `Quick test_liveness_per_instruction;
           Alcotest.test_case "pressure" `Quick test_max_pressure;
-        ] );
-      ( "dominators",
-        [
-          Alcotest.test_case "diamond" `Quick test_dominators_diamond;
-          Alcotest.test_case "back edges" `Quick test_back_edges;
         ] );
       ( "invariance",
         [

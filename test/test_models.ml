@@ -98,16 +98,13 @@ let prop_pressure =
             (fun optimize ->
               if optimize then ignore (Passes.run f);
               let t = Timing.analyze m f and model = Models.Liveness.compute f in
-              List.iter
-                (fun (b : Ir.block) ->
-                  match Timing.block_cost t b.Ir.label with
-                  | None -> fail where "no cost for %s" b.Ir.label
-                  | Some c ->
-                      let v, g = Models.pressure m f model b in
-                      if (c.max_vec_pressure, c.max_gpr_pressure) <> (v, g) then
-                        fail where "%s pressure (%d, %d), model (%d, %d)" b.Ir.label
-                          c.max_vec_pressure c.max_gpr_pressure v g)
-                (Ir.blocks f))
+              List.iter2
+                (fun (b : Ir.block) (c : Timing.block_cost) ->
+                  let v, g = Models.pressure m f model b in
+                  if (c.max_vec_pressure, c.max_gpr_pressure) <> (v, g) then
+                    fail where "%s pressure (%d, %d), model (%d, %d)" b.Ir.label
+                      c.max_vec_pressure c.max_gpr_pressure v g)
+                (Ir.blocks f) t)
             [ false; true ])
         (specializations spec);
       true)

@@ -801,9 +801,169 @@ let prop_round_f32 =
        QCheck.Gen.(oneof [ map Int64.float_of_bits ui64; near_f32; oneofl round_f32_edges ]))
     round_f32_agrees
 
+(* [cvt] in both directions against an independent statement of PTX's
+   conversions over [Int64], in integer arithmetic only.  The emulator
+   and the vector machine share [Scalar_ops.cvt], so a wrong conversion
+   would pass every differential test. *)
+
+let int_types = [ Ast.U8; Ast.U16; Ast.U32; Ast.U64; Ast.S8; Ast.S16; Ast.S32; Ast.S64 ]
+let width_of ty = 8 * Ast.size_of ty
+
+(* The value of pattern [p] read as [ty]: its sign and its magnitude as
+   an unsigned 64-bit pattern. *)
+let int_value ty p =
+  let w = width_of ty in
+  let low = if w = 64 then p else Int64.logand p (Int64.pred (Int64.shift_left 1L w)) in
+  let top_set = Int64.logand low (Int64.shift_left 1L (w - 1)) <> 0L in
+  if Ast.is_signed ty && top_set then
+    (true, if w = 64 then Int64.neg low else Int64.sub (Int64.shift_left 1L w) low)
+  else (false, low)
+
+(* [p] as [ty], rounded to [prec] significant bits, ties to even. *)
+let model_int_to_float ~prec ty p =
+  let neg, m = int_value ty p in
+  let rec bit_length k =
+    if k = 0 || Int64.shift_right_logical m (k - 1) <> 0L then k else bit_length (k - 1)
+  in
+  let n = bit_length 64 in
+  let q, e =
+    if n <= prec then (m, 0)
+    else
+      let sh = n - prec in
+      let q = Int64.shift_right_logical m sh
+      and r = Int64.logand m (Int64.pred (Int64.shift_left 1L sh))
+      and half = Int64.shift_left 1L (sh - 1) in
+      let up = r > half || (r = half && Int64.logand q 1L = 1L) in
+      ((if up then Int64.succ q else q), sh)
+  in
+  (* [q] has at most [prec] + 1 bits: exact in a double *)
+  let x = Float.ldexp (Int64.to_float q) e in
+  if neg then -.x else x
+
+(* Sources that sit on or beside a rounding boundary of f32 or f64: the
+   64-bit extremes, 2^k + 1 past each precision, and exact ties with an
+   even and an odd kept part, each with its neighbours. *)
+let int_to_float_edges =
+  let tie prec q n =
+    Int64.add (Int64.shift_left q (n - prec)) (Int64.shift_left 1L (n - prec - 1))
+  in
+  let centres =
+    [ 0L; 1L; Int64.min_int; Int64.max_int; -1L; 0x1000001L; 0x20000000000001L;
+      0x1000001000000001L; 0x1000001000000000L; 0x1000003000000000L;
+      tie 24 0x800000L 40; tie 24 0x800001L 40; tie 24 0xFFFFFFL 64;
+      tie 53 0x10000000000000L 60; tie 53 0x10000000000001L 60; tie 53 0x1FFFFFFFFFFFFFL 64;
+      0x80000000L; 0xFFFFFFFFL; 0x8000L; 0xFFFFL; 0x80L; 0xFFL ]
+  in
+  List.concat_map
+    (fun c -> List.concat_map (fun x -> [ x; Int64.neg x ]) [ Int64.pred c; c; Int64.succ c ])
+    centres
+
+let int_to_float_agrees (src, dst, p) =
+  let prec = if dst = Ast.F32 then 24 else 53 in
+  let want = Int64.bits_of_float (model_int_to_float ~prec src p) in
+  let got =
+    Int64.bits_of_float
+      (Scalar_ops.int_to_float (Scalar_ops.int_to_float_mode ~src ~dst) (Scalar_ops.norm_int src p))
+  in
+  want = got
+  &&
+  match Scalar_ops.cvt ~dst ~src (Scalar_ops.I p) with
+  | Scalar_ops.F x -> Int64.bits_of_float x = want
+  | Scalar_ops.I _ -> false
+
+let prop_int_to_float =
+  (* random patterns, patterns of every bit length, and the edges *)
+  let pattern =
+    QCheck.Gen.(
+      oneof
+        [ ui64; map2 (fun x k -> Int64.shift_right_logical x k) ui64 (int_range 0 63);
+          oneofl int_to_float_edges ])
+  in
+  QCheck.Test.make ~name:"cvt int->float = round-to-nearest-even model" ~count:20_000
+    (QCheck.make
+       ~print:(fun (s, d, p) -> Fmt.str "cvt%s%s %Lx" (Printer.dtype_str d) (Printer.dtype_str s) p)
+       QCheck.Gen.(triple (oneofl int_types) (oneofl [ Ast.F32; Ast.F64 ]) pattern))
+    int_to_float_agrees
+
+let test_int_to_float_edges () =
+  List.iter
+    (fun src ->
+      List.iter
+        (fun dst ->
+          List.iter
+            (fun p ->
+              Alcotest.(check bool)
+                (Fmt.str "cvt%s%s %Lx" (Printer.dtype_str dst) (Printer.dtype_str src) p)
+                true
+                (int_to_float_agrees (src, dst, p)))
+            int_to_float_edges)
+        [ Ast.F32; Ast.F64 ])
+    int_types
+
+(* [x] truncated toward zero and clamped to [dst]'s range (NaN to 0),
+   decoded from the double's fields: the normalized pattern of [dst]. *)
+let model_float_to_int dst x =
+  let b = Int64.bits_of_float x in
+  let neg = b < 0L and e = Int64.to_int (Int64.shift_right_logical b 52) land 0x7FF in
+  let frac = Int64.logand b 0xFFFFFFFFFFFFFL in
+  if e = 0x7FF && frac <> 0L then 0L
+  else
+    let w = width_of dst and signed = Ast.is_signed dst in
+    (* the largest magnitude on [x]'s side, as an unsigned pattern *)
+    let limit =
+      if neg then if signed then Int64.shift_left 1L (w - 1) else 0L
+      else if signed then Int64.pred (Int64.shift_left 1L (w - 1))
+      else if w = 64 then -1L
+      else Int64.pred (Int64.shift_left 1L w)
+    in
+    let sh = e - 1075 and m = Int64.logor frac 0x10000000000000L in
+    (* the truncated magnitude, or [None] past 2^64 (infinities too) *)
+    let mag =
+      if e = 0x7FF then None
+      else if e < 1023 then Some 0L
+      else if sh <= 0 then Some (Int64.shift_right_logical m (-sh))
+      else if sh <= 11 then Some (Int64.shift_left m sh)
+      else None
+    in
+    let mag =
+      match mag with
+      | Some v when Int64.unsigned_compare v limit <= 0 -> v
+      | _ -> limit
+    in
+    if neg then Int64.neg mag else mag
+
+let float_to_int_agrees (dst, src, x) =
+  (* an f32 source reads its operand rounded to single first *)
+  let x = if src = Ast.F32 then Int32.float_of_bits (Int32.bits_of_float x) else x in
+  match Scalar_ops.cvt ~dst ~src (Scalar_ops.F x) with
+  | Scalar_ops.I v -> v = model_float_to_int dst x
+  | Scalar_ops.F _ -> false
+
+let prop_float_to_int =
+  (* random doubles and f32s, and values at every destination's bounds:
+     +-2^k and their neighbours, fractional parts, NaN and infinities *)
+  let bounds =
+    List.concat_map
+      (fun k ->
+        let x = Float.ldexp 1.0 k in
+        List.concat_map (fun y -> [ y; -.y; Float.pred y; Float.succ y; y -. 0.5 ]) [ x; x -. 1.0 ])
+      [ 0; 1; 7; 8; 15; 16; 31; 32; 52; 53; 63; 64 ]
+    @ [ Float.nan; -.Float.nan; Float.infinity; Float.neg_infinity; 0.0; -0.0; 0.5; -0.5 ]
+  in
+  QCheck.Test.make ~name:"cvt float->int = saturating truncation model" ~count:20_000
+    (QCheck.make
+       ~print:(fun (d, s, x) ->
+         Fmt.str "cvt%s%s %h" (Printer.dtype_str d) (Printer.dtype_str s) x)
+       QCheck.Gen.(
+         triple (oneofl int_types) (oneofl [ Ast.F32; Ast.F64 ])
+           (oneof
+              [ map Int64.float_of_bits ui64; map Int32.float_of_bits int32; oneofl bounds ])))
+    float_to_int_agrees
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_norm_idempotent; prop_binop_normalized; prop_printer_roundtrip; prop_round_f32 ]
+    [ prop_norm_idempotent; prop_binop_normalized; prop_printer_roundtrip; prop_round_f32;
+      prop_int_to_float; prop_float_to_int ]
 
 let () =
   Alcotest.run "ptx"
@@ -876,6 +1036,7 @@ let () =
           Alcotest.test_case "norm sign" `Quick test_ops_norm_sign;
           Alcotest.test_case "cvt trunc" `Quick test_ops_cvt_trunc;
           Alcotest.test_case "cvt saturates" `Quick test_ops_cvt_saturates;
+          Alcotest.test_case "cvt int->float edges" `Quick test_int_to_float_edges;
           Alcotest.test_case "ucompare" `Quick test_ops_ucompare;
           Alcotest.test_case "bits roundtrip" `Quick test_ops_bits_roundtrip;
           Alcotest.test_case "round_f32 edges" `Quick test_round_f32_edges;

@@ -110,10 +110,42 @@ let test_cache_requires_scalar () =
 
 let test_cache_entry_ids_shared () =
   let c = prepare diverging_src ~kernel:"div4" in
-  let e4 = TC.get c ~ws:4 () in
-  let e1 = TC.get c ~ws:1 () in
-  Alcotest.(check bool) "same entry ids across widths" true
-    (e4.TC.vect.Vectorize.entry_ids = e1.TC.vect.Vectorize.entry_ids)
+  let ids ws =
+    (Vectorize.run ~mode:c.TC.mode ~affine:c.TC.affine ~plan:c.TC.plan c.TC.scalar ~ws)
+      .Vectorize.entry_ids
+  in
+  Alcotest.(check bool) "same entry ids across widths" true (ids 4 = ids 1)
+
+(* The compiled code charges, per block execution, exactly what the
+   timing analysis computes for that block: its cycles plus the
+   terminator, bit for bit, its flops and its line shares. *)
+let test_engine_charges_timing () =
+  List.iter
+    (fun (w : Vekt_workloads.Workload.t) ->
+      List.iter
+        (fun mode ->
+          let c = TC.prepare ~mode (Typecheck.load w.src) ~kernel:w.kernel in
+          List.iter
+            (fun ws ->
+              let e = TC.get c ~ws () in
+              let costs = Vekt_vm.Timing.analyze c.TC.machine e.TC.vfunc in
+              Alcotest.(check int)
+                (Fmt.str "%s ws=%d blocks" w.name ws)
+                (List.length costs)
+                (Array.length e.TC.code.Interp.blocks);
+              List.iteri
+                (fun k (t : Vekt_vm.Timing.block_cost) ->
+                  let b = e.TC.code.Interp.blocks.(k) in
+                  let what = Fmt.str "%s ws=%d %s" w.name ws b.Interp.label in
+                  Alcotest.(check int64) (what ^ " cycles")
+                    (Int64.bits_of_float (t.cycles +. 1.0))
+                    (Int64.bits_of_float b.cost.cycles);
+                  Alcotest.(check int) (what ^ " flops") t.flops b.cost.flops;
+                  Alcotest.(check bool) (what ^ " shares") true (t.shares = b.cost.shares))
+                costs)
+            [ 1; 4 ])
+        [ Vectorize.Dynamic; Vectorize.Static_tie ])
+    Vekt_workloads.Registry.all
 
 (* --- Execution manager --- *)
 
@@ -423,6 +455,7 @@ let () =
           Alcotest.test_case "best width" `Quick test_cache_best_width;
           Alcotest.test_case "requires scalar" `Quick test_cache_requires_scalar;
           Alcotest.test_case "entry ids shared" `Quick test_cache_entry_ids_shared;
+          Alcotest.test_case "engine charges timing" `Quick test_engine_charges_timing;
         ] );
       ( "exec_manager",
         [

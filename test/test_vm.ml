@@ -51,19 +51,21 @@ let fma_block ~dependent n =
   Builder.set_term b Ir.Return;
   Builder.func b
 
+(* The cost of a one-block function's only block. *)
+let cost1 f = List.hd (Timing.analyze Machine.sse4 f)
+
 let test_timing_dependent_slower () =
-  let dep = Timing.analyze Machine.sse4 (fma_block ~dependent:true 32) in
-  let ind = Timing.analyze Machine.sse4 (fma_block ~dependent:false 32) in
-  let c t = (Option.get (Timing.block_cost t "entry")).Timing.cycles in
+  let dep = cost1 (fma_block ~dependent:true 32) in
+  let ind = cost1 (fma_block ~dependent:false 32) in
+  let c (t : Timing.block_cost) = t.cycles in
   Alcotest.(check bool)
     (Fmt.str "chain %.0f >> independent %.0f" (c dep) (c ind))
     true
     (c dep > 2.0 *. c ind)
 
 let test_timing_flops_counted () =
-  let t = Timing.analyze Machine.sse4 (fma_block ~dependent:false 10) in
   (* 10 fmas x 4 lanes x 2 flops *)
-  Alcotest.(check int) "flops" 80 (Timing.flops t "entry")
+  Alcotest.(check int) "flops" 80 (cost1 (fma_block ~dependent:false 10)).flops
 
 let test_timing_wide_vectors_chunked () =
   let mk w =
@@ -77,10 +79,7 @@ let test_timing_wide_vectors_chunked () =
     Builder.set_term b Ir.Return;
     Builder.func b
   in
-  let u w =
-    (Option.get (Timing.block_cost (Timing.analyze Machine.sse4 (mk w)) "entry"))
-      .Timing.uops
-  in
+  let u w = (cost1 (mk w)).uops in
   (* the store contributes 1 µop; the add contributes chunks *)
   Alcotest.(check int) "4-wide 1 chunk" 2 (u 4);
   Alcotest.(check int) "8-wide 2 chunks" 3 (u 8);
@@ -105,9 +104,7 @@ let test_timing_pressure_spills () =
     Builder.set_term b Ir.Return;
     Builder.func b
   in
-  let cost n =
-    Option.get (Timing.block_cost (Timing.analyze Machine.sse4 (mk n)) "entry")
-  in
+  let cost n = cost1 (mk n) in
   Alcotest.(check int) "8 regs fit" 0 (cost 8).Timing.spill_uops;
   Alcotest.(check bool) "40 regs spill" true ((cost 40).Timing.spill_uops > 0);
   Alcotest.(check bool) "pressure reported" true ((cost 40).Timing.max_vec_pressure > 16)
@@ -129,13 +126,12 @@ let test_timing_scalar_cheaper_ports () =
     Builder.set_term b Ir.Return;
     Builder.func b
   in
-  let c w =
-    (Option.get (Timing.block_cost (Timing.analyze Machine.sse4 (mk w)) "entry"))
-      .Timing.cycles
-  in
+  let c w = (cost1 (mk w)).cycles in
   Alcotest.(check bool) "within 30%" true (Float.abs (c 4 -. c 1) /. c 1 < 0.3)
 
 (* --- Interp --- *)
+
+let compile = Interp.compile ~machine:Machine.sse4
 
 let mems ?(global = 64) ?(shared = 64) ?(local = 256) () =
   {
@@ -185,7 +181,7 @@ let test_interp_vector_arith () =
   let f = Builder.func b in
   Vekt_ir.Verify.check_exn f;
   let mem = mems () in
-  Interp.run (Interp.compile f) ~launch:launch1 (warp4 ()) mem;
+  Interp.run (compile f) ~launch:launch1 (warp4 ()) mem;
   Alcotest.(check (list int)) "squares" [ 0; 1; 4; 9 ] (Mem.read_i32s mem.Interp.global ~at:0 4)
 
 let test_interp_spill_restore_roundtrip () =
@@ -215,7 +211,7 @@ let test_interp_spill_restore_roundtrip () =
   Vekt_ir.Verify.check_exn f;
   let mem = mems () in
   let counters = Interp.fresh_counters () in
-  Interp.run ~counters (Interp.compile f) ~launch:launch1 (warp4 ()) mem;
+  Interp.run ~counters (compile f) ~launch:launch1 (warp4 ()) mem;
   Alcotest.(check (list (float 0.0))) "roundtrip" [ 0.; 1.; 2.; 3. ]
     (Mem.read_f32s mem.Interp.global ~at:0 4);
   Alcotest.(check int) "restores counted" 4 counters.Interp.restores;
@@ -238,7 +234,7 @@ let test_interp_switch_and_resume () =
   let f = Builder.func b in
   let mem = mems () in
   let w = warp4 ~entry:7 () in
-  Interp.run (Interp.compile f) ~launch:launch1 w mem;
+  Interp.run (compile f) ~launch:launch1 w mem;
   Alcotest.(check bool) "status barrier" true (w.Interp.status = Ir.Status_barrier);
   Alcotest.(check int) "lane 2 resume" 102 w.Interp.lanes.(2).Interp.resume_point
 
@@ -262,7 +258,7 @@ let test_interp_reduce_add () =
   Builder.set_term b Ir.Return;
   let f = Builder.func b in
   let mem = mems () in
-  Interp.run (Interp.compile f) ~launch:launch1 (warp4 ()) mem;
+  Interp.run (compile f) ~launch:launch1 (warp4 ()) mem;
   Alcotest.(check int) "two lanes >= 2" 2 (Mem.read_i32 mem.Interp.global 0)
 
 let test_interp_wrong_warp_width () =
@@ -272,7 +268,7 @@ let test_interp_wrong_warp_width () =
   let f = Builder.func b in
   Alcotest.(check bool) "trapped with warp context" true
     (try
-       Interp.run (Interp.compile f) ~launch:launch1 (warp4 ()) (mems ());
+       Interp.run (compile f) ~launch:launch1 (warp4 ()) (mems ());
        false
      with Vekt_error.Error (Vekt_error.Trap { kernel = "t"; _ }) -> true)
 
@@ -282,7 +278,7 @@ let test_interp_fuel () =
   Builder.set_term b (Ir.Jump "entry");
   let f = Builder.func b in
   Alcotest.check_raises "fuel" Interp.Out_of_fuel (fun () ->
-      Interp.run ~fuel:100 (Interp.compile f) ~launch:launch1 (warp4 ()) (mems ()))
+      Interp.run ~fuel:100 (compile f) ~launch:launch1 (warp4 ()) (mems ()))
 
 let test_interp_imm_splat () =
   let b = Builder.create ~warp_size:4 "t" in
@@ -297,7 +293,7 @@ let test_interp_imm_splat () =
   Builder.set_term b Ir.Return;
   let f = Builder.func b in
   let mem = mems () in
-  Interp.run (Interp.compile f) ~launch:launch1 (warp4 ()) mem;
+  Interp.run (compile f) ~launch:launch1 (warp4 ()) mem;
   Alcotest.(check (float 0.0)) "splat lane 3" 3.5 (Mem.read_f32 mem.Interp.global 0)
 
 (* Exactly [fuel] blocks may run: an [n]-block chain needs [~fuel:n]. *)
@@ -308,7 +304,7 @@ let test_interp_fuel_exact () =
     ignore (Builder.start_block b (Fmt.str "b%d" k));
     Builder.set_term b (if k = n - 1 then Ir.Return else Ir.Jump (Fmt.str "b%d" (k + 1)))
   done;
-  let c = Interp.compile (Builder.func b) in
+  let c = compile (Builder.func b) in
   Interp.run ~fuel:n c ~launch:launch1 (warp4 ()) (mems ());
   Alcotest.check_raises "one block short" Interp.Out_of_fuel (fun () ->
       Interp.run ~fuel:(n - 1) c ~launch:launch1 (warp4 ()) (mems ()))
@@ -338,7 +334,7 @@ let insert_kernel () =
                  Ir.R s))
   done;
   Builder.set_term b Ir.Return;
-  Interp.compile (Builder.func b)
+  compile (Builder.func b)
 
 let test_interp_runs_isolated () =
   let c = insert_kernel () in
@@ -387,7 +383,7 @@ let test_interp_shared_across_domains () =
   Builder.set_term b Ir.Return;
   let f = Builder.func b in
   Vekt_ir.Verify.check_exn f;
-  let c = Interp.compile f in
+  let c = compile f in
   let warp cta =
     {
       Interp.lanes =
@@ -593,7 +589,7 @@ let check_fast_path ~ws ~exact (name, nargs, out, emit, model) =
     Builder.emit b (Ir.Store (Ast.Global, out, at ((nargs * ws) + l), 0, s))
   done;
   Builder.set_term b Ir.Return;
-  let c = Interp.compile (Builder.func b) in
+  let c = compile (Builder.func b) in
   let n = Array.length fp_pool in
   for round = 0 to n - 1 do
     let mem = mems ~global:(8 * (nargs + 1) * ws) () in
