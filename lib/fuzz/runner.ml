@@ -237,7 +237,7 @@ let run_spec ?(fuel = default_fuel) (spec : Gen.t) : outcome =
                            let d4 = fresh_device () in
                            let m4 =
                              Api.load_module
-                               ~config:{ config with workers = Some 4 }
+                               ~config:{ config with workers = Some 4; domains = Some 4 }
                                d4 spec.src
                            in
                            let args4 = setup d4 in

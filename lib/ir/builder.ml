@@ -35,7 +35,7 @@ let create ?(warp_size = 1) fname =
         order = [];
         btab = Hashtbl.create 16;
         nregs = 0;
-        rty = Hashtbl.create 64;
+        rty = [||];
       };
     current = None;
     rev_insts = [];
@@ -69,15 +69,21 @@ let func b =
   b.func
 
 let fresh_reg b ty : Ir.vreg =
-  let r = b.func.Ir.nregs in
-  b.func.Ir.nregs <- r + 1;
-  Hashtbl.replace b.func.Ir.rty r ty;
+  let f = b.func in
+  let r = f.Ir.nregs in
+  if r = Array.length f.Ir.rty then begin
+    let grown = Array.make (max 64 (2 * r)) ty in
+    Array.blit f.Ir.rty 0 grown 0 r;
+    f.Ir.rty <- grown
+  end;
+  f.Ir.rty.(r) <- ty;
+  f.Ir.nregs <- r + 1;
   r
 
 let fresh_label b stem =
   b.label_counter <- b.label_counter + 1;
   let rec pick n =
-    let l = Fmt.str "%s.%d" stem n in
+    let l = stem ^ "." ^ string_of_int n in
     if Hashtbl.mem b.func.Ir.btab l then pick (n + 1) else l
   in
   pick b.label_counter

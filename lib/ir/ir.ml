@@ -116,8 +116,19 @@ type func = {
   mutable order : string list;  (** block layout order *)
   btab : (string, block) Hashtbl.t;
   mutable nregs : int;
-  rty : (vreg, Ty.t) Hashtbl.t;
+  mutable rty : Ty.t array;
+      (** [rty.(r)] is the type of register [r] for [r] in [\[0, nregs)];
+          slots past [nregs] are spare capacity *)
 }
+
+(** Hash tables keyed by [int] (registers, source lines), without
+    polymorphic hashing or comparison. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash (x : int) = x land max_int
+end)
 
 (* ------------------------------------------------------------------ *)
 (* Accessors *)
@@ -129,10 +140,11 @@ let block f l =
 
 let blocks f = List.map (block f) f.order
 
+let has_reg f r = r >= 0 && r < f.nregs
+
 let reg_ty f r =
-  match Hashtbl.find_opt f.rty r with
-  | Some t -> t
-  | None -> invalid_arg (Fmt.str "Ir.reg_ty: unknown register %%%d" r)
+  if has_reg f r then Array.unsafe_get f.rty r
+  else invalid_arg ("Ir.reg_ty: unknown register %" ^ string_of_int r)
 
 let successors b =
   match b.term with
@@ -289,20 +301,6 @@ let predecessors f =
     (blocks f);
   preds
 
-(** Blocks reachable from the entry, in reverse post-order. *)
-let reverse_postorder f =
-  let visited = Hashtbl.create 16 in
-  let order = ref [] in
-  let rec dfs l =
-    if not (Hashtbl.mem visited l) then begin
-      Hashtbl.add visited l ();
-      List.iter dfs (successors (block f l));
-      order := l :: !order
-    end
-  in
-  dfs f.entry;
-  !order
-
 (** Static instruction count over all blocks (terminators excluded). *)
 let size f = List.fold_left (fun acc b -> acc + List.length b.insts) 0 (blocks f)
 
@@ -322,5 +320,5 @@ let copy_func (f : func) : func =
     order = f.order;
     btab;
     nregs = f.nregs;
-    rty = Hashtbl.copy f.rty;
+    rty = Array.sub f.rty 0 f.nregs;
   }

@@ -25,22 +25,27 @@ let check_func (f : Ir.func) : error list =
     f.btab;
   let ty_of_operand o =
     match o with
-    | Ir.R r -> Hashtbl.find_opt f.rty r
+    | Ir.R r -> if Ir.has_reg f r then Some (Ir.reg_ty f r) else None
     | Ir.Imm (_, ty) -> Some (Ty.scalar ty)
   in
   let check_block (b : Ir.block) =
-    let ctx label i = Fmt.str "%s/%s: %s" f.fname label (Fmt.to_to_string Pp.instr i) in
     List.iter
       (fun (li : Ir.li) ->
         let i = li.Ir.i in
-        let where = ctx b.label i in
+        (* The "fname/label: instr" context is printed only for an
+           instruction that has an error. *)
+        let where fmt =
+          Fmt.kstr
+            (fun s ->
+              add "%s/%s: %s: %s" f.fname b.label (Fmt.to_to_string Pp.instr i) s)
+            fmt
+        in
         (* All used registers must have known types. *)
-        List.iter
-          (fun r ->
-            if not (Hashtbl.mem f.rty r) then add "%s: use of unknown %%%d" where r)
-          (Ir.uses i);
+        Ir.iter_uses
+          (fun r -> if not (Ir.has_reg f r) then where "use of unknown %%%d" r)
+          i;
         (match Ir.def i with
-        | Some d when not (Hashtbl.mem f.rty d) -> add "%s: def of unknown %%%d" where d
+        | Some d when not (Ir.has_reg f d) -> where "def of unknown %%%d" d
         | _ -> ());
         let expect_operand o (ty : Ty.t) =
           match ty_of_operand o with
@@ -58,24 +63,23 @@ let check_func (f : Ir.func) : error list =
                           && t.elt <> Ast.Pred && ty.elt <> Ast.Pred))
               in
               if not ok then
-                add "%s: operand %s has type %s, expected %s" where
+                where "operand %s has type %s, expected %s"
                   (Fmt.to_to_string Pp.operand o)
                   (Ty.to_string t) (Ty.to_string ty)
         in
         let expect_def d (ty : Ty.t) =
-          match Hashtbl.find_opt f.rty d with
-          | None -> ()
-          | Some t ->
-              if
-                not
-                  (t.Ty.width = ty.Ty.width
-                  && (t.Ty.elt = ty.Ty.elt
-                     || (Ast.size_of t.elt = Ast.size_of ty.elt
-                        && Ast.is_float t.elt = Ast.is_float ty.elt
-                        && t.elt <> Ast.Pred && ty.elt <> Ast.Pred)))
-              then
-                add "%s: def %%%d has type %s, expected %s" where d (Ty.to_string t)
-                  (Ty.to_string ty)
+          if Ir.has_reg f d then
+            let t = Ir.reg_ty f d in
+            if
+              not
+                (t.Ty.width = ty.Ty.width
+                && (t.Ty.elt = ty.Ty.elt
+                   || (Ast.size_of t.elt = Ast.size_of ty.elt
+                      && Ast.is_float t.elt = Ast.is_float ty.elt
+                      && t.elt <> Ast.Pred && ty.elt <> Ast.Pred)))
+            then
+              where "def %%%d has type %s, expected %s" d (Ty.to_string t)
+                (Ty.to_string ty)
         in
         match i with
         | Bin (op, ty, d, a, b) ->
@@ -106,23 +110,23 @@ let check_func (f : Ir.func) : error list =
             expect_def d ty;
             expect_operand a ty
         | Cvt (dt, st, d, a) ->
-            if dt.Ty.width <> st.Ty.width then add "%s: cvt width mismatch" where;
+            if dt.Ty.width <> st.Ty.width then where "cvt width mismatch";
             expect_def d dt;
             expect_operand a st
         | Load (_, ty, d, base, _) ->
             expect_def d (Ty.scalar ty);
             (match ty_of_operand base with
-            | Some t when t.Ty.width <> 1 -> add "%s: vector base address" where
+            | Some t when t.Ty.width <> 1 -> where "vector base address"
             | _ -> ())
         | Store (_, ty, base, _, v) ->
             expect_operand v (Ty.scalar ty);
             (match ty_of_operand base with
-            | Some t when t.Ty.width <> 1 -> add "%s: vector base address" where
+            | Some t when t.Ty.width <> 1 -> where "vector base address"
             | _ -> ())
         | Vload (_, ty, d, base, _) ->
             expect_def d (Ty.make ty f.warp_size);
             (match ty_of_operand base with
-            | Some t when t.Ty.width <> 1 -> add "%s: vector base address" where
+            | Some t when t.Ty.width <> 1 -> where "vector base address"
             | _ -> ())
         | Vstore (_, ty, base, _, v) ->
             (* The value operand must be an actual vector register: scalar
@@ -130,43 +134,43 @@ let check_func (f : Ir.func) : error list =
                writes [warp_size] lanes and requires an explicit Broadcast
                (a scalar here has historically meant a dropped splat). *)
             (match v with
-            | Ir.Imm _ -> add "%s: scalar immediate as vector store value" where
+            | Ir.Imm _ -> where "scalar immediate as vector store value"
             | Ir.R _ -> ());
             expect_operand v (Ty.make ty f.warp_size);
             (match ty_of_operand base with
-            | Some t when t.Ty.width <> 1 -> add "%s: vector base address" where
+            | Some t when t.Ty.width <> 1 -> where "vector base address"
             | _ -> ())
         | Atomic (_, _, ty, d, base, _, b2, c) ->
             expect_def d (Ty.scalar ty);
             expect_operand b2 (Ty.scalar ty);
             Option.iter (fun c -> expect_operand c (Ty.scalar ty)) c;
             (match ty_of_operand base with
-            | Some t when t.Ty.width <> 1 -> add "%s: vector base address" where
+            | Some t when t.Ty.width <> 1 -> where "vector base address"
             | _ -> ())
         | Broadcast (ty, d, a) ->
-            if not (Ty.is_vector ty) then add "%s: broadcast to scalar" where;
+            if not (Ty.is_vector ty) then where "broadcast to scalar";
             expect_def d ty;
             expect_operand a (Ty.scalar ty.Ty.elt)
         | Extract (ty, d, a, lane) ->
             expect_def d (Ty.scalar ty);
             (match ty_of_operand a with
             | Some t ->
-                if lane < 0 || lane >= t.Ty.width then add "%s: lane out of range" where
+                if lane < 0 || lane >= t.Ty.width then where "lane out of range"
             | None -> ())
         | Insert (ty, d, v, lane, s) ->
-            if lane < 0 || lane >= ty.Ty.width then add "%s: lane out of range" where;
+            if lane < 0 || lane >= ty.Ty.width then where "lane out of range";
             expect_def d ty;
             expect_operand v ty;
             expect_operand s (Ty.scalar ty.Ty.elt)
         | Reduce_add (d, a) ->
             expect_def d (Ty.scalar Ast.S32);
             (match ty_of_operand a with
-            | Some t when Ast.is_float t.Ty.elt -> add "%s: reduce.add on float" where
+            | Some t when Ast.is_float t.Ty.elt -> where "reduce.add on float"
             | _ -> ())
         | Ctx_read (_, _, lane) | Restore (_, lane, _, _) | Spill (lane, _, _, _)
         | Set_resume (lane, _) ->
             if lane < 0 || lane >= f.warp_size then
-              add "%s: lane %d out of warp %d" where lane f.warp_size
+              where "lane %d out of warp %d" lane f.warp_size
         | Set_status _ -> ())
       b.insts;
     (* Terminator checks. *)

@@ -156,21 +156,6 @@ let of_kernel (k : kernel) : t =
     blocks;
   { entry = entry_label; blocks }
 
-(** Reachable blocks from the entry, in reverse post-order. *)
-let reverse_postorder (cfg : t) : block list =
-  let visited = Hashtbl.create 16 in
-  let order = ref [] in
-  let rec dfs l =
-    if not (Hashtbl.mem visited l) then begin
-      Hashtbl.add visited l ();
-      let b = find_block cfg l in
-      List.iter dfs (successors b);
-      order := b :: !order
-    end
-  in
-  dfs cfg.entry;
-  !order
-
 (** Rebuild a kernel body from a CFG (used after PTX→PTX transformations).
     Branches to the block laid out immediately after are elided, so
     [of_kernel (to_body cfg)] reproduces the block structure. *)

@@ -181,29 +181,18 @@ let cmp op ty a b =
     | Gt -> c > 0
     | Ge -> c >= 0
 
+(** How {!float_to_int} converts to [dst]: its width in bits above bit 0,
+    which marks a signed destination.  Compute it once, outside a loop. *)
+let float_to_int_mode dst =
+  (min 64 (8 * size_of dst) lsl 1) lor if is_signed dst then 1 else 0
+
 (** Float→integer conversion as PTX defines it: truncate toward zero,
-    then clamp to the range of [dst] (NaN converts to 0).  Partially apply
-    to [dst] to hoist the bounds out of a loop. *)
-let float_to_int dst =
-  let bits = min 64 (8 * size_of dst) in
-  if is_signed dst then
-    let hi = Float.ldexp 1.0 (bits - 1) in
-    let max_v = norm_int dst (Int64.pred (Int64.shift_left 1L (bits - 1)))
-    and min_v = norm_int dst (Int64.shift_left 1L (bits - 1)) in
-    fun f ->
-      let t = Float.trunc f in
-      if Float.is_nan t then 0L
-      else if t >= hi then max_v
-      else if t < -.hi then min_v
-      else Int64.of_float t
-  else
-    let hi = Float.ldexp 1.0 bits and max_v = norm_int dst (-1L) in
-    fun f ->
-      let t = Float.trunc f in
-      if Float.is_nan t || t <= 0.0 then 0L
-      else if t >= hi then max_v
-      else if t >= 0x1p63 then Int64.add (Int64.of_float (t -. 0x1p63)) Int64.min_int
-      else Int64.of_float t
+    then clamp to the range of the destination [mode] ({!float_to_int_mode})
+    names, NaN converting to 0 ([vekt_cvt_stubs.c]).  The result is the
+    destination's normalized pattern. *)
+external float_to_int : (int[@untagged]) -> (float[@unboxed]) -> (int64[@unboxed])
+  = "vekt_float_to_int_byte" "vekt_float_to_int"
+[@@noalloc]
 
 (** How {!int_to_float} converts from [src] to [dst]: a 64-bit unsigned
     source reads unsigned (every narrower one normalizes to a pattern
@@ -229,7 +218,7 @@ let cvt ~dst ~src v =
   match (is_float dst, is_float src) with
   | true, true -> F (as_float dst (F (as_float src v)))
   | true, false -> F (int_to_float (int_to_float_mode ~src ~dst) (as_int src v))
-  | false, true -> I (norm_int dst (float_to_int dst (as_float src v)))
+  | false, true -> I (norm_int dst (float_to_int (float_to_int_mode dst) (as_float src v)))
   | false, false -> I (norm_int dst (as_int src v))
 
 let atom op ty old v extra =

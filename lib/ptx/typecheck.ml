@@ -48,13 +48,16 @@ let check_kernel ?(consts = []) ?(funcs = []) (k : kernel) : error list =
           else Hashtbl.add labels l ()
       | Inst _ -> ())
     k.k_body;
+  (* [ctx] is the instruction being checked; it is printed into the
+     error only when one is recorded. *)
+  let err_at what ctx = err what (Printer.instr_str ctx) in
   let check_reg r expect ctx =
     match Hashtbl.find_opt regs r with
-    | None -> add (err (Fmt.str "register %s not declared" r) ctx)
+    | None -> add (err_at (Fmt.str "register %s not declared" r) ctx)
     | Some declared ->
         if not (compatible declared expect) then
           add
-            (err
+            (err_at
                (Fmt.str "register %s has type %s, incompatible with %s" r
                   (Printer.dtype_str declared) (Printer.dtype_str expect))
                ctx)
@@ -64,63 +67,62 @@ let check_kernel ?(consts = []) ?(funcs = []) (k : kernel) : error list =
     | Reg r -> check_reg r expect ctx
     | Imm_int _ ->
         if is_float expect && size_of expect < 4 then
-          add (err "integer immediate used as narrow float" ctx)
+          add (err_at "integer immediate used as narrow float" ctx)
     | Imm_float _ ->
-        if not (is_float expect) then add (err "float immediate in integer context" ctx)
+        if not (is_float expect) then add (err_at "float immediate in integer context" ctx)
     | Special _ ->
         (* Special registers are 32-bit unsigned. *)
         if not (compatible U32 expect) then
-          add (err "special register used at non-32-bit width" ctx)
+          add (err_at "special register used at non-32-bit width" ctx)
     | Var v ->
         (* Address-of a declared variable; must land in an integer register
            wide enough for an address. *)
         if not (Hashtbl.mem vars v) then
-          add (err (Fmt.str "unknown variable %s" v) ctx)
+          add (err_at (Fmt.str "unknown variable %s" v) ctx)
         else if not (is_integer expect) || size_of expect < 4 then
-          add (err (Fmt.str "address of %s needs a 32/64-bit integer" v) ctx)
+          add (err_at (Fmt.str "address of %s needs a 32/64-bit integer" v) ctx)
   in
   let check_addr (a : address) ctx =
     match a.base with
     | Areg r -> (
         match Hashtbl.find_opt regs r with
-        | None -> add (err (Fmt.str "address register %s not declared" r) ctx)
+        | None -> add (err_at (Fmt.str "address register %s not declared" r) ctx)
         | Some ty ->
             if size_of ty <> 8 && size_of ty <> 4 then
-              add (err (Fmt.str "address register %s must be 32 or 64 bit" r) ctx))
+              add (err_at (Fmt.str "address register %s must be 32 or 64 bit" r) ctx))
     | Avar v ->
         if not (Hashtbl.mem vars v) then
-          add (err (Fmt.str "unknown variable %s in address" v) ctx)
+          add (err_at (Fmt.str "unknown variable %s in address" v) ctx)
   in
   let check_space_var (a : address) (sp : space) ctx =
     match (a.base, sp) with
     | Avar v, Param when Hashtbl.find_opt vars v <> Some `Param ->
-        add (err (Fmt.str "%s is not a parameter" v) ctx)
+        add (err_at (Fmt.str "%s is not a parameter" v) ctx)
     | Avar v, Shared when Hashtbl.find_opt vars v <> Some `Shared ->
-        add (err (Fmt.str "%s is not a shared array" v) ctx)
+        add (err_at (Fmt.str "%s is not a shared array" v) ctx)
     | Avar v, Local when Hashtbl.find_opt vars v <> Some `Local ->
-        add (err (Fmt.str "%s is not a local array" v) ctx)
+        add (err_at (Fmt.str "%s is not a local array" v) ctx)
     | Avar v, Const when Hashtbl.find_opt vars v <> Some `Const ->
-        add (err (Fmt.str "%s is not a constant array" v) ctx)
+        add (err_at (Fmt.str "%s is not a constant array" v) ctx)
     | _ -> ()
   in
-  let check_instr g i =
-    let ctx = Printer.instr_str i in
+  let check_instr g ctx =
     (match g with
     | Always -> ()
     | If r | Ifnot r -> check_reg r Pred ctx);
-    match i with
+    match ctx with
     | Binary (op, ty, d, a, b) ->
         if ty = Pred && not (List.mem op [ And; Or; Xor ]) then
-          add (err "arithmetic on predicates" ctx);
+          add (err_at "arithmetic on predicates" ctx);
         if is_float ty && List.mem op [ And; Or; Xor; Shl; Shr; Mul_hi; Mul_wide; Rem ]
-        then add (err "bitwise/integer op on float type" ctx);
+        then add (err_at "bitwise/integer op on float type" ctx);
         (* mul.wide reads at the source type but defines a register of
            twice the width; 64-bit sources have no 128-bit destination. *)
         (match op with
         | Mul_wide -> (
             match widened ty with
             | Some wide -> check_reg d wide ctx
-            | None -> add (err "mul.wide needs an integer type of at most 32 bits" ctx))
+            | None -> add (err_at "mul.wide needs an integer type of at most 32 bits" ctx))
         | _ -> check_reg d ty ctx);
         check_operand a ty ctx;
         (* Shift amounts are .u32 regardless of the value type. *)
@@ -128,8 +130,8 @@ let check_kernel ?(consts = []) ?(funcs = []) (k : kernel) : error list =
     | Unary (op, ty, d, a) ->
         if
           List.mem op [ Sqrt; Rsqrt; Rcp; Sin; Cos; Ex2; Lg2 ] && not (is_float ty)
-        then add (err "transcendental on integer type" ctx);
-        if op = Not && is_float ty then add (err "bitwise not on float" ctx);
+        then add (err_at "transcendental on integer type" ctx);
+        if op = Not && is_float ty then add (err_at "bitwise not on float" ctx);
         check_reg d ty ctx;
         check_operand a ty ctx
     | Mad (ty, d, a, b, c) ->
@@ -138,7 +140,7 @@ let check_kernel ?(consts = []) ?(funcs = []) (k : kernel) : error list =
         check_operand b ty ctx;
         check_operand c ty ctx
     | Setp (_, ty, d, a, b) ->
-        if ty = Pred then add (err "setp on predicate type" ctx);
+        if ty = Pred then add (err_at "setp on predicate type" ctx);
         check_reg d Pred ctx;
         check_operand a ty ctx;
         check_operand b ty ctx
@@ -154,20 +156,20 @@ let check_kernel ?(consts = []) ?(funcs = []) (k : kernel) : error list =
         check_reg d dty ctx;
         check_operand a sty ctx
     | Ld (sp, ty, d, addr) ->
-        if ty = Pred then add (err "loads of predicates are not addressable" ctx);
+        if ty = Pred then add (err_at "loads of predicates are not addressable" ctx);
         check_reg d ty ctx;
         check_addr addr ctx;
         check_space_var addr sp ctx
     | St (sp, ty, addr, v) ->
-        if ty = Pred then add (err "stores of predicates are not addressable" ctx);
-        if sp = Param || sp = Const then add (err "store to read-only space" ctx);
+        if ty = Pred then add (err_at "stores of predicates are not addressable" ctx);
+        if sp = Param || sp = Const then add (err_at "store to read-only space" ctx);
         check_addr addr ctx;
         check_space_var addr sp ctx;
         check_operand v ty ctx
     | Atom (sp, op, ty, d, addr, b, c) ->
-        if sp <> Shared && sp <> Global then add (err "atomics only on shared/global" ctx);
+        if sp <> Shared && sp <> Global then add (err_at "atomics only on shared/global" ctx);
         if is_float ty && op <> Atom_add && op <> Atom_exch then
-          add (err "float atomic other than add/exch" ctx);
+          add (err_at "float atomic other than add/exch" ctx);
         check_reg d ty ctx;
         check_addr addr ctx;
         check_space_var addr sp ctx;
@@ -175,17 +177,17 @@ let check_kernel ?(consts = []) ?(funcs = []) (k : kernel) : error list =
         Option.iter (fun c -> check_operand c ty ctx) c
     | Bra t ->
         if not (Hashtbl.mem labels t) then
-          add (err (Fmt.str "branch to undefined label %s" t) ctx)
+          add (err_at (Fmt.str "branch to undefined label %s" t) ctx)
     | Call (rets, fname, args) -> (
         match List.find_opt (fun (f : func_decl) -> f.f_name = fname) funcs with
-        | None -> add (err (Fmt.str "call of undefined .func %s" fname) ctx)
+        | None -> add (err_at (Fmt.str "call of undefined .func %s" fname) ctx)
         | Some f ->
             if List.length rets <> List.length f.f_rets then
-              add (err (Fmt.str "call of %s: wrong number of return registers" fname) ctx)
+              add (err_at (Fmt.str "call of %s: wrong number of return registers" fname) ctx)
             else
               List.iter2 (fun r (_, ty) -> check_reg r ty ctx) rets f.f_rets;
             if List.length args <> List.length f.f_params then
-              add (err (Fmt.str "call of %s: wrong number of arguments" fname) ctx)
+              add (err_at (Fmt.str "call of %s: wrong number of arguments" fname) ctx)
             else List.iter2 (fun a (_, ty) -> check_operand a ty ctx) args f.f_params)
     | Bar | Ret | Exit -> ()
   in

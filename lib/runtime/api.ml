@@ -66,9 +66,14 @@ type config = {
       (** on a recoverable fault, roll global memory back and re-run the
           launch under the reference emulator (the oracle) *)
   workers : int option;
-      (** execution-manager worker domains per launch; [None] follows
-          the device ([machine cores]).  Clamped to the CTA count; 1 =
-          serial. *)
+      (** execution-manager workers per launch, the modelled partition
+          of the grid; [None] follows the device ([machine cores]).
+          Clamped to the CTA count; 1 = serial. *)
+  domains : int option;
+      (** OCaml domains the workers run on; [None] follows the host
+          ([Domain.recommended_domain_count]).  Clamped to [workers].
+          Physical only: results, counters and modelled cycles are the
+          same at any value. *)
   (* ---- checkpoint / record-replay (DESIGN.md §3.5) ---- *)
   checkpoint_every : int;
       (** snapshot the launch every N scheduler iterations; 0 = off.
@@ -90,7 +95,7 @@ let default_config =
     tiering = Translation_cache.Eager; cache_capacity = None;
     inject = None; watchdog = None;
     quarantine_ttl = Translation_cache.default_quarantine_ttl;
-    recover = false; workers = None;
+    recover = false; workers = None; domains = None;
     checkpoint_every = 0; checkpoint_dir = "vekt-ckpt"; record = None;
     replay = None }
 
@@ -104,6 +109,9 @@ let validate_config (c : config) =
   in
   (match c.workers with
   | Some w when w <= 0 -> bad "config.workers (want >= 1)" w 1
+  | _ -> ());
+  (match c.domains with
+  | Some d when d <= 0 -> bad "config.domains (want >= 1)" d 1
   | _ -> ());
   let narrowest = List.fold_left min max_int c.widths in
   if narrowest <> 1 then
@@ -148,7 +156,7 @@ let sched_policy (c : config) : Scheduler.t =
     [tiered] (bool), [hot-threshold], [cache-cap], [inject]
     (';'-separated fault specs; implies [recover]), [inject-seed],
     [watchdog], [quarantine-ttl], [recover],
-    [workers], [checkpoint-every], [checkpoint-dir], [record],
+    [workers], [domains], [checkpoint-every], [checkpoint-dir], [record],
     [replay].
 
     Returns [Error] (not an exception) on an unknown key or a
@@ -227,6 +235,7 @@ let config_of_spec ?(base = default_config) (spec : (string * string) list) :
         | "quarantine-ttl" -> cfg := { !cfg with quarantine_ttl = int_of k v }
         | "recover" -> recover := bool_of k v
         | "workers" -> cfg := { !cfg with workers = Some (int_of k v) }
+        | "domains" -> cfg := { !cfg with domains = Some (int_of k v) }
         | "checkpoint-every" ->
             cfg := { !cfg with checkpoint_every = int_of k v }
         | "checkpoint-dir" -> cfg := { !cfg with checkpoint_dir = v }
@@ -720,6 +729,7 @@ let launch ?fuel ?(sink = Vekt_obs.Sink.noop)
     let stats =
       Worker_pool.launch ~costs:m.device.em_costs ?fuel
         ?watchdog:m.config.watchdog ?inject:m.fault ~workers
+        ?domains:m.config.domains
         ~sink ?profile ?attr ~sched:(sched_policy m.config) ?ckpt:ctx
         ?resume:rs ?record:recorder ?replay:replay_log cache ~grid ~block
         ~global:m.device.global ~params ~consts:m.consts

@@ -32,9 +32,9 @@ let run (f : Ir.func) : int =
   let replaced = ref 0 in
   List.iter
     (fun (b : Ir.block) ->
-      let version : (Ir.vreg, int) Hashtbl.t = Hashtbl.create 32 in
-      let ver r = Option.value (Hashtbl.find_opt version r) ~default:0 in
-      let bump r = Hashtbl.replace version r (ver r + 1) in
+      let version : int Ir.Itbl.t = Ir.Itbl.create 32 in
+      let ver r = Option.value (Ir.Itbl.find_opt version r) ~default:0 in
+      let bump r = Ir.Itbl.replace version r (ver r + 1) in
       (* expression key -> (result reg, result version at definition) *)
       let avail : (Ir.instr * int64 list, Ir.vreg * int) Hashtbl.t = Hashtbl.create 32 in
       let key i =

@@ -21,7 +21,7 @@ type state = {
 
 let fresh_reg st ty =
   st.counter <- st.counter + 1;
-  let r = Fmt.str "%%__ifc%d" st.counter in
+  let r = "%__ifc" ^ string_of_int st.counter in
   st.fresh_regs <- (r, ty) :: st.fresh_regs;
   r
 
@@ -63,7 +63,7 @@ let run (k : kernel) : kernel =
   let fresh_label () =
     incr label_counter;
     let rec pick () =
-      let l = Fmt.str "$__ifc%d" !label_counter in
+      let l = "$__ifc" ^ string_of_int !label_counter in
       if Hashtbl.mem existing_labels l then (
         incr label_counter;
         pick ())

@@ -80,12 +80,12 @@ let instr_vectorizable (i : Ir.instr) =
   | Ir.Load _ | Ir.Store _ | Ir.Atomic _ | Ir.Ctx_read _ -> false
   | _ -> false
 
-let entry_label l id = Fmt.str "%s.entry%d" l id
+let entry_label l id = l ^ ".entry" ^ string_of_int id
 
 let run ?(mode = Dynamic) ?(affine = false) ~(plan : Plan.t) (scalar : Ir.func)
     ~(ws : int) : vectorized =
   if ws < 1 then invalid_arg "Vectorize.run: ws must be >= 1";
-  let b = Builder.create ~warp_size:ws (Fmt.str "%s.w%d" scalar.Ir.fname ws) in
+  let b = Builder.create ~warp_size:ws (scalar.Ir.fname ^ ".w" ^ string_of_int ws) in
   let static = mode = Static_tie in
   let variants =
     if not static then ISet.empty
@@ -535,7 +535,7 @@ let run ?(mode = Dynamic) ?(affine = false) ~(plan : Plan.t) (scalar : Ir.func)
                       (Array.sub a 1 (Array.length a - 1))
                 | Uni _ -> assert false
               in
-              let exit_l = Fmt.str "%s.exit" blk.Ir.label in
+              let exit_l = blk.Ir.label ^ ".exit" in
               Builder.set_term b
                 (Ir.Switch (Ir.R sum, [ (0, ft); (ws, taken) ], exit_l));
               (* Exit handler: spill live-outs, per-lane resume points. *)
@@ -562,7 +562,7 @@ let run ?(mode = Dynamic) ?(affine = false) ~(plan : Plan.t) (scalar : Ir.func)
             | Some id -> id
             | None -> invalid_arg "barrier continuation is not an entry point"
           in
-          let exit_l = Fmt.str "%s.barexit" blk.Ir.label in
+          let exit_l = blk.Ir.label ^ ".barexit" in
           Builder.set_term b (Ir.Jump exit_l);
           ignore (Builder.start_block ~kind:Ir.Exit_handler b exit_l);
           spill_regs (Liveness.live_out plan.Plan.live blk.Ir.label);
@@ -573,7 +573,7 @@ let run ?(mode = Dynamic) ?(affine = false) ~(plan : Plan.t) (scalar : Ir.func)
           Builder.emit b (Ir.Set_status Ir.Status_barrier);
           Builder.set_term b Ir.Return
       | Ir.Return ->
-          let exit_l = Fmt.str "%s.exitterm" blk.Ir.label in
+          let exit_l = blk.Ir.label ^ ".exitterm" in
           Builder.set_term b (Ir.Jump exit_l);
           ignore (Builder.start_block ~kind:Ir.Exit_handler b exit_l);
           Builder.emit b (Ir.Set_status Ir.Status_exit);

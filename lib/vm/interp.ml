@@ -725,10 +725,10 @@ let compile_op ~ws ~(src : Ir.operand -> src) ~(dst : Ir.vreg -> src) ~exact (i 
               fset st d l (Scalar_ops.int_to_float mode (norm ns (iget st a l)))
             done
       | Ci, Cf, false, true ->
-          let nd = norm_of de and ftoi = Scalar_ops.float_to_int de in
+          let nd = norm_of de and mode = Scalar_ops.float_to_int_mode de in
           fun st ->
             for l = 0 to width_of d - 1 do
-              iset st d l (norm nd (ftoi (rnd ra (fget st a l))))
+              iset st d l (norm nd (Scalar_ops.float_to_int mode (rnd ra (fget st a l))))
             done
       | Ci, Ci, false, false ->
           let nd = norm_of de and ns = norm_of se in

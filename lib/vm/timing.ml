@@ -221,12 +221,11 @@ let state (m : Machine.t) (f : Ir.func) : state =
    to each line's µop count, with largest-remainder rounding so the shares
    sum exactly to [total_units].  The terminator (and any instruction with
    no provenance) weighs in on line 0. *)
-let compute_shares (line_uops : (int, int) Hashtbl.t) ~(total_units : int) :
-    int array * int =
-  Hashtbl.replace line_uops 0 (Option.value (Hashtbl.find_opt line_uops 0) ~default:0 + 1)
+let compute_shares (line_uops : int Ir.Itbl.t) ~(total_units : int) : int array * int =
+  Ir.Itbl.replace line_uops 0 (Option.value (Ir.Itbl.find_opt line_uops 0) ~default:0 + 1)
   (* terminator *);
   let lines =
-    Hashtbl.fold (fun l w acc -> (l, w) :: acc) line_uops []
+    Ir.Itbl.fold (fun l w acc -> (l, w) :: acc) line_uops []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
   in
   let total_w = List.fold_left (fun acc (_, w) -> acc + w) 0 lines in
@@ -262,7 +261,7 @@ let compute_shares (line_uops : (int, int) Hashtbl.t) ~(total_units : int) :
 let block (st : state) (b : Ir.block) : block_cost =
   let m = st.m and f = st.f in
   let port_free = Array.make (List.length Machine.all_ports) 0.0 in
-  let line_uops = Hashtbl.create 8 in
+  let line_uops = Ir.Itbl.create 8 in
   let total_uops = ref 0 and flops = ref 0 in
   let finish = ref 0.0 in
   let exec_instr ({ Ir.i; line } : Ir.li) =
@@ -280,8 +279,8 @@ let block (st : state) (b : Ir.block) : block_cost =
         done_at := Float.max !done_at (issue +. float_of_int latency))
       (uops_of_instr m f i);
     total_uops := !total_uops + !n;
-    Hashtbl.replace line_uops line
-      (Option.value (Hashtbl.find_opt line_uops line) ~default:0 + !n);
+    Ir.Itbl.replace line_uops line
+      (Option.value (Ir.Itbl.find_opt line_uops line) ~default:0 + !n);
     (match Ir.def i with Some d -> st.ready.(d) <- !done_at | None -> ());
     finish := Float.max !finish !done_at
   in

@@ -582,6 +582,7 @@ let test_config_validation () =
   in
   reject "workers=0" { Api.default_config with workers = Some 0 };
   reject "workers=-2" { Api.default_config with workers = Some (-2) };
+  reject "domains=0" { Api.default_config with domains = Some 0 };
   reject "checkpoint_every=-1"
     { Api.default_config with checkpoint_every = -1 };
   reject "cache_capacity=0" { Api.default_config with cache_capacity = Some 0 };

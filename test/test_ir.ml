@@ -65,12 +65,6 @@ let test_successors_and_preds () =
   Alcotest.(check (list string)) "join preds" [ "else"; "then" ]
     (List.sort compare (Hashtbl.find preds "join"))
 
-let test_rpo () =
-  let f, _, _, _ = build_diamond () in
-  let rpo = Ir.reverse_postorder f in
-  Alcotest.(check string) "entry first" "entry" (List.hd rpo);
-  Alcotest.(check string) "join last" "join" (List.nth rpo 3)
-
 let test_def_uses () =
   let f, x, p, acc = build_diamond () in
   ignore f;
@@ -141,6 +135,38 @@ let test_verify_type_mismatch () =
   Builder.emit b (Ir.Bin (Ast.Add, s32, d, Ir.R x, imm 1));
   Builder.set_term b Ir.Return;
   Alcotest.(check bool) "caught" true (Verify.check_func (Builder.func b) <> [])
+
+(* The exact diagnostics, text included: each names the function, block
+   and instruction it was found in, printed only when an error is
+   recorded. *)
+let test_verify_diagnostics_exact () =
+  let b = Builder.create "bad" in
+  ignore (Builder.start_block b "entry");
+  let x = Builder.fresh_reg b (Ty.scalar Ast.F32) in
+  let d = Builder.fresh_reg b s32 in
+  Builder.emit b (Ir.Bin (Ast.Add, s32, d, Ir.R 7, imm 1));
+  Builder.emit b (Ir.Bin (Ast.Add, s32, d, Ir.R x, imm 1));
+  Builder.set_term b Ir.Return;
+  Alcotest.(check (list string))
+    "errors"
+    [
+      "bad/entry: %1 = add .s32 %7, 1:.s32: use of unknown %7";
+      "bad/entry: %1 = add .s32 %0, 1:.s32: operand %0 has type .f32, expected .s32";
+    ]
+    (Verify.check_func (Builder.func b))
+
+let test_reg_ty_unknown () =
+  let f, _, _, _ = build_diamond () in
+  List.iter
+    (fun r ->
+      match Ir.reg_ty f r with
+      | _ -> Alcotest.failf "reg_ty %d accepted" r
+      | exception Invalid_argument msg ->
+          Alcotest.(check string)
+            "message"
+            ("Ir.reg_ty: unknown register %" ^ string_of_int r)
+            msg)
+    [ -1; f.Ir.nregs ]
 
 let test_verify_lane_bounds () =
   let b = Builder.create ~warp_size:2 "bad" in
@@ -315,8 +341,8 @@ let () =
         [
           Alcotest.test_case "entry first" `Quick test_builder_entry_is_first;
           Alcotest.test_case "succs/preds" `Quick test_successors_and_preds;
-          Alcotest.test_case "rpo" `Quick test_rpo;
           Alcotest.test_case "def/uses" `Quick test_def_uses;
+          Alcotest.test_case "reg_ty unknown" `Quick test_reg_ty_unknown;
           Alcotest.test_case "map/with_def" `Quick test_map_operands_with_def;
           Alcotest.test_case "large build is linear" `Quick
             test_builder_large_linear;
@@ -326,6 +352,7 @@ let () =
           Alcotest.test_case "clean" `Quick test_verify_clean;
           Alcotest.test_case "bad target" `Quick test_verify_bad_target;
           Alcotest.test_case "type mismatch" `Quick test_verify_type_mismatch;
+          Alcotest.test_case "diagnostics exact" `Quick test_verify_diagnostics_exact;
           Alcotest.test_case "lane bounds" `Quick test_verify_lane_bounds;
           Alcotest.test_case "vector select" `Quick test_verify_vector_cond_select;
           Alcotest.test_case "scalar cond rejected" `Quick

@@ -277,6 +277,37 @@ let test_tc_width_mismatch () =
     (tc_errors {|.entry k () { .reg .u32 %a; .reg .u64 %b; add.u32 %a, %a, %b; exit; }|}
     <> [])
 
+(* The exact diagnostics, text included: each names the instruction it
+   was found in, printed only when an error is recorded. *)
+let diag_src =
+  {|.entry k () {
+  .reg .u32 %a;
+  .reg .u64 %w;
+  add.u32 %a, %a, %b;
+  add.u32 %a, %a, %w;
+  add.u32 %a, %a, 1.5;
+  exit;
+}|}
+
+let diag_errors =
+  [
+    ("register %b not declared", "add.u32 %a, %a, %b");
+    ("register %w has type .u64, incompatible with .u32", "add.u32 %a, %a, %w");
+    ("float immediate in integer context", "add.u32 %a, %a, 0d3ff8000000000000");
+  ]
+
+let test_tc_diagnostics_exact () =
+  Alcotest.(check (list (pair string string)))
+    "errors" diag_errors
+    (List.map (fun (e : Typecheck.error) -> (e.what, e.where)) (tc_errors diag_src));
+  match Typecheck.load diag_src with
+  | _ -> Alcotest.fail "load accepted an ill-typed kernel"
+  | exception Vekt_error.Error (Vekt_error.Compile c) ->
+      Alcotest.(check string)
+        "load reason"
+        (String.concat "; " (List.map (fun (w, i) -> w ^ " (in " ^ i ^ ")") diag_errors))
+        c.reason
+
 let test_tc_b32_compatible () =
   Alcotest.(check int) "b32 as s32 ok" 0
     (List.length (tc_errors {|.entry k () { .reg .b32 %a; add.s32 %a, %a, 1; exit; }|}))
@@ -356,12 +387,6 @@ let test_cfg_roundtrip_body () =
   Alcotest.(check int) "same block count"
     (List.length cfg.Cfg.blocks)
     (List.length cfg2.Cfg.blocks)
-
-let test_cfg_rpo () =
-  let k = parse_kernel_exn vecadd_src in
-  let cfg = Cfg.of_kernel k in
-  let rpo = Cfg.reverse_postorder cfg in
-  Alcotest.(check string) "entry first" cfg.Cfg.entry (List.hd rpo).Cfg.label
 
 (* --- Emulator --- *)
 
@@ -990,6 +1015,7 @@ let () =
         [
           Alcotest.test_case "undeclared reg" `Quick test_tc_undeclared_reg;
           Alcotest.test_case "width mismatch" `Quick test_tc_width_mismatch;
+          Alcotest.test_case "diagnostics exact" `Quick test_tc_diagnostics_exact;
           Alcotest.test_case "b32 compatible" `Quick test_tc_b32_compatible;
           Alcotest.test_case "pred arith" `Quick test_tc_pred_in_arith;
           Alcotest.test_case "bad branch" `Quick test_tc_bad_branch;
@@ -1004,7 +1030,6 @@ let () =
           Alcotest.test_case "barrier splits" `Quick test_cfg_barrier_splits;
           Alcotest.test_case "guarded exit" `Quick test_cfg_guarded_exit;
           Alcotest.test_case "roundtrip body" `Quick test_cfg_roundtrip_body;
-          Alcotest.test_case "rpo" `Quick test_cfg_rpo;
         ] );
       ( "inline",
         [

@@ -117,6 +117,11 @@ let test_config_of_spec () =
   let c = config_ok [ ("workers", "3"); ("checkpoint-every", "5") ] in
   Alcotest.(check (option int)) "workers" (Some 3) c.Api.workers;
   Alcotest.(check int) "checkpoint-every" 5 c.Api.checkpoint_every;
+  let c = config_ok [ ("workers", "4"); ("domains", "2") ] in
+  Alcotest.(check (option int)) "domains" (Some 2) c.Api.domains;
+  Alcotest.(check string) "domains is physical: same cache key"
+    (Api.config_fingerprint { c with domains = None } Vekt_vm.Machine.sse4)
+    (Api.config_fingerprint c Vekt_vm.Machine.sse4);
   let contains s frag =
     let n = String.length s and m = String.length frag in
     let rec go i = i + m <= n && (String.sub s i m = frag || go (i + 1)) in

@@ -318,9 +318,10 @@ let test_vectorize_loads_stay_scalar () =
 let test_vectorize_ws1_structure () =
   let _, v = vectorized 1 in
   (* Scalar specialization: no vector types anywhere. *)
-  Hashtbl.iter
-    (fun _ (ty : Ty.t) -> Alcotest.(check int) "width 1" 1 ty.Ty.width)
-    v.Vectorize.func.Ir.rty
+  let f = v.Vectorize.func in
+  for r = 0 to f.Ir.nregs - 1 do
+    Alcotest.(check int) "width 1" 1 (Ir.reg_ty f r).Ty.width
+  done
 
 let test_vectorize_exit_sets_status () =
   let _, v = vectorized 4 in
