@@ -48,6 +48,7 @@ type t = {
   kernel : string;
   grid : int;  (** CTAs along x *)
   block : int;  (** threads per CTA along x *)
+  block_y : int;  (** threads per CTA along y; 1 in every generated kernel *)
 }
 
 let kernel_name = "fz"
@@ -63,17 +64,26 @@ let in_bytes = in_cells * 4
 let acc_cells = 16
 let acc_bytes = acc_cells * 4
 
-let header ~grid ~block = Fmt.str "// vekt-fuzz grid=%d block=%d\n" grid block
+(** The [// vekt-fuzz] header line: [block=X], or [block=XxY] for a
+    2-D CTA. *)
+let header ?(block_y = 1) ~grid ~block () =
+  if block_y = 1 then Fmt.str "// vekt-fuzz grid=%d block=%d\n" grid block
+  else Fmt.str "// vekt-fuzz grid=%d block=%dx%d\n" grid block block_y
 
 let parse_header src =
-  try Scanf.sscanf src "// vekt-fuzz grid=%d block=%d" (fun g b -> Some (g, b))
-  with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
+  let scan fmt k =
+    try Some (Scanf.sscanf src fmt k)
+    with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
+  in
+  match scan "// vekt-fuzz grid=%d block=%dx%d" (fun g x y -> (g, x, y)) with
+  | Some _ as dims -> dims
+  | None -> scan "// vekt-fuzz grid=%d block=%d" (fun g x -> (g, x, 1))
 
 (** Wrap existing PTX text (e.g. a corpus file) as a runnable spec,
     taking grid/block from the [// vekt-fuzz] header when present. *)
 let spec_of_src ?(seed = -1) src =
-  let grid, block = Option.value (parse_header src) ~default:(1, 8) in
-  { seed; src; kernel = kernel_name; grid; block }
+  let grid, block, block_y = Option.value (parse_header src) ~default:(1, 8, 1) in
+  { seed; src; kernel = kernel_name; grid; block; block_y }
 
 (* ------------------------------------------------------------------ *)
 (* Generator state                                                     *)
@@ -589,8 +599,8 @@ let generate_kernel ~seed : t =
       invalid_arg
         (Fmt.str "fuzz generator produced an ill-typed kernel (seed %d): %a"
            seed Typecheck.pp_error e));
-  { seed; src = header ~grid ~block:blockdim ^ Printer.to_string m;
-    kernel = kernel_name; grid; block = blockdim }
+  { seed; src = header ~grid ~block:blockdim () ^ Printer.to_string m;
+    kernel = kernel_name; grid; block = blockdim; block_y = 1 }
 
 (* ------------------------------------------------------------------ *)
 (* Frontier probes: fixed kernels poking constructs at or beyond the
@@ -705,8 +715,8 @@ let generate ~seed : t =
   if Random.State.int rng 100 < 8 then
     let tag, src = List.nth probes (Random.State.int rng (List.length probes)) in
     ignore tag;
-    { seed; src = header ~grid:2 ~block:8 ^ src; kernel = kernel_name;
-      grid = 2; block = 8 }
+    { seed; src = header ~grid:2 ~block:8 () ^ src; kernel = kernel_name;
+      grid = 2; block = 8; block_y = 1 }
   else generate_kernel ~seed
 
 (* ------------------------------------------------------------------ *)

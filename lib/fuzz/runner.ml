@@ -160,7 +160,8 @@ let run_spec ?(fuel = default_fuel) (spec : Gen.t) : outcome =
   | exception Vekt_error.Error (Vekt_error.Compile c) ->
       Rejected (Vekt_error.stage_name c.stage ^ ": " ^ normalize c.reason)
   | ast -> (
-      let grid = Launch.dim3 spec.grid and block = Launch.dim3 spec.block in
+      let grid = Launch.dim3 spec.grid
+      and block = Launch.dim3 ~y:spec.block_y spec.block in
       let engine = Engine.create ~workers:1 () in
       let fresh_device () =
         Api.create_device ~engine ~workers:1 ~global_bytes:device_bytes ()

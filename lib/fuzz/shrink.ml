@@ -27,7 +27,9 @@ let rebuild (spec : Gen.t) (m : A.modul) (k : A.kernel) body regs : Gen.t =
   let k = { k with A.k_body = body; k_regs = regs } in
   let m = { m with A.m_kernels = [ k ] } in
   { spec with
-    src = Gen.header ~grid:spec.grid ~block:spec.block ^ Printer.to_string m }
+    src =
+      Gen.header ~grid:spec.grid ~block:spec.block ~block_y:spec.block_y ()
+      ^ Printer.to_string m }
 
 let used_reg_names body =
   let tbl = Hashtbl.create 64 in

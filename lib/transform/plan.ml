@@ -11,12 +11,7 @@
 
 module Ir = Vekt_ir.Ir
 module Ty = Vekt_ir.Ty
-module Builder = Vekt_ir.Builder
-module Verify = Vekt_ir.Verify
 module Liveness = Vekt_analysis.Liveness
-module Invariance = Vekt_analysis.Invariance
-
-
 module ISet = Set.Make (Int)
 
 type t = {

@@ -17,10 +17,6 @@ module Ir = Vekt_ir.Ir
 module Ty = Vekt_ir.Ty
 module Builder = Vekt_ir.Builder
 module Verify = Vekt_ir.Verify
-module Liveness = Vekt_analysis.Liveness
-module Invariance = Vekt_analysis.Invariance
-
-
 open Vekt_ptx
 open Ast
 
@@ -214,10 +210,14 @@ let translate (m : modul) (k : kernel) : t =
     cfg.blocks;
   { func = Builder.func b; shared_bytes; local_decl_bytes; reg_map }
 
-(** Full frontend pipeline for one kernel: typecheck, if-convert,
-    translate, verify. *)
+(** Full frontend pipeline for one kernel: inline, if-convert,
+    translate, verify.
+
+    Precondition: [m] is type-checked, as {!Vekt_ptx.Typecheck.load} and
+    {!Vekt_runtime.Api.load_module} leave it.  Only a kernel that
+    inlining changed is checked again. *)
 let frontend (m : modul) ~kernel : t =
-  let k =
+  let k0 =
     match find_kernel m kernel with
     | Some k -> k
     | None -> raise (Unsupported { kernel; construct = Fmt.str "no kernel named %s" kernel })
@@ -225,16 +225,17 @@ let frontend (m : modul) ~kernel : t =
   (* device functions are exhaustively inlined first (paper §4.1 treats
      true calls as future work; see Inline) *)
   let k =
-    try Inline.expand m k
+    try Inline.expand m k0
     with Inline.Error e -> raise (Unsupported { kernel; construct = e })
   in
-  let consts = List.map (fun c -> c.c_decl.a_name) m.m_consts in
-  (match Typecheck.check_kernel ~consts k with
-  | [] -> ()
-  | e :: _ ->
-      raise
-        (Unsupported
-           { kernel; construct = Fmt.str "type error: %a" Typecheck.pp_error e }));
+  (if k != k0 then
+     let consts = List.map (fun c -> c.c_decl.a_name) m.m_consts in
+     match Typecheck.check_kernel ~consts k with
+     | [] -> ()
+     | e :: _ ->
+         raise
+           (Unsupported
+              { kernel; construct = Fmt.str "type error: %a" Typecheck.pp_error e }));
   let k = Ifconv.run k in
   let t =
     try translate m k

@@ -1,8 +1,10 @@
-(* Reference models of three build layers, in their textbook form: the
+(* Reference models of four build layers, in their textbook form: the
    set-based liveness dataflow, CSE keyed on each candidate's printed
-   text, and register pressure summed over one live set per instruction.
-   The compiler computes the same results with dense bitsets, structural
-   keys and running sums; test_models.ml checks that they agree. *)
+   text, register pressure summed over one live set per instruction, and
+   thread-invariance as a taint over the registers.  The compiler
+   computes the same results with dense bitsets, structural keys, running
+   sums and the uniform classes of its affine lattice; test_models.ml
+   checks that they agree. *)
 
 module Ir = Vekt_ir.Ir
 module ISet = Set.Make (Int)
@@ -140,3 +142,41 @@ let cse (f : Ir.func) : int =
           b.Ir.insts)
     (Ir.blocks f);
   !replaced
+
+(* Thread-invariance as a taint (paper §6.2): a register is variant when
+   any of its definitions is an inherently variant instruction (tid.x, the
+   lane, the thread-local base, tid.y/tid.z unless warps are static, a
+   load from mutable memory, an atomic, a restore) or reads a variant
+   register.  [seed] starts variant and taints what it reaches. *)
+module Invariance = struct
+  module Ast = Vekt_ptx.Ast
+
+  let inherently_variant ~static_warps = function
+    | Ir.Ctx_read (_, (Ir.Tid Ast.X | Ir.Lane | Ir.Local_base), _) -> true
+    | Ir.Ctx_read (_, Ir.Tid (Ast.Y | Ast.Z), _) -> not static_warps
+    | Ir.Load ((Ast.Global | Ast.Shared | Ast.Local), _, _, _, _) -> true
+    | Ir.Atomic _ | Ir.Restore _ -> true
+    | _ -> false
+
+  let variant_regs ~static_warps ?(seed = ISet.empty) (f : Ir.func) : ISet.t =
+    let variant = ref seed in
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      List.iter
+        (fun b ->
+          List.iter
+            (fun { Ir.i; _ } ->
+              match Ir.def i with
+              | Some d
+                when (not (ISet.mem d !variant))
+                     && (inherently_variant ~static_warps i
+                        || List.exists (fun r -> ISet.mem r !variant) (Ir.uses i)) ->
+                  variant := ISet.add d !variant;
+                  changed := true
+              | _ -> ())
+            b.Ir.insts)
+        (Ir.blocks f)
+    done;
+    !variant
+end

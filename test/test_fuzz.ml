@@ -76,7 +76,15 @@ let header_round_trip () =
   let spec = Gen.generate ~seed:3 in
   let spec' = Gen.spec_of_src spec.Gen.src in
   Alcotest.(check int) "grid survives reparse" spec.Gen.grid spec'.Gen.grid;
-  Alcotest.(check int) "block survives reparse" spec.Gen.block spec'.Gen.block
+  Alcotest.(check int) "block survives reparse" spec.Gen.block spec'.Gen.block;
+  Alcotest.(check int) "1-D block" 1 spec'.Gen.block_y;
+  (* a 1-D header keeps its old form, so corpus files and generated
+     kernels print as before *)
+  Alcotest.(check string) "1-D header" "// vekt-fuzz grid=3 block=8\n"
+    (Gen.header ~grid:3 ~block:8 ());
+  let two_d = Gen.spec_of_src (Gen.header ~grid:2 ~block:2 ~block_y:4 ()) in
+  Alcotest.(check (pair int int)) "2-D block survives reparse" (2, 4)
+    (two_d.Gen.block, two_d.Gen.block_y)
 
 (* ------------------------------------------------------------------ *)
 (* Guarded mul.wide (fuzz seed 16): the select temp introduced by

@@ -2,7 +2,9 @@
    fuzz-generator kernels, vectorized at every width in both warp-formation
    modes, the bitset liveness, the structurally keyed CSE and the timing
    model's running-sum register pressure must compute exactly what the
-   textbook versions compute. *)
+   textbook versions compute.  The affine lattice's uniform classes must
+   keep every register the invariance taint proves, and match it exactly
+   on the registry's kernels. *)
 
 module Ir = Vekt_ir.Ir
 module Pp = Vekt_ir.Pp
@@ -15,23 +17,22 @@ module Cse = Vekt_transform.Cse
 module Passes = Vekt_transform.Passes
 module Timing = Vekt_vm.Timing
 module Machine = Vekt_vm.Machine
+module Affine = Vekt_analysis.Affine
 module Gen = Vekt_fuzz.Gen
 module ISet = Models.ISet
 
 let modes = [ Vectorize.Dynamic; Vectorize.Static_tie ]
 let widths = [ 1; 2; 4; 8 ]
 
+(* The scalar function and divergence plan of a kernel. *)
+let prepare src ~kernel =
+  let tr = Ptx_to_ir.frontend (Vekt_ptx.Typecheck.load src) ~kernel in
+  (tr, Plan.compute tr.Ptx_to_ir.func ~local_decl_bytes:tr.Ptx_to_ir.local_decl_bytes)
+
 (* Every (mode, width) specialization of a generated kernel; a kernel the
    frontend rejects (a frontier probe) has none. *)
 let specializations (spec : Gen.t) : (string * (unit -> Ir.func)) list =
-  match
-    let m = Vekt_ptx.Typecheck.load spec.Gen.src in
-    let tr = Ptx_to_ir.frontend m ~kernel:spec.kernel in
-    let plan =
-      Plan.compute tr.Ptx_to_ir.func ~local_decl_bytes:tr.Ptx_to_ir.local_decl_bytes
-    in
-    (tr, plan)
-  with
+  match prepare spec.Gen.src ~kernel:spec.kernel with
   | exception _ -> []
   | tr, plan ->
       List.concat_map
@@ -109,9 +110,58 @@ let prop_pressure =
         (specializations spec);
       true)
 
+(* Uniform classes against the invariance taint in both warp formations,
+   over the bare function and with the plan's slotted registers per lane
+   (seeded variant in the model, clamped [Unknown] in the lattice, as
+   static builds realize them).  Every register the model calls invariant
+   must be uniform; with [exact], every uniform register invariant too. *)
+let check_uniformity ~exact where (f : Ir.func) (plan : Plan.t) =
+  let slots = Hashtbl.fold (fun r _ acc -> r :: acc) plan.Plan.slots [] in
+  List.iter
+    (fun (static_warps, slotted) ->
+      let cls =
+        if static_warps then Affine.invariant ~slotted f
+        else
+          Affine.fixpoint ~static_warps
+            ~clamp:(List.map (fun r -> (r, Affine.Unknown)) slotted)
+            f
+      in
+      let variant = Models.Invariance.variant_regs ~static_warps ~seed:(ISet.of_list slotted) f in
+      Array.iteri
+        (fun r c ->
+          let invariant = not (ISet.mem r variant) in
+          if invariant <> Affine.is_uniform c && (invariant || exact) then
+            fail where "%s warps%s: %%%d is %a, model %s"
+              (if static_warps then "static" else "dynamic")
+              (if slotted = [] then "" else ", slots per lane")
+              r Affine.pp_cls c
+              (if invariant then "invariant" else "variant"))
+        cls)
+    [ (false, []); (false, slots); (true, []); (true, slots) ]
+
+let prop_uniformity =
+  QCheck.Test.make ~name:"uniform classes keep every invariant of the taint model"
+    ~count:200 Gen.arbitrary (fun spec ->
+      (match prepare spec.Gen.src ~kernel:spec.kernel with
+      | exception _ -> ()
+      | tr, plan -> check_uniformity ~exact:false "fuzz kernel" tr.Ptx_to_ir.func plan);
+      true)
+
+let registry_uniformity () =
+  List.iter
+    (fun (w : Vekt_workloads.Workload.t) ->
+      let tr, plan = prepare w.src ~kernel:w.kernel in
+      check_uniformity ~exact:true w.name tr.Ptx_to_ir.func plan)
+    Vekt_workloads.Registry.all
+
 let () =
   Alcotest.run "models"
     [
       ( "models",
-        List.map QCheck_alcotest.to_alcotest [ prop_liveness; prop_cse; prop_pressure ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_liveness; prop_cse; prop_pressure; prop_uniformity ]
+        @ [
+            Alcotest.test_case "registry uniform classes == taint model" `Quick
+              registry_uniformity;
+          ] );
     ]

@@ -648,11 +648,9 @@ let classify_of src ~kernel =
   let tr = Ptx_to_ir.frontend (parse src) ~kernel in
   let plan = Plan.compute tr.Ptx_to_ir.func ~local_decl_bytes:0 in
   let slotted = Hashtbl.fold (fun r _ acc -> r :: acc) plan.Plan.slots [] in
-  (tr, plan, Affine.classify ~slotted tr.Ptx_to_ir.func)
+  (tr, plan, Affine.classify ~static_warps:true ~slotted tr.Ptx_to_ir.func)
 
-let cls_of tr cls name =
-  let r = Hashtbl.find tr.Ptx_to_ir.reg_map name in
-  Option.value (Hashtbl.find_opt cls r) ~default:Affine.Unknown
+let cls_of tr cls name = cls.(Hashtbl.find tr.Ptx_to_ir.reg_map name)
 
 let test_affine_straightline () =
   let src =
@@ -681,26 +679,33 @@ let test_affine_transfer_local () =
   let s32t = Ty.scalar Ast.S32 in
   Alcotest.(check bool) "add" true
     (Affine.equal_cls
-       (Affine.transfer ~get (Ir.Bin (Ast.Add, s32t, 9, Ir.R 0, Ir.R 1)))
+       (Affine.transfer ~static_warps:true ~get (Ir.Bin (Ast.Add, s32t, 9, Ir.R 0, Ir.R 1)))
        (Affine.Affine 1L));
   Alcotest.(check bool) "shl" true
     (Affine.equal_cls
-       (Affine.transfer ~get
+       (Affine.transfer ~static_warps:true ~get
           (Ir.Bin (Ast.Shl, s32t, 9, Ir.R 0, Ir.Imm (Scalar_ops.I 2L, Ast.U32))))
        (Affine.Affine 4L));
   Alcotest.(check bool) "mul by const" true
     (Affine.equal_cls
-       (Affine.transfer ~get
+       (Affine.transfer ~static_warps:true ~get
           (Ir.Bin (Ast.Mul_lo, s32t, 9, Ir.Imm (Scalar_ops.I 12L, Ast.S32), Ir.R 0)))
        (Affine.Affine 12L));
   Alcotest.(check bool) "affine - affine is uniform" true
     (Affine.equal_cls
-       (Affine.transfer ~get (Ir.Bin (Ast.Sub, s32t, 9, Ir.R 0, Ir.R 0)))
+       (Affine.transfer ~static_warps:true ~get (Ir.Bin (Ast.Sub, s32t, 9, Ir.R 0, Ir.R 0)))
        Affine.Uniform);
   Alcotest.(check bool) "affine * affine unknown" true
     (Affine.equal_cls
-       (Affine.transfer ~get (Ir.Bin (Ast.Mul_lo, s32t, 9, Ir.R 0, Ir.R 0)))
-       Affine.Unknown)
+       (Affine.transfer ~static_warps:true ~get (Ir.Bin (Ast.Mul_lo, s32t, 9, Ir.R 0, Ir.R 0)))
+       Affine.Unknown);
+  (* tid.y is warp-uniform only when warps are consecutive tid.x threads
+     of one row; dynamic formation mixes rows in one warp *)
+  let tid_y = Ir.Ctx_read (9, Ir.Tid Ast.Y, 0) in
+  Alcotest.(check bool) "tid.y uniform under static warps" true
+    (Affine.equal_cls (Affine.transfer ~static_warps:true ~get tid_y) Affine.Uniform);
+  Alcotest.(check bool) "tid.y unknown under dynamic warps" true
+    (Affine.equal_cls (Affine.transfer ~static_warps:false ~get tid_y) Affine.Unknown)
 
 let vecadd_affine_src =
   {|
