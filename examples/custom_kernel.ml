@@ -57,11 +57,11 @@ DONE:
 |}
 
 let () =
-  let m = Parser.parse_module src in
+  let m = Typecheck.load src in
   Fmt.pr "== source PTX round-trips through the printer ==@.%s@."
     (Printer.to_string m);
 
-  (* Frontend: typecheck + if-conversion + translation to scalar IR. *)
+  (* Frontend: inline + if-conversion + translation to scalar IR. *)
   let tr = Ptx_to_ir.frontend m ~kernel:"collatz" in
   Fmt.pr "== scalar IR (%d instructions) ==@.%a@." (Ir.size tr.Ptx_to_ir.func)
     Pp.func tr.Ptx_to_ir.func;
