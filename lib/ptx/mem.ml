@@ -57,8 +57,9 @@ let load_image t (img : Bytes.t) =
   Bytes.blit img 0 t.bytes 0 n;
   Bytes.fill t.bytes n (Bytes.length t.bytes - n) '\000'
 
+(* [addr + width > size], in a form no address near [max_int] overflows. *)
 let check ~op t addr width =
-  if addr < 0 || addr + width > Bytes.length t.bytes then fault ~op t addr width
+  if addr < 0 || addr > Bytes.length t.bytes - width then fault ~op t addr width
 
 (** Load [size_of ty] bytes at [addr] as a value of type [ty]. *)
 let load t (ty : Ast.dtype) addr : Scalar_ops.value =

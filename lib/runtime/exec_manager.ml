@@ -46,6 +46,16 @@ let rec take k = function
   | x :: rest when k > 0 -> x :: take (k - 1) rest
   | _ -> []
 
+(* [lanes.(k..)] from the contexts of [members], in order. *)
+let rec fill_lanes (threads : Scheduler.thr array) lanes k = function
+  | [] -> ()
+  | i :: rest ->
+      lanes.(k) <- threads.(i).Scheduler.info;
+      fill_lanes threads lanes (k + 1) rest
+
+(* The cursor after a dispatch or yield at [start]. *)
+let[@inline] after ~n start = if start + 1 = n then 0 else start + 1
+
 (** Execute one CTA to completion under scheduling policy [sched],
     which {!Worker_pool.launch} has already checked against the cache's
     vectorization mode.
@@ -99,6 +109,10 @@ let run_cta ?(costs = default_costs) ?(fuel = 5_000_000) ?watchdog
         bad_snapshot
           (Fmt.str "snapshot has %d thread contexts, CTA has %d"
              (Array.length s.Checkpoint.c_threads) n);
+      if s.Checkpoint.c_cursor < 0 || s.Checkpoint.c_cursor >= n then
+        bad_snapshot
+          (Fmt.str "scheduler cursor %d outside CTA of %d threads"
+             s.Checkpoint.c_cursor n);
       if Bytes.length s.Checkpoint.c_shared <> cache.Translation_cache.shared_bytes
       then bad_snapshot "shared-memory image size mismatch";
       if
@@ -292,7 +306,7 @@ let run_cta ?(costs = default_costs) ?(fuel = 5_000_000) ?watchdog
     (match record with
     | Some r -> Replay.record r ~cta:cta_linear (Replay.Yield { start })
     | None -> ());
-    pool.Scheduler.cursor <- (start + 1) mod n
+    pool.Scheduler.cursor <- after ~n start
   in
   (* [members] holds exactly [ws] threads Ready at [entry_id]; the cache
      query degrades through the fallback chain, so the width actually
@@ -301,8 +315,10 @@ let run_cta ?(costs = default_costs) ?(fuel = 5_000_000) ?watchdog
     stats.Stats.em_cycles <-
       stats.Stats.em_cycles
       +. (float_of_int scanned *. costs.per_candidate_scan);
+    (* the clock is read only for the events a sink would get *)
     let entry, served =
-      Translation_cache.get_fallback cache ~params ~sink ~now:(now ())
+      Translation_cache.get_fallback cache ~params ~sink
+        ?now:(if Obs.Sink.enabled sink then Some (now ()) else None)
         ~worker ~ws ()
     in
     (match replay with
@@ -323,7 +339,7 @@ let run_cta ?(costs = default_costs) ?(fuel = 5_000_000) ?watchdog
         (Obs.Event.Warp_formed
            { ts = now (); worker; entry_id; size = ws; scanned });
     let lanes = Array.make ws threads.(start).Scheduler.info in
-    List.iteri (fun k i -> lanes.(k) <- threads.(i).Scheduler.info) members;
+    fill_lanes threads lanes 0 members;
     let warp = { Interp.lanes; entry_id; status = Ir.Status_exit } in
     Stats.record_warp stats ws;
     stats.Stats.em_cycles <- stats.Stats.em_cycles +. costs.per_kernel_call;
@@ -383,16 +399,15 @@ let run_cta ?(costs = default_costs) ?(fuel = 5_000_000) ?watchdog
     end;
     stats.Stats.em_cycles <-
       stats.Stats.em_cycles +. (float_of_int ws *. costs.per_lane_update);
-    List.iter
-      (fun i ->
-        let t = threads.(i) in
-        match warp.Interp.status with
-        | Ir.Status_exit ->
-            t.Scheduler.state <- Scheduler.Done;
-            decr remaining
-        | Ir.Status_barrier -> t.Scheduler.state <- Scheduler.Blocked
-        | Ir.Status_branch -> t.Scheduler.state <- Scheduler.Ready)
-      members;
+    let next_state =
+      match warp.Interp.status with
+      | Ir.Status_exit ->
+          remaining := !remaining - ws;
+          Scheduler.Done
+      | Ir.Status_barrier -> Scheduler.Blocked
+      | Ir.Status_branch -> Scheduler.Ready
+    in
+    List.iter (fun i -> threads.(i).Scheduler.state <- next_state) members;
     (match watchdog with
     | None -> ()
     | Some limit ->
@@ -416,7 +431,7 @@ let run_cta ?(costs = default_costs) ?(fuel = 5_000_000) ?watchdog
             end
             else stalls.(i) <- 0)
           members);
-    pool.Scheduler.cursor <- (start + 1) mod n
+    pool.Scheduler.cursor <- after ~n start
   in
   (* A logged decision must be one the live policy could have taken in
      the live state: a log recorded against different code or data, or

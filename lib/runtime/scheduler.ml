@@ -64,11 +64,15 @@ type kind = Dynamic | Static | Barrier_aware
 
 (* ---- selection ---- *)
 
+(* The index after [i] in a pool of [n], wrapping to 0: a compare where
+   [mod] would divide, once per candidate examined. *)
+let[@inline] next ~n i = if i + 1 = n then 0 else i + 1
+
 let round_robin (p : pool) : int option =
   let rec go tried i =
     if tried >= p.n then None
     else if p.threads.(i).state = Ready then Some i
-    else go (tried + 1) ((i + 1) mod p.n)
+    else go (tried + 1) (next ~n:p.n i)
   in
   go 0 p.cursor
 
@@ -90,20 +94,19 @@ let barrier_aware_select (p : pool) : int option =
           Hashtbl.replace cohort e
             (Option.value (Hashtbl.find_opt cohort e) ~default:0 + 1))
       p.threads;
-    let best = ref None in
-    for tried = 0 to p.n - 1 do
-      let i = (p.cursor + tried) mod p.n in
-      let t = p.threads.(i) in
-      if t.state = Ready then begin
-        let c =
-          Option.value
-            (Hashtbl.find_opt cohort t.info.Interp.resume_point)
-            ~default:0
-        in
-        match !best with
-        | Some (_, bc) when bc >= c -> ()
-        | _ -> best := Some (i, c)
-      end
+    let best = ref None and i = ref p.cursor in
+    for _ = 0 to p.n - 1 do
+      let t = p.threads.(!i) in
+      (if t.state = Ready then
+         let c =
+           Option.value
+             (Hashtbl.find_opt cohort t.info.Interp.resume_point)
+             ~default:0
+         in
+         match !best with
+         | Some (_, bc) when bc >= c -> ()
+         | _ -> best := Some (!i, c));
+      i := next ~n:p.n !i
     done;
     Option.map fst !best
   end
@@ -116,20 +119,18 @@ let barrier_aware_select (p : pool) : int option =
    scan stops at the mismatch rather than examining past it);
    otherwise the scan wraps around the whole pool, skipping mismatches
    and counting every context examined. *)
+let[@inline] joins (t : thr) ~entry ~row ~same_row =
+  t.state = Ready && t.info.Interp.resume_point = entry && ((not same_row) || t.row = row)
+
 let scan (p : pool) ~start ~want ~consecutive ~same_row : warp =
   let t0 = p.threads.(start) in
-  let entry = t0.info.Interp.resume_point in
-  let ok (t : thr) =
-    t.state = Ready
-    && t.info.Interp.resume_point = entry
-    && ((not same_row) || t.row = t0.row)
-  in
+  let entry = t0.info.Interp.resume_point and row = t0.row in
   let members = ref [ start ] in
   let count = ref 1 in
   let scanned = ref 0 in
   if consecutive then begin
     let i = ref (start + 1) in
-    while !count < want && !i < p.n && ok p.threads.(!i) do
+    while !count < want && !i < p.n && joins p.threads.(!i) ~entry ~row ~same_row do
       incr scanned;
       members := !i :: !members;
       incr count;
@@ -137,14 +138,14 @@ let scan (p : pool) ~start ~want ~consecutive ~same_row : warp =
     done
   end
   else begin
-    let i = ref ((start + 1) mod p.n) in
+    let i = ref (next ~n:p.n start) in
     while !count < want && !i <> start do
       incr scanned;
-      if ok p.threads.(!i) then begin
+      if joins p.threads.(!i) ~entry ~row ~same_row then begin
         members := !i :: !members;
         incr count
       end;
-      i := (!i + 1) mod p.n
+      i := next ~n:p.n !i
     done
   end;
   { members = List.rev !members; count = !count; scanned = !scanned }

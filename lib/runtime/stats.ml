@@ -27,7 +27,9 @@ let create () =
   }
 
 let record_warp t ws =
-  Hashtbl.replace t.warp_hist ws (Option.value (Hashtbl.find_opt t.warp_hist ws) ~default:0 + 1)
+  match Hashtbl.find t.warp_hist ws with
+  | n -> Hashtbl.replace t.warp_hist ws (n + 1)
+  | exception Not_found -> Hashtbl.add t.warp_hist ws 1
 
 (** Mean number of threads per formed warp (Figure 7's metric). *)
 let average_warp_size t =

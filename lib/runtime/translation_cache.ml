@@ -95,6 +95,9 @@ type t = {
   kernel_name : string;
   scalar : Ir.func;
   plan : Plan.t;
+  classes : Vectorize.classes;
+      (** [scalar]'s uniformity classes under [mode], shared by every
+          width's build of it *)
   shared_bytes : int;
   local_bytes : int;  (** per-thread local memory: declared + spill area *)
   order_dependent_atomics : bool;
@@ -212,6 +215,7 @@ let prepare ?(mode = Vectorize.Dynamic) ?(affine = false) ?(specialize_args = fa
     kernel_name = kernel;
     scalar = tr.Ptx_to_ir.func;
     plan;
+    classes = Vectorize.classes ~mode ~plan tr.Ptx_to_ir.func;
     shared_bytes = tr.Ptx_to_ir.shared_bytes;
     local_bytes = Plan.local_bytes plan ~local_decl_bytes:tr.Ptx_to_ir.local_decl_bytes;
     order_dependent_atomics = has_order_dependent_atomics tr.Ptx_to_ir.func;
@@ -327,7 +331,9 @@ let compile_error (t : t) ~ws ~tier ~stage reason =
    exactly where build wall time went. *)
 let compile_build (t : t) ~sink ~now ~worker ~scalar ~ws ~tier : entry =
   let wall0 = Clock.now_us () in
-  let vect = Vectorize.run ~mode:t.mode ~affine:t.affine ~plan:t.plan scalar ~ws in
+  (* a copy specialized on argument values has classes of its own *)
+  let classes = if scalar == t.scalar then Some t.classes else None in
+  let vect = Vectorize.run ~mode:t.mode ~affine:t.affine ?classes ~plan:t.plan scalar ~ws in
   if t.optimize && tier > 0 then begin
     let observe =
       if Obs.Sink.enabled sink then
@@ -441,9 +447,13 @@ let emit_quarantine (t : t) sink ~now ~worker ~ws action =
    and counts in [par_hits]; [skipped] are quarantined widths the caller
    passed over on the way, counted only when this serves the hit (on a
    fall-through the locked chain skips and counts them itself). *)
-let snapshot_hit (t : t) ?(skipped = []) ~sink ~now ~worker
-    ((ws, _) as key) =
-  match List.assoc_opt key (Atomic.get t.published) with
+let rec published_entry ws digest = function
+  | [] -> None
+  | ((w, d), e) :: rest ->
+      if w = ws && String.equal d digest then Some e else published_entry ws digest rest
+
+let snapshot_hit (t : t) ?(skipped = []) ~sink ~now ~worker ~ws digest =
+  match published_entry ws digest (Atomic.get t.published) with
   | Some (e : entry) when e.tier >= 1 ->
       Atomic.set e.last_use (next_stamp t);
       List.iter
@@ -469,8 +479,8 @@ let snapshot_hit (t : t) ?(skipped = []) ~sink ~now ~worker
    promotes it through the full pipeline (the query itself is still a
    hit: it is answered from cache, the recompile is the cache's own
    policy). *)
-let get_locked (t : t) ?params ~sink ~now ~worker ((ws, _) as key) : entry =
-  match snapshot_hit t ~sink ~now ~worker key with
+let get_locked (t : t) ?params ~sink ~now ~worker ((ws, digest) as key) : entry =
+  match snapshot_hit t ~sink ~now ~worker ~ws digest with
   | Some e -> e
   | None -> (
       let params = if t.specialize_args then params else None in
@@ -541,10 +551,10 @@ let get_locked (t : t) ?params ~sink ~now ~worker ((ws, _) as key) : entry =
     different subsystems share one timeline per worker). *)
 let get (t : t) ?params ?(sink = Obs.Sink.noop) ?(now = 0.0) ?(worker = 0) ~ws
     () : entry =
-  let key = (ws, digest_of t params) in
-  match snapshot_hit t ~sink ~now ~worker key with
+  let digest = digest_of t params in
+  match snapshot_hit t ~sink ~now ~worker ~ws digest with
   | Some e -> e
-  | None -> locked t (fun () -> get_locked t ?params ~sink ~now ~worker key)
+  | None -> locked t (fun () -> get_locked t ?params ~sink ~now ~worker (ws, digest))
 
 (* ---- fallback chain + quarantine (DESIGN.md §3.3) ---- *)
 
@@ -552,6 +562,11 @@ let quarantined (t : t) key =
   match Hashtbl.find_opt t.quarantine key with
   | Some q when q.q_ttl > 0 -> true
   | _ -> false
+
+(* The widest of [widths] (descending) not above [ws]; 0 when none is. *)
+let rec fitting ws = function
+  | [] -> 0
+  | w :: rest -> if w <= ws then w else fitting ws rest
 
 (** Get a specialization for at most [ws] lanes, degrading gracefully:
     a width whose build fails (injected or genuine) is quarantined and
@@ -564,30 +579,39 @@ let quarantined (t : t) key =
 
     The first width not quarantined in the published snapshot is served
     lock-free when it is resident at tier 1 ({!snapshot_hit}); every
-    other outcome takes the cache mutex. *)
+    other outcome takes the cache mutex.  With nothing quarantined, that
+    hit walks the snapshot and builds no list. *)
 let get_fallback (t : t) ?params ?(sink = Obs.Sink.noop) ?(now = 0.0)
     ?(worker = 0) ~ws () : entry * int =
   let digest = digest_of t params in
-  let candidates = List.filter (fun w -> w <= ws) t.widths in
-  if candidates = [] then
+  let widest = fitting ws t.widths in
+  if widest = 0 then
     invalid_arg (Fmt.str "no specialization of %s fits width %d" t.kernel_name ws);
-  let quar = Atomic.get t.pub_quarantine in
-  let rec first_open skipped = function
-    | w :: rest when List.mem (w, digest) quar -> first_open (w :: skipped) rest
-    | w :: _ -> Some (List.rev skipped, w)
-    | [] -> None
-  in
   let fast =
-    match first_open [] candidates with
-    | Some (skipped, w) ->
-        Option.map
-          (fun e -> (e, w))
-          (snapshot_hit t ~skipped ~sink ~now ~worker (w, digest))
-    | None -> None
+    match Atomic.get t.pub_quarantine with
+    | [] -> (
+        match snapshot_hit t ~sink ~now ~worker ~ws:widest digest with
+        | Some e -> Some (e, widest)
+        | None -> None)
+    | quar -> (
+        let shut w = List.exists (fun (w', d) -> w' = w && String.equal d digest) quar in
+        let rec first_open skipped = function
+          | w :: rest when w > ws -> first_open skipped rest
+          | w :: rest when shut w -> first_open (w :: skipped) rest
+          | w :: _ -> Some (List.rev skipped, w)
+          | [] -> None
+        in
+        match first_open [] t.widths with
+        | Some (skipped, w) -> (
+            match snapshot_hit t ~skipped ~sink ~now ~worker ~ws:w digest with
+            | Some e -> Some (e, w)
+            | None -> None)
+        | None -> None)
   in
   match fast with
   | Some hit -> hit
   | None ->
+      let candidates = List.filter (fun w -> w <= ws) t.widths in
       let emit_fallback ~from_ws ~to_ws reason =
         if Obs.Sink.enabled sink then
           Obs.Sink.emit sink
@@ -715,7 +739,8 @@ let restore_meta (t : t) ~(hotness : (int * string * int) list)
       republish t)
 
 (** Largest available width not exceeding [n]. *)
-let best_width (t : t) n = List.find (fun w -> w <= n) t.widths
+let best_width (t : t) n =
+  match fitting n t.widths with 0 -> raise Not_found | w -> w
 
 let max_width (t : t) = List.hd t.widths
 

@@ -80,18 +80,46 @@ let instr_vectorizable (i : Ir.instr) =
 
 let entry_label l id = l ^ ".entry" ^ string_of_int id
 
-let run ?(mode = Dynamic) ?(affine = false) ~(plan : Plan.t) (scalar : Ir.func)
+(** The uniformity classes a build of [scalar] under [plan] and a warp
+    formation reads.  They do not depend on the width, so a caller that
+    builds several widths of one kernel computes them once ({!classes})
+    and passes them to each {!run}; each is computed on first use. *)
+type classes = {
+  static_warps : bool;  (** computed for [Static_tie] builds *)
+  invariant : Affine.cls array Lazy.t;
+      (** thread-invariant elimination's classes ([Static_tie] only) *)
+  addresses : Affine.cls array Lazy.t;
+      (** address classes for coalesced accesses ([affine], width > 1) *)
+}
+
+let classes ?(mode = Dynamic) ~(plan : Plan.t) (scalar : Ir.func) : classes =
+  let slotted = Hashtbl.fold (fun r _ acc -> r :: acc) plan.Plan.slots [] in
+  let static_warps = mode = Static_tie in
+  {
+    static_warps;
+    (* Thread-invariance holds among threads sharing a path history, so
+       a register with a spill slot stays per lane ({!Affine.invariant}). *)
+    invariant = lazy (Affine.invariant ~slotted scalar);
+    (* Registers live into entry points take their strong classes: their
+       uniform component may differ per lane after warp reformation. *)
+    addresses = lazy (Affine.classify ~static_warps ~slotted scalar);
+  }
+
+(** Build the [ws]-wide specialization of [scalar].  [classes], when
+    given, must come from {!classes} for the same [scalar], [plan] and
+    [mode]; without it they are computed for this build alone. *)
+let run ?(mode = Dynamic) ?(affine = false) ?classes:cls ~(plan : Plan.t) (scalar : Ir.func)
     ~(ws : int) : vectorized =
   if ws < 1 then invalid_arg "Vectorize.run: ws must be >= 1";
   let b = Builder.create ~warp_size:ws (scalar.Ir.fname ^ ".w" ^ string_of_int ws) in
   let static = mode = Static_tie in
-  let slotted = Hashtbl.fold (fun r _ acc -> r :: acc) plan.Plan.slots [] in
-  (* Thread-invariance holds among threads sharing a path history, so a
-     register with a spill slot stays per lane ({!Affine.invariant}). *)
+  let cls = match cls with Some c -> c | None -> classes ~mode ~plan scalar in
+  if cls.static_warps <> static then
+    invalid_arg "Vectorize.run: classes computed for the other warp formation";
   let uniform =
     if static then
-      let cls = Affine.invariant ~slotted scalar in
-      fun r -> Affine.is_uniform cls.(r)
+      let inv = Lazy.force cls.invariant in
+      fun r -> Affine.is_uniform inv.(r)
     else fun _ -> false
   in
   (* Decide the realization of each scalar register up front. *)
@@ -112,13 +140,8 @@ let run ?(mode = Dynamic) ?(affine = false) ~(plan : Plan.t) (scalar : Ir.func)
   in
   (* Affine/uniform address classification for the coalesced-memory-access
      optimization (paper §4 future work), under this build's warp
-     formation.  Registers live into entry points take their strong
-     classes: their uniform component may differ per lane after warp
-     reformation. *)
-  let affine_cls =
-    if affine && ws > 1 then Some (Affine.classify ~static_warps:static ~slotted scalar)
-    else None
-  in
+     formation. *)
+  let affine_cls = if affine && ws > 1 then Some (Lazy.force cls.addresses) else None in
   (* Per-block local refinement of the flow-insensitive classes: the
      translator reuses PTX registers heavily, so the global join is often
      Unknown while the reaching definition inside the current block is

@@ -14,6 +14,17 @@
     of the static code, so each run of it becomes one closure over a
     table of packed steps rather than one closure per instruction.
 
+    Lowering also decides what run time would otherwise re-check.  Every
+    register slot is allocated whole, and each lane an instruction, glue
+    step or terminator touches is checked against its operand's width,
+    and each thread lane against the warp width; anything out of range
+    compiles to a closure that traps when it runs.  Run time then uses
+    unchecked register-file primitives.  Guest memory is still checked
+    on every access, by a test inlined into {!load_bits} and
+    {!store_bits}.  These hot helpers live here rather than in
+    {!Vekt_ptx.Mem} because the dev profile compiles with [-opaque],
+    which inlines nothing across modules.
+
     The execution manager then {!run}s the compiled code with a warp of
     thread contexts and an entry-point ID, as many times as it likes;
     the code runs — through the scheduler block, an entry handler,
@@ -40,7 +51,9 @@
     with {!Timing.block}, so every compiled block carries its modelled
     cycles; {!run} accumulates them per executed block and attributes
     them to the block's kind (body / scheduler / entry / exit), which
-    Figure 9 reports. *)
+    Figure 9 reports.  A call allocates only its state record: the
+    register file and a flat cycle tally are the domain's, lent to one
+    call at a time. *)
 
 module Ir = Vekt_ir.Ir
 module Ty = Vekt_ir.Ty
@@ -152,12 +165,18 @@ let merge_counters ~(into : counters) (d : counters) =
 (* ------------------------------------------------------------------ *)
 (* Register file *)
 
-(* Unboxed 64/32-bit access to byte buffers: compiler primitives, so a
-   lane read or written through them never allocates. *)
-external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+(* Unboxed access to byte buffers: compiler primitives, so a lane read or
+   written through them never allocates.  The unchecked ([u]) forms serve
+   indices proven in range beforehand: register slots by {!compile},
+   guest addresses by the test in {!load_bits}/{!store_bits}. *)
 external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
-external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32"
-external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32"
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+external get16u : Bytes.t -> int -> int = "%caml_bytes_get16u"
+external set16u : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
+external bswap16 : int -> int = "%bswap16"
 external bswap32 : int32 -> int32 = "%bswap_int32"
 external bswap64 : int64 -> int64 = "%bswap_int64"
 
@@ -189,8 +208,22 @@ let[@inline] base_of (s : src) = s lsr 12
 (* Lane [lane] of [s], as a scalar operand. *)
 let lane_of (s : src) lane = src ~cls:(cls_of s) ~base:(base_of s + (lane * stride_of s)) ~width:1
 
+(** One call's modelled cycles per block kind.  All-float, so stored
+    flat: charging a block writes a float in place, where a float field
+    of the mixed {!counters} record would box one per write. *)
+type tally = {
+  mutable t_body : float;
+  mutable t_scheduler : float;
+  mutable t_entry : float;
+  mutable t_exit : float;
+}
+
+let fresh_tally () = { t_body = 0.0; t_scheduler = 0.0; t_entry = 0.0; t_exit = 0.0 }
+
 (** Per-call state: the register file (reset to the compiled default),
-    the warp, its memories and the call's hooks. *)
+    the warp, its memories, the call's counters and hooks.  [cyc] starts
+    from [counters]' cycle totals and is written back when the call
+    returns or raises; [own] says the register file is the domain's. *)
 type state = {
   rf : float array;
   ri : Bytes.t;
@@ -199,28 +232,34 @@ type state = {
   mem : memories;
   launch : launch_info;
   counters : counters;
+  cyc : tally;
   on_access : (Ast.space -> addr:int -> width:int -> unit) option;
+  profile : Vekt_obs.Divergence.t option;
+  attr : Vekt_obs.Attribution.t option;
+  own : bool;
 }
 
-let[@inline] fget st s l = st.rf.(base_of s + (l * stride_of s))
-let[@inline] fset st s l x = st.rf.(base_of s + l) <- x
-let[@inline] iget st s l = get64 st.ri ((base_of s + (l * stride_of s)) lsl 3)
-let[@inline] iset st s l x = set64 st.ri ((base_of s + l) lsl 3) x
+(* Register access without bounds checks: {!compile} proved every slot
+   and lane a closure touches in range of the file {!run} lends it. *)
+let[@inline] fget st s l = Array.unsafe_get st.rf (base_of s + (l * stride_of s))
+let[@inline] fset st s l x = Array.unsafe_set st.rf (base_of s + l) x
+let[@inline] iget st s l = get64u st.ri ((base_of s + (l * stride_of s)) lsl 3)
+let[@inline] iset st s l x = set64u st.ri ((base_of s + l) lsl 3) x
 
 (* Boxed lane access, for the paths that call {!Scalar_ops} directly. *)
 let get st s l : Scalar_ops.value =
   let k = base_of s + (l * stride_of s) in
   match cls_of s with
-  | Cf -> Scalar_ops.F st.rf.(k)
-  | Ci -> Scalar_ops.I (get64 st.ri (k lsl 3))
-  | Cb -> st.rb.(k)
+  | Cf -> Scalar_ops.F (Array.unsafe_get st.rf k)
+  | Ci -> Scalar_ops.I (get64u st.ri (k lsl 3))
+  | Cb -> Array.unsafe_get st.rb k
 
 let put st d l (v : Scalar_ops.value) =
   let k = base_of d + l in
   match (cls_of d, v) with
-  | Cf, Scalar_ops.F x -> st.rf.(k) <- x
-  | Ci, Scalar_ops.I x -> set64 st.ri (k lsl 3) x
-  | Cb, v -> st.rb.(k) <- v
+  | Cf, Scalar_ops.F x -> Array.unsafe_set st.rf k x
+  | Ci, Scalar_ops.I x -> set64u st.ri (k lsl 3) x
+  | Cb, v -> Array.unsafe_set st.rb k v
   | (Cf | Ci), _ -> raise (Trap "value tag outside its register's class")
 
 (* ------------------------------------------------------------------ *)
@@ -360,24 +399,30 @@ let[@inline] seg st = function
 let[@inline] touch st sp addr width =
   match st.on_access with None -> () | Some h -> h sp ~addr ~width
 
-let[@inline] load_bits m width a =
-  Mem.check ~op:"load" m a width;
-  let b = Mem.bytes m in
+(* Guest accesses keep their bounds check, made here rather than by a
+   call to [Mem.check]: the dev profile compiles with [-opaque], which
+   inlines nothing across modules.  The test is [Mem.check]'s, and a
+   failure raises the same structured [Mem.Fault]. *)
+let[@inline] load_bits (m : Mem.t) width a =
+  let b = m.Mem.bytes in
+  if a < 0 || a > Bytes.length b - width then Mem.fault ~op:"load" m a width;
   if width = 4 then
-    Int64.of_int32 (if Sys.big_endian then bswap32 (get32 b a) else get32 b a)
-  else if width = 8 then if Sys.big_endian then bswap64 (get64 b a) else get64 b a
-  else if width = 2 then Int64.of_int (Bytes.get_uint16_le b a)
-  else Int64.of_int (Bytes.get_uint8 b a)
+    Int64.of_int32 (if Sys.big_endian then bswap32 (get32u b a) else get32u b a)
+  else if width = 8 then if Sys.big_endian then bswap64 (get64u b a) else get64u b a
+  else if width = 2 then Int64.of_int (if Sys.big_endian then bswap16 (get16u b a) else get16u b a)
+  else Int64.of_int (Char.code (Bytes.unsafe_get b a))
 
-let[@inline] store_bits m width a bits =
-  Mem.check ~op:"store" m a width;
-  let b = Mem.bytes m in
+let[@inline] store_bits (m : Mem.t) width a bits =
+  let b = m.Mem.bytes in
+  if a < 0 || a > Bytes.length b - width then Mem.fault ~op:"store" m a width;
   if width = 4 then
     let v = Int64.to_int32 bits in
-    set32 b a (if Sys.big_endian then bswap32 v else v)
-  else if width = 8 then set64 b a (if Sys.big_endian then bswap64 bits else bits)
-  else if width = 2 then Bytes.set_uint16_le b a (Int64.to_int (Int64.logand bits 0xffffL))
-  else Bytes.set_uint8 b a (Int64.to_int (Int64.logand bits 0xffL))
+    set32u b a (if Sys.big_endian then bswap32 v else v)
+  else if width = 8 then set64u b a (if Sys.big_endian then bswap64 bits else bits)
+  else if width = 2 then
+    let v = Int64.to_int bits land 0xffff in
+    set16u b a (if Sys.big_endian then bswap16 v else v)
+  else Bytes.unsafe_set b a (Char.unsafe_chr (Int64.to_int bits land 0xff))
 
 (* [Scalar_ops.of_bits] / [to_bits] for float types (4 or 8 bytes). *)
 let[@inline] float_of_bits width bits =
@@ -552,7 +597,7 @@ let field_code =
   | Ir.Entry_id -> 15
 
 let ctx_value st code lane =
-  let t = st.warp.lanes.(lane) in
+  let t = Array.unsafe_get st.warp.lanes lane in
   let dim (d : Launch.dim3) k = if k = 0 then d.Launch.x else if k = 1 then d.Launch.y else d.Launch.z in
   if code < 3 then dim t.tid code
   else if code < 6 then dim st.launch.block (code - 3)
@@ -572,6 +617,14 @@ let lanes d w srcs =
     srcs
 
 let scalar s = if stride_of s = 1 then raise (Bad "vector value in scalar position") else s
+
+(* Lane [lane] of [s] exists: any lane of a scalar, which splats. *)
+let has_lane s lane =
+  if lane < 0 || (stride_of s = 1 && lane >= width_of s) then raise (Bad "lane out of range")
+
+(* [lane] names a thread of a [ws]-wide warp, whose context run-time code
+   then reads unchecked ({!run} checks the warp's width). *)
+let thread_lane ~ws lane = if lane < 0 || lane >= ws then raise (Bad "lane beyond the warp")
 
 (* [Scalar_ops.float_binop] on unboxed lanes: [r] rounds the result to
    single, [ra]/[rb] the operands.  An f32 operation on exact operands
@@ -837,11 +890,13 @@ let compile_op ~ws ~(src : Ir.operand -> src) ~(dst : Ir.vreg -> src) ~exact (i 
   | Ir.Ctx_read (d, field, lane) ->
       let d = dst d and code = field_code field in
       lanes d 1 [];
+      thread_lane ~ws lane;
       fun st -> put st d 0 (Scalar_ops.I (Int64.of_int (ctx_value st code lane)))
   | Ir.Set_resume (lane, v) ->
       let v = scalar v in
+      thread_lane ~ws lane;
       fun st ->
-        st.warp.lanes.(lane).resume_point <-
+        (Array.unsafe_get st.warp.lanes lane).resume_point <-
           Int64.to_int (Scalar_ops.as_int Ast.S32 (get st v 0))
 
 (* Glue: the data movement the vectorizer wraps around every subkernel
@@ -924,36 +979,42 @@ let lower_instr ~ws ~src ~dst ~exact (i : Ir.instr) : piece =
   | Ir.Extract (_, d, a, lane) ->
       let d = dst d and a = src a in
       lanes d 1 [];
-      if stride_of a = 1 && lane >= width_of a then raise (Bad "lane out of range");
+      has_lane a lane;
       copies d 1 (lane_of a lane) None
   | Ir.Insert (ty, d, v, lane, s) ->
       let d = dst d and v = src v and s = scalar (src s) in
       let w = if stride_of v = 1 then width_of v else ty.Ty.width in
       lanes d w [];
-      if lane >= w then raise (Bad "lane out of range");
+      if lane < 0 || lane >= w then raise (Bad "lane out of range");
       copies d w v (Some (lane, s))
   | Ir.Spill (lane, slot, ty, v) ->
       let v = src v in
-      if stride_of v = 1 && lane >= width_of v then raise (Bad "lane out of range");
+      has_lane v lane;
+      thread_lane ~ws lane;
       if natural v ty then
         glue [ lane_step spill_kind ~lane ~ty ~slot ~reg:(base_of v + (lane * stride_of v)) ]
       else
         Op
           (fun st ->
             st.counters.spills <- st.counters.spills + 1;
-            Mem.store st.mem.local ty (st.warp.lanes.(lane).local_base + slot) (get st v lane))
+            Mem.store st.mem.local ty
+              ((Array.unsafe_get st.warp.lanes lane).local_base + slot)
+              (get st v lane))
   | Ir.Restore (d, lane, slot, ty) ->
       let d = dst d in
       lanes d 1 [];
+      thread_lane ~ws lane;
       if natural d ty then glue [ lane_step restore_kind ~lane ~ty ~slot ~reg:(base_of d) ]
       else
         Op
           (fun st ->
             st.counters.restores <- st.counters.restores + 1;
-            put st d 0 (Mem.load st.mem.local ty (st.warp.lanes.(lane).local_base + slot)))
+            put st d 0
+              (Mem.load st.mem.local ty ((Array.unsafe_get st.warp.lanes lane).local_base + slot)))
   | Ir.Ctx_read (d, f, lane) when cls_of (dst d) = Ci ->
       let d = dst d in
       lanes d 1 [];
+      thread_lane ~ws lane;
       glue
         [
           ctx_kind lor field ~shift:4 ~bits:9 lane
@@ -962,6 +1023,7 @@ let lower_instr ~ws ~src ~dst ~exact (i : Ir.instr) : piece =
         ]
   | Ir.Set_resume (lane, v) when cls_of (src v) = Ci ->
       let v = scalar (src v) in
+      thread_lane ~ws lane;
       glue [ resume_kind lor field ~shift:4 ~bits:9 lane lor field ~shift:13 ~bits:32 (base_of v) ]
   | Ir.Set_status s -> glue [ status_kind lor field ~shift:4 ~bits:2 (status_code s) ]
   | _ -> Op (compile_op ~ws ~src ~dst ~exact i)
@@ -971,41 +1033,45 @@ let compile_instr ~ws ~src ~dst ~exact i =
   with Exit -> raise (Bad "lane, local offset or register file beyond the glue step layout")
 
 (* Walk a glue table.  Every step counts itself, so a fault part-way
-   through leaves the counters as if each instruction ran on its own. *)
+   through leaves the counters as if each instruction ran on its own.
+   Slots, lanes and type indices were proven in range when the steps
+   were packed, so none is checked again here. *)
 let glue_run (g : int array) : code =
  fun st ->
   let c = st.counters in
   for k = 0 to Array.length g - 1 do
-    let x = g.(k) in
+    let x = Array.unsafe_get g k in
     if x land counted <> 0 then c.dyn_instrs <- c.dyn_instrs + 1;
     match x land 7 with
-    | 0 -> st.rf.(get_field x ~shift:4 ~bits:26) <- st.rf.(x lsr 30)
-    | 1 -> set64 st.ri (get_field x ~shift:4 ~bits:26 lsl 3) (get64 st.ri ((x lsr 30) lsl 3))
-    | 2 -> st.rb.(get_field x ~shift:4 ~bits:26) <- st.rb.(x lsr 30)
+    | 0 ->
+        Array.unsafe_set st.rf (get_field x ~shift:4 ~bits:26) (Array.unsafe_get st.rf (x lsr 30))
+    | 1 -> set64u st.ri (get_field x ~shift:4 ~bits:26 lsl 3) (get64u st.ri ((x lsr 30) lsl 3))
+    | 2 ->
+        Array.unsafe_set st.rb (get_field x ~shift:4 ~bits:26) (Array.unsafe_get st.rb (x lsr 30))
     | 3 ->
         c.spills <- c.spills + 1;
-        let t = dtypes.(get_field x ~shift:13 ~bits:4) and reg = x lsr 39 in
+        let t = Array.unsafe_get dtypes (get_field x ~shift:13 ~bits:4) and reg = x lsr 39 in
         let bits =
-          if t.fl then bits_of_float t.size st.rf.(reg)
-          else norm t.n (get64 st.ri (reg lsl 3))
+          if t.fl then bits_of_float t.size (Array.unsafe_get st.rf reg)
+          else norm t.n (get64u st.ri (reg lsl 3))
         in
-        let lane = st.warp.lanes.(get_field x ~shift:4 ~bits:9) in
+        let lane = Array.unsafe_get st.warp.lanes (get_field x ~shift:4 ~bits:9) in
         store_bits st.mem.local t.size (lane.local_base + get_field x ~shift:17 ~bits:22) bits
     | 4 ->
         c.restores <- c.restores + 1;
-        let t = dtypes.(get_field x ~shift:13 ~bits:4) and reg = x lsr 39 in
-        let lane = st.warp.lanes.(get_field x ~shift:4 ~bits:9) in
+        let t = Array.unsafe_get dtypes (get_field x ~shift:13 ~bits:4) and reg = x lsr 39 in
+        let lane = Array.unsafe_get st.warp.lanes (get_field x ~shift:4 ~bits:9) in
         let bits =
           load_bits st.mem.local t.size (lane.local_base + get_field x ~shift:17 ~bits:22)
         in
-        if t.fl then st.rf.(reg) <- float_of_bits t.size bits
-        else set64 st.ri (reg lsl 3) (norm t.n bits)
+        if t.fl then Array.unsafe_set st.rf reg (float_of_bits t.size bits)
+        else set64u st.ri (reg lsl 3) (norm t.n bits)
     | 5 ->
         let v = ctx_value st (get_field x ~shift:13 ~bits:4) (get_field x ~shift:4 ~bits:9) in
-        set64 st.ri ((x lsr 17) lsl 3) (Int64.of_int v)
+        set64u st.ri ((x lsr 17) lsl 3) (Int64.of_int v)
     | 6 ->
-        st.warp.lanes.(get_field x ~shift:4 ~bits:9).resume_point <-
-          Int64.to_int (norm s32 (get64 st.ri ((x lsr 13) lsl 3)))
+        (Array.unsafe_get st.warp.lanes (get_field x ~shift:4 ~bits:9)).resume_point <-
+          Int64.to_int (norm s32 (get64u st.ri ((x lsr 13) lsl 3)))
     | _ -> st.warp.status <- status_of_code (x lsr 4)
   done
 
@@ -1151,43 +1217,146 @@ let compile ~(machine : Machine.t) (f : Ir.func) : t =
     rb0;
   }
 
-(* Each domain keeps one register file and lends it to one call at a
-   time: a call resets it to the compiled defaults, so nothing leaks from
-   the previous call, and no call allocates a register file on the major
-   heap.  A call made while the domain's file is lent out (from a hook,
-   or from another thread of the domain) gets a fresh one. *)
+(* Each domain keeps one register file and one cycle tally and lends
+   them to one call at a time: a call resets the file to the compiled
+   defaults, so nothing leaks from the previous call, and no call
+   allocates a register file on the major heap.  A call made while the
+   domain's file is lent out (from a hook, or from another thread of the
+   domain) gets a fresh one. *)
 type spare = {
   mutable sf : float array;
   mutable si : Bytes.t;
   mutable sb : Scalar_ops.value array;
+  scyc : tally;
   mutable lent : bool;
 }
 
 let spare =
-  Domain.DLS.new_key (fun () -> { sf = [||]; si = Bytes.empty; sb = [||]; lent = false })
+  Domain.DLS.new_key (fun () ->
+      { sf = [||]; si = Bytes.empty; sb = [||]; scyc = fresh_tally (); lent = false })
 
-(* A register file holding [c]'s defaults, and whether it is [s]'s. *)
-let borrow s c =
+(* The state of one call of [c]: a register file at least [c]'s size
+   holding its defaults, the domain's when it is free, and a tally
+   starting from [counters]' cycle totals. *)
+let lend s c ~warp ~mem ~launch ~counters ~on_access ~profile ~attr =
   (* nothing between the test and the set can switch threads *)
   let own = not s.lent in
-  if own then s.lent <- true;
   let nb = Array.length c.rb0 in
-  let rf, ri, rb =
+  let st =
     if own then begin
+      s.lent <- true;
       if Array.length s.sf < c.nf then s.sf <- Array.make c.nf 0.0;
       if Bytes.length s.si < c.ni * 8 then s.si <- Bytes.create (c.ni * 8);
       if Array.length s.sb < nb then s.sb <- Array.make nb (Scalar_ops.I 0L);
-      (s.sf, s.si, s.sb)
+      { rf = s.sf; ri = s.si; rb = s.sb; warp; mem; launch; counters; cyc = s.scyc;
+        on_access; profile; attr; own }
     end
-    else (Array.make c.nf 0.0, Bytes.create (c.ni * 8), Array.make nb (Scalar_ops.I 0L))
+    else
+      { rf = Array.make c.nf 0.0; ri = Bytes.create (c.ni * 8);
+        rb = Array.make nb (Scalar_ops.I 0L); warp; mem; launch; counters;
+        cyc = fresh_tally (); on_access; profile; attr; own }
   in
   let fz = c.nf - Array.length c.f_imms and iz = (c.ni * 8) - Bytes.length c.i_imms in
-  Array.fill rf 0 fz 0.0;
-  Array.blit c.f_imms 0 rf fz (Array.length c.f_imms);
-  Bytes.fill ri 0 iz '\000';
-  Bytes.blit c.i_imms 0 ri iz (Bytes.length c.i_imms);
-  Array.blit c.rb0 0 rb 0 nb;
-  (rf, ri, rb, own)
+  Array.fill st.rf 0 fz 0.0;
+  Array.blit c.f_imms 0 st.rf fz (Array.length c.f_imms);
+  Bytes.fill st.ri 0 iz '\000';
+  Bytes.blit c.i_imms 0 st.ri iz (Bytes.length c.i_imms);
+  Array.blit c.rb0 0 st.rb 0 nb;
+  let y = st.cyc in
+  y.t_body <- counters.cycles_body;
+  y.t_scheduler <- counters.cycles_scheduler;
+  y.t_entry <- counters.cycles_entry;
+  y.t_exit <- counters.cycles_exit;
+  st
+
+(* The call is over, normally or not: write its cycle totals back and
+   return the domain's register file.  The totals grew one block at a
+   time from the counters' own values, so they sum exactly as if each
+   block were charged to [counters] directly. *)
+let settle s st =
+  let c = st.counters and y = st.cyc in
+  c.cycles_body <- y.t_body;
+  c.cycles_scheduler <- y.t_scheduler;
+  c.cycles_entry <- y.t_entry;
+  c.cycles_exit <- y.t_exit;
+  if st.own then s.lent <- false
+
+(* Charge one execution of [b]. *)
+let account st (b : block) =
+  let counters = st.counters in
+  counters.blocks_executed <- counters.blocks_executed + 1;
+  (match st.profile with
+  | None -> ()
+  | Some p -> Vekt_obs.Divergence.touch_block p b.label);
+  let k = b.cost and y = st.cyc in
+  counters.flops <- counters.flops + k.flops;
+  (match b.kind with
+  | Ir.Body -> y.t_body <- y.t_body +. k.cycles
+  | Ir.Scheduler -> y.t_scheduler <- y.t_scheduler +. k.cycles
+  | Ir.Entry_handler -> y.t_entry <- y.t_entry +. k.cycles
+  | Ir.Exit_handler -> y.t_exit <- y.t_exit +. k.cycles);
+  (* Source-line attribution: charge the block's precomputed integer
+     line shares under the entry point this warp was dispatched at.
+     [entry_id] is read at charge time, so scheduler-block work before
+     an entry handler runs lands under the entry being dispatched. *)
+  match st.attr with
+  | None -> ()
+  | Some a -> Vekt_obs.Attribution.charge a ~entry_id:st.warp.entry_id k.shares
+
+(* The first case of [cases] from [k] on whose key is [x], else [default]. *)
+let rec case_target cases x default k =
+  if k = Array.length cases then default
+  else
+    let key, target = Array.unsafe_get cases k in
+    if key = x then target else case_target cases x default (k + 1)
+
+(* Run blocks from [pc] until one yields; [fuel] more may run.  Block
+   indices are the lowering's own, so they are not checked again. *)
+let rec execute st c pc fuel =
+  if fuel <= 0 then raise Out_of_fuel;
+  let b = Array.unsafe_get c.blocks pc in
+  account st b;
+  let code = b.code and counters = st.counters in
+  for k = 0 to Array.length code - 1 do
+    counters.dyn_instrs <- counters.dyn_instrs + 1;
+    (Array.unsafe_get code k) st
+  done;
+  match b.term with
+  | Goto t -> execute st c t (fuel - 1)
+  | If (cond, t, e) ->
+      let taken =
+        match cls_of cond with
+        | Ci -> iget st cond 0 <> 0L
+        | _ -> Scalar_ops.to_bool (get st cond 0)
+      in
+      execute st c (if taken then t else e) (fuel - 1)
+  | Switch (v, cases, default) ->
+      let x =
+        match cls_of v with
+        | Ci -> Int64.to_int (norm s32 (iget st v 0))
+        | _ -> Int64.to_int (Scalar_ops.as_int Ast.S32 (get st v 0))
+      in
+      execute st c (case_target cases x default 0) (fuel - 1)
+  | Yield -> ()
+  | Fail reason -> raise (Trap reason)
+
+(* Structured trap with [warp]'s context: CTA and linear tid of the first
+   lane (the faulting lane when the access is per-warp), plus the entry
+   point the warp was dispatched at.  The modelled cycle is attached one
+   level up, by the execution manager. *)
+let ctx_error c ~launch warp ?access reason =
+  let t0 = warp.lanes.(0) in
+  Vekt_error.Error
+    (Vekt_error.Trap
+       {
+         kernel = c.name;
+         cta = Some (t0.ctaid.Launch.x, t0.ctaid.Launch.y, t0.ctaid.Launch.z);
+         tid = Some (Launch.linear ~dims:launch.block t0.tid);
+         entry = Some warp.entry_id;
+         cycle = None;
+         access;
+         reason;
+       })
 
 (** Run [c] for [warp] until it returns to the execution manager.
 
@@ -1203,6 +1372,10 @@ let borrow s c =
     tripwire ({!Vekt_runtime.Fault}); [None] costs one match per memory
     instruction.
 
+    [counters] are final when the call returns or raises; its cycle
+    totals are written back then, so one [counters] must not be shared
+    by calls in flight at once.
+
     A guest memory fault ({!Vekt_ptx.Mem.Fault}) or an internal trap is
     re-raised as {!Vekt_error.Error} with the warp's thread/CTA context
     attached at this boundary, so the raw segment exception never
@@ -1212,95 +1385,23 @@ let run ?(counters = fresh_counters ()) ?(fuel = 10_000_000)
     ?(attr : Vekt_obs.Attribution.t option)
     ?(on_access : (Ast.space -> addr:int -> width:int -> unit) option)
     (c : t) ~(launch : launch_info) (warp : warp) (mem : memories) : unit =
-  (* Structured trap with this warp's context: CTA and linear tid of the
-     first lane (the faulting lane when the access is per-warp), plus
-     the entry point the warp was dispatched at.  The modelled cycle is
-     attached one level up, by the execution manager. *)
-  let ctx_error ?access reason =
-    let t0 = warp.lanes.(0) in
-    Vekt_error.Error
-      (Vekt_error.Trap
-         {
-           kernel = c.name;
-           cta = Some (t0.ctaid.Launch.x, t0.ctaid.Launch.y, t0.ctaid.Launch.z);
-           tid = Some (Launch.linear ~dims:launch.block t0.tid);
-           entry = Some warp.entry_id;
-           cycle = None;
-           access;
-           reason;
-         })
-  in
   if Array.length warp.lanes <> c.warp_size then
     raise
-      (ctx_error
+      (ctx_error c ~launch warp
          (Fmt.str "warp has %d lanes but %s is a %d-wide specialization"
             (Array.length warp.lanes) c.name c.warp_size));
   counters.kernel_calls <- counters.kernel_calls + 1;
   let s = Domain.DLS.get spare in
-  let rf, ri, rb, owned = borrow s c in
-  let st = { rf; ri; rb; warp; mem; launch; counters; on_access } in
-  let account (b : block) =
-    counters.blocks_executed <- counters.blocks_executed + 1;
-    (match profile with
-    | None -> ()
-    | Some p -> Vekt_obs.Divergence.touch_block p b.label);
-    let k = b.cost in
-    counters.flops <- counters.flops + k.flops;
-    (match b.kind with
-    | Ir.Body -> counters.cycles_body <- counters.cycles_body +. k.cycles
-    | Ir.Scheduler -> counters.cycles_scheduler <- counters.cycles_scheduler +. k.cycles
-    | Ir.Entry_handler -> counters.cycles_entry <- counters.cycles_entry +. k.cycles
-    | Ir.Exit_handler -> counters.cycles_exit <- counters.cycles_exit +. k.cycles);
-    (* Source-line attribution: charge the block's precomputed integer
-       line shares under the entry point this warp was dispatched at.
-       [entry_id] is read at charge time, so scheduler-block work before
-       an entry handler runs lands under the entry being dispatched. *)
-    match attr with
-    | None -> ()
-    | Some a -> Vekt_obs.Attribution.charge a ~entry_id:warp.entry_id k.shares
-  in
-  let fuel_left = ref fuel and pc = ref c.entry and running = ref true in
-  let execute () =
-    while !running do
-      if !fuel_left <= 0 then raise Out_of_fuel;
-      decr fuel_left;
-      let b = c.blocks.(!pc) in
-      account b;
-      let code = b.code in
-      for k = 0 to Array.length code - 1 do
-        counters.dyn_instrs <- counters.dyn_instrs + 1;
-        code.(k) st
-      done;
-      match b.term with
-      | Goto t -> pc := t
-      | If (cond, t, e) ->
-          let taken =
-            match cls_of cond with
-            | Ci -> iget st cond 0 <> 0L
-            | _ -> Scalar_ops.to_bool (get st cond 0)
-          in
-          pc := if taken then t else e
-      | Switch (v, cases, default) ->
-          let x =
-            match cls_of v with
-            | Ci -> Int64.to_int (norm s32 (iget st v 0))
-            | _ -> Int64.to_int (Scalar_ops.as_int Ast.S32 (get st v 0))
-          in
-          let rec find k =
-            if k = Array.length cases then default
-            else
-              let key, target = cases.(k) in
-              if key = x then target else find (k + 1)
-          in
-          pc := find 0
-      | Yield -> running := false
-      | Fail reason -> raise (Trap reason)
-    done
-  in
-  Fun.protect
-    ~finally:(fun () -> if owned then s.lent <- false)
-    (fun () ->
-      try execute () with
-      | Mem.Fault a -> raise (ctx_error ~access:a "memory fault")
-      | Trap reason -> raise (ctx_error reason))
-
+  let st = lend s c ~warp ~mem ~launch ~counters ~on_access ~profile ~attr in
+  match execute st c c.entry fuel with
+  | () -> settle s st
+  | exception Mem.Fault a ->
+      settle s st;
+      raise (ctx_error c ~launch warp ~access:a "memory fault")
+  | exception Trap reason ->
+      settle s st;
+      raise (ctx_error c ~launch warp reason)
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      settle s st;
+      Printexc.raise_with_backtrace e bt

@@ -1,6 +1,7 @@
 (* Build-parity golden: one line per (application, vectorization mode,
    warp size, tier) build of every registry workload, as the translation
-   cache builds it (frontend and plan once per kernel, then vectorize and
+   cache builds it (frontend and plan once per kernel, uniformity classes
+   once per kernel and mode, then vectorize and
    either the default pass pipeline (tier 1) or one DCE-to-fixpoint
    (tier 0), then timing analysis).
 
@@ -44,8 +45,8 @@ let timing_table buf (f : Ir.func) (costs : Timing.block_cost list) =
       Buffer.add_char buf '\n')
     (Ir.blocks f) costs
 
-let line (w : Workload.t) (tr : Ptx_to_ir.t) plan ~mode_name ~mode ~affine ~ws ~tier =
-  let f = (Vectorize.run ~mode ~affine ~plan tr.Ptx_to_ir.func ~ws).Vectorize.func in
+let line (w : Workload.t) (tr : Ptx_to_ir.t) plan ~classes ~mode_name ~mode ~affine ~ws ~tier =
+  let f = (Vectorize.run ~mode ~affine ~classes ~plan tr.Ptx_to_ir.func ~ws).Vectorize.func in
   let passes =
     if tier > 0 then
       let st = Passes.run f in
@@ -71,10 +72,11 @@ let () =
       in
       List.iter
         (fun (mode_name, mode, affine) ->
+          let classes = Vectorize.classes ~mode ~plan tr.Ptx_to_ir.func in
           List.iter
             (fun ws ->
               List.iter
-                (fun tier -> line w tr plan ~mode_name ~mode ~affine ~ws ~tier)
+                (fun tier -> line w tr plan ~classes ~mode_name ~mode ~affine ~ws ~tier)
                 [ 1; 0 ])
             widths)
         modes)

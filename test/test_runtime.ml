@@ -101,6 +101,31 @@ let test_cache_best_width () =
   Alcotest.(check int) "3 -> 2" 2 (TC.best_width c 3);
   Alcotest.(check int) "1 -> 1" 1 (TC.best_width c 1)
 
+(* The lock-free hit path's counts: with nothing quarantined, a query
+   that fits a resident tier-1 entry is served from the snapshot, adds
+   one lock-free hit and refreshes the entry's LRU stamp, and nothing
+   else moves.  A query between widths gets the widest below it; one
+   that no width fits is rejected. *)
+let test_cache_hit_counts () =
+  let c = prepare diverging_src ~kernel:"div4" in
+  let e, served = TC.get_fallback c ~ws:3 () in
+  Alcotest.(check int) "width 3 served 2" 2 served;
+  Alcotest.(check int) "first query misses" 1 c.TC.misses;
+  let par = Atomic.get c.TC.par_hits and stamp = Atomic.get e.TC.last_use in
+  let e', served' = TC.get_fallback c ~ws:3 () in
+  Alcotest.(check bool) "same entry" true (e == e');
+  Alcotest.(check int) "served 2 again" 2 served';
+  Alcotest.(check int) "one lock-free hit" (par + 1) (Atomic.get c.TC.par_hits);
+  Alcotest.(check bool) "LRU stamp refreshed" true (Atomic.get e.TC.last_use > stamp);
+  Alcotest.(check int) "no locked hit" 0 c.TC.hits;
+  Alcotest.(check int) "no new miss" 1 c.TC.misses;
+  Alcotest.(check int) "no quarantine skip" 0 (Atomic.get c.TC.quarantine_skips);
+  Alcotest.(check bool) "width 0 fits nothing" true
+    (try
+       ignore (TC.get_fallback c ~ws:0 ());
+       false
+     with Invalid_argument _ -> true)
+
 let test_cache_requires_scalar () =
   Alcotest.(check bool) "widths without 1 rejected" true
     (try
@@ -168,6 +193,41 @@ let test_em_four_way_divergence () =
   let expected = List.init 32 (fun t -> [| 10; 11; 22; 33 |].(t land 3)) in
   Alcotest.(check (list int)) "values" expected (Mem.read_i32s global ~at:0 32);
   Alcotest.(check bool) "warps reformed" true (Stats.average_warp_size stats > 1.5)
+
+(* A restored CTA's scheduler cursor must lie inside the CTA, since the
+   policies wrap it by comparison: a damaged snapshot is a structured
+   checkpoint error under every policy, never an index error. *)
+let test_em_restore_bad_cursor () =
+  let m = Parser.parse_module diverging_src in
+  let cache = TC.prepare m ~kernel:"div4" in
+  let k = Option.get (Ast.find_kernel m "div4") in
+  let n = 4 in
+  let restore =
+    {
+      Vekt_runtime.Checkpoint.c_ctaid = Launch.dim3 0;
+      c_shared = Bytes.make cache.TC.shared_bytes '\000';
+      c_local = Bytes.make (n * cache.TC.local_bytes) '\000';
+      c_threads =
+        Array.make n
+          { Vekt_runtime.Checkpoint.t_resume = 0; t_state = Vekt_runtime.Scheduler.Ready };
+      c_cursor = n;
+      c_remaining = n;
+      c_calls_used = 0;
+      c_stalls = [||];
+    }
+  in
+  List.iter
+    (fun (sched : Vekt_runtime.Scheduler.t) ->
+      match
+        Vekt_runtime.Exec_manager.run_cta ~sched ~restore cache
+          ~launch:{ Interp.grid = Launch.dim3 1; block = Launch.dim3 n }
+          ~ctaid:(Launch.dim3 0) ~global:(Mem.create 1024)
+          ~params:(Launch.param_block k [ Launch.Ptr 0 ])
+          ~consts:(Mem.create 0) ~stats:(Stats.create ()) ()
+      with
+      | () -> Alcotest.failf "%s: ran from cursor %d" sched.name n
+      | exception Vekt_error.Error (Vekt_error.Checkpoint _) -> ())
+    Vekt_runtime.Scheduler.[ dynamic; barrier_aware ]
 
 let test_em_barrier_exchange () =
   let stats, global = launch barrier_src ~kernel:"bexch" in
@@ -453,6 +513,7 @@ let () =
           Alcotest.test_case "lazy+memoized" `Quick test_cache_lazy_and_memoized;
           Alcotest.test_case "unknown width" `Quick test_cache_rejects_unknown_width;
           Alcotest.test_case "best width" `Quick test_cache_best_width;
+          Alcotest.test_case "hit counts" `Quick test_cache_hit_counts;
           Alcotest.test_case "requires scalar" `Quick test_cache_requires_scalar;
           Alcotest.test_case "entry ids shared" `Quick test_cache_entry_ids_shared;
           Alcotest.test_case "engine charges timing" `Quick test_engine_charges_timing;
@@ -461,6 +522,7 @@ let () =
         [
           Alcotest.test_case "4-way divergence" `Quick test_em_four_way_divergence;
           Alcotest.test_case "barrier exchange" `Quick test_em_barrier_exchange;
+          Alcotest.test_case "restore bad cursor" `Quick test_em_restore_bad_cursor;
           Alcotest.test_case "static rows" `Quick test_em_static_warps_row_aligned;
           Alcotest.test_case "partitioning" `Quick test_em_multicta_partitioning;
           Alcotest.test_case "wall cycles" `Quick test_em_wall_cycles_max_not_sum;

@@ -618,6 +618,121 @@ let test_fast_paths () =
         [ 1; 4 ])
     fp_cases
 
+(* --- run-time contracts of the lowering --- *)
+
+let trap_of f =
+  match f () with
+  | () -> None
+  | exception Vekt_error.Error (Vekt_error.Trap { kernel; access; _ }) -> Some (kernel, access)
+
+(* The counter contract of a glue run: a trap part-way through a block
+   leaves [dyn_instrs], [restores] and [spills] counting exactly the
+   instructions up to and including the faulting one, as if each had
+   run on its own.  Lane [l]'s [tid] is spilled and restored, then a
+   global load at 4096 faults (64-byte segment) ahead of more glue; with
+   [bad_slot] the restore of lane 2 faults first, inside the glue run. *)
+let test_interp_fault_counters () =
+  let v4 = Ty.vector Ast.S32 4 in
+  let kernel ~bad_slot =
+    let b = Builder.create ~warp_size:4 "t" in
+    ignore (Builder.start_block b "entry");
+    let x = Builder.fresh_reg b v4 in
+    for l = 0 to 3 do
+      let s = Builder.emit_val b s32 (fun d -> Ir.Ctx_read (d, Ir.Tid Ast.X, l)) in
+      Builder.emit b (Ir.Insert (v4, x, Ir.R x, l, Ir.R s))
+    done;
+    for l = 0 to 3 do
+      Builder.emit b (Ir.Spill (l, 0, Ast.S32, Ir.R x))
+    done;
+    let r =
+      Array.init 4 (fun l ->
+          let slot = if l = 2 && bad_slot then 200 else 0 in
+          Builder.emit_val b s32 (fun d -> Ir.Restore (d, l, slot, Ast.S32)))
+    in
+    let m = Builder.emit_val b s32 (fun d -> Ir.Mov (s32, d, Ir.R r.(0))) in
+    let y =
+      Builder.emit_val b s32 (fun d ->
+          Ir.Load (Ast.Global, Ast.S32, d, Ir.Imm (Scalar_ops.I 4096L, Ast.S64), 0))
+    in
+    Builder.emit b (Ir.Spill (0, 4, Ast.S32, Ir.R y));
+    Builder.emit b (Ir.Spill (1, 4, Ast.S32, Ir.R m));
+    ignore (Builder.emit_val b s32 (fun d -> Ir.Restore (d, 3, 4, Ast.S32)));
+    Builder.set_term b Ir.Return;
+    compile (Builder.func b)
+  in
+  let check ~bad_slot ~addr ~dyn ~spills ~restores =
+    let counters = Interp.fresh_counters () in
+    let what = if bad_slot then "restore" else "load" in
+    match
+      trap_of (fun () ->
+          Interp.run ~counters (kernel ~bad_slot) ~launch:launch1 (warp4 ()) (mems ()))
+    with
+    | Some (_, Some a) ->
+        Alcotest.(check int) (what ^ " fault address") addr a.Vekt_error.addr;
+        Alcotest.(check int) (what ^ ": dyn_instrs") dyn counters.Interp.dyn_instrs;
+        Alcotest.(check int) (what ^ ": spills") spills counters.Interp.spills;
+        Alcotest.(check int) (what ^ ": restores") restores counters.Interp.restores
+    | _ -> Alcotest.failf "%s: no structured memory fault" what
+  in
+  (* 4 context reads, 4 inserts, 4 spills, 4 restores, a move, the load *)
+  check ~bad_slot:false ~addr:4096 ~dyn:18 ~spills:4 ~restores:4;
+  (* lane 2's block starts at 128: 128 + 200 is past the 256-byte arena *)
+  check ~bad_slot:true ~addr:328 ~dyn:15 ~spills:4 ~restores:3
+
+(* A guest address near [max_int], where [addr + width] wraps, is a
+   structured fault like any other out-of-range access. *)
+let test_interp_huge_address () =
+  let b = Builder.create ~warp_size:4 "t" in
+  ignore (Builder.start_block b "entry");
+  let at = Ir.Imm (Scalar_ops.I (Int64.of_int (max_int - 1)), Ast.S64) in
+  ignore (Builder.emit_val b s32 (fun d -> Ir.Load (Ast.Global, Ast.S32, d, at, 0)));
+  Builder.set_term b Ir.Return;
+  let c = compile (Builder.func b) in
+  match trap_of (fun () -> Interp.run c ~launch:launch1 (warp4 ()) (mems ())) with
+  | Some (_, Some a) -> Alcotest.(check int) "fault address" (max_int - 1) a.Vekt_error.addr
+  | _ -> Alcotest.fail "no structured memory fault"
+
+(* Lowering proves every register slot and lane in range, so run time
+   checks none: an instruction that would reach past its operands or
+   its warp compiles to a trap, raised as a structured error when it
+   runs, never as [Invalid_argument] or a stray access. *)
+let test_interp_rejects_out_of_range () =
+  let v2 = Ty.vector Ast.S32 2 and v4 = Ty.vector Ast.S32 4 in
+  let kernel emit =
+    let b = Builder.create ~warp_size:4 "t" in
+    ignore (Builder.start_block b "entry");
+    let narrow = Builder.fresh_reg b v2 and wide = Builder.fresh_reg b v4 in
+    emit b ~narrow ~wide;
+    Builder.set_term b Ir.Return;
+    compile (Builder.func b)
+  in
+  let cases =
+    [
+      ( "too-narrow vector operand",
+        fun b ~narrow ~wide ->
+          Builder.emit b (Ir.Bin (Ast.Add, v4, wide, Ir.R narrow, imm_i 1)) );
+      ( "extract past the width",
+        fun b ~narrow ~wide:_ ->
+          ignore (Builder.emit_val b s32 (fun d -> Ir.Extract (Ast.S32, d, Ir.R narrow, 2))) );
+      ( "insert past the width",
+        fun b ~narrow:_ ~wide -> Builder.emit b (Ir.Insert (v4, wide, Ir.R wide, 4, imm_i 1)) );
+      ( "spill past its operand",
+        fun b ~narrow ~wide:_ -> Builder.emit b (Ir.Spill (3, 0, Ast.S32, Ir.R narrow)) );
+      ( "context read past the warp",
+        fun b ~narrow:_ ~wide:_ ->
+          ignore (Builder.emit_val b s32 (fun d -> Ir.Ctx_read (d, Ir.Tid Ast.X, 4))) );
+    ]
+  in
+  List.iter
+    (fun (what, emit) ->
+      let c = kernel emit in
+      match trap_of (fun () -> Interp.run c ~launch:launch1 (warp4 ()) (mems ())) with
+      | Some ("t", None) -> ()
+      | Some _ -> Alcotest.failf "%s: trap without the kernel's context" what
+      | None -> Alcotest.failf "%s: ran without a trap" what
+      | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e))
+    cases
+
 let () =
   Alcotest.run "vm"
     [
@@ -649,5 +764,8 @@ let () =
             test_interp_shared_across_domains;
           Alcotest.test_case "f32 exactness" `Quick test_exactness;
           Alcotest.test_case "f32 fast paths" `Quick test_fast_paths;
+          Alcotest.test_case "fault counters" `Quick test_interp_fault_counters;
+          Alcotest.test_case "out-of-range lowering" `Quick test_interp_rejects_out_of_range;
+          Alcotest.test_case "huge address" `Quick test_interp_huge_address;
         ] );
     ]
