@@ -157,7 +157,8 @@ let solve ~transfer ?(clamp = []) ?(multi_def_unknown = false) (f : Ir.func) : c
     (fun (b : Ir.block) ->
       List.iter
         (fun { Ir.i; _ } ->
-          match Ir.def i with Some d -> defs.(d) <- defs.(d) + 1 | None -> ())
+          let d = Ir.def i in
+          if d >= 0 then defs.(d) <- defs.(d) + 1)
         b.Ir.insts)
     (Ir.blocks f);
   let fixed = Array.map (fun n -> multi_def_unknown && n > 1) defs in
@@ -178,17 +179,16 @@ let solve ~transfer ?(clamp = []) ?(multi_def_unknown = false) (f : Ir.func) : c
         (fun (b : Ir.block) ->
           List.iter
             (fun { Ir.i; _ } ->
-              match Ir.def i with
-              | Some d when not fixed.(d) -> (
-                  match cls.(d) with
-                  | Unknown -> () (* the top class: no definition can raise it *)
-                  | cur ->
-                      let joined = join cur (transfer ~get i) in
-                      if not (equal_cls joined cur) then begin
-                        cls.(d) <- joined;
-                        changed := true
-                      end)
-              | _ -> ())
+              let d = Ir.def i in
+              if d >= 0 && not fixed.(d) then
+                match cls.(d) with
+                | Unknown -> () (* the top class: no definition can raise it *)
+                | cur ->
+                    let joined = join cur (transfer ~get i) in
+                    if not (equal_cls joined cur) then begin
+                      cls.(d) <- joined;
+                      changed := true
+                    end)
             b.Ir.insts)
         (Ir.blocks f)
     done

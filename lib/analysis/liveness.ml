@@ -4,8 +4,9 @@
     divergence site are spilled by the exit handler; live-in registers at an
     entry point are restored by its entry handler (paper Algorithms 3/4).
     Also reported as the "values restored per entry" statistic (Figure 8).
-    The same solution feeds dead-code elimination ({!Vekt_transform.Dce})
-    and the timing model's register-pressure walk ({!Vekt_vm.Timing}).
+    The same solver feeds dead-code elimination ({!Vekt_transform.Dce})
+    and the timing model's register-pressure walk ({!Vekt_vm.Timing});
+    each client solves the function it is working on.
 
     Register sets are dense bitsets over the function's [nregs] registers
     and blocks are indexed by their layout position, so one dataflow step
@@ -52,7 +53,7 @@ module Bits = struct
 end
 
 type t = {
-  index : (string, int) Hashtbl.t;  (** block label -> layout position *)
+  index : int Ir.Stbl.t;  (** block label -> layout position *)
   nregs : int;
   live_in : Bits.t array;
   live_out : Bits.t array;
@@ -61,7 +62,8 @@ type t = {
 (** The backward transfer of one instruction: [live] goes from the set
     live after [i] to the set live before it. *)
 let step (live : Bits.t) (i : Ir.instr) =
-  (match Ir.def i with Some d -> Bits.remove live d | None -> ());
+  let d = Ir.def i in
+  if d >= 0 then Bits.remove live d;
   Ir.iter_uses (Bits.add live) i
 
 (** Per-block [gen] (upward-exposed uses) and [kill] (definitions). *)
@@ -71,7 +73,8 @@ let gen_kill nregs (b : Ir.block) =
   List.iter
     (fun { Ir.i; _ } ->
       Ir.iter_uses use i;
-      match Ir.def i with Some d -> Bits.add kill d | None -> ())
+      let d = Ir.def i in
+      if d >= 0 then Bits.add kill d)
     b.insts;
   List.iter use (Ir.term_uses b.term);
   (gen, kill)
@@ -79,11 +82,12 @@ let gen_kill nregs (b : Ir.block) =
 let compute (f : Ir.func) : t =
   let blocks = Array.of_list (Ir.blocks f) in
   let n = Array.length blocks and nregs = f.Ir.nregs in
-  let index = Hashtbl.create (2 * n) in
-  Array.iteri (fun k b -> Hashtbl.replace index b.Ir.label k) blocks;
+  let index = Ir.Stbl.create (2 * n) in
+  Array.iteri (fun k b -> Ir.Stbl.replace index b.Ir.label k) blocks;
+  (* successors as layout positions, resolved once per solve *)
   let succs =
     Array.map
-      (fun b -> Array.of_list (List.map (Hashtbl.find index) (Ir.successors b)))
+      (fun b -> Array.of_list (List.map (Ir.Stbl.find index) (Ir.successors b)))
       blocks
   in
   let gk = Array.map (gen_kill nregs) blocks in
@@ -100,7 +104,9 @@ let compute (f : Ir.func) : t =
       let ss = succs.(k) in
       for w = 0 to words - 1 do
         let o = ref 0 in
-        Array.iter (fun s -> o := !o lor live_in.(s).(w)) ss;
+        for j = 0 to Array.length ss - 1 do
+          o := !o lor live_in.(ss.(j)).(w)
+        done;
         let i = gen.(w) lor (!o land lnot kill.(w)) in
         if !o <> out.(w) || i <> inn.(w) then begin
           out.(w) <- !o;
@@ -113,7 +119,7 @@ let compute (f : Ir.func) : t =
   { index; nregs; live_in; live_out }
 
 let find sets t label =
-  match Hashtbl.find_opt t.index label with
+  match Ir.Stbl.find_opt t.index label with
   | Some k -> Some sets.(k)
   | None -> None
 

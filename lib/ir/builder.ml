@@ -33,7 +33,7 @@ let create ?(warp_size = 1) fname =
         warp_size;
         entry = "";
         order = [];
-        btab = Hashtbl.create 16;
+        btab = Ir.Stbl.create 16;
         nregs = 0;
         rty = [||];
       };
@@ -84,18 +84,18 @@ let fresh_label b stem =
   b.label_counter <- b.label_counter + 1;
   let rec pick n =
     let l = stem ^ "." ^ string_of_int n in
-    if Hashtbl.mem b.func.Ir.btab l then pick (n + 1) else l
+    if Ir.Stbl.mem b.func.Ir.btab l then pick (n + 1) else l
   in
   pick b.label_counter
 
 (** Create a block (appended to layout order) and make it current.  The
     first block created becomes the function entry. *)
 let start_block ?(kind = Ir.Body) b label =
-  if Hashtbl.mem b.func.Ir.btab label then
+  if Ir.Stbl.mem b.func.Ir.btab label then
     invalid_arg (Fmt.str "Builder.start_block: duplicate label %s" label);
   flush b;
   let blk = { Ir.label; kind; insts = []; term = Ir.Return } in
-  Hashtbl.replace b.func.Ir.btab label blk;
+  Ir.Stbl.replace b.func.Ir.btab label blk;
   b.rev_order <- label :: b.rev_order;
   if b.func.Ir.entry = "" then b.func.Ir.entry <- label;
   b.current <- Some blk;

@@ -109,19 +109,23 @@ type block = {
   mutable term : terminator;
 }
 
+(** Hash tables keyed by block label, with [String.equal] and
+    [String.hash] rather than polymorphic comparison and hashing. *)
+module Stbl = Hashtbl.Make (String)
+
 type func = {
   fname : string;
   warp_size : int;
   mutable entry : string;
   mutable order : string list;  (** block layout order *)
-  btab : (string, block) Hashtbl.t;
+  btab : block Stbl.t;
   mutable nregs : int;
   mutable rty : Ty.t array;
       (** [rty.(r)] is the type of register [r] for [r] in [\[0, nregs)];
           slots past [nregs] are spare capacity *)
 }
 
-(** Hash tables keyed by [int] (registers, source lines), without
+(** Hash tables keyed by [int] (registers), without
     polymorphic hashing or comparison. *)
 module Itbl = Hashtbl.Make (struct
   type t = int
@@ -134,7 +138,7 @@ end)
 (* Accessors *)
 
 let block f l =
-  match Hashtbl.find_opt f.btab l with
+  match Stbl.find_opt f.btab l with
   | Some b -> b
   | None -> invalid_arg (Fmt.str "Ir.block: no block %s in %s" l f.fname)
 
@@ -152,18 +156,14 @@ let successors b =
   | Branch (_, t, e) -> [ t; e ]
   | Switch (_, cases, d) ->
       (* preserve order, drop duplicates *)
-      let seen = Hashtbl.create 8 in
-      List.filter
-        (fun l ->
-          if Hashtbl.mem seen l then false
-          else (
-            Hashtbl.add seen l ();
-            true))
-        (List.map snd cases @ [ d ])
+      let add seen l = if List.exists (String.equal l) seen then seen else l :: seen in
+      List.rev (add (List.fold_left (fun seen (_, l) -> add seen l) [] cases) d)
   | Barrier l -> [ l ]
   | Return -> []
 
-(** Register defined by an instruction, if any. *)
+(** Register defined by an instruction, or [-1] if it defines none.  A
+    plain [int], so the per-instruction queries of the passes and the
+    timing model allocate nothing. *)
 let def = function
   | Bin (_, _, d, _, _)
   | Un (_, _, d, _)
@@ -181,19 +181,21 @@ let def = function
   | Ctx_read (d, _, _)
   | Restore (d, _, _, _)
   | Vload (_, _, d, _, _) ->
-      Some d
-  | Store _ | Vstore _ | Spill _ | Set_resume _ | Set_status _ -> None
+      d
+  | Store _ | Vstore _ | Spill _ | Set_resume _ | Set_status _ -> -1
 
 let operand_reg = function R r -> Some r | Imm _ -> None
+
+(* [fn r] for a register operand [r]. *)
+let use_operand fn = function R r -> fn r | Imm _ -> ()
 
 (** Apply [fn] to every register an instruction reads, in operand order,
     without building the {!uses} list. *)
 let iter_uses fn i =
-  let op = function R r -> fn r | Imm _ -> () in
   match i with
   | Bin (_, _, _, a, b) | Cmp (_, _, _, a, b) ->
-      op a;
-      op b
+      use_operand fn a;
+      use_operand fn b
   | Un (_, _, _, a)
   | Mov (_, _, a)
   | Cvt (_, _, _, a)
@@ -204,18 +206,18 @@ let iter_uses fn i =
   | Reduce_add (_, a)
   | Spill (_, _, _, a)
   | Set_resume (_, a) ->
-      op a
+      use_operand fn a
   | Fma (_, _, a, b, c) | Select (_, _, a, b, c) ->
-      op a;
-      op b;
-      op c
+      use_operand fn a;
+      use_operand fn b;
+      use_operand fn c
   | Store (_, _, a, _, b) | Vstore (_, _, a, _, b) | Insert (_, _, a, _, b) ->
-      op a;
-      op b
-  | Atomic (_, _, _, _, base, _, b, c) ->
-      op base;
-      op b;
-      Option.iter op c
+      use_operand fn a;
+      use_operand fn b
+  | Atomic (_, _, _, _, base, _, b, c) -> (
+      use_operand fn base;
+      use_operand fn b;
+      match c with Some c -> use_operand fn c | None -> ())
   | Ctx_read _ | Restore _ | Set_status _ -> ()
 
 (** Registers read by an instruction. *)
@@ -289,14 +291,14 @@ let is_pure = function
   | _ -> true
 
 let predecessors f =
-  let preds = Hashtbl.create 16 in
-  List.iter (fun l -> Hashtbl.replace preds l []) f.order;
+  let preds = Stbl.create 16 in
+  List.iter (fun l -> Stbl.replace preds l []) f.order;
   List.iter
     (fun b ->
       List.iter
         (fun s ->
-          let cur = Option.value (Hashtbl.find_opt preds s) ~default:[] in
-          Hashtbl.replace preds s (b.label :: cur))
+          let cur = Option.value (Stbl.find_opt preds s) ~default:[] in
+          Stbl.replace preds s (b.label :: cur))
         (successors b))
     (blocks f);
   preds
@@ -308,10 +310,10 @@ let size f = List.fold_left (fun acc b -> acc + List.length b.insts) 0 (blocks f
     and shared), register numbering and types are preserved.  Used to
     specialize a function without disturbing the cached original. *)
 let copy_func (f : func) : func =
-  let btab = Hashtbl.create (Hashtbl.length f.btab) in
-  Hashtbl.iter
+  let btab = Stbl.create (Stbl.length f.btab) in
+  Stbl.iter
     (fun l (b : block) ->
-      Hashtbl.replace btab l { label = b.label; kind = b.kind; insts = b.insts; term = b.term })
+      Stbl.replace btab l { label = b.label; kind = b.kind; insts = b.insts; term = b.term })
     f.btab;
   {
     fname = f.fname;

@@ -13,14 +13,14 @@ exception Invalid_ir of string
 let check_func (f : Ir.func) : error list =
   let errors = ref [] in
   let add fmt = Fmt.kstr (fun s -> errors := s :: !errors) fmt in
-  if f.entry = "" || not (Hashtbl.mem f.btab f.entry) then add "missing entry block";
+  if f.entry = "" || not (Ir.Stbl.mem f.btab f.entry) then add "missing entry block";
   let labels = Hashtbl.create 16 in
   List.iter
     (fun l ->
       if Hashtbl.mem labels l then add "duplicate label %s in order" l
       else Hashtbl.add labels l ())
     f.order;
-  Hashtbl.iter
+  Ir.Stbl.iter
     (fun l _ -> if not (Hashtbl.mem labels l) then add "block %s not in order" l)
     f.btab;
   let ty_of_operand o =
@@ -44,9 +44,8 @@ let check_func (f : Ir.func) : error list =
         Ir.iter_uses
           (fun r -> if not (Ir.has_reg f r) then where "use of unknown %%%d" r)
           i;
-        (match Ir.def i with
-        | Some d when not (Ir.has_reg f d) -> where "def of unknown %%%d" d
-        | _ -> ());
+        (let d = Ir.def i in
+         if d >= 0 && not (Ir.has_reg f d) then where "def of unknown %%%d" d);
         let expect_operand o (ty : Ty.t) =
           match ty_of_operand o with
           | None -> ()

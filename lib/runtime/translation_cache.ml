@@ -14,8 +14,8 @@
       for a (warp size, argument digest) builds the fully optimized
       specialization.
     - {b Tiered}: the first query builds an {e unoptimized} tier-0
-      specialization immediately (vectorize + a single DCE sweep, no
-      pass pipeline — cheap, so the warp is never stalled behind the
+      specialization immediately (vectorize + DCE swept to a fixpoint,
+      no pass pipeline — cheap, so the warp is never stalled behind the
       optimizer); a per-key hotness counter then promotes the
       specialization through the full pass pipeline once it has been
       requested [hot_threshold] times.  Promotion replaces the table
@@ -322,9 +322,10 @@ let compile_error (t : t) ~ws ~tier ~stage reason =
          reason;
        })
 
-(* Tier 0 skips the pass pipeline entirely (one DCE sweep keeps the
-   pack/unpack traffic bounded); tier 1 runs the configured pipeline and
-   accumulates its per-pass stats.  With an enabled [sink], every
+(* Tier 0 skips the pass pipeline entirely ({!Dce.run}, which repeats
+   sweeps until one removes nothing, keeps the pack/unpack traffic
+   bounded); tier 1 runs the configured pipeline and accumulates its
+   per-pass stats.  With an enabled [sink], every
    individual pass execution is bracketed by Sk_pass span events —
    modelled time stands still ([ts = now]: compilation is off the
    measured path) while the wall clock ticks, so the span tree shows

@@ -57,17 +57,22 @@ let eval_pure (i : Ir.instr) : (Scalar_ops.value * Ast.dtype) option =
 
 let run (f : Ir.func) : stats =
   let folded = ref 0 and substituted = ref 0 and branches_folded = ref 0 in
+  (* register -> known constant, in dense tables: [known.(r) = gen] while
+     the current block (generation [gen]) holds [r]'s constant, so a
+     redefinition invalidates it and the next block starts empty *)
+  let known = Array.make f.Ir.nregs 0 in
+  let cval = Array.make f.Ir.nregs (Scalar_ops.I 0L) in
+  let cty = Array.make f.Ir.nregs Ast.Pred in
+  let gen = ref 0 in
   List.iter
     (fun (b : Ir.block) ->
-      (* register -> known constant, invalidated on redefinition *)
-      let consts : (Ir.vreg, Scalar_ops.value * Ast.dtype) Hashtbl.t = Hashtbl.create 16 in
+      incr gen;
+      let gen = !gen in
       let subst o =
         match o with
-        | Ir.R r -> (
-            match Hashtbl.find_opt consts r with
-            | Some (v, ty) when (Ir.reg_ty f r).Ty.width = 1 -> Ir.Imm (v, ty)
-            | _ -> o)
-        | Ir.Imm _ -> o
+        | Ir.R r when known.(r) = gen && (Ir.reg_ty f r).Ty.width = 1 ->
+            Ir.Imm (cval.(r), cty.(r))
+        | Ir.R _ | Ir.Imm _ -> o
       in
       let subst_counted o =
         let o' = subst o in
@@ -78,21 +83,26 @@ let run (f : Ir.func) : stats =
         List.map
           (fun (li : Ir.li) ->
             let i = Ir.map_operands subst_counted li.Ir.i in
-            match Ir.def i with
-            | None -> { li with Ir.i }
-            | Some d -> (
-                Hashtbl.remove consts d;
-                match eval_pure i with
-                | Some (v, vty) when Ir.is_pure i ->
-                    let dty = Ir.reg_ty f d in
-                    if dty.Ty.width = 1 then Hashtbl.replace consts d (v, vty);
-                    (* an immediate move is already in folded form *)
-                    (match i with
-                    | Ir.Mov (_, _, Ir.Imm _) -> { li with Ir.i }
-                    | _ ->
-                        incr folded;
-                        { li with Ir.i = Ir.Mov (dty, d, Ir.Imm (v, vty)) })
-                | _ -> { li with Ir.i }))
+            let d = Ir.def i in
+            if d < 0 then { li with Ir.i }
+            else begin
+              known.(d) <- 0;
+              match eval_pure i with
+              | Some (v, vty) when Ir.is_pure i ->
+                  let dty = Ir.reg_ty f d in
+                  if dty.Ty.width = 1 then begin
+                    known.(d) <- gen;
+                    cval.(d) <- v;
+                    cty.(d) <- vty
+                  end;
+                  (* an immediate move is already in folded form *)
+                  (match i with
+                  | Ir.Mov (_, _, Ir.Imm _) -> { li with Ir.i }
+                  | _ ->
+                      incr folded;
+                      { li with Ir.i = Ir.Mov (dty, d, Ir.Imm (v, vty)) })
+              | _ -> { li with Ir.i }
+            end)
           b.Ir.insts;
       (* Fold constant control flow. *)
       b.Ir.term <-

@@ -27,9 +27,8 @@ let sweep (f : Ir.func) : int =
             let keep =
               (not (Ir.is_pure i))
               ||
-              match Ir.def i with
-              | Some d -> Bits.mem out d
-              | None -> true
+              let d = Ir.def i in
+              d < 0 || Bits.mem out d
             in
             if keep then begin
               Liveness.step out i;

@@ -24,11 +24,11 @@ let run (f : Ir.func) : int =
           let succ = Ir.block f t in
           if
             succ.Ir.kind = Ir.Body
-            && (match Hashtbl.find_opt preds t with Some [ p ] -> p = b.Ir.label | _ -> false)
+            && (match Ir.Stbl.find_opt preds t with Some [ p ] -> p = b.Ir.label | _ -> false)
           then begin
             b.Ir.insts <- b.Ir.insts @ succ.Ir.insts;
             b.Ir.term <- succ.Ir.term;
-            Hashtbl.remove f.Ir.btab t;
+            Ir.Stbl.remove f.Ir.btab t;
             f.Ir.order <- List.filter (fun l -> not (String.equal l t)) f.Ir.order;
             incr fused;
             continue_ := true;

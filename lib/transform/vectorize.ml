@@ -122,21 +122,24 @@ let run ?(mode = Dynamic) ?(affine = false) ?classes:cls ~(plan : Plan.t) (scala
       fun r -> Affine.is_uniform inv.(r)
     else fun _ -> false
   in
-  (* Decide the realization of each scalar register up front. *)
-  let reps : (Ir.vreg, rep) Hashtbl.t = Hashtbl.create 64 in
+  (* The realization of each scalar register, made on first use, so
+     registers are numbered in the order the build meets them; [unset]
+     marks one not made yet. *)
+  let unset = Lanes [||] in
+  let reps = Array.make scalar.Ir.nregs unset in
   let rep_of (r : Ir.vreg) : rep =
-    match Hashtbl.find_opt reps r with
-    | Some rep -> rep
-    | None ->
-        let ty = Ir.reg_ty scalar r in
-        let rep =
-          if uniform r then Uni (Builder.fresh_reg b ty)
-          else if ws > 1 && vectorizable_elt ty.Ty.elt then
-            Vec (Builder.fresh_reg b (Ty.vector ty.Ty.elt ws))
-          else Lanes (Array.init ws (fun _ -> Builder.fresh_reg b ty))
-        in
-        Hashtbl.replace reps r rep;
-        rep
+    let rep = reps.(r) in
+    if rep != unset then rep
+    else
+      let ty = Ir.reg_ty scalar r in
+      let rep =
+        if uniform r then Uni (Builder.fresh_reg b ty)
+        else if ws > 1 && vectorizable_elt ty.Ty.elt then
+          Vec (Builder.fresh_reg b (Ty.vector ty.Ty.elt ws))
+        else Lanes (Array.init ws (fun _ -> Builder.fresh_reg b ty))
+      in
+      reps.(r) <- rep;
+      rep
   in
   (* Affine/uniform address classification for the coalesced-memory-access
      optimization (paper §4 future work), under this build's warp
@@ -148,9 +151,9 @@ let run ?(mode = Dynamic) ?(affine = false) ?classes:cls ~(plan : Plan.t) (scala
      plainly affine.  [local_cls] tracks in-block definitions (reset at
      each body block); block-entry values fall back to the global table,
      which is reformation-safe by construction. *)
-  let local_cls : (Ir.vreg, Affine.cls) Hashtbl.t = Hashtbl.create 16 in
+  let local_cls : Affine.cls Ir.Itbl.t = Ir.Itbl.create 16 in
   let reg_cls r =
-    match Hashtbl.find_opt local_cls r with
+    match Ir.Itbl.find_opt local_cls r with
     | Some c -> c
     | None -> (
         match affine_cls with
@@ -165,14 +168,13 @@ let run ?(mode = Dynamic) ?(affine = false) ?classes:cls ~(plan : Plan.t) (scala
   in
   let local_cls_update (i : Ir.instr) =
     if affine_cls <> None then
-      match Ir.def i with
-      | Some d ->
-          Hashtbl.replace local_cls d (Affine.transfer ~static_warps:static ~get:reg_cls i)
-      | None -> ()
+      let d = Ir.def i in
+      if d >= 0 then
+        Ir.Itbl.replace local_cls d (Affine.transfer ~static_warps:static ~get:reg_cls i)
   in
   (* Per-block broadcast memo: a Uni register used in a vector position is
      splat once per block. *)
-  let bcast_memo : (Ir.vreg, Ir.vreg) Hashtbl.t = Hashtbl.create 16 in
+  let bcast_memo : Ir.vreg Ir.Itbl.t = Ir.Itbl.create 16 in
   let vector_operand elt (o : Ir.operand) : Ir.operand =
     match o with
     | Ir.Imm _ -> o (* immediates splat implicitly *)
@@ -180,14 +182,14 @@ let run ?(mode = Dynamic) ?(affine = false) ?classes:cls ~(plan : Plan.t) (scala
         match rep_of r with
         | Vec v -> Ir.R v
         | Uni u -> (
-            match Hashtbl.find_opt bcast_memo u with
+            match Ir.Itbl.find_opt bcast_memo u with
             | Some bc -> Ir.R bc
             | None ->
                 let bc =
                   Builder.emit_val b (Ty.vector elt ws) (fun d ->
                       Ir.Broadcast (Ty.vector elt ws, d, Ir.R u))
                 in
-                Hashtbl.replace bcast_memo u bc;
+                Ir.Itbl.replace bcast_memo u bc;
                 Ir.R bc)
         | Lanes _ ->
             invalid_arg
@@ -299,14 +301,12 @@ let run ?(mode = Dynamic) ?(affine = false) ?classes:cls ~(plan : Plan.t) (scala
        only when every definition (including this one) is uniform and has
        uniform register operands. *)
     let invariant =
-      static
-      && match dst with
-         | Some d -> ( match rep_of d with Uni _ -> true | _ -> false)
-         | None -> false
+      static && dst >= 0 && match rep_of dst with Uni _ -> true | _ -> false
     in
     let promote =
       (not invariant) && ws > 1 && instr_vectorizable i
-      && (match dst with Some d -> (match rep_of d with Vec _ -> true | _ -> false) | None -> false)
+      && dst >= 0
+      && (match rep_of dst with Vec _ -> true | _ -> false)
       && operands_promotable
            (match i with
            | Ir.Bin (_, _, _, a, c) -> [ a; c ]
@@ -328,16 +328,14 @@ let run ?(mode = Dynamic) ?(affine = false) ?classes:cls ~(plan : Plan.t) (scala
             | Uni u -> Ir.R u
             | _ -> invalid_arg "vectorize: variant operand in invariant instruction")
       in
-      let d = match dst with Some d -> d | None -> assert false in
-      let u = match rep_of d with Uni u -> u | _ -> assert false in
+      let u = match rep_of dst with Uni u -> u | _ -> assert false in
       Builder.emit b (Ir.with_def u (Ir.map_operands uni_operand i));
       (* Non-SSA: a redefinition invalidates any memoized splat of the old
          value within this block. *)
-      Hashtbl.remove bcast_memo u
+      Ir.Itbl.remove bcast_memo u
     end
     else if promote then begin
-      let d = match dst with Some d -> d | None -> assert false in
-      let v = match rep_of d with Vec v -> v | _ -> assert false in
+      let v = match rep_of dst with Vec v -> v | _ -> assert false in
       let widen (t : Ty.t) = Ty.vector t.Ty.elt ws in
       let vec_i =
         match i with
@@ -402,9 +400,8 @@ let run ?(mode = Dynamic) ?(affine = false) ?classes:cls ~(plan : Plan.t) (scala
             define_lane d l (fun dd -> Ir.Atomic (sp, op, ty, dd, base, off, v, c))
         | _ ->
             let i' = Ir.map_operands (lane_operand l) i in
-            (match Ir.def i with
-            | Some d -> define_lane d l (fun dd -> Ir.with_def dd i')
-            | None -> Builder.emit b i')
+            if dst >= 0 then define_lane dst l (fun dd -> Ir.with_def dd i')
+            else Builder.emit b i'
       done
     end
   in
@@ -428,7 +425,7 @@ let run ?(mode = Dynamic) ?(affine = false) ?classes:cls ~(plan : Plan.t) (scala
   List.iter
     (fun (l, id) ->
       ignore (Builder.start_block ~kind:Ir.Entry_handler b (entry_label l id));
-      Hashtbl.reset bcast_memo;
+      Ir.Itbl.reset bcast_memo;
       let live = Plan.entry_live plan l in
       restores_per_entry := (id, ISet.cardinal live) :: !restores_per_entry;
       ISet.iter
@@ -483,8 +480,8 @@ let run ?(mode = Dynamic) ?(affine = false) ?classes:cls ~(plan : Plan.t) (scala
   List.iter
     (fun (blk : Ir.block) ->
       Builder.switch_to b blk.Ir.label;
-      Hashtbl.reset bcast_memo;
-      Hashtbl.reset local_cls;
+      Ir.Itbl.reset bcast_memo;
+      Ir.Itbl.reset local_cls;
       List.iter
         (fun ({ Ir.i; line } : Ir.li) ->
           (* Every replica/pack/unpack of a scalar instruction inherits its

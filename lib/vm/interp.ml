@@ -1105,7 +1105,8 @@ let compile ~(machine : Machine.t) (f : Ir.func) : t =
     (fun (b : Ir.block) ->
       List.iter
         (fun ({ Ir.i; _ } : Ir.li) ->
-          Option.iter mark (Ir.def i);
+          let d = Ir.def i in
+          if d >= 0 then mark d;
           Ir.iter_uses mark i)
         b.Ir.insts;
       List.iter mark (Ir.term_uses b.Ir.term))
@@ -1151,10 +1152,10 @@ let compile ~(machine : Machine.t) (f : Ir.func) : t =
             s)
   in
   let blocks = Ir.blocks f in
-  let index = Hashtbl.create 16 in
-  List.iteri (fun k (b : Ir.block) -> Hashtbl.replace index b.Ir.label k) blocks;
+  let index = Ir.Stbl.create 16 in
+  List.iteri (fun k (b : Ir.block) -> Ir.Stbl.replace index b.Ir.label k) blocks;
   let target l =
-    match Hashtbl.find_opt index l with
+    match Ir.Stbl.find_opt index l with
     | Some k -> k
     | None -> invalid_arg (Fmt.str "Interp.compile: no block %s in %s" l f.Ir.fname)
   in

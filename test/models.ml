@@ -1,10 +1,13 @@
-(* Reference models of four build layers, in their textbook form: the
-   set-based liveness dataflow, CSE keyed on each candidate's printed
-   text, register pressure summed over one live set per instruction, and
-   thread-invariance as a taint over the registers.  The compiler
-   computes the same results with dense bitsets, structural keys, running
-   sums and the uniform classes of its affine lattice; test_models.ml
-   checks that they agree. *)
+(* Reference models of the build layers, in their textbook form: the
+   set-based liveness dataflow, dead-code elimination as that dataflow
+   plus a backward sweep repeated until nothing is removed, CSE keyed on
+   each candidate's printed text, register pressure summed over one live
+   set per instruction, source-line shares split by largest remainder
+   over an association list, and thread-invariance as a taint over the
+   registers.  The compiler computes the same results with dense bitsets,
+   integer-array keys, running sums, small sorted arrays and the uniform
+   classes of its affine lattice; test_models.ml checks that they
+   agree. *)
 
 module Ir = Vekt_ir.Ir
 module ISet = Set.Make (Int)
@@ -22,7 +25,8 @@ module Liveness = struct
         List.iter
           (fun r -> if not (ISet.mem r !kill) then gen := ISet.add r !gen)
           (Ir.uses i);
-        match Ir.def i with Some d -> kill := ISet.add d !kill | None -> ())
+        let d = Ir.def i in
+        if d >= 0 then kill := ISet.add d !kill)
       b.insts;
     List.iter
       (fun r -> if not (ISet.mem r !kill) then gen := ISet.add r !gen)
@@ -77,7 +81,8 @@ module Liveness = struct
     for idx = n - 1 downto 0 do
       after.(idx) <- !live;
       let i = insts.(idx).Ir.i in
-      (match Ir.def i with Some d -> live := ISet.remove d !live | None -> ());
+      let d = Ir.def i in
+      if d >= 0 then live := ISet.remove d !live;
       List.iter (fun r -> live := ISet.add r !live) (Ir.uses i)
     done;
     after
@@ -100,8 +105,67 @@ let pressure (m : Vekt_vm.Machine.t) (f : Ir.func) (live : Liveness.t) (b : Ir.b
     (0, 0)
     (Liveness.per_instruction live b)
 
-(* Local CSE keyed on the printed text of the versioned, def-normalized
-   instruction. *)
+(* Dead-code elimination: solve liveness, drop every pure instruction
+   whose destination is dead after it in one backward sweep per block,
+   and repeat until a sweep removes nothing.  Returns the removals. *)
+let dce (f : Ir.func) : int =
+  let sweep () =
+    let live = Liveness.compute f in
+    List.fold_left
+      (fun removed (b : Ir.block) ->
+        let set = ref (Liveness.live_out live b.Ir.label) in
+        List.iter (fun r -> set := ISet.add r !set) (Ir.term_uses b.Ir.term);
+        let kept, removed =
+          List.fold_left
+            (fun (kept, removed) (li : Ir.li) ->
+              let i = li.Ir.i in
+              let d = Ir.def i in
+              if Ir.is_pure i && d >= 0 && not (ISet.mem d !set) then (kept, removed + 1)
+              else begin
+                if d >= 0 then set := ISet.remove d !set;
+                List.iter (fun r -> set := ISet.add r !set) (Ir.uses i);
+                (li :: kept, removed)
+              end)
+            ([], removed) (List.rev b.Ir.insts)
+        in
+        b.Ir.insts <- kept;
+        removed)
+      0 (Ir.blocks f)
+  in
+  let rec go total = match sweep () with 0 -> total | n -> go (total + n) in
+  go 0
+
+(* Source-line shares of one block: [total] units split across the
+   block's lines in proportion to their µop counts ([line_uops], one
+   pair per instruction, in any order), the terminator weighing one µop
+   on line 0.  Each line gets its floor; the leftover units go one each
+   to the largest remainders, ties to the earlier line.  Returns the
+   flat [[| line; units; ... |]] array in increasing line order. *)
+let line_shares (line_uops : (int * int) list) ~(total : int) : int array =
+  let weights =
+    List.fold_left
+      (fun acc (l, n) ->
+        (l, n + Option.value (List.assoc_opt l acc) ~default:0) :: List.remove_assoc l acc)
+      [] ((0, 1) :: line_uops)
+    |> List.sort compare
+  in
+  let total_w = List.fold_left (fun acc (_, w) -> acc + w) 0 weights in
+  let floors = List.map (fun (l, w) -> (l, total * w / total_w)) weights in
+  let leftover = total - List.fold_left (fun acc (_, u) -> acc + u) 0 floors in
+  let by_remainder =
+    List.mapi (fun pos (_, w) -> (-(total * w mod total_w), pos)) weights
+    |> List.sort compare
+    |> List.filteri (fun k _ -> k < leftover)
+    |> List.map snd
+  in
+  Array.of_list
+    (List.concat
+       (List.mapi
+          (fun pos (l, u) -> [ l; (if List.mem pos by_remainder then u + 1 else u) ])
+          floors))
+
+(* Local CSE keyed on the printed text of the def-normalized instruction
+   followed by its operands' versions. *)
 let cse (f : Ir.func) : int =
   let replaced = ref 0 in
   List.iter
@@ -111,24 +175,21 @@ let cse (f : Ir.func) : int =
       let bump r = Hashtbl.replace version r (ver r + 1) in
       let avail : (string, Ir.vreg * int) Hashtbl.t = Hashtbl.create 32 in
       let key i =
-        let versioned =
-          Ir.map_operands (function Ir.R r -> Ir.R ((r * 1_000_000) + ver r) | o -> o) i
-        in
-        let shown =
-          match Ir.def versioned with Some _ -> Ir.with_def 0 versioned | None -> versioned
-        in
-        Fmt.to_to_string Vekt_ir.Pp.instr shown
+        let shown = if Ir.def i >= 0 then Ir.with_def 0 i else i in
+        Fmt.str "%a @ %a" Vekt_ir.Pp.instr shown
+          Fmt.(list ~sep:comma int)
+          (List.map ver (Ir.uses i))
       in
       b.Ir.insts <-
         List.map
           (fun (li : Ir.li) ->
             let i = li.Ir.i in
             if not (Vekt_transform.Cse.cseable i) then begin
-              (match Ir.def i with Some d -> bump d | None -> ());
+              if Ir.def i >= 0 then bump (Ir.def i);
               li
             end
             else
-              let d = match Ir.def i with Some d -> d | None -> assert false in
+              let d = Ir.def i in
               let k = key i in
               match Hashtbl.find_opt avail k with
               | Some (prev, pver) when prev <> d && ver prev = pver ->
@@ -167,14 +228,16 @@ module Invariance = struct
         (fun b ->
           List.iter
             (fun { Ir.i; _ } ->
-              match Ir.def i with
-              | Some d
-                when (not (ISet.mem d !variant))
-                     && (inherently_variant ~static_warps i
-                        || List.exists (fun r -> ISet.mem r !variant) (Ir.uses i)) ->
-                  variant := ISet.add d !variant;
-                  changed := true
-              | _ -> ())
+              let d = Ir.def i in
+              if
+                d >= 0
+                && (not (ISet.mem d !variant))
+                && (inherently_variant ~static_warps i
+                   || List.exists (fun r -> ISet.mem r !variant) (Ir.uses i))
+              then begin
+                variant := ISet.add d !variant;
+                changed := true
+              end)
             b.Ir.insts)
         (Ir.blocks f)
     done;

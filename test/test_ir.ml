@@ -63,13 +63,13 @@ let test_successors_and_preds () =
     (Ir.successors (Ir.block f "entry"));
   let preds = Ir.predecessors f in
   Alcotest.(check (list string)) "join preds" [ "else"; "then" ]
-    (List.sort compare (Hashtbl.find preds "join"))
+    (List.sort compare (Ir.Stbl.find preds "join"))
 
 let test_def_uses () =
   let f, x, p, acc = build_diamond () in
   ignore f;
   let i = Ir.Bin (Ast.Add, s32, acc, Ir.R x, imm 1) in
-  Alcotest.(check (option int)) "def" (Some acc) (Ir.def i);
+  Alcotest.(check int) "def" acc (Ir.def i);
   Alcotest.(check (list int)) "uses" [ x ] (Ir.uses i);
   Alcotest.(check (list int)) "term uses"
     [ p ]
@@ -80,7 +80,8 @@ let test_map_operands_with_def () =
   let j = Ir.map_operands (function Ir.R r -> Ir.R (r + 10) | o -> o) i in
   Alcotest.(check (list int)) "mapped uses" [ 11; 12 ] (Ir.uses j);
   let k = Ir.with_def 9 j in
-  Alcotest.(check (option int)) "new def" (Some 9) (Ir.def k)
+  Alcotest.(check int) "new def" 9 (Ir.def k);
+  Alcotest.(check int) "no def" (-1) (Ir.def (Ir.Store (Ast.Global, Ast.S32, Ir.R 1, 0, Ir.R 2)))
 
 (* Large build: 2000 blocks x 100 instructions, plus block revisits via
    switch_to.  The builder accumulates instructions and block order in

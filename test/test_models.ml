@@ -1,10 +1,10 @@
 (* The build layers against their reference models (models.ml): on random
    fuzz-generator kernels, vectorized at every width in both warp-formation
-   modes, the bitset liveness, the structurally keyed CSE and the timing
-   model's running-sum register pressure must compute exactly what the
-   textbook versions compute.  The affine lattice's uniform classes must
-   keep every register the invariance taint proves, and match it exactly
-   on the registry's kernels. *)
+   modes, the bitset liveness, DCE, the structurally keyed CSE and the
+   timing model's running-sum register pressure and line shares must
+   compute exactly what the textbook versions compute.  The affine
+   lattice's uniform classes must keep every register the invariance
+   taint proves, and match it exactly on the registry's kernels. *)
 
 module Ir = Vekt_ir.Ir
 module Pp = Vekt_ir.Pp
@@ -14,6 +14,7 @@ module Plan = Vekt_transform.Plan
 module Vectorize = Vekt_transform.Vectorize
 module Constfold = Vekt_transform.Constfold
 module Cse = Vekt_transform.Cse
+module Dce = Vekt_transform.Dce
 module Passes = Vekt_transform.Passes
 module Timing = Vekt_vm.Timing
 module Machine = Vekt_vm.Machine
@@ -88,6 +89,66 @@ let prop_cse =
         (specializations spec);
       true)
 
+(* DCE on the vectorized code, where it sweeps pack/unpack traffic, and
+   after constant folding and CSE, where it sweeps the copies they leave. *)
+let prop_dce =
+  QCheck.Test.make ~name:"DCE to fixpoint == set-based sweep model" ~count:40 Gen.arbitrary
+    (fun spec ->
+      List.iter
+        (fun (where, build) ->
+          List.iter
+            (fun (stage, prepare) ->
+              let f = build () in
+              prepare f;
+              let g = Ir.copy_func f in
+              let n = Dce.run f and n_model = Models.dce g in
+              if n <> n_model then fail where "%s: %d removed, model %d" stage n n_model;
+              if Pp.func_to_string f <> Pp.func_to_string g then
+                fail where "%s: IR differs" stage)
+            [
+              ("bare", ignore);
+              ( "after constfold+cse",
+                fun f ->
+                  ignore (Constfold.run f);
+                  ignore (Cse.run f) );
+            ])
+        (specializations spec);
+      true)
+
+(* The µop count of each instruction of [b], paired with its line. *)
+let line_uops m f (b : Ir.block) =
+  List.map
+    (fun (li : Ir.li) ->
+      let n = ref 0 in
+      Timing.iter_uops m f li.Ir.i (fun _ _ -> incr n);
+      (li.Ir.line, !n))
+    b.Ir.insts
+
+let prop_shares =
+  QCheck.Test.make ~name:"line shares == largest-remainder model" ~count:40 Gen.arbitrary
+    (fun spec ->
+      let m = Machine.sse4 in
+      List.iter
+        (fun (where, build) ->
+          let f = build () in
+          List.iter
+            (fun optimize ->
+              if optimize then ignore (Passes.run f);
+              List.iter2
+                (fun (b : Ir.block) (c : Timing.block_cost) ->
+                  let shares, total = c.shares in
+                  let expect = Timing.units_of_cycles (c.cycles +. Timing.term_cost) in
+                  if total <> expect then fail where "%s total %d, want %d" b.Ir.label total expect;
+                  let sum = ref 0 in
+                  Array.iteri (fun k u -> if k land 1 = 1 then sum := !sum + u) shares;
+                  if !sum <> total then fail where "%s shares sum to %d of %d" b.Ir.label !sum total;
+                  if shares <> Models.line_shares (line_uops m f b) ~total then
+                    fail where "%s shares differ from the model" b.Ir.label)
+                (Ir.blocks f) (Timing.analyze m f))
+            [ false; true ])
+        (specializations spec);
+      true)
+
 let prop_pressure =
   QCheck.Test.make ~name:"running-sum pressure == per-instruction model" ~count:40
     Gen.arbitrary (fun spec ->
@@ -159,7 +220,7 @@ let () =
     [
       ( "models",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_liveness; prop_cse; prop_pressure; prop_uniformity ]
+          [ prop_liveness; prop_dce; prop_cse; prop_pressure; prop_shares; prop_uniformity ]
         @ [
             Alcotest.test_case "registry uniform classes == taint model" `Quick
               registry_uniformity;

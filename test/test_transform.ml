@@ -588,6 +588,29 @@ let test_cse_result_clobbered () =
   let f = Vekt_ir.Builder.func b in
   Alcotest.(check int) "nothing replaced" 0 (Cse.run f)
 
+let test_cse_many_redefinitions () =
+  (* A key holds each operand's register and version apart, so %0 at
+     its 1,000,001st version is not %1 at its first, however many times
+     the block redefines %0. *)
+  let b = Vekt_ir.Builder.create "cse" in
+  ignore (Vekt_ir.Builder.start_block b "entry");
+  let x = Vekt_ir.Builder.fresh_reg b s32 in
+  let y = Vekt_ir.Builder.emit_val b s32 (fun d -> Ir.Load (Ast.Global, Ast.S32, d, imm 0, 0)) in
+  Vekt_ir.Builder.emit b (Ir.Mov (s32, x, imm 1));
+  let a = Vekt_ir.Builder.emit_val b s32 (fun d -> Ir.Bin (Ast.Add, s32, d, Ir.R y, imm 3)) in
+  let c = Vekt_ir.Builder.emit_val b s32 (fun d -> Ir.Bin (Ast.Add, s32, d, Ir.R x, imm 3)) in
+  Vekt_ir.Builder.emit b (Ir.Store (Ast.Global, Ast.S32, imm 8, 0, Ir.R a));
+  Vekt_ir.Builder.emit b (Ir.Store (Ast.Global, Ast.S32, imm 16, 0, Ir.R c));
+  Vekt_ir.Builder.set_term b Ir.Return;
+  let f = Vekt_ir.Builder.func b in
+  Alcotest.(check (pair int int)) "registers" (0, 1) (x, y);
+  let entry = Ir.block f "entry" in
+  (match entry.Ir.insts with
+  | load :: mov :: rest ->
+      entry.Ir.insts <- load :: List.rev_append (List.init 1_000_001 (fun _ -> mov)) rest
+  | _ -> assert false);
+  Alcotest.(check int) "nothing replaced" 0 (Cse.run f)
+
 let test_fusion_chain () =
   let b = Vekt_ir.Builder.create "fuse" in
   ignore (Vekt_ir.Builder.start_block b "entry");
@@ -828,6 +851,7 @@ let () =
           Alcotest.test_case "operand redefined" `Quick test_cse_respects_redefinition;
           Alcotest.test_case "result clobbered" `Quick test_cse_result_clobbered;
           Alcotest.test_case "signed zeros" `Quick test_cse_signed_zeros;
+          Alcotest.test_case "many redefinitions" `Quick test_cse_many_redefinitions;
         ] );
       ( "fusion",
         [
