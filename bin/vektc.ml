@@ -314,7 +314,7 @@ let run_cmd =
           "profile totals: %d warps, %d restores (stats: %d warps, %d restores)@."
           (Obs.Divergence.total_entries p)
           (Obs.Divergence.total_restores p)
-          (Hashtbl.fold (fun _ c a -> a + c) r.Api.stats.Stats.warp_hist 0)
+          (Stats.total_warps r.Api.stats)
           r.Api.stats.Stats.counters.Vekt_vm.Interp.restores
     | _ -> ());
     (match (report, tracer) with

@@ -23,36 +23,39 @@ let compatible declared used =
   | `Bits a, `Bits b -> a = b
   | _ -> false
 
+(* Names are looked up through monomorphic string tables. *)
+module Stbl = Hashtbl.Make (String)
+
 let check_kernel ?(consts = []) ?(funcs = []) (k : kernel) : error list =
   let errors = ref [] in
   let add e = errors := e :: !errors in
   let where = k.k_name in
   (* Registers: unique declaration, build env. *)
-  let regs = Hashtbl.create 64 in
+  let regs = Stbl.create 64 in
   List.iter
     (fun (r, ty) ->
-      if Hashtbl.mem regs r then add (err (Fmt.str "register %s declared twice" r) where)
-      else Hashtbl.add regs r ty)
+      if Stbl.mem regs r then add (err (Fmt.str "register %s declared twice" r) where)
+      else Stbl.add regs r ty)
     k.k_regs;
-  let vars = Hashtbl.create 16 in
-  List.iter (fun p -> Hashtbl.replace vars p.p_name `Param) k.k_params;
-  List.iter (fun a -> Hashtbl.replace vars a.a_name `Shared) k.k_shared;
-  List.iter (fun a -> Hashtbl.replace vars a.a_name `Local) k.k_local;
-  List.iter (fun c -> Hashtbl.replace vars c `Const) consts;
+  let vars = Stbl.create 16 in
+  List.iter (fun p -> Stbl.replace vars p.p_name `Param) k.k_params;
+  List.iter (fun a -> Stbl.replace vars a.a_name `Shared) k.k_shared;
+  List.iter (fun a -> Stbl.replace vars a.a_name `Local) k.k_local;
+  List.iter (fun c -> Stbl.replace vars c `Const) consts;
   (* Labels: unique, collect for branch-target checking. *)
-  let labels = Hashtbl.create 16 in
+  let labels = Stbl.create 16 in
   List.iter
     (function
       | Label l ->
-          if Hashtbl.mem labels l then add (err (Fmt.str "label %s defined twice" l) where)
-          else Hashtbl.add labels l ()
+          if Stbl.mem labels l then add (err (Fmt.str "label %s defined twice" l) where)
+          else Stbl.add labels l ()
       | Inst _ -> ())
     k.k_body;
   (* [ctx] is the instruction being checked; it is printed into the
      error only when one is recorded. *)
   let err_at what ctx = err what (Printer.instr_str ctx) in
   let check_reg r expect ctx =
-    match Hashtbl.find_opt regs r with
+    match Stbl.find_opt regs r with
     | None -> add (err_at (Fmt.str "register %s not declared" r) ctx)
     | Some declared ->
         if not (compatible declared expect) then
@@ -77,7 +80,7 @@ let check_kernel ?(consts = []) ?(funcs = []) (k : kernel) : error list =
     | Var v ->
         (* Address-of a declared variable; must land in an integer register
            wide enough for an address. *)
-        if not (Hashtbl.mem vars v) then
+        if not (Stbl.mem vars v) then
           add (err_at (Fmt.str "unknown variable %s" v) ctx)
         else if not (is_integer expect) || size_of expect < 4 then
           add (err_at (Fmt.str "address of %s needs a 32/64-bit integer" v) ctx)
@@ -85,24 +88,24 @@ let check_kernel ?(consts = []) ?(funcs = []) (k : kernel) : error list =
   let check_addr (a : address) ctx =
     match a.base with
     | Areg r -> (
-        match Hashtbl.find_opt regs r with
+        match Stbl.find_opt regs r with
         | None -> add (err_at (Fmt.str "address register %s not declared" r) ctx)
         | Some ty ->
             if size_of ty <> 8 && size_of ty <> 4 then
               add (err_at (Fmt.str "address register %s must be 32 or 64 bit" r) ctx))
     | Avar v ->
-        if not (Hashtbl.mem vars v) then
+        if not (Stbl.mem vars v) then
           add (err_at (Fmt.str "unknown variable %s in address" v) ctx)
   in
   let check_space_var (a : address) (sp : space) ctx =
     match (a.base, sp) with
-    | Avar v, Param when Hashtbl.find_opt vars v <> Some `Param ->
+    | Avar v, Param when Stbl.find_opt vars v <> Some `Param ->
         add (err_at (Fmt.str "%s is not a parameter" v) ctx)
-    | Avar v, Shared when Hashtbl.find_opt vars v <> Some `Shared ->
+    | Avar v, Shared when Stbl.find_opt vars v <> Some `Shared ->
         add (err_at (Fmt.str "%s is not a shared array" v) ctx)
-    | Avar v, Local when Hashtbl.find_opt vars v <> Some `Local ->
+    | Avar v, Local when Stbl.find_opt vars v <> Some `Local ->
         add (err_at (Fmt.str "%s is not a local array" v) ctx)
-    | Avar v, Const when Hashtbl.find_opt vars v <> Some `Const ->
+    | Avar v, Const when Stbl.find_opt vars v <> Some `Const ->
         add (err_at (Fmt.str "%s is not a constant array" v) ctx)
     | _ -> ()
   in
@@ -176,7 +179,7 @@ let check_kernel ?(consts = []) ?(funcs = []) (k : kernel) : error list =
         check_operand b ty ctx;
         Option.iter (fun c -> check_operand c ty ctx) c
     | Bra t ->
-        if not (Hashtbl.mem labels t) then
+        if not (Stbl.mem labels t) then
           add (err_at (Fmt.str "branch to undefined label %s" t) ctx)
     | Call (rets, fname, args) -> (
         match List.find_opt (fun (f : func_decl) -> f.f_name = fname) funcs with
@@ -227,13 +230,13 @@ let check_func_decl ?(funcs = []) (f : func_decl) : error list =
 
 let check_module (m : modul) : error list =
   let dup_errors =
-    let seen = Hashtbl.create 8 in
+    let seen = Stbl.create 8 in
     List.filter_map
       (fun k ->
-        if Hashtbl.mem seen k.k_name then
+        if Stbl.mem seen k.k_name then
           Some (err (Fmt.str "kernel %s defined twice" k.k_name) "module")
         else (
-          Hashtbl.add seen k.k_name ();
+          Stbl.add seen k.k_name ();
           None))
       m.m_kernels
   in

@@ -126,10 +126,7 @@ let put_stats b (s : Stats.t) =
   put_i64 b s.Stats.barrier_releases;
   put_i64 b s.Stats.threads_launched;
   put_f64 b s.Stats.wall_cycles;
-  let hist =
-    Hashtbl.fold (fun ws c acc -> (ws, c) :: acc) s.Stats.warp_hist []
-    |> List.sort compare
-  in
+  let hist = Stats.warp_histogram s in
   put_i64 b (List.length hist);
   List.iter
     (fun (ws, c) ->
@@ -267,7 +264,10 @@ let get_stats r : Stats.t =
   for _ = 1 to nhist do
     let ws = get_i64 r in
     let c = get_i64 r in
-    Hashtbl.replace s.Stats.warp_hist ws c
+    if ws < 1 || ws > Interp.max_lanes then
+      corrupt ~path:r.path (Fmt.str "warp width %d outside 1..%d" ws Interp.max_lanes);
+    if c < 0 then corrupt ~path:r.path (Fmt.str "negative warp count %d" c);
+    Stats.add_warps s ws c
   done;
   s
 

@@ -206,7 +206,7 @@ let to_json (r : t) : J.t =
         ("avg_warp_size", J.Float l.Api.avg_warp_size);
         ("threads", J.Int l.Api.stats.Stats.threads_launched);
         ( "warps",
-          J.Int (Hashtbl.fold (fun _ c acc -> acc + c) l.Api.stats.Stats.warp_hist 0) );
+          J.Int (Stats.total_warps l.Api.stats) );
         ( "recovered",
           match l.Api.recovered with
           | None -> J.Null

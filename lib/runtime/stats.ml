@@ -9,7 +9,9 @@ module Interp = Vekt_vm.Interp
 
 type t = {
   counters : Interp.counters;  (** VM-side counters, summed over workers *)
-  warp_hist : (int, int) Hashtbl.t;  (** warp size → kernel entries *)
+  mutable warp_counts : int array;
+      (** kernel entries by warp size, indexed by width and grown on
+          demand; read through the accessors below *)
   mutable em_cycles : float;  (** cycles modelled inside the execution manager *)
   mutable barrier_releases : int;
   mutable threads_launched : int;
@@ -19,41 +21,58 @@ type t = {
 let create () =
   {
     counters = Interp.fresh_counters ();
-    warp_hist = Hashtbl.create 8;
+    warp_counts = Array.make 9 0;
     em_cycles = 0.0;
     barrier_releases = 0;
     threads_launched = 0;
     wall_cycles = 0.0;
   }
 
-let record_warp t ws =
-  match Hashtbl.find t.warp_hist ws with
-  | n -> Hashtbl.replace t.warp_hist ws (n + 1)
-  | exception Not_found -> Hashtbl.add t.warp_hist ws 1
+(** Count [n] more kernel entries at warp size [ws] (0 or more). *)
+let add_warps t ws n =
+  let a = t.warp_counts in
+  if ws < Array.length a then a.(ws) <- a.(ws) + n
+  else begin
+    let a' = Array.make (max (ws + 1) (2 * Array.length a)) 0 in
+    Array.blit a 0 a' 0 (Array.length a);
+    a'.(ws) <- n;
+    t.warp_counts <- a'
+  end
+
+let record_warp t ws = add_warps t ws 1
+
+(** Kernel entries made at warp size [ws]. *)
+let warp_count t ws =
+  if ws >= 0 && ws < Array.length t.warp_counts then t.warp_counts.(ws) else 0
+
+(** [f ws count acc] over every warp size entered, widest last. *)
+let fold_warps f t acc =
+  let acc = ref acc in
+  Array.iteri (fun ws c -> if c <> 0 then acc := f ws c !acc) t.warp_counts;
+  !acc
+
+(** Kernel entries, at every warp size. *)
+let total_warps t = fold_warps (fun _ c acc -> acc + c) t 0
+
+(** [(ws, count)] for every warp size entered, by width. *)
+let warp_histogram t = List.rev (fold_warps (fun ws c acc -> (ws, c) :: acc) t [])
+
+(* Threads over all kernel entries. *)
+let warp_threads t = fold_warps (fun ws c acc -> acc + (ws * c)) t 0
 
 (** Mean number of threads per formed warp (Figure 7's metric). *)
 let average_warp_size t =
-  let n = ref 0 and sum = ref 0 in
-  Hashtbl.iter
-    (fun ws count ->
-      n := !n + count;
-      sum := !sum + (ws * count))
-    t.warp_hist;
-  if !n = 0 then 0.0 else float_of_int !sum /. float_of_int !n
+  let n = total_warps t in
+  if n = 0 then 0.0 else float_of_int (warp_threads t) /. float_of_int n
 
 (** Fraction of kernel entries made at warp size [ws]. *)
 let warp_fraction t ws =
-  let total = Hashtbl.fold (fun _ c acc -> acc + c) t.warp_hist 0 in
-  if total = 0 then 0.0
-  else
-    float_of_int (Option.value (Hashtbl.find_opt t.warp_hist ws) ~default:0)
-    /. float_of_int total
+  let total = total_warps t in
+  if total = 0 then 0.0 else float_of_int (warp_count t ws) /. float_of_int total
 
 (** Mean values restored per thread per kernel entry (Figure 8). *)
 let average_restores_per_thread t =
-  let entries_threads =
-    Hashtbl.fold (fun ws count acc -> acc + (ws * count)) t.warp_hist 0
-  in
+  let entries_threads = warp_threads t in
   if entries_threads = 0 then 0.0
   else float_of_int t.counters.Interp.restores /. float_of_int entries_threads
 
@@ -77,11 +96,7 @@ let cycle_breakdown t =
     tables in {!Interp} — one place to extend when adding a counter. *)
 let merge_into ~(into : t) (w : t) =
   Interp.merge_counters ~into:into.counters w.counters;
-  Hashtbl.iter
-    (fun ws count ->
-      Hashtbl.replace into.warp_hist ws
-        (Option.value (Hashtbl.find_opt into.warp_hist ws) ~default:0 + count))
-    w.warp_hist;
+  fold_warps (fun ws count () -> add_warps into ws count) w ();
   into.em_cycles <- into.em_cycles +. w.em_cycles;
   into.barrier_releases <- into.barrier_releases + w.barrier_releases;
   into.threads_launched <- into.threads_launched + w.threads_launched;
@@ -106,7 +121,7 @@ let to_metrics ?(metrics = Vekt_obs.Metrics.create ()) (t : t) :
   M.set (M.gauge metrics "wall.cycles") t.wall_cycles;
   M.set (M.gauge metrics "total.cycles") (total_cycles t);
   let h = M.histogram metrics "warp.size" in
-  Hashtbl.iter (fun ws count -> M.observe_n h ~bin:ws count) t.warp_hist;
+  fold_warps (fun ws count () -> M.observe_n h ~bin:ws count) t ();
   M.set (M.gauge metrics "warp.avg_size") (average_warp_size t);
   M.set
     (M.gauge metrics "warp.restores_per_thread")

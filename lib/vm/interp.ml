@@ -8,7 +8,13 @@
     register file (immediates get pre-filled slots), each computing
     instruction becomes a closure specialized on its lane count, value
     class and {!Vekt_ptx.Scalar_ops} operation, and each block's modelled
-    cycles, flops, kind and source-line shares are computed once.  The
+    cycles, flops, kind and source-line shares are computed once.  A
+    fast-path closure captures its operands decoded (first slot, lane
+    mask, lane count; int-file slots as byte offsets).  An integer one
+    is chosen by opcode and signedness and holds its type's
+    normalization as a shift and a mask, an f32 one by whether it must
+    round its operands, and a load or store by value class and access
+    width, so a lane loop decodes nothing and dispatches on nothing.  The
     glue the vectorizer wraps around every subkernel — lane packing and
     unpacking, context reads, spills, restores, resume points — is most
     of the static code, so each run of it becomes one closure over a
@@ -195,8 +201,11 @@ type cls =
     its operands in single words. *)
 type src = int
 
+(** The widest vector, and so warp, compiled code can hold. *)
+let max_lanes = 0x1ff
+
 let src ~cls ~base ~width =
-  if width > 0x1ff then invalid_arg "Interp: vector wider than 511 lanes";
+  if width > max_lanes then invalid_arg "Interp: vector wider than 511 lanes";
   let c = match cls with Cf -> 0 | Ci -> 1 | Cb -> 2 in
   (base lsl 12) lor (width lsl 3) lor ((if width = 1 then 0 else 1) lsl 2) lor c
 
@@ -241,10 +250,22 @@ type state = {
 
 (* Register access without bounds checks: {!compile} proved every slot
    and lane a closure touches in range of the file {!run} lends it. *)
-let[@inline] fget st s l = Array.unsafe_get st.rf (base_of s + (l * stride_of s))
-let[@inline] fset st s l x = Array.unsafe_set st.rf (base_of s + l) x
 let[@inline] iget st s l = get64u st.ri ((base_of s + (l * stride_of s)) lsl 3)
-let[@inline] iset st s l x = set64u st.ri ((base_of s + l) lsl 3) x
+
+(* Decoded operands.  A fast-path closure holds no packed {!src}: it
+   captures each operand's first slot and a lane mask, -1 for a vector
+   register (stride 1) and 0 for a scalar register or an immediate
+   (stride 0, so it splats).  Lane [l] of a float operand at slot [b]
+   with mask [k] is [rf.(b + (l land k))].  Int-file slots are scaled
+   to byte offsets, so lane [l] of an int operand is the int64 at byte
+   [b + ((l lsl 3) land k)] of [ri].  A destination is a register, whose
+   lanes are consecutive. *)
+let fslot (s : src) = base_of s
+let islot (s : src) = base_of s lsl 3
+let lmask (s : src) = -stride_of s
+
+let[@inline] fl (rf : float array) b k l = Array.unsafe_get rf (b + (l land k))
+let[@inline] il ri b k o = get64u ri (b + (o land k))
 
 (* Boxed lane access, for the paths that call {!Scalar_ops} directly. *)
 let get st s l : Scalar_ops.value =
@@ -301,6 +322,20 @@ let[@inline] norm n v =
   else if n.signed then Int64.shift_right (Int64.shift_left v n.sh) n.sh
   else Int64.shift_right_logical (Int64.shift_left v n.sh) n.sh
 
+(* [Scalar_ops.norm_int] for a type other than [Pred], as the two
+   constants {!nrm} takes, decided at lowering: the shift that brings
+   the type's bits to the top, and a mask that keeps the sign extension
+   {!nrm} makes (signed types) or clears it (the others). *)
+let norm_shift ty =
+  let sh = 64 - (8 * Ast.size_of ty) in
+  (sh, if Ast.is_signed ty then -1L else Int64.shift_right_logical (-1L) sh)
+
+let[@inline] nrm sh m v = Int64.logand (Int64.shift_right (Int64.shift_left v sh) sh) m
+
+(* The order of a normalized value of a signed type, or of an unsigned
+   one with its sign bit flipped, is signed [int64] order. *)
+let order_flip ty = if Ast.is_signed ty then 0L else Int64.min_int
+
 (* [x] rounded to single when [r]: an f32 result, or an f32 operand the
    lowering could not prove exact ({!Scalar_ops.as_float}). *)
 let[@inline] rnd r x = if r then Scalar_ops.round_f32 x else x
@@ -309,45 +344,24 @@ let fbin_ok = function
   | Ast.Add | Ast.Sub | Ast.Mul_lo | Ast.Div | Ast.Min | Ast.Max -> true
   | _ -> false
 
-let[@inline] fbin op x y =
+(* [Scalar_ops.float_binop]'s operation on [x] and [y], stored to
+   [rf.(i)] rounded when [r].  Each arm stores its own result, so no
+   float is boxed on its way out of the match. *)
+let[@inline] fbin_set (rf : float array) i r op x y =
   match op with
-  | Ast.Add -> x +. y
-  | Ast.Sub -> x -. y
-  | Ast.Mul_lo -> x *. y
-  | Ast.Div -> x /. y
-  | Ast.Min -> if x <= y || y <> y then x else y
-  | Ast.Max -> if x >= y || y <> y then x else y
-  | _ -> nan
+  | Ast.Add -> Array.unsafe_set rf i (rnd r (x +. y))
+  | Ast.Sub -> Array.unsafe_set rf i (rnd r (x -. y))
+  | Ast.Mul_lo -> Array.unsafe_set rf i (rnd r (x *. y))
+  | Ast.Div -> Array.unsafe_set rf i (rnd r (x /. y))
+  | Ast.Min -> Array.unsafe_set rf i (rnd r (if x <= y || y <> y then x else y))
+  | Ast.Max -> Array.unsafe_set rf i (rnd r (if x >= y || y <> y then x else y))
+  | _ -> Array.unsafe_set rf i nan
 
 let ibin_ok = function
   | Ast.Add | Ast.Sub | Ast.Mul_lo | Ast.And | Ast.Or | Ast.Xor | Ast.Shl
   | Ast.Shr | Ast.Min | Ast.Max ->
       true
   | _ -> false
-
-(* Unsigned order as signed order with the sign bit flipped. *)
-let[@inline] order n x = if n.signed then x else Int64.add x Int64.min_int
-
-(* [x] and [y] already normalized for [n]; the result is not. *)
-let[@inline] ibin op n x y =
-  match op with
-  | Ast.Add -> Int64.add x y
-  | Ast.Sub -> Int64.sub x y
-  | Ast.Mul_lo -> Int64.mul x y
-  | Ast.And -> Int64.logand x y
-  | Ast.Or -> Int64.logor x y
-  | Ast.Xor -> Int64.logxor x y
-  | Ast.Shl ->
-      let amt = Int64.to_int (Int64.logand y 0xFFFF_FFFFL) in
-      if amt >= 64 - n.sh then 0L else Int64.shift_left x amt
-  | Ast.Shr ->
-      let amt = Int64.to_int (Int64.logand y 0xFFFF_FFFFL) in
-      if n.signed then Int64.shift_right x (if amt > 63 then 63 else amt)
-      else if amt >= 64 - n.sh then 0L
-      else Int64.shift_right_logical x amt
-  | Ast.Min -> if order n x <= order n y then x else y
-  | Ast.Max -> if order n x >= order n y then x else y
-  | _ -> 0L
 
 let[@inline] fcmp op (x : float) y =
   match op with
@@ -358,29 +372,21 @@ let[@inline] fcmp op (x : float) y =
   | Ast.Gt -> x > y
   | Ast.Ge -> x >= y
 
-let[@inline] icmp op (x : int64) y =
-  match op with
-  | Ast.Eq -> x = y
-  | Ast.Ne -> x <> y
-  | Ast.Lt -> x < y
-  | Ast.Le -> x <= y
-  | Ast.Gt -> x > y
-  | Ast.Ge -> x >= y
-
 let funop_ok = function Ast.Not -> false | _ -> true
 
-let[@inline] funop op x =
+(* [Scalar_ops.unop]'s float operation on [x], stored like {!fbin_set}. *)
+let[@inline] funop_set (rf : float array) i r op x =
   match op with
-  | Ast.Neg -> -.x
-  | Ast.Abs -> Float.abs x
-  | Ast.Sqrt -> sqrt x
-  | Ast.Rsqrt -> 1.0 /. sqrt x
-  | Ast.Rcp -> 1.0 /. x
-  | Ast.Sin -> sin x
-  | Ast.Cos -> cos x
-  | Ast.Ex2 -> Float.exp2 x
-  | Ast.Lg2 -> Float.log2 x
-  | Ast.Not -> nan
+  | Ast.Neg -> Array.unsafe_set rf i (rnd r (-.x))
+  | Ast.Abs -> Array.unsafe_set rf i (rnd r (Float.abs x))
+  | Ast.Sqrt -> Array.unsafe_set rf i (rnd r (sqrt x))
+  | Ast.Rsqrt -> Array.unsafe_set rf i (rnd r (1.0 /. sqrt x))
+  | Ast.Rcp -> Array.unsafe_set rf i (rnd r (1.0 /. x))
+  | Ast.Sin -> Array.unsafe_set rf i (rnd r (sin x))
+  | Ast.Cos -> Array.unsafe_set rf i (rnd r (cos x))
+  | Ast.Ex2 -> Array.unsafe_set rf i (rnd r (Float.exp2 x))
+  | Ast.Lg2 -> Array.unsafe_set rf i (rnd r (Float.log2 x))
+  | Ast.Not -> Array.unsafe_set rf i nan
 
 let[@inline] of_bool b = if b then 1L else 0L
 
@@ -626,37 +632,234 @@ let has_lane s lane =
    then reads unchecked ({!run} checks the warp's width). *)
 let thread_lane ~ws lane = if lane < 0 || lane >= ws then raise (Bad "lane beyond the warp")
 
+(* The fast paths.  Each lowers one operation to a closure over decoded
+   operands, chosen at lowering by operation, signedness and rounding,
+   so its lane loop decodes nothing and dispatches on nothing.  The
+   loops are written out one per operation: the compiler (no flambda)
+   does not inline a function argument into a loop, which would leave
+   an indirect call per lane that boxes its operands. *)
+
 (* [Scalar_ops.float_binop] on unboxed lanes: [r] rounds the result to
    single, [ra]/[rb] the operands.  An f32 operation on exact operands
-   rounds only its result, and add, sub and mul get a closure each, so
-   their lane loops dispatch on nothing. *)
+   rounds only its result and gets a closure per operation; the rest
+   (f64, and f32 with an operand to round) share one loop. *)
 let fbin_code op ~r ~ra ~rb d a b : code =
-  if r && not (ra || rb) then
-    match op with
-    | Ast.Add ->
-        fun st ->
-          for l = 0 to width_of d - 1 do
-            fset st d l (Scalar_ops.round_f32 (fget st a l +. fget st b l))
-          done
-    | Ast.Sub ->
-        fun st ->
-          for l = 0 to width_of d - 1 do
-            fset st d l (Scalar_ops.round_f32 (fget st a l -. fget st b l))
-          done
-    | Ast.Mul_lo ->
-        fun st ->
-          for l = 0 to width_of d - 1 do
-            fset st d l (Scalar_ops.round_f32 (fget st a l *. fget st b l))
-          done
-    | _ ->
-        fun st ->
-          for l = 0 to width_of d - 1 do
-            fset st d l (Scalar_ops.round_f32 (fbin op (fget st a l) (fget st b l)))
-          done
-  else fun st ->
-    for l = 0 to width_of d - 1 do
-      fset st d l (rnd r (fbin op (rnd ra (fget st a l)) (rnd rb (fget st b l))))
-    done
+  let n = width_of d and db = fslot d in
+  let ab = fslot a and ak = lmask a and bb = fslot b and bk = lmask b in
+  let round = Scalar_ops.round_f32 and exact = r && not (ra || rb) in
+  match op with
+  | Ast.Add when exact ->
+      fun st ->
+        let rf = st.rf in
+        for l = 0 to n - 1 do
+          Array.unsafe_set rf (db + l) (round (fl rf ab ak l +. fl rf bb bk l))
+        done
+  | Ast.Sub when exact ->
+      fun st ->
+        let rf = st.rf in
+        for l = 0 to n - 1 do
+          Array.unsafe_set rf (db + l) (round (fl rf ab ak l -. fl rf bb bk l))
+        done
+  | Ast.Mul_lo when exact ->
+      fun st ->
+        let rf = st.rf in
+        for l = 0 to n - 1 do
+          Array.unsafe_set rf (db + l) (round (fl rf ab ak l *. fl rf bb bk l))
+        done
+  | Ast.Div when exact ->
+      fun st ->
+        let rf = st.rf in
+        for l = 0 to n - 1 do
+          Array.unsafe_set rf (db + l) (round (fl rf ab ak l /. fl rf bb bk l))
+        done
+  | Ast.Min when exact ->
+      fun st ->
+        let rf = st.rf in
+        for l = 0 to n - 1 do
+          let x = fl rf ab ak l and y = fl rf bb bk l in
+          Array.unsafe_set rf (db + l) (round (if x <= y || y <> y then x else y))
+        done
+  | Ast.Max when exact ->
+      fun st ->
+        let rf = st.rf in
+        for l = 0 to n - 1 do
+          let x = fl rf ab ak l and y = fl rf bb bk l in
+          Array.unsafe_set rf (db + l) (round (if x >= y || y <> y then x else y))
+        done
+  | _ ->
+      fun st ->
+        let rf = st.rf in
+        for l = 0 to n - 1 do
+          fbin_set rf (db + l) r op (rnd ra (fl rf ab ak l)) (rnd rb (fl rf bb bk l))
+        done
+
+(* [Scalar_ops.int_binop] on unboxed lanes of type [elt] (not [Pred]),
+   one closure per operation and, where it matters, signedness.  Add,
+   sub, mul.lo and the bitwise operations read their operands raw: the
+   low bits of their results depend only on the operands' low bits,
+   which normalization keeps, and the result is normalized.  Shifts take
+   their amount from the normalized second operand's low 32 bits; an
+   amount at or beyond the type's width clears a left shift or a logical
+   right shift and saturates an arithmetic one.  Min, max and the right
+   shifts read normalized operands, whose results need no normalizing. *)
+let ibin_code op elt d a b : code =
+  let n = width_of d and db = islot d in
+  let ab = islot a and ak = lmask a and bb = islot b and bk = lmask b in
+  let sh, m = norm_shift elt and flip = order_flip elt in
+  let bits = 64 - sh in
+  match op with
+  | Ast.Add ->
+      fun st ->
+        let ri = st.ri in
+        for l = 0 to n - 1 do
+          let o = l lsl 3 in
+          set64u ri (db + o) (nrm sh m (Int64.add (il ri ab ak o) (il ri bb bk o)))
+        done
+  | Ast.Sub ->
+      fun st ->
+        let ri = st.ri in
+        for l = 0 to n - 1 do
+          let o = l lsl 3 in
+          set64u ri (db + o) (nrm sh m (Int64.sub (il ri ab ak o) (il ri bb bk o)))
+        done
+  | Ast.Mul_lo ->
+      fun st ->
+        let ri = st.ri in
+        for l = 0 to n - 1 do
+          let o = l lsl 3 in
+          set64u ri (db + o) (nrm sh m (Int64.mul (il ri ab ak o) (il ri bb bk o)))
+        done
+  | Ast.And ->
+      fun st ->
+        let ri = st.ri in
+        for l = 0 to n - 1 do
+          let o = l lsl 3 in
+          set64u ri (db + o) (nrm sh m (Int64.logand (il ri ab ak o) (il ri bb bk o)))
+        done
+  | Ast.Or ->
+      fun st ->
+        let ri = st.ri in
+        for l = 0 to n - 1 do
+          let o = l lsl 3 in
+          set64u ri (db + o) (nrm sh m (Int64.logor (il ri ab ak o) (il ri bb bk o)))
+        done
+  | Ast.Xor ->
+      fun st ->
+        let ri = st.ri in
+        for l = 0 to n - 1 do
+          let o = l lsl 3 in
+          set64u ri (db + o) (nrm sh m (Int64.logxor (il ri ab ak o) (il ri bb bk o)))
+        done
+  | Ast.Shl ->
+      fun st ->
+        let ri = st.ri in
+        for l = 0 to n - 1 do
+          let o = l lsl 3 in
+          let amt = Int64.to_int (Int64.logand (nrm sh m (il ri bb bk o)) 0xFFFF_FFFFL) in
+          set64u ri (db + o)
+            (if amt >= bits then 0L else nrm sh m (Int64.shift_left (il ri ab ak o) amt))
+        done
+  | Ast.Shr when Ast.is_signed elt ->
+      fun st ->
+        let ri = st.ri in
+        for l = 0 to n - 1 do
+          let o = l lsl 3 in
+          let amt = Int64.to_int (Int64.logand (nrm sh m (il ri bb bk o)) 0xFFFF_FFFFL) in
+          set64u ri (db + o)
+            (Int64.shift_right (nrm sh m (il ri ab ak o)) (if amt > 63 then 63 else amt))
+        done
+  | Ast.Shr ->
+      fun st ->
+        let ri = st.ri in
+        for l = 0 to n - 1 do
+          let o = l lsl 3 in
+          let amt = Int64.to_int (Int64.logand (nrm sh m (il ri bb bk o)) 0xFFFF_FFFFL) in
+          set64u ri (db + o)
+            (if amt >= bits then 0L
+             else Int64.shift_right_logical (nrm sh m (il ri ab ak o)) amt)
+        done
+  | Ast.Min ->
+      fun st ->
+        let ri = st.ri in
+        for l = 0 to n - 1 do
+          let o = l lsl 3 in
+          let x = nrm sh m (il ri ab ak o) and y = nrm sh m (il ri bb bk o) in
+          set64u ri (db + o) (if Int64.add x flip <= Int64.add y flip then x else y)
+        done
+  | Ast.Max ->
+      fun st ->
+        let ri = st.ri in
+        for l = 0 to n - 1 do
+          let o = l lsl 3 in
+          let x = nrm sh m (il ri ab ak o) and y = nrm sh m (il ri bb bk o) in
+          set64u ri (db + o) (if Int64.add x flip >= Int64.add y flip then x else y)
+        done
+  | _ -> invalid_arg "Interp.ibin_code"
+
+(* [Scalar_ops.cmp] on unboxed integer lanes of type [elt] (not [Pred]),
+   one closure per comparison: normalized operands, moved by
+   {!order_flip} so that signed order is the type's. *)
+let icmp_code op elt d a b : code =
+  let n = width_of d and db = islot d in
+  let ab = islot a and ak = lmask a and bb = islot b and bk = lmask b in
+  let sh, m = norm_shift elt and flip = order_flip elt in
+  match op with
+  | Ast.Eq ->
+      fun st ->
+        let ri = st.ri in
+        for l = 0 to n - 1 do
+          let o = l lsl 3 in
+          set64u ri (db + o)
+            (of_bool (Int64.equal (nrm sh m (il ri ab ak o)) (nrm sh m (il ri bb bk o))))
+        done
+  | Ast.Ne ->
+      fun st ->
+        let ri = st.ri in
+        for l = 0 to n - 1 do
+          let o = l lsl 3 in
+          set64u ri (db + o)
+            (of_bool (not (Int64.equal (nrm sh m (il ri ab ak o)) (nrm sh m (il ri bb bk o)))))
+        done
+  | Ast.Lt ->
+      fun st ->
+        let ri = st.ri in
+        for l = 0 to n - 1 do
+          let o = l lsl 3 in
+          let x = Int64.add (nrm sh m (il ri ab ak o)) flip
+          and y = Int64.add (nrm sh m (il ri bb bk o)) flip in
+          set64u ri (db + o) (of_bool (x < y))
+        done
+  | Ast.Le ->
+      fun st ->
+        let ri = st.ri in
+        for l = 0 to n - 1 do
+          let o = l lsl 3 in
+          let x = Int64.add (nrm sh m (il ri ab ak o)) flip
+          and y = Int64.add (nrm sh m (il ri bb bk o)) flip in
+          set64u ri (db + o) (of_bool (x <= y))
+        done
+  | Ast.Gt ->
+      fun st ->
+        let ri = st.ri in
+        for l = 0 to n - 1 do
+          let o = l lsl 3 in
+          let x = Int64.add (nrm sh m (il ri ab ak o)) flip
+          and y = Int64.add (nrm sh m (il ri bb bk o)) flip in
+          set64u ri (db + o) (of_bool (x > y))
+        done
+  | Ast.Ge ->
+      fun st ->
+        let ri = st.ri in
+        for l = 0 to n - 1 do
+          let o = l lsl 3 in
+          let x = Int64.add (nrm sh m (il ri ab ak o)) flip
+          and y = Int64.add (nrm sh m (il ri bb bk o)) flip in
+          set64u ri (db + o) (of_bool (x >= y))
+        done
+
+(* A guest load's or store's address: the scalar int base at byte
+   [b] of [ri] plus the offset. *)
+let[@inline] addr st b off = Int64.to_int (get64u st.ri b) + off
 
 (* Lower one instruction that is not a lane copy, spill or restore to a
    closure.  [src]/[dst] resolve operands to slots; [exact r] says
@@ -674,6 +877,7 @@ let compile_op ~ws ~(src : Ir.operand -> src) ~(dst : Ir.vreg -> src) ~exact (i 
     | Ir.R reg as o -> (src o, r && not (exact reg))
     | o -> (src o, false)
   in
+  let int elt = (not (Ast.is_float elt)) && elt <> Ast.Pred in
   match i with
   | Ir.Bin (op, ty, d, a, b) -> (
       let w = ty.Ty.width and elt = ty.Ty.elt in
@@ -682,13 +886,7 @@ let compile_op ~ws ~(src : Ir.operand -> src) ~(dst : Ir.vreg -> src) ~exact (i 
       lanes d w [ a; b ];
       match (cls_of d, cls_of a, cls_of b) with
       | Cf, Cf, Cf when Ast.is_float elt && fbin_ok op -> fbin_code op ~r ~ra ~rb d a b
-      | Ci, Ci, Ci when (not (Ast.is_float elt)) && elt <> Ast.Pred && ibin_ok op ->
-          let n = norm_of elt in
-          fun st ->
-            for l = 0 to width_of d - 1 do
-              iset st d l
-                (norm n (ibin op n (norm n (iget st a l)) (norm n (iget st b l))))
-            done
+      | Ci, Ci, Ci when int elt && ibin_ok op -> ibin_code op elt d a b
       | _ -> map2 d a b (Scalar_ops.binop op elt))
   | Ir.Un (op, ty, d, a) -> (
       let w = ty.Ty.width and elt = ty.Ty.elt in
@@ -697,9 +895,11 @@ let compile_op ~ws ~(src : Ir.operand -> src) ~(dst : Ir.vreg -> src) ~exact (i 
       lanes d w [ a ];
       match (cls_of d, cls_of a) with
       | Cf, Cf when Ast.is_float elt && funop_ok op ->
+          let n = width_of d and db = fslot d and ab = fslot a and ak = lmask a in
           fun st ->
-            for l = 0 to width_of d - 1 do
-              fset st d l (rnd r (funop op (rnd ra (fget st a l))))
+            let rf = st.rf in
+            for l = 0 to n - 1 do
+              funop_set rf (db + l) r op (rnd ra (fl rf ab ak l))
             done
       | _ -> map1 d a (Scalar_ops.unop op elt))
   | Ir.Fma (ty, d, a, b, c) -> (
@@ -707,19 +907,32 @@ let compile_op ~ws ~(src : Ir.operand -> src) ~(dst : Ir.vreg -> src) ~exact (i 
       let r = elt = Ast.F32 in
       let d = dst d and a, ra = fsrc r a and b, rb = fsrc r b and c, rc = fsrc r c in
       lanes d w [ a; b; c ];
+      let n = width_of d and ak = lmask a and bk = lmask b and ck = lmask c in
       match (cls_of d, cls_of a, cls_of b, cls_of c) with
       | Cf, Cf, Cf, Cf when Ast.is_float elt ->
-          fun st ->
-            for l = 0 to width_of d - 1 do
-              let p = rnd r (rnd ra (fget st a l) *. rnd rb (fget st b l)) in
-              fset st d l (rnd r (p +. rnd rc (fget st c l)))
+          let db = fslot d and ab = fslot a and bb = fslot b and cb = fslot c in
+          if r && not (ra || rb || rc) then fun st ->
+            let rf = st.rf in
+            for l = 0 to n - 1 do
+              let p = Scalar_ops.round_f32 (fl rf ab ak l *. fl rf bb bk l) in
+              Array.unsafe_set rf (db + l) (Scalar_ops.round_f32 (p +. fl rf cb ck l))
             done
-      | Ci, Ci, Ci, Ci when not (Ast.is_float elt) ->
-          let n = norm_of elt in
+          else fun st ->
+            let rf = st.rf in
+            for l = 0 to n - 1 do
+              let p = rnd r (rnd ra (fl rf ab ak l) *. rnd rb (fl rf bb bk l)) in
+              Array.unsafe_set rf (db + l) (rnd r (p +. rnd rc (fl rf cb ck l)))
+            done
+      | Ci, Ci, Ci, Ci when int elt ->
+          (* the low bits of [a * b + c] need no operand normalized *)
+          let db = islot d and ab = islot a and bb = islot b and cb = islot c in
+          let sh, m = norm_shift elt in
           fun st ->
-            for l = 0 to width_of d - 1 do
-              let x = norm n (iget st a l) and y = norm n (iget st b l) in
-              iset st d l (norm n (Int64.add (Int64.mul x y) (norm n (iget st c l))))
+            let ri = st.ri in
+            for l = 0 to n - 1 do
+              let o = l lsl 3 in
+              set64u ri (db + o)
+                (nrm sh m (Int64.add (Int64.mul (il ri ab ak o) (il ri bb bk o)) (il ri cb ck o)))
             done
       | _ -> map3 d a b c (Scalar_ops.mad elt))
   | Ir.Cmp (op, ty, d, a, b) -> (
@@ -729,32 +942,37 @@ let compile_op ~ws ~(src : Ir.operand -> src) ~(dst : Ir.vreg -> src) ~exact (i 
       lanes d w [ a; b ];
       match (cls_of d, cls_of a, cls_of b) with
       | Ci, Cf, Cf when Ast.is_float elt ->
+          let n = width_of d and db = islot d in
+          let ab = fslot a and ak = lmask a and bb = fslot b and bk = lmask b in
           fun st ->
-            for l = 0 to width_of d - 1 do
-              iset st d l (of_bool (fcmp op (rnd ra (fget st a l)) (rnd rb (fget st b l))))
+            let rf = st.rf and ri = st.ri in
+            for l = 0 to n - 1 do
+              set64u ri (db + (l lsl 3))
+                (of_bool (fcmp op (rnd ra (fl rf ab ak l)) (rnd rb (fl rf bb bk l))))
             done
-      | Ci, Ci, Ci when not (Ast.is_float elt) ->
-          let n = norm_of elt in
-          fun st ->
-            for l = 0 to width_of d - 1 do
-              let x = order n (norm n (iget st a l)) and y = order n (norm n (iget st b l)) in
-              iset st d l (of_bool (icmp op x y))
-            done
+      | Ci, Ci, Ci when int elt -> icmp_code op elt d a b
       | _ -> map2 d a b (fun x y -> Scalar_ops.of_bool (Scalar_ops.cmp op elt x y)))
   | Ir.Select (ty, d, c, a, b) -> (
       let w = ty.Ty.width in
       let d = dst d and c = src c and a = src a and b = src b in
       lanes d w [ c; a; b ];
+      let n = width_of d and cb = islot c and ck = lmask c and ak = lmask a and bk = lmask b in
       match (cls_of c, cls_of d, cls_of a, cls_of b) with
       | Ci, Cf, Cf, Cf ->
+          let db = fslot d and ab = fslot a and bb = fslot b in
           fun st ->
-            for l = 0 to width_of d - 1 do
-              fset st d l (if iget st c l <> 0L then fget st a l else fget st b l)
+            let rf = st.rf and ri = st.ri in
+            for l = 0 to n - 1 do
+              Array.unsafe_set rf (db + l)
+                (if il ri cb ck (l lsl 3) <> 0L then fl rf ab ak l else fl rf bb bk l)
             done
       | Ci, Ci, Ci, Ci ->
+          let db = islot d and ab = islot a and bb = islot b in
           fun st ->
-            for l = 0 to width_of d - 1 do
-              iset st d l (if iget st c l <> 0L then iget st a l else iget st b l)
+            let ri = st.ri in
+            for l = 0 to n - 1 do
+              let o = l lsl 3 in
+              set64u ri (db + o) (if il ri cb ck o <> 0L then il ri ab ak o else il ri bb bk o)
             done
       | _ -> map3 d c a b (fun cv x y -> if Scalar_ops.to_bool cv then x else y))
   | Ir.Mov _ | Ir.Broadcast _ | Ir.Extract _ | Ir.Insert _ | Ir.Spill _ | Ir.Restore _
@@ -765,46 +983,81 @@ let compile_op ~ws ~(src : Ir.operand -> src) ~(dst : Ir.vreg -> src) ~exact (i 
       let rd = de = Ast.F32 in
       let d = dst d and a, ra = fsrc (se = Ast.F32) a in
       lanes d w [ a ];
+      let n = width_of d and ak = lmask a in
       match (cls_of d, cls_of a, Ast.is_float de, Ast.is_float se) with
       | Cf, Cf, true, true ->
+          let db = fslot d and ab = fslot a in
           fun st ->
-            for l = 0 to width_of d - 1 do
-              fset st d l (rnd rd (rnd ra (fget st a l)))
+            let rf = st.rf in
+            for l = 0 to n - 1 do
+              Array.unsafe_set rf (db + l) (rnd rd (rnd ra (fl rf ab ak l)))
             done
-      | Cf, Ci, true, false ->
-          let ns = norm_of se and mode = Scalar_ops.int_to_float_mode ~src:se ~dst:de in
+      | Cf, Ci, true, false when se <> Ast.Pred ->
+          let db = fslot d and ab = islot a in
+          let shs, ms = norm_shift se and mode = Scalar_ops.int_to_float_mode ~src:se ~dst:de in
           fun st ->
-            for l = 0 to width_of d - 1 do
-              fset st d l (Scalar_ops.int_to_float mode (norm ns (iget st a l)))
+            let rf = st.rf and ri = st.ri in
+            for l = 0 to n - 1 do
+              Array.unsafe_set rf (db + l)
+                (Scalar_ops.int_to_float mode (nrm shs ms (il ri ab ak (l lsl 3))))
             done
-      | Ci, Cf, false, true ->
-          let nd = norm_of de and mode = Scalar_ops.float_to_int_mode de in
+      | Ci, Cf, false, true when de <> Ast.Pred ->
+          let db = islot d and ab = fslot a in
+          let shd, md = norm_shift de and mode = Scalar_ops.float_to_int_mode de in
           fun st ->
-            for l = 0 to width_of d - 1 do
-              iset st d l (norm nd (Scalar_ops.float_to_int mode (rnd ra (fget st a l))))
+            let rf = st.rf and ri = st.ri in
+            for l = 0 to n - 1 do
+              set64u ri (db + (l lsl 3))
+                (nrm shd md (Scalar_ops.float_to_int mode (rnd ra (fl rf ab ak l))))
             done
-      | Ci, Ci, false, false ->
-          let nd = norm_of de and ns = norm_of se in
+      | Ci, Ci, false, false when de <> Ast.Pred && se <> Ast.Pred ->
+          let db = islot d and ab = islot a in
+          let shd, md = norm_shift de and shs, ms = norm_shift se in
           fun st ->
-            for l = 0 to width_of d - 1 do
-              iset st d l (norm nd (norm ns (iget st a l)))
+            let ri = st.ri in
+            for l = 0 to n - 1 do
+              let o = l lsl 3 in
+              set64u ri (db + o) (nrm shd md (nrm shs ms (il ri ab ak o)))
             done
       | _ -> map1 d a (Scalar_ops.cvt ~dst:de ~src:se))
   | Ir.Load (sp, ty, d, base, off) -> (
       let d = dst d and base = scalar base and width = Ast.size_of ty in
       lanes d 1 [];
+      let ab = islot base in
       match (cls_of base, cls_of d, Ast.is_float ty) with
       | Ci, Cf, true ->
-          fun st ->
-            let a = Int64.to_int (iget st base 0) + off in
-            touch st sp a width;
-            fset st d 0 (float_of_bits width (load_bits (seg st sp) width a))
-      | Ci, Ci, false ->
-          let n = norm_of ty in
-          fun st ->
-            let a = Int64.to_int (iget st base 0) + off in
-            touch st sp a width;
-            iset st d 0 (norm n (load_bits (seg st sp) width a))
+          let db = fslot d in
+          if width = 4 then fun st ->
+            let a = addr st ab off in
+            touch st sp a 4;
+            Array.unsafe_set st.rf db (float_of_bits 4 (load_bits (seg st sp) 4 a))
+          else fun st ->
+            let a = addr st ab off in
+            touch st sp a 8;
+            Array.unsafe_set st.rf db (float_of_bits 8 (load_bits (seg st sp) 8 a))
+      | Ci, Ci, false when ty <> Ast.Pred -> (
+          let db = islot d and sh, m = norm_shift ty in
+          match width with
+          | 1 ->
+              fun st ->
+                let a = addr st ab off in
+                touch st sp a 1;
+                set64u st.ri db (nrm sh m (load_bits (seg st sp) 1 a))
+          | 2 ->
+              fun st ->
+                let a = addr st ab off in
+                touch st sp a 2;
+                set64u st.ri db (nrm sh m (load_bits (seg st sp) 2 a))
+          | 4 ->
+              fun st ->
+                let a = addr st ab off in
+                touch st sp a 4;
+                set64u st.ri db (nrm sh m (load_bits (seg st sp) 4 a))
+          | _ ->
+              fun st ->
+                let a = addr st ab off in
+                touch st sp a 8;
+                set64u st.ri db (load_bits (seg st sp) 8 a))
       | _ ->
           fun st ->
             let a = as_addr (get st base 0) + off in
@@ -812,21 +1065,46 @@ let compile_op ~ws ~(src : Ir.operand -> src) ~(dst : Ir.vreg -> src) ~exact (i 
             put st d 0 (Mem.load (seg st sp) ty a))
   | Ir.Store (sp, ty, base, off, v) -> (
       let base = scalar base and v = scalar v and width = Ast.size_of ty in
+      let ab = islot base in
       match (cls_of base, cls_of v, Ast.is_float ty) with
       | Ci, Cf, true ->
           (* an f32 store needs no rounding first: the conversion to
              single in [bits_of_float 4] rounds exactly as
              {!Scalar_ops.round_f32} does *)
-          fun st ->
-            let a = Int64.to_int (iget st base 0) + off in
-            touch st sp a width;
-            store_bits (seg st sp) width a (bits_of_float width (fget st v 0))
-      | Ci, Ci, false ->
-          let n = norm_of ty in
-          fun st ->
-            let a = Int64.to_int (iget st base 0) + off in
-            touch st sp a width;
-            store_bits (seg st sp) width a (norm n (iget st v 0))
+          let vb = fslot v in
+          if width = 4 then fun st ->
+            let a = addr st ab off in
+            touch st sp a 4;
+            store_bits (seg st sp) 4 a (bits_of_float 4 (Array.unsafe_get st.rf vb))
+          else fun st ->
+            let a = addr st ab off in
+            touch st sp a 8;
+            store_bits (seg st sp) 8 a (bits_of_float 8 (Array.unsafe_get st.rf vb))
+      | Ci, Ci, false when ty <> Ast.Pred -> (
+          (* the bytes stored are the value's low ones, which
+             normalization keeps *)
+          let vb = islot v in
+          match width with
+          | 1 ->
+              fun st ->
+                let a = addr st ab off in
+                touch st sp a 1;
+                store_bits (seg st sp) 1 a (get64u st.ri vb)
+          | 2 ->
+              fun st ->
+                let a = addr st ab off in
+                touch st sp a 2;
+                store_bits (seg st sp) 2 a (get64u st.ri vb)
+          | 4 ->
+              fun st ->
+                let a = addr st ab off in
+                touch st sp a 4;
+                store_bits (seg st sp) 4 a (get64u st.ri vb)
+          | _ ->
+              fun st ->
+                let a = addr st ab off in
+                touch st sp a 8;
+                store_bits (seg st sp) 8 a (get64u st.ri vb))
       | _ ->
           fun st ->
             let a = as_addr (get st base 0) + off in
@@ -874,12 +1152,16 @@ let compile_op ~ws ~(src : Ir.operand -> src) ~(dst : Ir.vreg -> src) ~exact (i 
       let n = if stride_of a = 1 then width_of a else 1 in
       match (cls_of d, cls_of a) with
       | Ci, Ci ->
+          let db = islot d and ab = islot a in
           fun st ->
+            let ri = st.ri in
             let sum = ref 0L in
             for l = 0 to n - 1 do
-              sum := Int64.add !sum (norm s32 (iget st a l))
+              (* each lane read as s32 *)
+              let x = get64u ri (ab + (l lsl 3)) in
+              sum := Int64.add !sum (Int64.shift_right (Int64.shift_left x 32) 32)
             done;
-            iset st d 0 !sum
+            set64u ri db !sum
       | _ ->
           fun st ->
             let sum = ref 0L in
@@ -1093,6 +1375,16 @@ let fuse (pieces : piece list) : code array =
   in
   go [] pieces
 
+(* Immediates by tag and 64-bit pattern, hashed and compared without
+   the polymorphic primitives. *)
+module Imm_tbl = Hashtbl.Make (struct
+  type t = int * int64
+
+  let equal ((t, x) : t) (u, y) = t = u && Int64.equal x y
+  let hash ((t, x) : t) =
+    Int64.to_int x lxor (Int64.to_int (Int64.shift_right_logical x 32) * 31) lxor t
+end)
+
 (** Lower [f] once for [machine]: every block also carries its modelled
     cycles, flops and source-line shares, charged per execution by
     {!run}. *)
@@ -1134,7 +1426,7 @@ let compile ~(machine : Machine.t) (f : Ir.func) : t =
   in
   let slot r = fst (Option.get regs.(r)) in
   let f_regs = !nf and i_regs = !ni in
-  let imms = Hashtbl.create 16 in
+  let imms = Imm_tbl.create 16 in
   let src = function
     | Ir.R r -> slot r
     | Ir.Imm (v, _) -> (
@@ -1143,12 +1435,12 @@ let compile ~(machine : Machine.t) (f : Ir.func) : t =
           | Scalar_ops.I x -> (tag_i, x)
           | Scalar_ops.F x -> (tag_f, Int64.bits_of_float x)
         in
-        match Hashtbl.find_opt imms key with
+        match Imm_tbl.find_opt imms key with
         | Some (s, _) -> s
         | None ->
             let cls = cls_of_tags (fst key) in
             let s = src ~cls ~base:(alloc cls 1) ~width:1 in
-            Hashtbl.replace imms key (s, v);
+            Imm_tbl.replace imms key (s, v);
             s)
   in
   let blocks = Ir.blocks f in
@@ -1205,7 +1497,7 @@ let compile ~(machine : Machine.t) (f : Ir.func) : t =
     done
   in
   Array.iter (Option.iter (fun (s, zero) -> init s zero)) regs;
-  Hashtbl.iter (fun _ (s, v) -> init s v) imms;
+  Imm_tbl.iter (fun _ (s, v) -> init s v) imms;
   {
     name = f.Ir.fname;
     warp_size = f.Ir.warp_size;

@@ -4,7 +4,10 @@
    each candidate's printed text, register pressure summed over one live
    set per instruction, source-line shares split by largest remainder
    over an association list, and thread-invariance as a taint over the
-   registers.  The compiler computes the same results with dense bitsets,
+   registers.  [Int_ops] is PTX's integer arithmetic, comparison and
+   conversion, written from the instruction set's rules in [Int32] and
+   [Int64] arithmetic, apart from the shared scalar semantics the
+   emulator and the interpreter use.  The compiler computes the same results with dense bitsets,
    integer-array keys, running sums, small sorted arrays and the uniform
    classes of its affine lattice; test_models.ml checks that they
    agree. *)
@@ -242,4 +245,111 @@ module Invariance = struct
         (Ir.blocks f)
     done;
     !variant
+end
+
+(* PTX integer semantics on register patterns.  A register holds 64 bits;
+   an operation of type [ty] reads the low bits of its operands at the
+   type's width, sign-extended for a signed type and zero-extended
+   otherwise, and leaves its result in the same form.  Types of at most
+   32 bits compute in [Int32], 64-bit types in [Int64]: add, sub and
+   mul.lo wrap, min, max and the comparisons order signed or unsigned
+   values, and a shift takes its amount as a .u32 (the second operand's
+   value modulo 2^32).  An amount at or beyond the width clears shl and
+   a logical shr and fills an arithmetic shr with the sign. *)
+module Int_ops = struct
+  module Ast = Vekt_ptx.Ast
+
+  (* width in bits, signedness *)
+  let shape = function
+    | Ast.B8 | Ast.U8 -> (8, false)
+    | Ast.S8 -> (8, true)
+    | Ast.B16 | Ast.U16 -> (16, false)
+    | Ast.S16 -> (16, true)
+    | Ast.B32 | Ast.U32 -> (32, false)
+    | Ast.S32 -> (32, true)
+    | Ast.B64 | Ast.U64 -> (64, false)
+    | Ast.S64 -> (64, true)
+    | ty -> invalid_arg ("Int_ops: not an integer type: " ^ Ast.show_dtype ty)
+
+  (* The low [bits] bits of [x], extended to 32 bits. *)
+  let narrow bits signed (x : int32) =
+    if bits = 32 then x
+    else if signed then Int32.shift_right (Int32.shift_left x (32 - bits)) (32 - bits)
+    else Int32.logand x (Int32.pred (Int32.shift_left 1l bits))
+
+  let widen signed (x : int32) =
+    if signed then Int64.of_int32 x else Int64.logand (Int64.of_int32 x) 0xFFFF_FFFFL
+
+  (* The register pattern of [x]'s value at [ty]. *)
+  let value ty (x : int64) =
+    let bits, signed = shape ty in
+    if bits = 64 then x else widen signed (narrow bits signed (Int64.to_int32 x))
+
+  let amount ty (x : int64) = Int64.to_int (Int64.logand (value ty x) 0xFFFF_FFFFL)
+
+  let binop (op : Ast.binop) ty (a : int64) (b : int64) : int64 =
+    let bits, signed = shape ty in
+    let amt = amount ty b in
+    if bits = 64 then
+      let cmp = if signed then Int64.compare a b else Int64.unsigned_compare a b in
+      match op with
+      | Ast.Add -> Int64.add a b
+      | Ast.Sub -> Int64.sub a b
+      | Ast.Mul_lo -> Int64.mul a b
+      | Ast.And -> Int64.logand a b
+      | Ast.Or -> Int64.logor a b
+      | Ast.Xor -> Int64.logxor a b
+      | Ast.Shl -> if amt >= 64 then 0L else Int64.shift_left a amt
+      | Ast.Shr ->
+          if signed then Int64.shift_right a (min amt 63)
+          else if amt >= 64 then 0L
+          else Int64.shift_right_logical a amt
+      | Ast.Min -> if cmp <= 0 then a else b
+      | Ast.Max -> if cmp >= 0 then a else b
+      | _ -> invalid_arg "Int_ops.binop"
+    else
+      let x = narrow bits signed (Int64.to_int32 a) and y = narrow bits signed (Int64.to_int32 b) in
+      let cmp = if signed then Int32.compare x y else Int32.unsigned_compare x y in
+      let r =
+        match op with
+        | Ast.Add -> Int32.add x y
+        | Ast.Sub -> Int32.sub x y
+        | Ast.Mul_lo -> Int32.mul x y
+        | Ast.And -> Int32.logand x y
+        | Ast.Or -> Int32.logor x y
+        | Ast.Xor -> Int32.logxor x y
+        | Ast.Shl -> if amt >= bits then 0l else Int32.shift_left x amt
+        | Ast.Shr ->
+            if signed then Int32.shift_right x (min amt 31)
+            else if amt >= bits then 0l
+            else Int32.shift_right_logical x amt
+        | Ast.Min -> if cmp <= 0 then x else y
+        | Ast.Max -> if cmp >= 0 then x else y
+        | _ -> invalid_arg "Int_ops.binop"
+      in
+      widen signed (narrow bits signed r)
+
+  let cmp (op : Ast.cmpop) ty (a : int64) (b : int64) : bool =
+    let bits, signed = shape ty in
+    let c =
+      if bits = 64 then if signed then Int64.compare a b else Int64.unsigned_compare a b
+      else
+        let x = narrow bits signed (Int64.to_int32 a) and y = narrow bits signed (Int64.to_int32 b) in
+        if signed then Int32.compare x y else Int32.unsigned_compare x y
+    in
+    match op with
+    | Ast.Eq -> c = 0
+    | Ast.Ne -> c <> 0
+    | Ast.Lt -> c < 0
+    | Ast.Le -> c <= 0
+    | Ast.Gt -> c > 0
+    | Ast.Ge -> c >= 0
+
+  (* mad.lo: the low bits of a * b + c *)
+  let mad ty a b c =
+    value ty (Int64.add (Int64.mul (value ty a) (value ty b)) (value ty c))
+
+  (* cvt between integer types: the source's value, extended per the
+     source's signedness, then cut to the destination's width *)
+  let cvt ~dst ~src x = value dst (value src x)
 end

@@ -56,8 +56,8 @@ let mk_stats next =
   s.Stats.barrier_releases <- next () land 0xFF;
   s.Stats.threads_launched <- next () land 0xFFFF;
   s.Stats.wall_cycles <- float_of_int (next ());
-  Hashtbl.replace s.Stats.warp_hist 1 (next () land 0xFF);
-  Hashtbl.replace s.Stats.warp_hist 4 (next () land 0xFF);
+  Stats.add_warps s 1 (next () land 0xFF);
+  Stats.add_warps s 4 (next () land 0xFF);
   s
 
 let mk_bytes next n = Bytes.init n (fun _ -> Char.chr (next () land 0xFF))
@@ -154,6 +154,42 @@ let test_trailing_bytes_rejected () =
   | _ -> Alcotest.fail "trailing bytes accepted"
   | exception e ->
       Alcotest.(check bool) "structured error" true (is_ckpt_error e)
+
+(* A warp width outside 1..511 (the widest warp compiled code holds) in
+   a snapshot's histogram is a structured checkpoint error, however far
+   outside it lies; 511 itself decodes.  The width is rewritten in an
+   encoded snapshot, whose digest is then recomputed. *)
+let test_bad_warp_width_rejected () =
+  let snap = mk_snap 7 and count = 0x5EED_F00D in
+  let stats = snap.Checkpoint.worker_snaps.(0).Checkpoint.w_stats in
+  Stats.add_warps stats 8 count;
+  let data = Checkpoint.to_bytes snap in
+  let pair = Bytes.create 16 in
+  Bytes.set_int64_le pair 0 8L;
+  Bytes.set_int64_le pair 8 (Int64.of_int count);
+  let rec find k =
+    if k + 16 > Bytes.length data then Alcotest.fail "histogram pair not found"
+    else if Bytes.equal (Bytes.sub data k 16) pair then k
+    else find (k + 1)
+  in
+  let at = find Checkpoint.header_bytes in
+  let with_width ws =
+    let b = Bytes.copy data in
+    Bytes.set_int64_le b at (Int64.of_int ws);
+    let plen = Bytes.length b - Checkpoint.header_bytes in
+    Bytes.blit_string (Digest.subbytes b Checkpoint.header_bytes plen) 0 b 12 16;
+    b
+  in
+  let ok = Checkpoint.of_bytes ~path:"(test)" (with_width Interp.max_lanes) in
+  Alcotest.(check int) "width 511 decodes" count
+    (Stats.warp_count ok.Checkpoint.worker_snaps.(0).Checkpoint.w_stats Interp.max_lanes);
+  List.iter
+    (fun ws ->
+      match Checkpoint.of_bytes ~path:"(test)" (with_width ws) with
+      | _ -> Alcotest.failf "warp width %d accepted" ws
+      | exception e ->
+          Alcotest.(check bool) (Fmt.str "width %d: structured error" ws) true (is_ckpt_error e))
+    [ 0; -1; Interp.max_lanes + 1; 1 lsl 40; max_int ]
 
 (* ---- interrupted + resumed = uninterrupted, across the registry ---- *)
 
@@ -613,6 +649,8 @@ let () =
           q test_bitflip_rejected;
           Alcotest.test_case "trailing bytes rejected" `Quick
             test_trailing_bytes_rejected;
+          Alcotest.test_case "warp width outside 1..511 rejected" `Quick
+            test_bad_warp_width_rejected;
         ] );
       ( "resume-differential-w1",
         List.map

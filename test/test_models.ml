@@ -208,6 +208,54 @@ let prop_uniformity =
       | tr, plan -> check_uniformity ~exact:false "fuzz kernel" tr.Ptx_to_ir.func plan);
       true)
 
+(* The shared scalar semantics against the PTX integer model: every
+   integer operation the interpreter specializes, at every integer type,
+   on patterns drawn from the types' edges and from the whole 64-bit
+   range. *)
+module Int_ops = Models.Int_ops
+module Ast = Vekt_ptx.Ast
+module Scalar_ops = Vekt_ptx.Scalar_ops
+
+let int_types = Ast.[ B8; B16; B32; B64; U8; U16; U32; U64; S8; S16; S32; S64 ]
+let int_binops = Ast.[ Add; Sub; Mul_lo; And; Or; Xor; Shl; Shr; Min; Max ]
+let int_cmps = Ast.[ Eq; Ne; Lt; Le; Gt; Ge ]
+
+let int_pattern =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl
+          [ 0L; 1L; -1L; 7L; 8L; 16L; 31L; 32L; 33L; 63L; 64L; 65L; 0x7FL; 0x80L; 0xFFL; -128L;
+            0x7FFFL; 0x8000L; 0xFFFFL; -32768L; 0x7FFF_FFFFL; 0x8000_0000L; 0xFFFF_FFFFL;
+            -0x8000_0000L; Int64.max_int; Int64.min_int ];
+        map Int64.of_int (int_range 0 70);
+        ui64;
+      ])
+
+let prop_int_ops =
+  let gen = QCheck.Gen.(quad (oneofl int_types) (oneofl int_binops) (oneofl int_cmps) (triple int_pattern int_pattern int_pattern)) in
+  let print (ty, op, c, (a, b, x)) =
+    Fmt.str "%s %s/%s %#Lx %#Lx %#Lx" (Ast.show_dtype ty) (Vekt_ptx.Printer.binop_str op)
+      (Vekt_ptx.Printer.cmp_str c) a b x
+  in
+  QCheck.Test.make ~name:"Scalar_ops integer binop/cmp/mad/cvt == PTX model" ~count:5000
+    (QCheck.make ~print gen) (fun (ty, op, c, (a, b, x)) ->
+      let int_of where = function
+        | Scalar_ops.I v -> v
+        | Scalar_ops.F _ -> fail where "float result"
+      in
+      let same where got want =
+        if not (Int64.equal got want) then fail where "got %#Lx, want %#Lx" got want
+      in
+      same "binop" (int_of "binop" (Scalar_ops.binop op ty (I a) (I b))) (Int_ops.binop op ty a b);
+      if Scalar_ops.cmp c ty (I a) (I b) <> Int_ops.cmp c ty a b then fail "cmp" "differs";
+      same "mad" (int_of "mad" (Scalar_ops.mad ty (I a) (I b) (I x))) (Int_ops.mad ty a b x);
+      List.iter
+        (fun src ->
+          same "cvt" (int_of "cvt" (Scalar_ops.cvt ~dst:ty ~src (I x))) (Int_ops.cvt ~dst:ty ~src x))
+        int_types;
+      true)
+
 let registry_uniformity () =
   List.iter
     (fun (w : Vekt_workloads.Workload.t) ->
@@ -220,7 +268,15 @@ let () =
     [
       ( "models",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_liveness; prop_dce; prop_cse; prop_pressure; prop_shares; prop_uniformity ]
+          [
+            prop_liveness;
+            prop_dce;
+            prop_cse;
+            prop_pressure;
+            prop_shares;
+            prop_uniformity;
+            prop_int_ops;
+          ]
         @ [
             Alcotest.test_case "registry uniform classes == taint model" `Quick
               registry_uniformity;

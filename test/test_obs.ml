@@ -320,12 +320,9 @@ let check_profile_reconciles (w : Workload.t) =
     (Divergence.total_spills profile);
   Alcotest.(check int)
     (w.Workload.name ^ ": warps")
-    (Hashtbl.fold (fun _ c a -> a + c) stats.Stats.warp_hist 0)
+    (Stats.total_warps stats)
     (Divergence.total_entries profile);
-  let stats_hist =
-    Hashtbl.fold (fun ws c l -> (ws, c) :: l) stats.Stats.warp_hist []
-    |> List.sort compare
-  in
+  let stats_hist = Stats.warp_histogram stats in
   Alcotest.(check (list (pair int int)))
     (w.Workload.name ^ ": warp histogram")
     stats_hist (Divergence.warp_hist profile);

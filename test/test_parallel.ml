@@ -44,10 +44,6 @@ let run_pool ?(config = Api.default_config) (w : Workload.t) ~workers ~domains
   in
   (dev, m, inst, stats)
 
-let hist_list h =
-  Hashtbl.fold (fun ws c acc -> (ws, c) :: acc) h []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
 (* Integer statistics must be exactly partition-independent; float cycle
    totals agree up to summation order; wall cycles (max over workers)
    legitimately shrink with more workers. *)
@@ -64,8 +60,8 @@ let check_stats_match what ~(serial : Stats.t) ~(par : Stats.t) =
   ci "threads_launched" serial.Stats.threads_launched par.Stats.threads_launched;
   Alcotest.(check (list (pair int int)))
     (what ^ ": warp histogram")
-    (hist_list serial.Stats.warp_hist)
-    (hist_list par.Stats.warp_hist);
+    (Stats.warp_histogram serial)
+    (Stats.warp_histogram par);
   let cf name a b =
     let tol = 1e-6 *. Float.max 1.0 (Float.abs a) in
     if Float.abs (a -. b) > tol then
@@ -418,9 +414,7 @@ let test_fault_differential () =
             (Fmt.str "%s fault workers=%d: no 4-wide warps" w.Workload.name
                workers)
             0
-            (Option.value
-               (Hashtbl.find_opt par.Stats.warp_hist 4)
-               ~default:0);
+            (Stats.warp_count par 4);
           ignore m)
         [ 2; 4 ])
     (List.filteri (fun i _ -> i < 4) some_workloads)

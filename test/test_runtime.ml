@@ -267,10 +267,8 @@ let test_em_static_warps_row_aligned () =
   Alcotest.(check (list int)) "identity" (List.init 24 Fun.id)
     (Mem.read_i32s global ~at:0 24);
   (* 4 rows x (one warp of 4 + one warp of 2) *)
-  Alcotest.(check (option int)) "warps of 4" (Some 4)
-    (Hashtbl.find_opt stats.Stats.warp_hist 4);
-  Alcotest.(check (option int)) "warps of 2" (Some 4)
-    (Hashtbl.find_opt stats.Stats.warp_hist 2)
+  Alcotest.(check int) "warps of 4" 4 (Stats.warp_count stats 4);
+  Alcotest.(check int) "warps of 2" 4 (Stats.warp_count stats 2)
 
 let test_em_multicta_partitioning () =
   (* results must be independent of the worker count *)
@@ -333,10 +331,8 @@ let test_stats_merge_wall_max_counters_sum () =
     into.Stats.wall_cycles;
   Alcotest.(check (float 1e-9)) "serial total is the sum" 180.0
     (Stats.total_cycles into);
-  Alcotest.(check (option int)) "hist 4 merged" (Some 2)
-    (Hashtbl.find_opt into.Stats.warp_hist 4);
-  Alcotest.(check (option int)) "hist 2 merged" (Some 2)
-    (Hashtbl.find_opt into.Stats.warp_hist 2);
+  Alcotest.(check int) "hist 4 merged" 2 (Stats.warp_count into 4);
+  Alcotest.(check int) "hist 2 merged" 2 (Stats.warp_count into 2);
   (* merging a third worker below the current wall leaves the max *)
   Stats.merge_into ~into (mk 5.0 1.0 0 1);
   Alcotest.(check (float 1e-9)) "wall keeps max" 150.0 into.Stats.wall_cycles
@@ -384,7 +380,7 @@ let test_stats_merge () =
   let into = Stats.create () in
   Stats.merge_into ~into a;
   Stats.merge_into ~into b;
-  Alcotest.(check (option int)) "hist 4" (Some 2) (Hashtbl.find_opt into.Stats.warp_hist 4);
+  Alcotest.(check int) "hist 4" 2 (Stats.warp_count into 4);
   Alcotest.(check (float 1e-9)) "em sums" 150.0 into.Stats.em_cycles;
   Alcotest.(check (float 0.01)) "avg ws" (10.0 /. 3.0) (Stats.average_warp_size into)
 

@@ -121,7 +121,7 @@ let test_fuel_exact_budget_suffices () =
       ~grid:(Launch.dim3 1) ~block:inst.Workload.block ~args:inst.Workload.args
   in
   let r = single_cta () in
-  let calls = Hashtbl.fold (fun _ c a -> a + c) r.Api.stats.Stats.warp_hist 0 in
+  let calls = Stats.total_warps r.Api.stats in
   Alcotest.(check bool) "kernel makes several calls" true (calls > 1);
   (* exact budget: every one of the [calls] calls must execute *)
   ignore (single_cta ~fuel:calls ());

@@ -618,6 +618,137 @@ let test_fast_paths () =
         [ 1; 4 ])
     fp_cases
 
+(* --- integer fast paths against the PTX model (models.ml) --- *)
+
+(* Register patterns: 0, 1, -1, every integer type's min and max, shift
+   amounts below, at and beyond each width, and patterns whose high bits
+   differ from their low ones' extension. *)
+let int_pool =
+  [| 0L; 1L; -1L; 7L; 8L; 9L; 15L; 16L; 31L; 32L; 33L; 63L; 64L; 65L; 0x7FL; 0x80L; 0xFFL;
+     -128L; 0x7FFFL; 0x8000L; 0xFFFFL; -32768L; 0x7FFF_FFFFL; 0x8000_0000L; 0xFFFF_FFFFL;
+     -0x8000_0000L; Int64.max_int; Int64.min_int; 0x1_0000_0001L; 0x1234_5678_9ABC_DEF0L |]
+
+let int_types = Ast.[ U8; U16; U32; S32; U64; S64; B32 ]
+
+(* A case: name, operand count, how to emit it on operands of the given
+   vector type, and its model on register patterns.  Operands are loaded
+   as b64, so their registers hold every pool pattern unnormalized, and
+   each result lane is stored as b64, whole. *)
+let int_cases =
+  let ty_str ty = String.lowercase_ascii (Ast.show_dtype ty) in
+  let v b vty elt mk = Ir.R (Builder.emit_val b (vty elt) mk) in
+  let bin ty op =
+    ( Fmt.str "%s.%s" (Printer.binop_str op) (ty_str ty), 2,
+      (fun b vty -> function
+        | [ x; y ] -> v b vty ty (fun d -> Ir.Bin (op, vty ty, d, x, y))
+        | _ -> assert false),
+      function [ x; y ] -> Models.Int_ops.binop op ty x y | _ -> assert false )
+  in
+  let cmp ty op =
+    ( Fmt.str "setp.%s.%s" (Printer.cmp_str op) (ty_str ty), 2,
+      (fun b vty -> function
+        | [ x; y ] -> v b vty Ast.Pred (fun d -> Ir.Cmp (op, vty ty, d, x, y))
+        | _ -> assert false),
+      function [ x; y ] -> if Models.Int_ops.cmp op ty x y then 1L else 0L | _ -> assert false )
+  in
+  let mad ty =
+    ( "mad.lo." ^ ty_str ty, 3,
+      (fun b vty -> function
+        | [ x; y; z ] -> v b vty ty (fun d -> Ir.Fma (vty ty, d, x, y, z))
+        | _ -> assert false),
+      function [ x; y; z ] -> Models.Int_ops.mad ty x y z | _ -> assert false )
+  in
+  let cvt (dst, src) =
+    ( Fmt.str "cvt.%s.%s" (ty_str dst) (ty_str src), 1,
+      (fun b vty -> function
+        | [ x ] -> v b vty dst (fun d -> Ir.Cvt (vty dst, vty src, d, x))
+        | _ -> assert false),
+      function [ x ] -> Models.Int_ops.cvt ~dst ~src x | _ -> assert false )
+  in
+  List.concat_map
+    (fun ty ->
+      List.map (bin ty) Ast.[ Add; Sub; Mul_lo; And; Or; Xor; Shl; Shr; Min; Max ]
+      @ List.map (cmp ty) Ast.[ Eq; Ne; Lt; Le; Gt; Ge ]
+      @ [ mad ty ])
+    int_types
+  @ List.map cvt
+      Ast.[ (U64, U32); (S64, S32); (U32, U64); (S32, S64); (U8, S32); (S32, U8); (U16, S64); (B32, S32) ]
+
+(* Operand [j] lane [l] is register pattern [args.(j).(l)], loaded as
+   b64 from global[8 (j ws + l)]; with [imm], the last operand is
+   instead the immediate [imm], which has stride 0. *)
+let check_int_case ~ws ?imm (name, nargs, emit, model) =
+  let b = Builder.create ~warp_size:ws "t" in
+  ignore (Builder.start_block b "entry");
+  let vty elt = Ty.make elt ws and b64 = Ty.scalar Ast.B64 in
+  let at k = Ir.Imm (Scalar_ops.I (Int64.of_int (8 * k)), Ast.S64) in
+  let loaded = match imm with None -> nargs | Some _ -> nargs - 1 in
+  let arg j =
+    match imm with
+    | Some x when j = loaded -> Ir.Imm (Scalar_ops.I x, Ast.B64)
+    | _ ->
+        let lane l =
+          Builder.emit_val b b64 (fun d -> Ir.Load (Ast.Global, Ast.B64, d, at ((j * ws) + l), 0))
+        in
+        if ws = 1 then Ir.R (lane 0)
+        else begin
+          let v = Builder.fresh_reg b (vty Ast.B64) in
+          for l = 0 to ws - 1 do
+            Builder.emit b (Ir.Insert (vty Ast.B64, v, Ir.R v, l, Ir.R (lane l)))
+          done;
+          Ir.R v
+        end
+  in
+  let res = emit b vty (List.init nargs arg) in
+  for l = 0 to ws - 1 do
+    let s =
+      if ws = 1 then res
+      else Ir.R (Builder.emit_val b b64 (fun d -> Ir.Extract (Ast.B64, d, res, l)))
+    in
+    Builder.emit b (Ir.Store (Ast.Global, Ast.B64, at ((loaded * ws) + l), 0, s))
+  done;
+  Builder.set_term b Ir.Return;
+  let c = compile (Builder.func b) in
+  let n = Array.length int_pool in
+  (* every pair of pool patterns for the first two loaded operands; a
+     third runs through the pool seven ahead of the second *)
+  let runs = ((n * n) + ws - 1) / ws in
+  for run = 0 to runs - 1 do
+    let mem = mems ~global:(8 * (loaded + 1) * ws) () in
+    let g = mem.Interp.global in
+    let pick j l =
+      let k = (run * ws) + l in
+      int_pool.((if j = 0 then k / n else if j = 1 then k else k + 7) mod n)
+    in
+    for j = 0 to loaded - 1 do
+      for l = 0 to ws - 1 do
+        Mem.store g Ast.B64 (8 * ((j * ws) + l)) (Scalar_ops.I (pick j l))
+      done
+    done;
+    Interp.run c ~launch:launch1 (warpn ws) mem;
+    for l = 0 to ws - 1 do
+      let ops = List.init loaded (fun j -> pick j l) @ Option.to_list imm in
+      let want = model ops in
+      match Mem.load g Ast.B64 (8 * ((loaded * ws) + l)) with
+      | Scalar_ops.I got when Int64.equal got want -> ()
+      | got ->
+          Alcotest.failf "%s ws=%d%s on %s: got %a, want %Ld" name ws
+            (if imm = None then "" else " (immediate)")
+            (String.concat ", " (List.map (Fmt.str "%#Lx") ops))
+            Scalar_ops.pp_value got want
+    done
+  done
+
+let test_int_fast_paths () =
+  List.iter
+    (fun ((_, nargs, _, _) as case) ->
+      List.iter
+        (fun ws ->
+          check_int_case ~ws case;
+          if nargs = 2 then List.iter (fun imm -> check_int_case ~ws ~imm case) [ 1L; 33L; -1L ])
+        [ 1; 4 ])
+    int_cases
+
 (* --- run-time contracts of the lowering --- *)
 
 let trap_of f =
@@ -764,6 +895,7 @@ let () =
             test_interp_shared_across_domains;
           Alcotest.test_case "f32 exactness" `Quick test_exactness;
           Alcotest.test_case "f32 fast paths" `Quick test_fast_paths;
+          Alcotest.test_case "integer fast paths" `Quick test_int_fast_paths;
           Alcotest.test_case "fault counters" `Quick test_interp_fault_counters;
           Alcotest.test_case "out-of-range lowering" `Quick test_interp_rejects_out_of_range;
           Alcotest.test_case "huge address" `Quick test_interp_huge_address;
