@@ -166,7 +166,7 @@ let exec w (st : Script.step) =
                      ("tiered", J.Bool true);
                      ("hot-threshold", J.Int 1);
                      ("workers", J.Int 1);
-                     ("checkpoint-every", J.Int 2);
+                     ("checkpoint-every", J.Int 1);
                    ] );
              ])
       in
@@ -204,7 +204,7 @@ let exec w (st : Script.step) =
                ("module", J.Int mid);
                ("kernel", J.Str Script.kernel_name);
                ("grid", J.Int 1);
-               ("block", J.Int 4);
+               ("block", J.Int 8);
                ("label", J.Str job);
                ( "args",
                  J.List (List.map (fun s -> J.Str s) (Script.args_for job)) );
@@ -478,8 +478,10 @@ type campaign = {
 }
 
 let flavors_for_label label =
-  if String.length label >= 5 && String.sub label 0 5 = "write" then
-    Injector.flavors_for_write
+  if
+    String.starts_with ~prefix:"write " label
+    || String.starts_with ~prefix:"append " label
+  then Injector.flavors_for_write
   else Injector.flavors_for_other
 
 (** Every (boundary × applicable flavor) pair, evenly thinned to at

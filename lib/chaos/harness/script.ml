@@ -83,10 +83,11 @@ let args_for (job : string) : string list =
 (** The default multi-tenant workload: two tenants sharing the engine,
     jobs submitted while others run, a mid-flight preemption (which
     writes a snapshot), a session closed mid-script (which rewrites
-    the tally journal), and a final burst after the close.  Short
-    enough to drill every boundary, broad enough to cross every
-    persistence path: manifests, snapshots, the journal, and their
-    sweeps. *)
+    the tally journal), and a final burst after the close.  Each launch
+    runs two warps and snapshots at every safe point, so it starts its
+    snapshot log and appends to it.  Short enough to drill every
+    boundary, broad enough to cross every persistence path: manifests,
+    snapshot logs and their appends, the journal, and their sweeps. *)
 let default : step list =
   [
     Open { sid = "a"; tenant = "alice" };

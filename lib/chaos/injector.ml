@@ -8,20 +8,24 @@
     {!flavor}:
 
     - [Before]  — die before the call takes effect;
-    - [Torn]    — a write lands as a strict prefix, then death
-                  (partial page write);
-    - [Bitflip] — a write lands whole but with one bit flipped near
-                  the tail, then death (torn sector / cheap firmware);
+    - [Torn]    — a write or append lands as a strict prefix, then
+                  death (partial page write);
+    - [Bitflip] — a write or append lands whole but with one bit
+                  flipped near the tail, then death (torn sector /
+                  cheap firmware);
     - [After]   — the call completes in-process, then death before
                   anything further is flushed.
 
     Death is not just an exception: the injector models the volatile
-    page cache.  Every un-fsynced effect (a written file before
-    [fsync_file], a rename before the parent's [fsync_dir]) sits in an
-    undo journal, and at the crash instant the journal is rolled back
-    {e worst-case} — un-fsynced file contents may vanish, survive
-    truncated, or survive bit-flipped; un-fsynced renames are undone
-    and the old directory entry restored.  What remains on disk is a
+    page cache.  Every un-fsynced effect (a written file or an append
+    before [fsync_file], a rename before the parent's [fsync_dir]) sits
+    in an undo journal, and at the crash instant the journal is rolled
+    back {e worst-case} — un-fsynced file contents may vanish, survive
+    truncated, or survive bit-flipped; an un-fsynced append may do the
+    same to the bytes it added, but never cuts the file below the
+    length it had when the append began (that prefix was durable or is
+    rolled back by an older effect); un-fsynced renames are undone and
+    the old directory entry restored.  What remains on disk is a
     state the kernel was allowed to leave behind.  After the crash
     every further call on the same injector is absorbed as a silent
     no-op: the dead process can keep executing OCaml code (the queue
@@ -49,7 +53,7 @@ let flavor_of_string = function
   | _ -> None
 
 (** Flavors that make sense for a given op: only payload-carrying
-    writes can land torn or bit-flipped. *)
+    writes and appends can land torn or bit-flipped. *)
 let flavors_for_write = [ Before; Torn; Bitflip; After ]
 let flavors_for_other = [ Before; After ]
 
@@ -59,6 +63,8 @@ type plan = Count | Crash of { boundary : int; flavor : flavor }
 type effect_ =
   | Created of { path : string; prior : string option }
       (** [write_file] over [prior] (None = file did not exist) *)
+  | Appended of { path : string; durable_len : int }
+      (** [append] onto a file that was [durable_len] bytes long *)
   | Renamed of { src : string; dst : string; prior_dst : string option }
 
 type t = {
@@ -133,13 +139,30 @@ let flip_tail t data =
     Bytes.to_string b
   end
 
+let raw_append path data =
+  Out_channel.with_open_gen [ Open_wronly; Open_append; Open_binary ] 0o644
+    path (fun oc -> Out_channel.output_string oc data)
+
 (* Worst-case the undo journal: newest effect first, exactly the order
    a real page-cache loss would unwind.  Un-fsynced renames are undone
    (old entry restored); un-fsynced creations may vanish, survive as a
-   prefix, or survive bit-flipped. *)
+   prefix, or survive bit-flipped; an un-fsynced append's tail may do
+   the same above its durable length. *)
 let rollback t =
   List.iter
     (function
+      | Appended { path; durable_len } -> (
+          match read_opt path with
+          | Some data when String.length data > durable_len -> (
+              let keep = String.sub data 0 durable_len in
+              let tail =
+                String.sub data durable_len (String.length data - durable_len)
+              in
+              match rand t 3 with
+              | 0 -> raw_write path keep
+              | 1 -> raw_write path (keep ^ String.sub tail 0 (rand t (String.length tail)))
+              | _ -> raw_write path (keep ^ flip_tail t tail))
+          | _ -> ())
       | Renamed { src; dst; prior_dst } ->
           (if Sys.file_exists dst then
              try Unix.rename dst src with Unix.Unix_error _ | Sys_error _ -> ());
@@ -172,7 +195,9 @@ let crash t =
 let drop_created t path =
   t.journal <-
     List.filter
-      (function Created { path = p; _ } -> p <> path | Renamed _ -> true)
+      (function
+        | Created { path = p; _ } | Appended { path = p; _ } -> p <> path
+        | Renamed _ -> true)
       t.journal
 
 let drop_renames_under t dir =
@@ -180,14 +205,14 @@ let drop_renames_under t dir =
     List.filter
       (function
         | Renamed { dst; _ } -> Filename.dirname dst <> dir
-        | Created _ -> true)
+        | Created _ | Appended _ -> true)
       t.journal
 
 let drop_path t path =
   t.journal <-
     List.filter
       (function
-        | Created { path = p; _ } -> p <> path
+        | Created { path = p; _ } | Appended { path = p; _ } -> p <> path
         | Renamed { dst; _ } -> dst <> path)
       t.journal
 
@@ -229,6 +254,20 @@ let impl (t : t) : Io.impl =
         match flavor with
         | Torn -> raw_write path (String.sub data 0 (rand t (String.length data)))
         | _ -> raw_write path (flip_tail t data))
+  in
+  let append path data =
+    op t
+      ~label:(Fmt.str "append %s (%d B)" (rel t path) (String.length data))
+      ~absorbed:()
+      ~full:(fun () ->
+        let durable_len = (Unix.stat path).Unix.st_size in
+        raw_append path data;
+        t.journal <- Appended { path; durable_len } :: t.journal)
+      ~partial:(fun flavor ->
+        (* durable damage: deliberately not journalled *)
+        match flavor with
+        | Torn -> raw_append path (String.sub data 0 (rand t (String.length data)))
+        | _ -> raw_append path (flip_tail t data))
   in
   let fsync_file path =
     op t
@@ -288,4 +327,4 @@ let impl (t : t) : Io.impl =
         (* mid-response drop: a strict prefix reaches the peer *)
         ignore (Unix.write_substring fd s off (rand t len)))
   in
-  { Io.write_file; fsync_file; rename; fsync_dir; remove; mkdir; rmdir; send }
+  { Io.write_file; append; fsync_file; rename; fsync_dir; remove; mkdir; rmdir; send }

@@ -1,10 +1,10 @@
 (** The pluggable durable-I/O layer (DESIGN.md §3.10).
 
     Every mutation the daemon makes to durable state — checkpoint
-    snapshots, job manifests, the tenant-tally journal, sweeps of all
-    of the above — and every byte it sends down a client socket goes
-    through the [impl] record below.  The default implementation is
-    the real syscalls (with real [fsync]s); the chaos engine installs
+    snapshot logs, job manifests, the tenant-tally journal, sweeps of
+    all of the above — and every byte it sends down a client socket
+    goes through the [impl] record below.  The default implementation
+    is the real syscalls (with real [fsync]s); the chaos engine installs
     {!Injector} instead, which counts the same calls as I/O boundaries
     and simulates a process death at a chosen one.
 
@@ -27,6 +27,9 @@ exception Crash
 type impl = {
   write_file : string -> string -> unit;
       (** create/truncate [path] and write the whole payload *)
+  append : string -> string -> unit;
+      (** write the whole payload at the end of the existing file [path];
+          durable once [fsync_file path] returns *)
   fsync_file : string -> unit;  (** flush file contents to disk *)
   rename : string -> string -> unit;
   fsync_dir : string -> unit;
@@ -40,10 +43,8 @@ type impl = {
 
 (* ---- the real implementation ---- *)
 
-let real_write_file path data =
-  let fd =
-    Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-  in
+let write_all_to path flags data =
+  let fd = Unix.openfile path (Unix.O_WRONLY :: flags) 0o644 in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
@@ -55,6 +56,13 @@ let real_write_file path data =
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
       in
       go 0)
+
+let real_write_file path data =
+  write_all_to path [ Unix.O_CREAT; Unix.O_TRUNC ] data
+
+(* No [O_CREAT]: an append creates no directory entry, so a missing
+   file is an error rather than a new entry no fsync has covered. *)
+let real_append path data = write_all_to path [ Unix.O_APPEND ] data
 
 (* Some filesystems refuse fsync on directories (or on read-only fds);
    treat "the kernel cannot do it here" as a no-op rather than an
@@ -70,6 +78,7 @@ let real_fsync path =
 let real : impl =
   {
     write_file = real_write_file;
+    append = real_append;
     fsync_file = real_fsync;
     rename = Unix.rename;
     fsync_dir = real_fsync;
@@ -88,6 +97,7 @@ let with_impl (i : impl) f =
 (* ---- call-time dispatch ---- *)
 
 let write_file path data = !current.write_file path data
+let append path data = !current.append path data
 let fsync_file path = !current.fsync_file path
 let rename src dst = !current.rename src dst
 let fsync_dir dir = !current.fsync_dir dir

@@ -79,7 +79,8 @@ type config = {
       (** snapshot the launch every N scheduler iterations; 0 = off.
           Forces the worker pool serial (the modelled [workers]
           partition is preserved in the snapshot). *)
-  checkpoint_dir : string;  (** where snapshots land *)
+  checkpoint_dir : string;
+      (** where a launch keeps its snapshot log, [<kernel>.ckpt] *)
   record : string option;
       (** write the warp-formation schedule of each clean launch to
           this log *)
@@ -584,20 +585,21 @@ type report = {
           memory back and re-running under the reference emulator *)
 }
 
-(** Run a kernel.  [resume] starts the launch from a snapshot file
-    written by a previous (interrupted) run of the same launch;
-    [checkpoint_stop] stops the launch by raising {!Checkpoint.Stop}
-    after that many snapshots — the forced-preemption hook the
-    cross-process resume tests use.  [preempt] arms an asynchronous
+(** Run a kernel.  [resume] starts the launch from the newest valid
+    record of a snapshot log written by a previous (interrupted) run of
+    the same launch; [checkpoint_stop] stops the launch by raising
+    {!Checkpoint.Stop} after that many snapshots — the
+    forced-preemption hook the cross-process resume tests use.  [preempt] arms an asynchronous
     preemption token (see {!Checkpoint.preempt}): when another domain
     requests it, the launch snapshots at its next safe point and raises
-    {!Checkpoint.Stop} with the path to resume from; [ckpt_dir]
+    {!Checkpoint.Stop} with the log's path to resume from; [ckpt_dir]
     overrides the config's snapshot directory for this launch (the
     daemon gives every job its own).  With [config.recover] set, a
-    recoverable fault first tries to resume from the newest snapshot
-    this launch wrote (each snapshot is tried at most once, so a
-    deterministic fault cannot loop), and only then falls back to
-    rolling memory back and re-running under the reference emulator.
+    recoverable fault first tries to resume from the newest valid
+    snapshot this launch wrote (only one numbered above the last one
+    tried, so a deterministic fault cannot loop), and only then falls
+    back to rolling memory back and re-running under the reference
+    emulator.
     [deadline_ms] bounds the launch's wall clock: past the budget it
     snapshots its partial progress at the next safe point and dies with
     a structured {!Vekt_error.Deadline} naming that snapshot. *)
@@ -751,10 +753,10 @@ let launch ?fuel ?(sink = Vekt_obs.Sink.noop)
     (Stats.create (), Some err)
   in
   (* Recovery ladder: run from [rs], a [(seq, path, snapshot)] to resume
-     from, if any.  On a recoverable fault, resume from the newest
-     in-launch snapshot (only if strictly newer than the last one tried
-     — a deterministic fault must not loop), and past that fall back to
-     the oracle. *)
+     from, if any.  On a recoverable fault, resume from the newest valid
+     record of the launch's log (only if its seq is above the last one
+     tried — a deterministic fault must not loop), and past that fall
+     back to the oracle. *)
   let rec attempt rs =
     let last_seq =
       match rs with
@@ -774,18 +776,7 @@ let launch ?fuel ?(sink = Vekt_obs.Sink.noop)
     | exception Vekt_error.Error err
       when m.config.recover && Vekt_error.recoverable err -> (
         let next =
-          match ctx with
-          | None -> None
-          | Some c -> (
-              match c.Checkpoint.latest with
-              | Some (seq, path) when seq > last_seq -> (
-                  try Some (seq, path, Checkpoint.read path)
-                  with Vekt_error.Error (Vekt_error.Checkpoint _) ->
-                    (* damaged snapshot: count the rejection, take the
-                       next rung of the ladder *)
-                    c.Checkpoint.rejected <- c.Checkpoint.rejected + 1;
-                    None)
-              | _ -> None)
+          Option.bind ctx (fun c -> Checkpoint.next_resume c ~last_seq)
         in
         match next with Some _ -> attempt next | None -> fallback err)
   in
@@ -794,12 +785,11 @@ let launch ?fuel ?(sink = Vekt_obs.Sink.noop)
      over workers) so the span covers the whole modelled timeline.  Not
      exception-protected: a launch that dies leaves its root span open,
      which the crash bundle reports. *)
-  let launch_span_name = Printf.sprintf "launch %s" kernel in
   if Vekt_obs.Sink.enabled sink then
     Vekt_obs.Sink.emit sink
       (Vekt_obs.Event.Span_begin
          { ts = 0.0; wall_us = Clock.now_us (); worker = 0;
-           kind = Vekt_obs.Event.Sk_launch; name = launch_span_name });
+           kind = Vekt_obs.Event.Sk_launch; name = "launch " ^ kernel });
   let stats, recovered =
     (* a rejected snapshot leaves nothing to run from: straight to the
        oracle *)
@@ -815,7 +805,7 @@ let launch ?fuel ?(sink = Vekt_obs.Sink.noop)
     Vekt_obs.Sink.emit sink
       (Vekt_obs.Event.Span_end
          { ts = stats.Stats.wall_cycles; wall_us = Clock.now_us (); worker = 0;
-           kind = Vekt_obs.Event.Sk_launch; name = launch_span_name });
+           kind = Vekt_obs.Event.Sk_launch; name = "launch " ^ kernel });
   let cycles = Float.max stats.Stats.wall_cycles 1.0 in
   let time_s = cycles /. (m.device.machine.Machine.clock_ghz *. 1e9) in
   let flops = float_of_int stats.Stats.counters.Interp.flops in

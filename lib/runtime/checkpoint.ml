@@ -20,9 +20,12 @@
     metadata so a resumed launch recompiles each key at the tier it had
     reached (no repeated tier-0 warmup, identical promotion decisions).
 
-    Serialization is little-endian with an MD5 digest over the payload;
-    {!read}/{!of_bytes} reject truncation, corruption, or version skew
-    with a structured {!Vekt_error.Checkpoint} — never a crash. *)
+    Serialization is little-endian with an MD5 digest over the payload,
+    and each snapshot frames itself (magic, version, digest, length), so
+    a launch keeps all its snapshots in one append-only log,
+    [<dir>/<kernel>.ckpt].  {!of_bytes} rejects truncation, corruption,
+    or version skew with a structured {!Vekt_error.Checkpoint} — never a
+    crash; {!read} returns the log's newest record that validates. *)
 
 module Interp = Vekt_vm.Interp
 module Io = Vekt_chaos.Io
@@ -327,35 +330,64 @@ let decode r : t =
   { kernel; grid; block; workers; seq; global_size; global_image; params_image;
     worker_snaps; fault_state; hotness; quarantine }
 
-(** Decode a serialized snapshot, validating the magic, version,
-    length and MD5 integrity digest; every defect raises a structured
-    {!Vekt_error.Checkpoint} naming [path]. *)
-let of_bytes ~path (data : Bytes.t) : t =
-  if Bytes.length data < header_bytes then corrupt ~path "truncated header";
-  if Bytes.sub_string data 0 8 <> magic then corrupt ~path "bad magic";
-  let v = Int32.to_int (Bytes.get_int32_le data 8) in
+(* The frame of the record at [off]: magic, version, and a payload
+   length that fits in [data]; returns the payload length. *)
+let frame ~path (data : Bytes.t) off =
+  if Bytes.length data - off < header_bytes then corrupt ~path "truncated header";
+  if Bytes.sub_string data off 8 <> magic then corrupt ~path "bad magic";
+  let v = Int32.to_int (Bytes.get_int32_le data (off + 8)) in
   if v <> version then
     corrupt ~path (Fmt.str "unsupported snapshot version %d (want %d)" v version);
-  let stored_digest = Bytes.sub_string data 12 16 in
-  let plen = Int64.to_int (Bytes.get_int64_le data 28) in
-  if plen < 0 || header_bytes + plen > Bytes.length data then
+  let plen = Int64.to_int (Bytes.get_int64_le data (off + 28)) in
+  if plen < 0 || plen > Bytes.length data - off - header_bytes then
     corrupt ~path "truncated payload";
-  if header_bytes + plen < Bytes.length data then
-    corrupt ~path "trailing bytes after payload";
-  if Digest.subbytes data header_bytes plen <> stored_digest then
+  plen
+
+(* Check the digest of the framed record at [off] and decode it. *)
+let payload ~path (data : Bytes.t) off plen =
+  let start = off + header_bytes in
+  if Digest.subbytes data start plen <> Bytes.sub_string data (off + 12) 16 then
     corrupt ~path "integrity checksum mismatch";
-  let r = { data = Bytes.sub data header_bytes plen; pos = 0; path } in
+  let r = { data = Bytes.sub data start plen; pos = 0; path } in
   let t = decode r in
   if r.pos <> plen then corrupt ~path "trailing bytes in payload";
   t
 
-(** Read and validate a snapshot file. *)
+(** Decode one serialized snapshot, validating the magic, version,
+    length and MD5 integrity digest; every defect, and any byte past
+    the record, raises a structured {!Vekt_error.Checkpoint} naming
+    [path]. *)
+let of_bytes ~path (data : Bytes.t) : t =
+  let plen = frame ~path data 0 in
+  if header_bytes + plen < Bytes.length data then
+    corrupt ~path "trailing bytes after payload";
+  payload ~path data 0 plen
+
+(** Read a snapshot log and return its newest record that validates.
+    Records are walked in file order; one that fails its digest is
+    skipped, and a broken frame ends the walk, since nothing after it
+    can be located.  A crash mid-append damages only the tail, so the
+    record before it is returned.  With no valid record, raises the
+    structured {!Vekt_error.Checkpoint} of the first defect met. *)
 let read (path : string) : t =
   let data =
-    try In_channel.with_open_bin path In_channel.input_all
+    try Bytes.unsafe_of_string (In_channel.with_open_bin path In_channel.input_all)
     with Sys_error msg -> corrupt ~path msg
   in
-  of_bytes ~path (Bytes.unsafe_of_string data)
+  let newest = ref None and first_err = ref None in
+  let note e = if Option.is_none !first_err then first_err := Some e in
+  let rec scan off =
+    match frame ~path data off with
+    | exception (Vekt_error.Error _ as e) -> note e
+    | plen ->
+        (match payload ~path data off plen with
+        | t -> newest := Some t
+        | exception (Vekt_error.Error _ as e) -> note e);
+        let next = off + header_bytes + plen in
+        if next < Bytes.length data then scan next
+  in
+  scan 0;
+  match !newest with Some t -> t | None -> raise (Option.get !first_err)
 
 (* ---- checkpoint policy ---- *)
 
@@ -394,7 +426,9 @@ type ctx = {
           at its next safe point and dies with {!Vekt_error.Deadline} *)
   mutable iter : int;  (** scheduler iterations observed this launch *)
   mutable seq : int;  (** last sequence number written *)
-  mutable latest : (int * string) option;  (** newest valid snapshot *)
+  mutable latest : (int * string) option;
+      (** seq and log path of the newest snapshot written; [None] until
+          this context starts its log *)
   mutable writes : int;
   mutable bytes_written : int;
   mutable write_us : float;  (** wall time spent serializing + writing *)
@@ -449,30 +483,41 @@ let ensure_dir dir =
   if not (Sys.file_exists dir) then
     try Io.mkdir dir 0o755 with Unix.Unix_error _ -> () | Sys_error _ -> ()
 
-(** Serialize [t] to [ctx.dir] (atomically and durably: temp file,
-    fsync, rename, directory fsync — see {!Vekt_chaos.Io.save_atomic}).
-    Returns the path and on-disk size.  [fault] marks a diagnostic
-    snapshot written on watchdog fire: it gets a distinct suffix and is
-    {e not} recorded as the latest resume candidate, since resuming a
-    deterministic deadlock would re-raise it forever. *)
+(** Serialize [t] durably into the launch's snapshot log,
+    [<ctx.dir>/<kernel>.ckpt], and return the log's path and the
+    record's size.  The context's first snapshot replaces any earlier
+    log atomically ({!Vekt_chaos.Io.save_atomic}: temp file, fsync,
+    rename, directory fsync), so a stale log from another launch is
+    never read as this one's; every later snapshot is one
+    {!Vekt_chaos.Io.append} and one {!Vekt_chaos.Io.fsync_file}, with no
+    new directory entry.  Either way the record is durable when [write]
+    returns.  [fault] marks a diagnostic snapshot written on watchdog
+    fire: it goes to its own [<kernel>-fault.ckpt] through [save_atomic]
+    and is {e not} recorded as the latest resume candidate, since
+    resuming a deterministic deadlock would re-raise it forever. *)
 let write ?(fault = false) (ctx : ctx) (t : t) : string * int =
-  ensure_dir ctx.dir;
   let t0 = Clock.now_us () in
-  let data = to_bytes t in
+  let data = Bytes.unsafe_to_string (to_bytes t) in
   let path =
     Filename.concat ctx.dir
-      (if fault then Fmt.str "%s-fault.ckpt" t.kernel
-       else Fmt.str "%s-%06d.ckpt" t.kernel t.seq)
+      (if fault then t.kernel ^ "-fault.ckpt" else t.kernel ^ ".ckpt")
   in
-  Io.save_atomic ~path (Bytes.unsafe_to_string data);
+  if fault || Option.is_none ctx.latest then begin
+    ensure_dir ctx.dir;
+    Io.save_atomic ~path data
+  end
+  else begin
+    Io.append path data;
+    Io.fsync_file path
+  end;
   ctx.writes <- ctx.writes + 1;
-  ctx.bytes_written <- ctx.bytes_written + Bytes.length data;
+  ctx.bytes_written <- ctx.bytes_written + String.length data;
   ctx.write_us <- ctx.write_us +. Clock.elapsed_us t0;
   if not fault then begin
     ctx.seq <- t.seq;
     ctx.latest <- Some (t.seq, path)
   end;
-  (path, Bytes.length data)
+  (path, String.length data)
 
 (** Raise {!Stop} when the stop-after-N-snapshots policy has been met,
     or when an asynchronous preemption request is pending (the request
@@ -528,15 +573,38 @@ let metrics_into (ctx : ctx) (m : Vekt_obs.Metrics.t) =
   M.counter m "ckpt.deadline_kills" := ctx.deadline_kills;
   M.set (M.gauge m "ckpt.write_us") ctx.write_us
 
-(* ---- restart recovery ---- *)
+(* ---- recovery ---- *)
+
+(** The recovery ladder's next rung after a recoverable fault in a
+    launch that started from the snapshot numbered [last_seq] (0 = from
+    scratch): the newest valid record of the launch's log, as
+    [(seq, path, snapshot)], when the log has grown since and that
+    record's own seq is above [last_seq].  A record at or below
+    [last_seq] — the newest one is damaged and an older one stands
+    behind it — was tried already and would fail the same way; it and a
+    log with no valid record both count as rejected and leave the
+    ladder to its last rung. *)
+let next_resume (ctx : ctx) ~last_seq : (int * string * t) option =
+  let reject () =
+    ctx.rejected <- ctx.rejected + 1;
+    None
+  in
+  match ctx.latest with
+  | Some (seq, path) when seq > last_seq -> (
+      match read path with
+      | s when s.seq > last_seq -> Some (s.seq, path, s)
+      | _ -> reject ()
+      | exception Vekt_error.Error (Vekt_error.Checkpoint _) -> reject ())
+  | _ -> None
 
 (** Scan [dir] for the newest valid (non-fault) snapshot.  Used by the
     daemon's restart-recovery path: after a kill -9, the job directory
-    of every launch that was in flight still holds its last snapshot,
-    and this picks the resume candidate the PR 5 ladder should try
-    first.  Corrupt or truncated snapshots are skipped, not fatal — a
-    crash mid-[write] leaves at most a [.tmp] (never renamed) or an
-    older complete snapshot, both handled here. *)
+    of every launch that was in flight still holds its snapshot log,
+    and this picks the resume candidate the recovery ladder should try
+    first.  Logs with no valid record are skipped, not fatal — a crash
+    mid-[write] leaves at most a [.tmp] (never renamed), an older
+    complete log, or a log whose tail record is damaged, which {!read}
+    walks past. *)
 let newest_snapshot ~dir : string option =
   match Sys.readdir dir with
   | exception Sys_error _ -> None

@@ -56,6 +56,10 @@ let rec fill_lanes (threads : Scheduler.thr array) lanes k = function
 (* The cursor after a dispatch or yield at [start]. *)
 let[@inline] after ~n start = if start + 1 = n then 0 else start + 1
 
+(* Built only when a sink is enabled: an untraced CTA formats nothing. *)
+let cta_span_name (c : Launch.dim3) =
+  Printf.sprintf "cta %d,%d,%d" c.Launch.x c.Launch.y c.Launch.z
+
 (** Execute one CTA to completion under scheduling policy [sched],
     which {!Worker_pool.launch} has already checked against the cache's
     vectorization mode.
@@ -521,14 +525,11 @@ let run_cta ?(costs = default_costs) ?(fuel = 5_000_000) ?watchdog
      exception-protected — a CTA killed mid-flight (fuel, deadlock,
      injected fault) leaves its span open, which is exactly what the
      crash bundle reports as "where was everyone?". *)
-  let cta_span_name =
-    Printf.sprintf "cta %d,%d,%d" ctaid.Launch.x ctaid.Launch.y ctaid.Launch.z
-  in
   if Obs.Sink.enabled sink then
     Obs.Sink.emit sink
       (Obs.Event.Span_begin
          { ts = now (); wall_us = Clock.now_us (); worker;
-           kind = Obs.Event.Sk_cta; name = cta_span_name });
+           kind = Obs.Event.Sk_cta; name = cta_span_name ctaid });
   while !remaining > 0 do
     (match ckpt with
     | Some h -> h.Checkpoint.tick ~now:(now ()) ~save
@@ -544,4 +545,4 @@ let run_cta ?(costs = default_costs) ?(fuel = 5_000_000) ?watchdog
     Obs.Sink.emit sink
       (Obs.Event.Span_end
          { ts = now (); wall_us = Clock.now_us (); worker;
-           kind = Obs.Event.Sk_cta; name = cta_span_name })
+           kind = Obs.Event.Sk_cta; name = cta_span_name ctaid })

@@ -451,7 +451,7 @@ let emit_quarantine (t : t) sink ~now ~worker ~ws action =
 let rec published_entry ws digest = function
   | [] -> None
   | ((w, d), e) :: rest ->
-      if w = ws && String.equal d digest then Some e else published_entry ws digest rest
+      if Int.equal w ws && String.equal d digest then Some e else published_entry ws digest rest
 
 let snapshot_hit (t : t) ?(skipped = []) ~sink ~now ~worker ~ws digest =
   match published_entry ws digest (Atomic.get t.published) with

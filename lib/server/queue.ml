@@ -82,9 +82,9 @@ type job = {
   cleanup : unit -> unit;
       (** called exactly once when the job reaches a terminal state
           (done, failed, cancelled, expired) — the daemon uses it to
-          sweep the job's snapshot directory, so a preempted or
-          crash-interrupted job keeps its resume state and a finished
-          one leaves nothing behind *)
+          sweep the job's directory (its manifest and its launch's
+          snapshot log), so a preempted or crash-interrupted job keeps
+          its resume state and a finished one leaves nothing behind *)
   run :
     resume:string option ->
     preempt:Checkpoint.preempt ->

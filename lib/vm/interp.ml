@@ -1597,11 +1597,11 @@ let account st (b : block) =
   | Some a -> Vekt_obs.Attribution.charge a ~entry_id:st.warp.entry_id k.shares
 
 (* The first case of [cases] from [k] on whose key is [x], else [default]. *)
-let rec case_target cases x default k =
+let rec case_target (cases : (int * int) array) (x : int) default k =
   if k = Array.length cases then default
   else
     let key, target = Array.unsafe_get cases k in
-    if key = x then target else case_target cases x default (k + 1)
+    if Int.equal key x then target else case_target cases x default (k + 1)
 
 (* Run blocks from [pc] until one yields; [fuel] more may run.  Block
    indices are the lowering's own, so they are not checked again. *)

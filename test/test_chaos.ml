@@ -1,5 +1,6 @@
 (* Tests for the chaos engine (DESIGN.md §3.10): the fault-injecting
-   I/O layer keeps save_atomic old-or-new at every crash point; the
+   I/O layer keeps save_atomic old-or-new at every crash point, and a
+   snapshot-log append old-or-new above an intact durable prefix; the
    fsync-less tmp+rename the daemon shipped with (reproduced here by
    wrapping the I/O layer with no-op fsyncs) loses acknowledged
    manifests (the pre-fix bug, demonstrated and kept as a regression);
@@ -93,6 +94,84 @@ let drill_save_atomic ~durable () =
 
 let test_save_atomic_durable () = drill_save_atomic ~durable:true ()
 let test_save_atomic_legacy () = drill_save_atomic ~durable:false ()
+
+(* ---- a snapshot-log append is old-or-new above its durable prefix ---- *)
+
+let log_snap seq : Checkpoint.t =
+  {
+    Checkpoint.kernel = "k";
+    grid = Vekt_ptx.Launch.dim3 1;
+    block = Vekt_ptx.Launch.dim3 4;
+    workers = 1;
+    seq;
+    global_size = 4096;
+    global_image = Bytes.init 512 (fun i -> Char.chr ((i * seq) land 0xFF));
+    params_image = Bytes.make 16 '\001';
+    worker_snaps = [||];
+    fault_state = None;
+    hotness = [];
+    quarantine = [];
+  }
+
+(* Drill every I/O boundary of the second snapshot a launch writes — an
+   append onto its durable one-record log, then its fsync.  Whatever the
+   crash flavor, the first record must survive byte for byte, and the
+   newest valid record must be the old snapshot or the new one; once
+   the fsync has returned, the new one. *)
+let test_append_drill () =
+  let dir = Filename.concat tmpdir "log-append" in
+  let start () =
+    Harness.rm_rf dir;
+    Unix.mkdir dir 0o755;
+    let ctx = Checkpoint.create_ctx ~dir ~every:1 () in
+    let path, _ = Checkpoint.write ctx (log_snap 1) in
+    (ctx, path)
+  in
+  let ctx, path = start () in
+  let durable = read_file path in
+  let count = Injector.create ~root:dir ~seed:7 ~plan:Injector.Count () in
+  Io.with_impl (Injector.impl count) (fun () ->
+      ignore (Checkpoint.write ctx (log_snap 2)));
+  let trace = Injector.trace count in
+  Alcotest.(check (list string))
+    "an append and one fsync, no directory entry"
+    [ Fmt.str "append k.ckpt (%d B)" (Bytes.length (Checkpoint.to_bytes (log_snap 2)));
+      "fsync k.ckpt" ]
+    trace;
+  List.iteri
+    (fun boundary label ->
+      List.iter
+        (fun flavor ->
+          let ctx, path = start () in
+          let inj =
+            Injector.create ~root:dir ~seed:7
+              ~plan:(Injector.Crash { boundary; flavor })
+              ()
+          in
+          (match
+             Io.with_impl (Injector.impl inj) (fun () ->
+                 ignore (Checkpoint.write ctx (log_snap 2)))
+           with
+          | () -> ()
+          | exception Io.Crash -> ());
+          let what =
+            Fmt.str "@%d %s [%s]" boundary (Injector.flavor_name flavor) label
+          in
+          let got = read_file path in
+          Alcotest.(check bool)
+            (what ^ ": durable prefix intact")
+            true
+            (String.starts_with ~prefix:durable got);
+          let seq = (Checkpoint.read path).Checkpoint.seq in
+          Alcotest.(check bool)
+            (Fmt.str "%s: old-or-new, got seq %d" what seq)
+            true
+            (seq = 1 || seq = 2);
+          if boundary = 1 && flavor = Injector.After then
+            Alcotest.(check int) (what ^ ": fsynced append is durable") 2 seq)
+        (Harness.flavors_for_label label))
+    trace;
+  Harness.rm_rf dir
 
 (* ---- the pre-fix bug: fsync-less renames lose acknowledged jobs ---- *)
 
@@ -358,6 +437,8 @@ let () =
             test_save_atomic_durable;
           Alcotest.test_case "old-or-new, legacy protocol" `Quick
             test_save_atomic_legacy;
+          Alcotest.test_case "snapshot-log append keeps its durable prefix"
+            `Quick test_append_drill;
         ] );
       ( "daemon",
         [

@@ -4,7 +4,9 @@
    from an uninterrupted one (memory and integer statistics) across the
    registry at workers 1 and 4; replay reproduces the exact recorded
    warp-formation sequence; a corrupted snapshot is rejected with a
-   structured error and falls back to the emulator oracle.  Also covers
+   structured error and falls back to the emulator oracle; a launch's
+   snapshots share one log, whose damaged tail resumes from the record
+   before it, in another process or on the recovery ladder.  Also covers
    the config-validation and monotonic quarantine-age satellites. *)
 
 module Api = Vekt_runtime.Api
@@ -605,6 +607,235 @@ let test_fault_recovery_resumes_from_checkpoint () =
   Alcotest.(check bool) "resumed from a snapshot" true
     (counter_value m ~kernel:w.Workload.kernel r "ckpt.resumes" >= 1)
 
+(* ---- the snapshot log ---- *)
+
+(* Byte offset of every record framed in a snapshot log, in file order:
+   each header's payload length (at byte 28) locates the next. *)
+let record_offsets data =
+  let rec go off acc =
+    if off + Checkpoint.header_bytes > Bytes.length data then List.rev acc
+    else
+      let plen = Int64.to_int (Bytes.get_int64_le data (off + 28)) in
+      go (off + Checkpoint.header_bytes + plen) (off :: acc)
+  in
+  go 0 []
+
+let read_bytes path =
+  In_channel.with_open_bin path In_channel.input_all |> Bytes.of_string
+
+let write_bytes path data =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc data)
+
+let ckpt_files dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun n -> Filename.check_suffix n ".ckpt")
+  |> List.sort compare
+
+(* The CI leg's launch: [ringsum_src] over 4 CTAs on one worker, with a
+   snapshot at every safe point into [dir]. *)
+let ringsum4 ~dir ?resume ?checkpoint_stop () =
+  let config =
+    {
+      Api.default_config with
+      checkpoint_every = 1;
+      checkpoint_dir = dir;
+      workers = Some 1;
+    }
+  in
+  let dev = Api.create_device () in
+  let m = Api.load_module ~config dev ringsum_src in
+  let n, out, args = ringsum_setup dev in
+  let r =
+    Api.launch ?resume ?checkpoint_stop m ~kernel:"ringsum"
+      ~grid:(Launch.dim3 4) ~block:(Launch.dim3 n) ~args
+  in
+  (m, r, Api.read_f32s dev out n)
+
+let fresh_dir name =
+  let dir = Filename.concat tmpdir name in
+  if Sys.file_exists dir then
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir)
+  else Sys.mkdir dir 0o755;
+  dir
+
+(* Every snapshot of a launch lands in one log, [<kernel>.ckpt]; [read]
+   returns its newest record, and each record is the snapshot [write]
+   reported. *)
+let test_log_one_file () =
+  let dir = fresh_dir "log-one" in
+  let m, r, got = ringsum4 ~dir () in
+  Alcotest.(check (list (float 1e-6))) "ring sums" (ringsum_expected 8) got;
+  let writes = counter_value m ~kernel:"ringsum" r "ckpt.writes" in
+  Alcotest.(check bool) (Fmt.str "%d snapshots >= 3" writes) true (writes >= 3);
+  Alcotest.(check (list string)) "exactly one log" [ "ringsum.ckpt" ]
+    (ckpt_files dir);
+  let path = Filename.concat dir "ringsum.ckpt" in
+  let data = read_bytes path in
+  Alcotest.(check int) "one record per snapshot" writes
+    (List.length (record_offsets data));
+  Alcotest.(check int) "bytes_written is the log's size" (Bytes.length data)
+    (counter_value m ~kernel:"ringsum" r "ckpt.bytes_written");
+  Alcotest.(check int) "read returns the highest seq" writes
+    (Checkpoint.read path).Checkpoint.seq;
+  (* a new launch into the same directory starts a new log *)
+  (match ringsum4 ~dir ~checkpoint_stop:1 () with
+  | _ -> Alcotest.fail "expected Checkpoint.Stop"
+  | exception Checkpoint.Stop p ->
+      Alcotest.(check string) "stop names the log" path p);
+  Alcotest.(check int) "the earlier launch's log was replaced" 1
+    (List.length (record_offsets (read_bytes path)));
+  Alcotest.(check int) "its one record" 1 (Checkpoint.read path).Checkpoint.seq
+
+(* A log stopped after three snapshots, its last record cut short or
+   bit-flipped, resumes from the second: the ring sums and the final
+   integer statistics equal the uninterrupted run's. *)
+let test_damaged_tail_resumes () =
+  let _, r0, clean = ringsum4 ~dir:(fresh_dir "tail-clean") () in
+  let dir = fresh_dir "tail" in
+  let log =
+    match ringsum4 ~dir ~checkpoint_stop:3 () with
+    | _ -> Alcotest.fail "expected Checkpoint.Stop"
+    | exception Checkpoint.Stop p -> p
+  in
+  Alcotest.(check int) "stopped at seq 3" 3 (Checkpoint.read log).Checkpoint.seq;
+  let data = read_bytes log in
+  let last =
+    match List.rev (record_offsets data) with
+    | last :: _ :: _ :: _ -> last
+    | _ -> Alcotest.fail "expected three records"
+  in
+  let len = Bytes.length data in
+  let flipped = Bytes.copy data in
+  let pos = last + Checkpoint.header_bytes + ((len - last - Checkpoint.header_bytes) / 2) in
+  Bytes.set flipped pos (Char.chr (Char.code (Bytes.get flipped pos) lxor 0x10));
+  List.iter
+    (fun (what, bad) ->
+      let copy = Filename.concat (fresh_dir ("tail-" ^ what)) "ringsum.ckpt" in
+      write_bytes copy bad;
+      Alcotest.(check int) (what ^ ": newest valid record") 2
+        (Checkpoint.read copy).Checkpoint.seq;
+      let m, r, got = ringsum4 ~dir ~resume:copy () in
+      Alcotest.(check (list (float 1e-6))) (what ^ ": ring sums") clean got;
+      check_int_stats (what ^ " resumed") ~expect:r0.Api.stats ~got:r.Api.stats;
+      Alcotest.(check int) (what ^ ": resumed once") 1
+        (counter_value m ~kernel:"ringsum" r "ckpt.resumes"))
+    [
+      ("cut", Bytes.sub data 0 (last + ((len - last) / 2)));
+      ("cut-header", Bytes.sub data 0 (last + 5));
+      ("bitflip", flipped);
+    ]
+
+(* A file in which no record validates is the structured error, whatever
+   the damage: empty, foreign bytes, a cut first record, or every
+   record's digest broken. *)
+let test_no_valid_record () =
+  let dir = fresh_dir "log-invalid" in
+  let one = Checkpoint.to_bytes (mk_snap 3) in
+  let two = Bytes.cat one (Checkpoint.to_bytes (mk_snap 4)) in
+  let flip_each data =
+    let b = Bytes.copy data in
+    List.iter
+      (fun off ->
+        let pos = off + Checkpoint.header_bytes in
+        Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 1)))
+      (record_offsets data);
+    b
+  in
+  List.iter
+    (fun (what, data) ->
+      let path = Filename.concat dir (what ^ ".ckpt") in
+      write_bytes path data;
+      match Checkpoint.read path with
+      | _ -> Alcotest.failf "%s: accepted" what
+      | exception e ->
+          Alcotest.(check bool) (what ^ ": structured error") true (is_ckpt_error e))
+    [
+      ("empty", Bytes.empty);
+      ("foreign", Bytes.make 100 'x');
+      ("cut-first", Bytes.sub one 0 64);
+      ("all-flipped", flip_each two);
+    ];
+  match Checkpoint.read (Filename.concat dir "absent.ckpt") with
+  | _ -> Alcotest.fail "absent log accepted"
+  | exception e -> Alcotest.(check bool) "absent: structured error" true (is_ckpt_error e)
+
+(* The ladder's next rung is the newest valid record only when its own
+   seq is above the last one tried: with the newest record damaged and
+   an older one behind it, that older one is taken once and never
+   again. *)
+let test_ladder_never_retries () =
+  let dir = fresh_dir "ladder" in
+  let ctx = Checkpoint.create_ctx ~dir ~every:1 () in
+  let snap seq = { (mk_snap 11) with Checkpoint.seq; kernel = "k" } in
+  List.iter (fun seq -> ignore (Checkpoint.write ctx (snap seq))) [ 1; 2; 3 ];
+  let seq_of = Option.map (fun (seq, _, (s : Checkpoint.t)) -> (seq, s.Checkpoint.seq)) in
+  let next last_seq = seq_of (Checkpoint.next_resume ctx ~last_seq) in
+  Alcotest.(check (option (pair int int))) "intact: newest" (Some (3, 3)) (next 0);
+  Alcotest.(check (option (pair int int))) "nothing newer than 3" None (next 3);
+  let path = Filename.concat dir "k.ckpt" in
+  let data = read_bytes path in
+  let pos = Bytes.length data - 1 in
+  Bytes.set data pos (Char.chr (Char.code (Bytes.get data pos) lxor 0x80));
+  write_bytes path data;
+  Alcotest.(check (option (pair int int)))
+    "damaged newest: the record behind it, under its own seq" (Some (2, 2))
+    (next 1);
+  Alcotest.(check int) "no rejection yet" 0 ctx.Checkpoint.rejected;
+  Alcotest.(check (option (pair int int))) "seq 2 already tried" None (next 2);
+  Alcotest.(check int) "counted as rejected" 1 ctx.Checkpoint.rejected;
+  write_bytes path (Bytes.sub data 0 10);
+  Alcotest.(check (option (pair int int))) "no valid record" None (next 0);
+  Alcotest.(check int) "counted as rejected" 2 ctx.Checkpoint.rejected
+
+(* In-process: a launch whose appended records are all damaged on disk
+   faults, resumes from the one valid record (its first) and completes
+   with memory identical to a clean run, without the oracle. *)
+let test_ladder_resumes_behind_damage () =
+  let w = Registry.find_exn "vecadd" in
+  let config =
+    {
+      Api.default_config with
+      checkpoint_every = 1;
+      checkpoint_dir = fresh_dir "ladder-e2e";
+      workers = Some 1;
+      recover = true;
+      inject =
+        Some
+          { Fault.seed = 7; specs = [ Fault.Mem_trap { nth = 40; kernel = None } ] };
+    }
+  in
+  let dev0, _, _, _ = fresh_run w in
+  let damage data =
+    let b = Bytes.of_string data in
+    let pos = Bytes.length b - 1 in
+    Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 1));
+    Bytes.to_string b
+  in
+  let io =
+    { Vekt_chaos.Io.real with
+      Vekt_chaos.Io.append = (fun p d -> Vekt_chaos.Io.real.append p (damage d)) }
+  in
+  let resumed = ref [] in
+  let sink =
+    Obs.Sink.fn (function
+      | Obs.Event.Ckpt_resume { seq; _ } -> resumed := seq :: !resumed
+      | _ -> ())
+  in
+  let dev = Api.create_device () in
+  let m = Api.load_module ~config dev w.Workload.src in
+  let inst = w.Workload.setup dev in
+  let r =
+    Vekt_chaos.Io.with_impl io (fun () ->
+        Api.launch ~sink m ~kernel:w.Workload.kernel ~grid:inst.Workload.grid
+          ~block:inst.Workload.block ~args:inst.Workload.args)
+  in
+  Alcotest.(check bool) "memory identical to clean run" true
+    (Mem.equal dev0.Api.global dev.Api.global);
+  Alcotest.(check bool) "no oracle run" true (r.Api.recovered = None);
+  Alcotest.(check (list int)) "resumed once, from the first record" [ 1 ] !resumed;
+  Alcotest.(check bool) "the fault came after appended records" true
+    (counter_value m ~kernel:w.Workload.kernel r "ckpt.writes" >= 2)
+
 (* ---- satellite: config validation at module load ---- *)
 
 let test_config_validation () =
@@ -687,6 +918,19 @@ let () =
         [
           Alcotest.test_case "resumes from newest snapshot" `Quick
             test_fault_recovery_resumes_from_checkpoint;
+        ] );
+      ( "log",
+        [
+          Alcotest.test_case "one log per launch, newest seq" `Quick
+            test_log_one_file;
+          Alcotest.test_case "damaged tail resumes from the previous record"
+            `Quick test_damaged_tail_resumes;
+          Alcotest.test_case "no valid record rejected" `Quick
+            test_no_valid_record;
+          Alcotest.test_case "ladder never re-resumes a tried seq" `Quick
+            test_ladder_never_retries;
+          Alcotest.test_case "ladder resumes behind damaged records" `Quick
+            test_ladder_resumes_behind_damage;
         ] );
       ( "config",
         [

@@ -429,16 +429,27 @@ let check_span_tree workers (w : Workload.t) =
       Alcotest.(check bool)
         (Fmt.str "%s w%d: single launch root" w.Workload.name workers)
         true
-        (root.Span.kind = Event.Sk_launch)
+        (root.Span.kind = Event.Sk_launch);
+      Alcotest.(check string)
+        (Fmt.str "%s w%d: launch span name" w.Workload.name workers)
+        ("launch " ^ w.Workload.kernel) root.Span.name
   | roots ->
       Alcotest.failf "%s w%d: expected one root, got %d" w.Workload.name
         workers (List.length roots));
   let flat = Span.flatten forest in
   let count k = List.length (List.filter (fun (s : Span.t) -> s.Span.kind = k) flat) in
-  Alcotest.(check int)
-    (Fmt.str "%s w%d: one cta span per CTA" w.Workload.name workers)
-    (Vekt_ptx.Launch.count inst.Workload.grid)
-    (count Event.Sk_cta);
+  (* balanced spans pair each begin with an end of the same name *)
+  let grid = inst.Workload.grid in
+  Alcotest.(check (list string))
+    (Fmt.str "%s w%d: one cta span per CTA, named by its id" w.Workload.name workers)
+    (List.init (Vekt_ptx.Launch.count grid) (fun c ->
+         let id = Vekt_ptx.Launch.unlinear ~dims:grid c in
+         Fmt.str "cta %d,%d,%d" id.Vekt_ptx.Launch.x id.y id.z)
+    |> List.sort compare)
+    (List.filter_map
+       (fun (s : Span.t) -> if s.Span.kind = Event.Sk_cta then Some s.Span.name else None)
+       flat
+    |> List.sort compare);
   List.iter
     (fun (what, k) ->
       Alcotest.(check bool)
