@@ -46,6 +46,15 @@ module Bits = struct
         done)
       s
 
+  (** Number of members. *)
+  let cardinal (s : t) =
+    let n = ref 0 in
+    iter (fun _ -> incr n) s;
+    !n
+
+  (** Add every member of [src] to [s] (same register count). *)
+  let union_into (s : t) (src : t) = Array.iteri (fun w word -> s.(w) <- s.(w) lor word) src
+
   let to_iset s =
     let acc = ref ISet.empty in
     iter (fun r -> acc := ISet.add r !acc) s;
@@ -122,6 +131,15 @@ let find sets t label =
   match Ir.Stbl.find_opt t.index label with
   | Some k -> Some sets.(k)
   | None -> None
+
+(** [label]'s live-in and live-out sets themselves, shared with [t]:
+    callers iterate them and must not write them.  Empty for an unknown
+    label. *)
+let live_in_bits t label =
+  match find t.live_in t label with Some s -> s | None -> Bits.create t.nregs
+
+let live_out_bits t label =
+  match find t.live_out t label with Some s -> s | None -> Bits.create t.nregs
 
 let as_iset = function Some s -> Bits.to_iset s | None -> ISet.empty
 let live_in t label = as_iset (find t.live_in t label)

@@ -429,6 +429,7 @@ type ctx = {
   mutable latest : (int * string) option;
       (** seq and log path of the newest snapshot written; [None] until
           this context starts its log *)
+  mutable log_records : int;  (** records in this context's log *)
   mutable writes : int;
   mutable bytes_written : int;
   mutable write_us : float;  (** wall time spent serializing + writing *)
@@ -454,6 +455,7 @@ let create_ctx ?(dir = "vekt-ckpt") ?stop_after ?preempt ?live_bytes
     iter = 0;
     seq = 0;
     latest = None;
+    log_records = 0;
     writes = 0;
     bytes_written = 0;
     write_us = 0.0;
@@ -483,6 +485,10 @@ let ensure_dir dir =
   if not (Sys.file_exists dir) then
     try Io.mkdir dir 0o755 with Unix.Unix_error _ -> () | Sys_error _ -> ()
 
+(** The most records a launch's snapshot log holds: the snapshot after
+    that many starts the log afresh. *)
+let max_log_records = 16
+
 (** Serialize [t] durably into the launch's snapshot log,
     [<ctx.dir>/<kernel>.ckpt], and return the log's path and the
     record's size.  The context's first snapshot replaces any earlier
@@ -490,11 +496,14 @@ let ensure_dir dir =
     rename, directory fsync), so a stale log from another launch is
     never read as this one's; every later snapshot is one
     {!Vekt_chaos.Io.append} and one {!Vekt_chaos.Io.fsync_file}, with no
-    new directory entry.  Either way the record is durable when [write]
-    returns.  [fault] marks a diagnostic snapshot written on watchdog
-    fire: it goes to its own [<kernel>-fault.ckpt] through [save_atomic]
-    and is {e not} recorded as the latest resume candidate, since
-    resuming a deterministic deadlock would re-raise it forever. *)
+    new directory entry, until the log holds {!max_log_records}: the
+    next snapshot replaces it the first snapshot's way, so a long launch
+    keeps a bounded log (only its newest valid record is ever read).
+    Either way the record is durable when [write] returns.  [fault]
+    marks a diagnostic snapshot written on watchdog fire: it goes to its
+    own [<kernel>-fault.ckpt] through [save_atomic] and is {e not}
+    recorded as the latest resume candidate, since resuming a
+    deterministic deadlock would re-raise it forever. *)
 let write ?(fault = false) (ctx : ctx) (t : t) : string * int =
   let t0 = Clock.now_us () in
   let data = Bytes.unsafe_to_string (to_bytes t) in
@@ -502,13 +511,15 @@ let write ?(fault = false) (ctx : ctx) (t : t) : string * int =
     Filename.concat ctx.dir
       (if fault then t.kernel ^ "-fault.ckpt" else t.kernel ^ ".ckpt")
   in
-  if fault || Option.is_none ctx.latest then begin
+  if fault || Option.is_none ctx.latest || ctx.log_records >= max_log_records then begin
     ensure_dir ctx.dir;
-    Io.save_atomic ~path data
+    Io.save_atomic ~path data;
+    if not fault then ctx.log_records <- 1
   end
   else begin
     Io.append path data;
-    Io.fsync_file path
+    Io.fsync_file path;
+    ctx.log_records <- ctx.log_records + 1
   end;
   ctx.writes <- ctx.writes + 1;
   ctx.bytes_written <- ctx.bytes_written + String.length data;

@@ -40,19 +40,6 @@ let default_costs =
     per_barrier_release = 3.0;
   }
 
-(* First [k] members of a formed warp, when the available specialization
-   width is narrower than the pack the policy found. *)
-let rec take k = function
-  | x :: rest when k > 0 -> x :: take (k - 1) rest
-  | _ -> []
-
-(* [lanes.(k..)] from the contexts of [members], in order. *)
-let rec fill_lanes (threads : Scheduler.thr array) lanes k = function
-  | [] -> ()
-  | i :: rest ->
-      lanes.(k) <- threads.(i).Scheduler.info;
-      fill_lanes threads lanes (k + 1) rest
-
 (* The cursor after a dispatch or yield at [start]. *)
 let[@inline] after ~n start = if start + 1 = n then 0 else start + 1
 
@@ -164,6 +151,7 @@ let run_cta ?(costs = default_costs) ?(fuel = 5_000_000) ?watchdog
       Scheduler.threads;
       n;
       cursor = (match restore with Some s -> s.Checkpoint.c_cursor | None -> 0);
+      buf = Array.make n 0;
     }
   in
   (* a restored CTA's threads were already counted when the snapshot's
@@ -275,7 +263,7 @@ let run_cta ?(costs = default_costs) ?(fuel = 5_000_000) ?watchdog
   in
   (* --- the three scheduler-step outcomes.  Each applies one decision,
      live or logged alike, and appends it to the schedule log in record
-     mode. *)
+     mode; only then is a decision record built. *)
   let do_release ~released =
     (* No runnable thread: every live thread is parked at the barrier.
        Release them all (barriers synchronize live threads; threads
@@ -312,10 +300,11 @@ let run_cta ?(costs = default_costs) ?(fuel = 5_000_000) ?watchdog
     | None -> ());
     pool.Scheduler.cursor <- after ~n start
   in
-  (* [members] holds exactly [ws] threads Ready at [entry_id]; the cache
-     query degrades through the fallback chain, so the width actually
-     served can be narrower, which only a live decision may be. *)
-  let do_dispatch ~start ~entry_id ~ws ~scanned ~members =
+  (* The first [ws] entries of [members] are threads Ready at
+     [entry_id]; the cache query degrades through the fallback chain, so
+     the width actually served can be narrower, which only a live
+     decision may be, and the warp is then the first [served]. *)
+  let do_dispatch ~start ~entry_id ~ws ~scanned ~(members : int array) =
     stats.Stats.em_cycles <-
       stats.Stats.em_cycles
       +. (float_of_int scanned *. costs.per_candidate_scan);
@@ -331,19 +320,21 @@ let run_cta ?(costs = default_costs) ?(fuel = 5_000_000) ?watchdog
           (Fmt.str "cache served width %d at entry %d, log recorded %d" served
              entry_id ws)
     | _ -> ());
-    let members = if served = ws then members else take served members in
     let ws = served in
     (match record with
     | Some r ->
         Replay.record r ~cta:cta_linear
-          (Replay.Dispatch { start; entry_id; ws; scanned; members })
+          (Replay.Dispatch
+             { start; entry_id; ws; scanned; members = List.init ws (Array.get members) })
     | None -> ());
     if Obs.Sink.enabled sink then
       Obs.Sink.emit sink
         (Obs.Event.Warp_formed
            { ts = now (); worker; entry_id; size = ws; scanned });
     let lanes = Array.make ws threads.(start).Scheduler.info in
-    fill_lanes threads lanes 0 members;
+    for k = 0 to ws - 1 do
+      lanes.(k) <- threads.(members.(k)).Scheduler.info
+    done;
     let warp = { Interp.lanes; entry_id; status = Ir.Status_exit } in
     Stats.record_warp stats ws;
     stats.Stats.em_cycles <- stats.Stats.em_cycles +. costs.per_kernel_call;
@@ -411,30 +402,32 @@ let run_cta ?(costs = default_costs) ?(fuel = 5_000_000) ?watchdog
       | Ir.Status_barrier -> Scheduler.Blocked
       | Ir.Status_branch -> Scheduler.Ready
     in
-    List.iter (fun i -> threads.(i).Scheduler.state <- next_state) members;
+    for k = 0 to ws - 1 do
+      threads.(members.(k)).Scheduler.state <- next_state
+    done;
     (match watchdog with
     | None -> ()
     | Some limit ->
         (* progress proxy: a thread yielded back Ready at the very
            entry point it was dispatched from made no resume-point
            progress; [limit] such dispatches in a row is a livelock *)
-        List.iter
-          (fun i ->
-            let t = threads.(i) in
-            if
-              t.Scheduler.state = Scheduler.Ready
-              && t.Scheduler.info.Interp.resume_point = entry_id
-            then begin
-              stalls.(i) <- stalls.(i) + 1;
-              if stalls.(i) >= limit then
-                deadlock Vekt_error.Livelock
-                  (Fmt.str
-                     "thread %d re-dispatched at entry %d with no progress \
-                      for %d consecutive calls under scheduler %s"
-                     i entry_id stalls.(i) sched.Scheduler.name)
-            end
-            else stalls.(i) <- 0)
-          members);
+        for k = 0 to ws - 1 do
+          let i = members.(k) in
+          let t = threads.(i) in
+          if
+            t.Scheduler.state = Scheduler.Ready
+            && t.Scheduler.info.Interp.resume_point = entry_id
+          then begin
+            stalls.(i) <- stalls.(i) + 1;
+            if stalls.(i) >= limit then
+              deadlock Vekt_error.Livelock
+                (Fmt.str
+                   "thread %d re-dispatched at entry %d with no progress \
+                    for %d consecutive calls under scheduler %s"
+                   i entry_id stalls.(i) sched.Scheduler.name)
+          end
+          else stalls.(i) <- 0
+        done);
     pool.Scheduler.cursor <- after ~n start
   in
   (* A logged decision must be one the live policy could have taken in
@@ -483,43 +476,41 @@ let run_cta ?(costs = default_costs) ?(fuel = 5_000_000) ?watchdog
     match inject with Some inj -> Fault.spurious_yield inj | None -> false
   in
   let want = Translation_cache.max_width cache in
-  (* This iteration's decision: the recorded one, checked against the
-     live state, or the live policy's plus the fault injector's.  A
-     replayed dispatch still consumes the injector's counter, in
-     lockstep, so a later transition out of replay stays
-     deterministic. *)
-  let decide () : Replay.decision =
-    match replay with
-    | Some log ->
-        let d = Replay.next log ~cta:cta_linear in
-        check log d;
-        (match d with
-        | Replay.Barrier _ -> ()
-        | Replay.Yield _ | Replay.Dispatch _ ->
-            spend_call ();
-            ignore (injected ()));
-        d
-    | None -> (
-        match sched.Scheduler.select pool with
-        | None -> Replay.Barrier { released = count_state Scheduler.Blocked }
-        | Some start ->
-            spend_call ();
-            if injected () then Replay.Yield { start }
-            else
-              (* the policy already tracked the member count: no
-                 List.length here *)
-              let w = sched.Scheduler.form pool ~start ~want in
-              let ws = Translation_cache.best_width cache w.Scheduler.count in
-              Replay.Dispatch
-                {
-                  start;
-                  entry_id = threads.(start).Scheduler.info.Interp.resume_point;
-                  ws;
-                  scanned = w.Scheduler.scanned;
-                  members =
-                    (if ws = w.Scheduler.count then w.Scheduler.members
-                     else take ws w.Scheduler.members);
-                })
+  (* One scheduler step from the recorded schedule: the logged decision,
+     checked against the live state, then applied.  A replayed dispatch
+     still consumes the injector's counter, in lockstep, so a later
+     transition out of replay stays deterministic. *)
+  let replayed log =
+    let d = Replay.next log ~cta:cta_linear in
+    check log d;
+    match d with
+    | Replay.Barrier { released } -> do_release ~released
+    | Replay.Yield { start } ->
+        spend_call ();
+        ignore (injected ());
+        do_spurious_yield ~start
+    | Replay.Dispatch { start; entry_id; ws; scanned; members } ->
+        spend_call ();
+        ignore (injected ());
+        List.iteri (fun k i -> pool.Scheduler.buf.(k) <- i) members;
+        do_dispatch ~start ~entry_id ~ws ~scanned ~members:pool.Scheduler.buf
+  in
+  (* One live step: the policy's decision, or the fault injector's
+     spurious yield, applied without building a decision record. *)
+  let live () =
+    let start = sched.Scheduler.select pool in
+    if start = Scheduler.none then do_release ~released:(count_state Scheduler.Blocked)
+    else begin
+      spend_call ();
+      if injected () then do_spurious_yield ~start
+      else
+        (* the policy already tracked the member count *)
+        let w = sched.Scheduler.form pool ~start ~want in
+        do_dispatch ~start
+          ~entry_id:threads.(start).Scheduler.info.Interp.resume_point
+          ~ws:(Translation_cache.best_width cache w.Scheduler.count)
+          ~scanned:w.Scheduler.scanned ~members:w.Scheduler.members
+    end
   in
   (* CTA span: brackets the whole scheduling loop.  Intentionally not
      exception-protected — a CTA killed mid-flight (fuel, deadlock,
@@ -534,11 +525,7 @@ let run_cta ?(costs = default_costs) ?(fuel = 5_000_000) ?watchdog
     (match ckpt with
     | Some h -> h.Checkpoint.tick ~now:(now ()) ~save
     | None -> ());
-    match decide () with
-    | Replay.Barrier { released } -> do_release ~released
-    | Replay.Yield { start } -> do_spurious_yield ~start
-    | Replay.Dispatch { start; entry_id; ws; scanned; members } ->
-        do_dispatch ~start ~entry_id ~ws ~scanned ~members
+    match replay with Some log -> replayed log | None -> live ()
   done;
   Option.iter (fun log -> Replay.check_drained log ~cta:cta_linear) replay;
   if Obs.Sink.enabled sink then

@@ -9,7 +9,7 @@
     in {!Exec_manager} is policy-agnostic; any policy that only selects
     [Ready] threads and only packs [Ready] threads parked at the same
     entry point preserves results bit-exactly (barrier semantics release
-    the parked set only when [select] returns [None]).
+    the parked set only when [select] returns {!none}).
 
     Three built-in policies:
 
@@ -41,22 +41,23 @@ type thr = {
   mutable state : tstate;
 }
 
-(** One CTA's thread contexts plus the round-robin cursor the driver
-    advances after each dispatch. *)
-type pool = { threads : thr array; n : int; mutable cursor : int }
+(** One CTA's thread contexts, the round-robin cursor the driver
+    advances after each dispatch, and [buf], [n] slots the built-in
+    policies form each warp's members in. *)
+type pool = { threads : thr array; n : int; mutable cursor : int; buf : int array }
 
-(** A formed warp: member indices in scan order, the member count the
-    scan already tracked (so the dispatch path never recounts), and the
-    number of candidate contexts examined (charged to the EM cycle
-    model). *)
-type warp = { members : int list; count : int; scanned : int }
+(** A formed warp: its member indices in scan order, the first [count]
+    entries of [members] (the built-in policies return the pool's [buf],
+    so a warp is read before the next one is formed), and the number of
+    candidate contexts examined (charged to the EM cycle model). *)
+type warp = { members : int array; count : int; scanned : int }
 
 type t = {
   name : string;
   consecutive : bool;
       (** warps are guaranteed to be consecutive linear tids of one row
           (the contract {!Vekt_transform.Vectorize.Static_tie} code needs) *)
-  select : pool -> int option;
+  select : pool -> int;  (** the thread to schedule next, or {!none} *)
   form : pool -> start:int -> want:int -> warp;
 }
 
@@ -64,14 +65,17 @@ type kind = Dynamic | Static | Barrier_aware
 
 (* ---- selection ---- *)
 
+(** What [select] returns when no thread is ready. *)
+let none = -1
+
 (* The index after [i] in a pool of [n], wrapping to 0: a compare where
    [mod] would divide, once per candidate examined. *)
 let[@inline] next ~n i = if i + 1 = n then 0 else i + 1
 
-let round_robin (p : pool) : int option =
+let round_robin (p : pool) : int =
   let rec go tried i =
-    if tried >= p.n then None
-    else if p.threads.(i).state = Ready then Some i
+    if tried >= p.n then none
+    else if p.threads.(i).state = Ready then i
     else go (tried + 1) (next ~n:p.n i)
   in
   go 0 p.cursor
@@ -80,7 +84,7 @@ let round_robin (p : pool) : int option =
    whose entry-point cohort is largest (ties: first in round-robin order
    from the cursor), so the barrier opens in as few dispatches as
    possible. *)
-let barrier_aware_select (p : pool) : int option =
+let barrier_aware_select (p : pool) : int =
   let any_blocked =
     Array.exists (fun (t : thr) -> t.state = Blocked) p.threads
   in
@@ -94,7 +98,7 @@ let barrier_aware_select (p : pool) : int option =
           Hashtbl.replace cohort e
             (Option.value (Hashtbl.find_opt cohort e) ~default:0 + 1))
       p.threads;
-    let best = ref None and i = ref p.cursor in
+    let best = ref none and best_c = ref 0 and i = ref p.cursor in
     for _ = 0 to p.n - 1 do
       let t = p.threads.(!i) in
       (if t.state = Ready then
@@ -103,12 +107,13 @@ let barrier_aware_select (p : pool) : int option =
              (Hashtbl.find_opt cohort t.info.Interp.resume_point)
              ~default:0
          in
-         match !best with
-         | Some (_, bc) when bc >= c -> ()
-         | _ -> best := Some (!i, c));
+         if !best = none || c > !best_c then begin
+           best := !i;
+           best_c := c
+         end);
       i := next ~n:p.n !i
     done;
-    Option.map fst !best
+    !best
   end
 
 (* ---- formation ---- *)
@@ -118,21 +123,23 @@ let barrier_aware_select (p : pool) : int option =
    the warp, and only accepted candidates count as scanned — the static
    scan stops at the mismatch rather than examining past it);
    otherwise the scan wraps around the whole pool, skipping mismatches
-   and counting every context examined. *)
+   and counting every context examined.  Members go straight into the
+   pool's [buf], in scan order. *)
 let[@inline] joins (t : thr) ~entry ~row ~same_row =
   t.state = Ready && t.info.Interp.resume_point = entry && ((not same_row) || t.row = row)
 
 let scan (p : pool) ~start ~want ~consecutive ~same_row : warp =
   let t0 = p.threads.(start) in
   let entry = t0.info.Interp.resume_point and row = t0.row in
-  let members = ref [ start ] in
+  let buf = p.buf in
+  buf.(0) <- start;
   let count = ref 1 in
   let scanned = ref 0 in
   if consecutive then begin
     let i = ref (start + 1) in
     while !count < want && !i < p.n && joins p.threads.(!i) ~entry ~row ~same_row do
       incr scanned;
-      members := !i :: !members;
+      buf.(!count) <- !i;
       incr count;
       incr i
     done
@@ -142,13 +149,13 @@ let scan (p : pool) ~start ~want ~consecutive ~same_row : warp =
     while !count < want && !i <> start do
       incr scanned;
       if joins p.threads.(!i) ~entry ~row ~same_row then begin
-        members := !i :: !members;
+        buf.(!count) <- !i;
         incr count
       end;
       i := next ~n:p.n !i
     done
   end;
-  { members = List.rev !members; count = !count; scanned = !scanned }
+  { members = buf; count = !count; scanned = !scanned }
 
 (* ---- built-in policies ---- *)
 

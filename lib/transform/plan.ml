@@ -12,11 +12,10 @@
 module Ir = Vekt_ir.Ir
 module Ty = Vekt_ir.Ty
 module Liveness = Vekt_analysis.Liveness
-module ISet = Set.Make (Int)
 
 type t = {
   entry_ids : (string * int) list;  (** (block label, entry id); entry is 0 *)
-  slots : (Ir.vreg, int) Hashtbl.t;
+  slots : int array;  (** per register, its slot's byte offset, or -1 for none *)
   spill_base : int;  (** first spill byte (after declared locals) *)
   spill_bytes : int;  (** size of the spill area *)
   live : Liveness.t;
@@ -24,11 +23,23 @@ type t = {
 
 let id_of_label t l = List.assoc_opt l t.entry_ids
 let label_of_id t id = List.find_opt (fun (_, i) -> i = id) t.entry_ids |> Option.map fst
-let slot t r = Hashtbl.find_opt t.slots r
+let slot t r = if t.slots.(r) < 0 then None else Some t.slots.(r)
+
+(** Every slotted register and its slot, in increasing register order. *)
+let slotted t =
+  let acc = ref [] in
+  for r = Array.length t.slots - 1 downto 0 do
+    if t.slots.(r) >= 0 then acc := (r, t.slots.(r)) :: !acc
+  done;
+  !acc
 
 (** Registers live into the entry-point block [l] (restored by its entry
     handler; Figure 8's per-entry statistic). *)
 let entry_live t l = Liveness.live_in t.live l
+
+(** {!entry_live} as the liveness bitset itself, which callers must not
+    write. *)
+let entry_live_bits t l = Liveness.live_in_bits t.live l
 
 let compute (f : Ir.func) ~(local_decl_bytes : int) : t =
   let live = Liveness.compute f in
@@ -56,20 +67,19 @@ let compute (f : Ir.func) ~(local_decl_bytes : int) : t =
     (Ir.blocks f);
   let entry_ids = List.mapi (fun i l -> (l, i)) (List.rev !rev_entry_labels) in
   (* Slot every register live into any entry point. *)
-  let slotted =
-    List.fold_left
-      (fun acc (l, _) -> ISet.union acc (Liveness.live_in live l))
-      ISet.empty entry_ids
-  in
-  let slots = Hashtbl.create 32 in
+  let slotted = Liveness.Bits.create f.Ir.nregs in
+  List.iter
+    (fun (l, _) -> Liveness.Bits.union_into slotted (Liveness.live_in_bits live l))
+    entry_ids;
+  let slots = Array.make f.Ir.nregs (-1) in
   let align n a = (n + a - 1) / a * a in
   let spill_base = align local_decl_bytes 16 in
   let off = ref spill_base in
-  ISet.iter
+  Liveness.Bits.iter
     (fun r ->
       let sz = Vekt_ptx.Ast.size_of (Ir.reg_ty f r).Ty.elt in
       off := align !off sz;
-      Hashtbl.replace slots r !off;
+      slots.(r) <- !off;
       off := !off + sz)
     slotted;
   {

@@ -32,7 +32,6 @@ module Liveness = Vekt_analysis.Liveness
 module Affine = Vekt_analysis.Affine
 
 open Vekt_ptx
-module ISet = Set.Make (Int)
 
 type mode = Dynamic | Static_tie
 
@@ -93,7 +92,7 @@ type classes = {
 }
 
 let classes ?(mode = Dynamic) ~(plan : Plan.t) (scalar : Ir.func) : classes =
-  let slotted = Hashtbl.fold (fun r _ acc -> r :: acc) plan.Plan.slots [] in
+  let slotted = List.map fst (Plan.slotted plan) in
   let static_warps = mode = Static_tie in
   {
     static_warps;
@@ -426,9 +425,9 @@ let run ?(mode = Dynamic) ?(affine = false) ?classes:cls ~(plan : Plan.t) (scala
     (fun (l, id) ->
       ignore (Builder.start_block ~kind:Ir.Entry_handler b (entry_label l id));
       Ir.Itbl.reset bcast_memo;
-      let live = Plan.entry_live plan l in
-      restores_per_entry := (id, ISet.cardinal live) :: !restores_per_entry;
-      ISet.iter
+      let live = Plan.entry_live_bits plan l in
+      restores_per_entry := (id, Liveness.Bits.cardinal live) :: !restores_per_entry;
+      Liveness.Bits.iter
         (fun r ->
           let slot =
             match Plan.slot plan r with
@@ -455,7 +454,7 @@ let run ?(mode = Dynamic) ?(affine = false) ?classes:cls ~(plan : Plan.t) (scala
     plan.Plan.entry_ids;
   (* --- Exit-handler emission (Algorithm 4) --- *)
   let spill_regs live =
-    ISet.iter
+    Liveness.Bits.iter
       (fun r ->
         match Plan.slot plan r with
         | None -> ()
@@ -552,7 +551,7 @@ let run ?(mode = Dynamic) ?(affine = false) ?classes:cls ~(plan : Plan.t) (scala
                 (Ir.Switch (Ir.R sum, [ (0, ft); (ws, taken) ], exit_l));
               (* Exit handler: spill live-outs, per-lane resume points. *)
               ignore (Builder.start_block ~kind:Ir.Exit_handler b exit_l);
-              spill_regs (Liveness.live_out plan.Plan.live blk.Ir.label);
+              spill_regs (Liveness.live_out_bits plan.Plan.live blk.Ir.label);
               for lane = 0 to ws - 1 do
                 let p_lane = lane_operand lane cond in
                 let rid =
@@ -577,7 +576,7 @@ let run ?(mode = Dynamic) ?(affine = false) ?classes:cls ~(plan : Plan.t) (scala
           let exit_l = blk.Ir.label ^ ".barexit" in
           Builder.set_term b (Ir.Jump exit_l);
           ignore (Builder.start_block ~kind:Ir.Exit_handler b exit_l);
-          spill_regs (Liveness.live_out plan.Plan.live blk.Ir.label);
+          spill_regs (Liveness.live_out_bits plan.Plan.live blk.Ir.label);
           for lane = 0 to ws - 1 do
             Builder.emit b
               (Ir.Set_resume (lane, Ir.Imm (Scalar_ops.I (Int64.of_int id_l), Ast.S32)))

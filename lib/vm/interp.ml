@@ -17,8 +17,14 @@
     width, so a lane loop decodes nothing and dispatches on nothing.  The
     glue the vectorizer wraps around every subkernel — lane packing and
     unpacking, context reads, spills, restores, resume points — is most
-    of the static code, so each run of it becomes one closure over a
-    table of packed steps rather than one closure per instruction.
+    of the static code, and is lowered by value and lane rather than by
+    instruction: a single-use extract or insert next to the instruction
+    that consumes or produces its lane folds into it, which then reads
+    or writes the vector's lane itself; each run of the rest becomes one
+    closure over a table of packed steps; and a value's per-lane spills,
+    or restores, become one step that loops over the lanes.  Counters
+    still count every IR instruction, lane and fault as the unfolded
+    code would (see "Glue" below).
 
     Lowering also decides what run time would otherwise re-check.  Every
     register slot is allocated whole, and each lane an instruction, glue
@@ -459,7 +465,11 @@ type block = {
   label : string;
   kind : Ir.bkind;
   cost : cost;  (** charged per execution, terminator included *)
-  code : code array;  (** each starts one instruction, a glue run several *)
+  code : code array;  (** an instruction (with any folded into it) or a glue run *)
+  counts : int array;
+      (** per closure, the instructions {!run} counts before calling it
+          (bits 0-1) and after it returns (above); 0 for a glue run,
+          which counts itself *)
   term : term;
 }
 
@@ -475,6 +485,7 @@ type t = {
   ni : int;  (** int slots; the last [Bytes.length i_imms / 8] hold immediates *)
   i_imms : Bytes.t;
   rb0 : Scalar_ops.value array;  (** boxed slots, all of them *)
+  size : int;  (** closures plus glue steps, over all blocks *)
 }
 
 let tag_i = 1
@@ -1183,15 +1194,33 @@ let compile_op ~ws ~(src : Ir.operand -> src) ~(dst : Ir.vreg -> src) ~exact (i 
 
 (* Glue: the data movement the vectorizer wraps around every subkernel
    (lane packing and unpacking, context reads, spills, restores, resume
-   points and status) is most of a specialization's static code.  One
-   closure per glue instruction would make the compiled code larger
-   than the IR it came from, so a block's consecutive glue instructions
-   lower to one immutable table of steps, each packed into a single
-   int, which one closure ({!glue_run}) walks.  A step is a kind (bits
-   0-2), a [counted] bit marking the first step of each instruction,
-   and the kind's fields above them. *)
-let counted = 8
+   points and status) is most of a specialization's static code, and
+   most of it moves one lane of one value.  Lowering removes what it
+   can and packs the rest:
 
+   - An [extract] whose result's only use is the very next instruction
+     is folded into it: that consumer reads the vector's lane directly.
+     An in-place [insert] whose scalar comes from the instruction just
+     before it, and is used nowhere else, is folded into that producer,
+     which writes the vector's lane directly.  Either fold needs the two
+     registers to share a class, and an insert folds only into a
+     producer that does not read the vector.  A register folded away
+     gets no slot.
+   - A block's remaining glue lowers to one immutable table of steps,
+     which one closure ({!glue_run}) walks; and a value's consecutive
+     per-lane spills, or restores, at one local offset become a single
+     step that decodes its type once and loops over the lanes.
+
+   Counting stays per instruction, as if nothing were folded: a folded
+   extract counts just before its consumer runs (an extract cannot
+   fault), a folded insert just after its producer returns, and a
+   merged spill or restore counts each lane just before that lane's
+   access.  So a fault part-way through leaves [dyn_instrs], [spills]
+   and [restores] where the unfolded code would have left them.
+
+   A step's first word holds its kind (bits 0-2), the instructions it
+   counts before it runs (bits 3-4) and after (bit 5), and the kind's
+   fields above them.  A merged spill or restore takes a second word. *)
 let copy_kind = function Cf -> 0 | Ci -> 1 | Cb -> 2
 let spill_kind = 3
 let restore_kind = 4
@@ -1203,30 +1232,57 @@ let status_code = function Ir.Status_branch -> 0 | Ir.Status_barrier -> 1 | Ir.S
 let status_of_code = function 0 -> Ir.Status_branch | 1 -> Ir.Status_barrier | _ -> Ir.Status_exit
 
 (* [value] as a [bits]-wide field at [shift]; [Exit] when it does not
-   fit (512 lanes, 4 MB of local memory per lane, 8M register slots). *)
+   fit (512 lanes, 4 MB of local memory per lane, 256M register slots). *)
 let field ~shift ~bits value =
   if value < 0 || value >= 1 lsl bits then raise Exit;
   value lsl shift
 
 let[@inline] get_field x ~shift ~bits = (x lsr shift) land ((1 lsl bits) - 1)
 
-(* Layouts.  copy: destination slot at 4, source slot at 30.  spill and
-   restore: lane at 4, {!dtypes} index at 13, byte offset in the lane's
-   local block at 17, register slot at 39.  ctx: lane at 4, field code at
-   13, destination slot at 17.  resume: lane at 4, source slot at 13.
-   status: code at 4. *)
+(* The counts of a step: [pre] instructions (1, or 2 with a folded
+   extract) before it runs, [post] (0, or 1 with a folded insert) after.
+   A closure's counts, for {!run}, are [pre lor (post lsl 2)]. *)
+let step_counts ~pre ~post = (pre lsl 3) lor (post lsl 5)
+
+(* Layouts.  copy: destination slot at 6, source slot at 34.  ctx: lane
+   at 6, field code at 15, destination slot at 19.  resume: lane at 6,
+   source slot at 15.  status: code at 6.  spill and restore: first
+   lane at 6, lane count at 15, {!dtypes} index at 25, first register
+   slot at 29 (lane [l] uses slot + l); the second word is the byte
+   offset in each lane's local block. *)
 let copy_step cls ~dst ~src =
-  copy_kind cls lor field ~shift:4 ~bits:26 dst lor field ~shift:30 ~bits:32 src
+  copy_kind cls lor field ~shift:6 ~bits:28 dst lor field ~shift:34 ~bits:28 src
 
-let lane_step kind ~lane ~ty ~slot ~reg =
-  kind lor field ~shift:4 ~bits:9 lane lor field ~shift:13 ~bits:4 (dtype_index ty)
-  lor field ~shift:17 ~bits:22 slot lor field ~shift:39 ~bits:23 reg
+(* A spill or restore of lanes [lane, lane + n) before packing, so
+   neighbours can merge. *)
+type lane_run = {
+  kind : int;
+  counts : int;
+  ty : int;
+  off : int;
+  lane : int;
+  mutable n : int;
+  reg : int;
+}
 
-(* What one instruction lowers to: its own closure, or glue steps. *)
-type piece = Op of code | Glue of int list
+let one_lane kind ~counts ~lane ~ty ~off ~reg =
+  ignore (field ~shift:0 ~bits:22 off);
+  ignore (field ~shift:0 ~bits:32 reg);
+  { kind; counts; ty = dtype_index ty; off; lane; n = 1; reg }
 
-let lower_instr ~ws ~src ~dst ~exact (i : Ir.instr) : piece =
-  let glue = function first :: rest -> Glue ((first lor counted) :: rest) | [] -> Op ignore in
+type step = Step of int | Run of lane_run
+
+(* What one instruction lowers to: its own closure and its counts, or
+   glue steps. *)
+type piece = Op of code * int | Glue of step list
+
+let lower_instr ~ws ~src ~dst ~exact ~pre ~post (i : Ir.instr) : piece =
+  let counts = step_counts ~pre ~post and m = pre lor (post lsl 2) in
+  let glue = function
+    | Step x :: rest -> Glue (Step (x lor counts) :: rest)
+    | [] -> Op (ignore, m)
+    | steps -> Glue steps
+  in
   (* Lanes [0, w) of [d] from [a] (a splat when [a] is scalar), then lane
      [lane] from [s]: slot copies when the classes agree. *)
   let copies d w a extra =
@@ -1239,14 +1295,15 @@ let lower_instr ~ws ~src ~dst ~exact (i : Ir.instr) : piece =
         else List.init w (fun l -> (base_of d + l, base_of a + (l * stride_of a)))
       in
       let set = Option.fold ~none:[] ~some:(fun (lane, s) -> [ (base_of d + lane, base_of s) ]) extra in
-      glue (List.map (fun (dst, src) -> copy_step (cls_of d) ~dst ~src) (fill @ set))
+      glue (List.map (fun (dst, src) -> Step (copy_step (cls_of d) ~dst ~src)) (fill @ set))
     else
       Op
-        (fun st ->
+        ( (fun st ->
           for l = 0 to w - 1 do
             put st d l (get st a l)
           done;
-          Option.iter (fun (lane, s) -> put st d lane (get st s 0)) extra)
+          Option.iter (fun (lane, s) -> put st d lane (get st s 0)) extra),
+          m )
   in
   let natural (s : src) ty = cls_of s = if Ast.is_float ty then Cf else Ci in
   match i with
@@ -1269,111 +1326,188 @@ let lower_instr ~ws ~src ~dst ~exact (i : Ir.instr) : piece =
       lanes d w [];
       if lane < 0 || lane >= w then raise (Bad "lane out of range");
       copies d w v (Some (lane, s))
-  | Ir.Spill (lane, slot, ty, v) ->
+  | Ir.Spill (lane, off, ty, v) ->
       let v = src v in
       has_lane v lane;
       thread_lane ~ws lane;
       if natural v ty then
-        glue [ lane_step spill_kind ~lane ~ty ~slot ~reg:(base_of v + (lane * stride_of v)) ]
+        Glue
+          [ Run (one_lane spill_kind ~counts ~lane ~ty ~off ~reg:(base_of v + (lane * stride_of v))) ]
       else
         Op
-          (fun st ->
-            st.counters.spills <- st.counters.spills + 1;
-            Mem.store st.mem.local ty
-              ((Array.unsafe_get st.warp.lanes lane).local_base + slot)
-              (get st v lane))
-  | Ir.Restore (d, lane, slot, ty) ->
+          ( (fun st ->
+              st.counters.spills <- st.counters.spills + 1;
+              Mem.store st.mem.local ty
+                ((Array.unsafe_get st.warp.lanes lane).local_base + off)
+                (get st v lane)),
+            m )
+  | Ir.Restore (d, lane, off, ty) ->
       let d = dst d in
       lanes d 1 [];
       thread_lane ~ws lane;
-      if natural d ty then glue [ lane_step restore_kind ~lane ~ty ~slot ~reg:(base_of d) ]
+      if natural d ty then Glue [ Run (one_lane restore_kind ~counts ~lane ~ty ~off ~reg:(base_of d)) ]
       else
         Op
-          (fun st ->
-            st.counters.restores <- st.counters.restores + 1;
-            put st d 0
-              (Mem.load st.mem.local ty ((Array.unsafe_get st.warp.lanes lane).local_base + slot)))
+          ( (fun st ->
+              st.counters.restores <- st.counters.restores + 1;
+              put st d 0
+                (Mem.load st.mem.local ty ((Array.unsafe_get st.warp.lanes lane).local_base + off))),
+            m )
   | Ir.Ctx_read (d, f, lane) when cls_of (dst d) = Ci ->
       let d = dst d in
       lanes d 1 [];
       thread_lane ~ws lane;
       glue
         [
-          ctx_kind lor field ~shift:4 ~bits:9 lane
-          lor field ~shift:13 ~bits:4 (field_code f)
-          lor field ~shift:17 ~bits:32 (base_of d);
+          Step
+            (ctx_kind lor field ~shift:6 ~bits:9 lane
+            lor field ~shift:15 ~bits:4 (field_code f)
+            lor field ~shift:19 ~bits:32 (base_of d));
         ]
   | Ir.Set_resume (lane, v) when cls_of (src v) = Ci ->
       let v = scalar (src v) in
       thread_lane ~ws lane;
-      glue [ resume_kind lor field ~shift:4 ~bits:9 lane lor field ~shift:13 ~bits:32 (base_of v) ]
-  | Ir.Set_status s -> glue [ status_kind lor field ~shift:4 ~bits:2 (status_code s) ]
-  | _ -> Op (compile_op ~ws ~src ~dst ~exact i)
+      glue [ Step (resume_kind lor field ~shift:6 ~bits:9 lane lor field ~shift:15 ~bits:32 (base_of v)) ]
+  | Ir.Set_status s -> glue [ Step (status_kind lor field ~shift:6 ~bits:2 (status_code s)) ]
+  | _ -> Op (compile_op ~ws ~src ~dst ~exact i, m)
 
-let compile_instr ~ws ~src ~dst ~exact i =
-  try lower_instr ~ws ~src ~dst ~exact i
+let compile_instr ~ws ~src ~dst ~exact ~pre ~post i =
+  try lower_instr ~ws ~src ~dst ~exact ~pre ~post i
   with Exit -> raise (Bad "lane, local offset or register file beyond the glue step layout")
 
-(* Walk a glue table.  Every step counts itself, so a fault part-way
-   through leaves the counters as if each instruction ran on its own.
-   Slots, lanes and type indices were proven in range when the steps
-   were packed, so none is checked again here. *)
+(* A merged spill: lane [lane0 + l] stores register slot [reg + l], each
+   lane counted just before its access. *)
+let spill_run st x off =
+  let c = st.counters and pre = get_field x ~shift:3 ~bits:2 and post = get_field x ~shift:5 ~bits:1 in
+  let t = Array.unsafe_get dtypes (get_field x ~shift:25 ~bits:4) in
+  let lane0 = get_field x ~shift:6 ~bits:9 and n = get_field x ~shift:15 ~bits:10 in
+  let reg = x lsr 29 and lanes = st.warp.lanes and m = st.mem.local and size = t.size in
+  if t.fl then
+    for l = 0 to n - 1 do
+      c.dyn_instrs <- c.dyn_instrs + pre;
+      c.spills <- c.spills + 1;
+      let a = (Array.unsafe_get lanes (lane0 + l)).local_base + off in
+      store_bits m size a (bits_of_float size (Array.unsafe_get st.rf (reg + l)));
+      c.dyn_instrs <- c.dyn_instrs + post
+    done
+  else
+    for l = 0 to n - 1 do
+      c.dyn_instrs <- c.dyn_instrs + pre;
+      c.spills <- c.spills + 1;
+      let a = (Array.unsafe_get lanes (lane0 + l)).local_base + off in
+      store_bits m size a (norm t.n (get64u st.ri ((reg + l) lsl 3)));
+      c.dyn_instrs <- c.dyn_instrs + post
+    done
+
+(* A merged restore: lane [lane0 + l] loads register slot [reg + l]. *)
+let restore_run st x off =
+  let c = st.counters and pre = get_field x ~shift:3 ~bits:2 and post = get_field x ~shift:5 ~bits:1 in
+  let t = Array.unsafe_get dtypes (get_field x ~shift:25 ~bits:4) in
+  let lane0 = get_field x ~shift:6 ~bits:9 and n = get_field x ~shift:15 ~bits:10 in
+  let reg = x lsr 29 and lanes = st.warp.lanes and m = st.mem.local and size = t.size in
+  if t.fl then
+    for l = 0 to n - 1 do
+      c.dyn_instrs <- c.dyn_instrs + pre;
+      c.restores <- c.restores + 1;
+      let a = (Array.unsafe_get lanes (lane0 + l)).local_base + off in
+      Array.unsafe_set st.rf (reg + l) (float_of_bits size (load_bits m size a));
+      c.dyn_instrs <- c.dyn_instrs + post
+    done
+  else
+    for l = 0 to n - 1 do
+      c.dyn_instrs <- c.dyn_instrs + pre;
+      c.restores <- c.restores + 1;
+      let a = (Array.unsafe_get lanes (lane0 + l)).local_base + off in
+      set64u st.ri ((reg + l) lsl 3) (norm t.n (load_bits m size a));
+      c.dyn_instrs <- c.dyn_instrs + post
+    done
+
+(* Walk a glue table.  Every step counts its own instructions.  Slots,
+   lanes and type indices were proven in range when the steps were
+   packed, so none is checked again here. *)
 let glue_run (g : int array) : code =
  fun st ->
   let c = st.counters in
-  for k = 0 to Array.length g - 1 do
-    let x = Array.unsafe_get g k in
-    if x land counted <> 0 then c.dyn_instrs <- c.dyn_instrs + 1;
-    match x land 7 with
-    | 0 ->
-        Array.unsafe_set st.rf (get_field x ~shift:4 ~bits:26) (Array.unsafe_get st.rf (x lsr 30))
-    | 1 -> set64u st.ri (get_field x ~shift:4 ~bits:26 lsl 3) (get64u st.ri ((x lsr 30) lsl 3))
-    | 2 ->
-        Array.unsafe_set st.rb (get_field x ~shift:4 ~bits:26) (Array.unsafe_get st.rb (x lsr 30))
+  let k = ref 0 in
+  while !k < Array.length g do
+    let x = Array.unsafe_get g !k in
+    (match x land 7 with
     | 3 ->
-        c.spills <- c.spills + 1;
-        let t = Array.unsafe_get dtypes (get_field x ~shift:13 ~bits:4) and reg = x lsr 39 in
-        let bits =
-          if t.fl then bits_of_float t.size (Array.unsafe_get st.rf reg)
-          else norm t.n (get64u st.ri (reg lsl 3))
-        in
-        let lane = Array.unsafe_get st.warp.lanes (get_field x ~shift:4 ~bits:9) in
-        store_bits st.mem.local t.size (lane.local_base + get_field x ~shift:17 ~bits:22) bits
+        incr k;
+        spill_run st x (Array.unsafe_get g !k)
     | 4 ->
-        c.restores <- c.restores + 1;
-        let t = Array.unsafe_get dtypes (get_field x ~shift:13 ~bits:4) and reg = x lsr 39 in
-        let lane = Array.unsafe_get st.warp.lanes (get_field x ~shift:4 ~bits:9) in
-        let bits =
-          load_bits st.mem.local t.size (lane.local_base + get_field x ~shift:17 ~bits:22)
-        in
-        if t.fl then Array.unsafe_set st.rf reg (float_of_bits t.size bits)
-        else set64u st.ri (reg lsl 3) (norm t.n bits)
-    | 5 ->
-        let v = ctx_value st (get_field x ~shift:13 ~bits:4) (get_field x ~shift:4 ~bits:9) in
-        set64u st.ri ((x lsr 17) lsl 3) (Int64.of_int v)
-    | 6 ->
-        (Array.unsafe_get st.warp.lanes (get_field x ~shift:4 ~bits:9)).resume_point <-
-          Int64.to_int (norm s32 (get64u st.ri ((x lsr 13) lsl 3)))
-    | _ -> st.warp.status <- status_of_code (x lsr 4)
+        incr k;
+        restore_run st x (Array.unsafe_get g !k)
+    | kind -> (
+        (* nothing below can fault, so both counts go first *)
+        c.dyn_instrs <- c.dyn_instrs + get_field x ~shift:3 ~bits:2 + get_field x ~shift:5 ~bits:1;
+        match kind with
+        | 0 ->
+            Array.unsafe_set st.rf (get_field x ~shift:6 ~bits:28) (Array.unsafe_get st.rf (x lsr 34))
+        | 1 -> set64u st.ri (get_field x ~shift:6 ~bits:28 lsl 3) (get64u st.ri ((x lsr 34) lsl 3))
+        | 2 ->
+            Array.unsafe_set st.rb (get_field x ~shift:6 ~bits:28) (Array.unsafe_get st.rb (x lsr 34))
+        | 5 ->
+            let v = ctx_value st (get_field x ~shift:15 ~bits:4) (get_field x ~shift:6 ~bits:9) in
+            set64u st.ri ((x lsr 19) lsl 3) (Int64.of_int v)
+        | 6 ->
+            (Array.unsafe_get st.warp.lanes (get_field x ~shift:6 ~bits:9)).resume_point <-
+              Int64.to_int (norm s32 (get64u st.ri ((x lsr 15) lsl 3)))
+        | _ -> st.warp.status <- status_of_code (x lsr 6)));
+    incr k
   done
 
-(* A block's closures.  {!run} counts one instruction before calling
-   each; a glue run counts the rest of its instructions itself, so its
-   first step is left uncounted. *)
-let fuse (pieces : piece list) : code array =
-  let rec go acc = function
-    | [] -> Array.of_list (List.rev acc)
-    | Op c :: rest -> go (c :: acc) rest
+(* A glue run's steps, neighbouring spills or restores of consecutive
+   lanes and register slots at one offset merged, packed into words; and
+   the number of steps left. *)
+let pack (steps : step list) : int array * int =
+  (* last step first, merging into the run before, counting words and steps *)
+  let rec merge acc words n = function
+    | [] -> (acc, words, n)
+    | (Run r as s) :: rest -> (
+        match acc with
+        | Run p :: _
+          when r.kind = p.kind && r.counts = p.counts && r.ty = p.ty && r.off = p.off
+               && r.lane = p.lane + p.n && r.reg = p.reg + p.n ->
+            p.n <- p.n + 1;
+            merge acc words n rest
+        | _ -> merge (s :: acc) (words + 2) (n + 1) rest)
+    | s :: rest -> merge (s :: acc) (words + 1) (n + 1) rest
+  in
+  let merged, words, n = merge [] 0 0 steps in
+  let g = Array.make words 0 in
+  let rec fill k = function
+    | [] -> ()
+    | Step x :: rest ->
+        g.(k - 1) <- x;
+        fill (k - 1) rest
+    | Run r :: rest ->
+        g.(k - 2) <-
+          r.kind lor r.counts lor (r.lane lsl 6) lor (r.n lsl 15) lor (r.ty lsl 25) lor (r.reg lsl 29);
+        g.(k - 1) <- r.off;
+        fill (k - 2) rest
+  in
+  fill words merged;
+  (g, n)
+
+(* A block's closures and their counts ({!run} adds a closure's [pre]
+   before calling it and its [post] after it returns), and its number of
+   closures plus glue steps, from its pieces last first.  Consecutive
+   glue becomes one {!glue_run}, which counts itself. *)
+let fuse (pieces : piece list) : code array * int array * int =
+  let rec go codes counts size = function
+    | [] -> (Array.of_list codes, Array.of_list counts, size)
+    | Op (c, m) :: rest -> go (c :: codes) (m :: counts) (size + 1) rest
     | Glue _ :: _ as ps ->
         let rec take steps = function
-          | Glue g :: rest -> take (List.rev_append g steps) rest
-          | rest -> (Array.of_list (List.rev steps), rest)
+          | Glue g :: rest -> take (g @ steps) rest
+          | rest -> (steps, rest)
         in
         let steps, rest = take [] ps in
-        steps.(0) <- steps.(0) land lnot counted;
-        go (glue_run steps :: acc) rest
+        let g, n = pack steps in
+        go (glue_run g :: codes) (0 :: counts) (size + n) rest
   in
-  go [] pieces
+  go [] [] 0 pieces
 
 (* Immediates by tag and 64-bit pattern, hashed and compared without
    the polymorphic primitives. *)
@@ -1390,20 +1524,99 @@ end)
     {!run}. *)
 let compile ~(machine : Machine.t) (f : Ir.func) : t =
   (* Registers no instruction mentions (left behind by the passes) get
-     no slots. *)
-  let used = Array.make f.Ir.nregs false in
-  let mark r = used.(r) <- true in
+     no slots.  For the folds, [uses] counts reads, terminators included,
+     [defs] definitions, and [read_at] says where the last read was: its
+     instruction's position in layout order, or -1 for a terminator. *)
+  let blocks = Ir.blocks f and nregs = f.Ir.nregs in
+  let used = Array.make nregs false in
+  let uses = Array.make nregs 0 and defs = Array.make nregs 0 in
+  let read_at = Array.make nregs (-1) and at = ref 0 in
+  let read r =
+    used.(r) <- true;
+    uses.(r) <- uses.(r) + 1;
+    read_at.(r) <- !at
+  in
   List.iter
     (fun (b : Ir.block) ->
       List.iter
         (fun ({ Ir.i; _ } : Ir.li) ->
           let d = Ir.def i in
-          if d >= 0 then mark d;
-          Ir.iter_uses mark i)
+          if d >= 0 then begin
+            used.(d) <- true;
+            defs.(d) <- defs.(d) + 1
+          end;
+          Ir.iter_uses read i;
+          incr at)
         b.Ir.insts;
-      List.iter mark (Ir.term_uses b.Ir.term))
-    (Ir.blocks f);
+      List.iter
+        (fun r ->
+          read r;
+          read_at.(r) <- -1)
+        (Ir.term_uses b.Ir.term))
+    blocks;
+  (* the facts of the unfolded code: a fold moves no value between classes *)
   let facts = infer_tags f ~used in
+  let cls_of_tags t =
+    let t = t land (tag_i lor tag_f) in
+    if t = tag_f then Cf else if t = tag_i then Ci else Cb
+  in
+  let reg_cls r = cls_of_tags facts.(r) and width r = (Ir.reg_ty f r).Ty.width in
+  let once r = uses.(r) = 1 && defs.(r) = 1 in
+  let reads i r =
+    let found = ref false in
+    Ir.iter_uses (fun u -> if u = r then found := true) i;
+    !found
+  in
+  (* The folds of one block, decided on its instructions: [into_next.(k)]
+     says the extract at [k] folds into the instruction after it,
+     [into_prev.(k)] that the insert at [k] folds into the one before. *)
+  let folded = Array.make nregs false in
+  at := 0;
+  let plan_folds (b : Ir.block) =
+    let insts = Array.of_list b.Ir.insts in
+    let n = Array.length insts and base = !at in
+    at := base + n;
+    let into_next = Array.make n false and into_prev = Array.make n false in
+    for k = 0 to n - 2 do
+      match insts.(k).Ir.i with
+      | Ir.Extract (_, d, a, l) when once d && read_at.(d) = base + k + 1 ->
+          let next = insts.(k + 1).Ir.i in
+          let fits =
+            match a with
+            | Ir.R r -> Ir.def next <> r && reg_cls r = reg_cls d && (width r = 1 || l < width r)
+            | Ir.Imm (v, _) -> cls_of_tags (facts_of_value v) = reg_cls d
+          in
+          if
+            fits && l >= 0 && width d = 1 && Ir.def next <> d
+            && match next with Ir.Extract _ -> false | _ -> true
+          then begin
+            into_next.(k) <- true;
+            folded.(d) <- true
+          end
+      | _ -> ()
+    done;
+    for k = 1 to n - 1 do
+      match insts.(k).Ir.i with
+      | Ir.Insert (_, v, Ir.R v', l, Ir.R s)
+        when v = v' && s <> v && once s && not into_next.(k - 1) ->
+          let producer = insts.(k - 1).Ir.i in
+          let reads_v () =
+            reads producer v
+            || k >= 2 && into_next.(k - 2)
+               && match insts.(k - 2).Ir.i with Ir.Extract (_, _, Ir.R a, _) -> a = v | _ -> false
+          in
+          if
+            Ir.def producer = s && width s = 1 && width v > 1 && l >= 0 && l < width v
+            && reg_cls s = reg_cls v && not (reads_v ())
+          then begin
+            into_prev.(k) <- true;
+            folded.(s) <- true
+          end
+      | _ -> ()
+    done;
+    (insts, into_next, into_prev)
+  in
+  let folds = List.map plan_folds blocks in
   let nf = ref 0 and ni = ref 0 and nb = ref 0 in
   let alloc cls w =
     let n = match cls with Cf -> nf | Ci -> ni | Cb -> nb in
@@ -1411,13 +1624,9 @@ let compile ~(machine : Machine.t) (f : Ir.func) : t =
     n := base + w;
     base
   in
-  let cls_of_tags t =
-    let t = t land (tag_i lor tag_f) in
-    if t = tag_f then Cf else if t = tag_i then Ci else Cb
-  in
   let regs =
     Array.init f.Ir.nregs (fun r ->
-        if not used.(r) then None
+        if (not used.(r)) || folded.(r) then None
         else
           let ty = Ir.reg_ty f r in
           let cls = cls_of_tags facts.(r) and w = ty.Ty.width in
@@ -1443,7 +1652,6 @@ let compile ~(machine : Machine.t) (f : Ir.func) : t =
             Imm_tbl.replace imms key (s, v);
             s)
   in
-  let blocks = Ir.blocks f in
   let index = Ir.Stbl.create 16 in
   List.iteri (fun k (b : Ir.block) -> Ir.Stbl.replace index b.Ir.label k) blocks;
   let target l =
@@ -1469,22 +1677,51 @@ let compile ~(machine : Machine.t) (f : Ir.func) : t =
     | Ir.Return -> Yield
   in
   let timing = Timing.state machine f in
-  let lower (b : Ir.block) =
-    let code =
-      fuse
-        (List.map
-           (fun ({ Ir.i; _ } : Ir.li) ->
-             try compile_instr ~ws:f.Ir.warp_size ~src ~dst:slot ~exact:(exact facts) i
-             with Bad reason -> Op (fun _ -> raise (Trap reason)))
-           b.Ir.insts)
+  let ws = f.Ir.warp_size and exact = exact facts in
+  let size = ref 0 in
+  (* Instruction [k], with a folded extract before it read through [src]
+     and a folded insert after it written through [dst]. *)
+  let lower_at (insts : Ir.li array) into_next into_prev k =
+    let folds_extract = k > 0 && into_next.(k - 1)
+    and folds_insert = k + 1 < Array.length insts && into_prev.(k + 1) in
+    let src =
+      if not folds_extract then src
+      else
+        match insts.(k - 1).Ir.i with
+        | Ir.Extract (_, d, a, l) ->
+            let lane = lane_of (src a) l in
+            fun o -> (match o with Ir.R r when r = d -> lane | o -> src o)
+        | _ -> assert false
     in
+    let dst =
+      if not folds_insert then slot
+      else
+        match insts.(k + 1).Ir.i with
+        | Ir.Insert (_, v, _, l, Ir.R s) ->
+            let lane = lane_of (slot v) l in
+            fun r -> if r = s then lane else slot r
+        | _ -> assert false
+    in
+    let pre = if folds_extract then 2 else 1 and post = if folds_insert then 1 else 0 in
+    try compile_instr ~ws ~src ~dst ~exact ~pre ~post insts.(k).Ir.i
+    with Bad reason -> Op ((fun _ -> raise (Trap reason)), pre lor (post lsl 2))
+  in
+  let lower (b : Ir.block) (insts, into_next, into_prev) =
+    (* last first, as {!fuse} takes them *)
+    let pieces = ref [] in
+    for k = 0 to Array.length insts - 1 do
+      if not (into_next.(k) || into_prev.(k)) then
+        pieces := lower_at insts into_next into_prev k :: !pieces
+    done;
+    let code, counts, n = fuse !pieces in
+    size := !size + n;
     let c = Timing.block timing b in
     let cost =
       { cycles = c.Timing.cycles +. Timing.term_cost; flops = c.flops; shares = c.shares }
     in
-    { label = b.Ir.label; kind = b.Ir.kind; cost; code; term = lower_term b.Ir.term }
+    { label = b.Ir.label; kind = b.Ir.kind; cost; code; counts; term = lower_term b.Ir.term }
   in
-  let blocks = Array.of_list (List.map lower blocks) in
+  let blocks = Array.of_list (List.map2 lower blocks folds) in
   let f_imms = Array.make (!nf - f_regs) 0.0 and i_imms = Bytes.make ((!ni - i_regs) * 8) '\000' in
   let rb0 = Array.make !nb (Scalar_ops.I 0L) in
   let init (s : src) v =
@@ -1508,7 +1745,12 @@ let compile ~(machine : Machine.t) (f : Ir.func) : t =
     ni = !ni;
     i_imms;
     rb0;
+    size = !size;
   }
+
+(** Closures plus glue steps in [c]: what a run can execute, against the
+    IR instructions it came from. *)
+let size c = c.size
 
 (* Each domain keeps one register file and one cycle tally and lends
    them to one call at a time: a call resets the file to the compiled
@@ -1609,10 +1851,12 @@ let rec execute st c pc fuel =
   if fuel <= 0 then raise Out_of_fuel;
   let b = Array.unsafe_get c.blocks pc in
   account st b;
-  let code = b.code and counters = st.counters in
+  let code = b.code and counts = b.counts and counters = st.counters in
   for k = 0 to Array.length code - 1 do
-    counters.dyn_instrs <- counters.dyn_instrs + 1;
-    (Array.unsafe_get code k) st
+    let m = Array.unsafe_get counts k in
+    counters.dyn_instrs <- counters.dyn_instrs + (m land 3);
+    (Array.unsafe_get code k) st;
+    counters.dyn_instrs <- counters.dyn_instrs + (m lsr 2)
   done;
   match b.term with
   | Goto t -> execute st c t (fuel - 1)

@@ -632,12 +632,13 @@ let ckpt_files dir =
   |> List.sort compare
 
 (* The CI leg's launch: [ringsum_src] over 4 CTAs on one worker, with a
-   snapshot at every safe point into [dir]. *)
-let ringsum4 ~dir ?resume ?checkpoint_stop () =
+   snapshot at every [every]th safe point (default: every one; 32
+   snapshots in all) into [dir]. *)
+let ringsum4 ~dir ?(every = 1) ?resume ?checkpoint_stop () =
   let config =
     {
       Api.default_config with
-      checkpoint_every = 1;
+      checkpoint_every = every;
       checkpoint_dir = dir;
       workers = Some 1;
     }
@@ -658,15 +659,20 @@ let fresh_dir name =
   else Sys.mkdir dir 0o755;
   dir
 
-(* Every snapshot of a launch lands in one log, [<kernel>.ckpt]; [read]
+(* Every snapshot of a launch within the log's bound (every other safe
+   point: 16 snapshots) lands in one log, [<kernel>.ckpt]; [read]
    returns its newest record, and each record is the snapshot [write]
    reported. *)
 let test_log_one_file () =
   let dir = fresh_dir "log-one" in
-  let m, r, got = ringsum4 ~dir () in
+  let m, r, got = ringsum4 ~dir ~every:2 () in
   Alcotest.(check (list (float 1e-6))) "ring sums" (ringsum_expected 8) got;
   let writes = counter_value m ~kernel:"ringsum" r "ckpt.writes" in
   Alcotest.(check bool) (Fmt.str "%d snapshots >= 3" writes) true (writes >= 3);
+  Alcotest.(check bool)
+    (Fmt.str "%d snapshots within the bound" writes)
+    true
+    (writes <= Checkpoint.max_log_records);
   Alcotest.(check (list string)) "exactly one log" [ "ringsum.ckpt" ]
     (ckpt_files dir);
   let path = Filename.concat dir "ringsum.ckpt" in
@@ -685,6 +691,39 @@ let test_log_one_file () =
   Alcotest.(check int) "the earlier launch's log was replaced" 1
     (List.length (record_offsets (read_bytes path)));
   Alcotest.(check int) "its one record" 1 (Checkpoint.read path).Checkpoint.seq
+
+(* A launch with more snapshots than the log's bound: the log never
+   holds more than {!Checkpoint.max_log_records} records, the snapshot
+   after the bound starts it afresh, and a launch stopped past the bound
+   resumes from its log to the uninterrupted run's ring sums and integer
+   statistics. *)
+let test_log_bounded () =
+  let bound = Checkpoint.max_log_records in
+  let dir = fresh_dir "log-bounded" in
+  let m, r0, clean = ringsum4 ~dir () in
+  Alcotest.(check (list (float 1e-6))) "ring sums" (ringsum_expected 8) clean;
+  let writes = counter_value m ~kernel:"ringsum" r0 "ckpt.writes" in
+  Alcotest.(check bool) (Fmt.str "%d snapshots > %d" writes bound) true (writes > bound);
+  let path = Filename.concat dir "ringsum.ckpt" in
+  Alcotest.(check (list string)) "exactly one log" [ "ringsum.ckpt" ] (ckpt_files dir);
+  Alcotest.(check int) "the records since the log last started afresh"
+    (((writes - 1) mod bound) + 1)
+    (List.length (record_offsets (read_bytes path)));
+  Alcotest.(check int) "read returns the highest seq" writes
+    (Checkpoint.read path).Checkpoint.seq;
+  let stop = bound + 4 in
+  let log =
+    match ringsum4 ~dir:(fresh_dir "log-bounded-stop") ~checkpoint_stop:stop () with
+    | _ -> Alcotest.fail "expected Checkpoint.Stop"
+    | exception Checkpoint.Stop p -> p
+  in
+  Alcotest.(check int) "stopped past the bound: the records after it" 4
+    (List.length (record_offsets (read_bytes log)));
+  Alcotest.(check int) "its newest seq" stop (Checkpoint.read log).Checkpoint.seq;
+  let m, r, got = ringsum4 ~dir:(fresh_dir "log-bounded-resume") ~resume:log () in
+  Alcotest.(check (list (float 1e-6))) "resumed ring sums" clean got;
+  check_int_stats "resumed past the bound" ~expect:r0.Api.stats ~got:r.Api.stats;
+  Alcotest.(check int) "resumed once" 1 (counter_value m ~kernel:"ringsum" r "ckpt.resumes")
 
 (* A log stopped after three snapshots, its last record cut short or
    bit-flipped, resumes from the second: the ring sums and the final
@@ -923,6 +962,8 @@ let () =
         [
           Alcotest.test_case "one log per launch, newest seq" `Quick
             test_log_one_file;
+          Alcotest.test_case "log bounded, resumes past the bound" `Quick
+            test_log_bounded;
           Alcotest.test_case "damaged tail resumes from the previous record"
             `Quick test_damaged_tail_resumes;
           Alcotest.test_case "no valid record rejected" `Quick

@@ -300,9 +300,9 @@ let test_barrier_starvation_diagnostic () =
     {
       Sched.name = "never";
       consecutive = false;
-      select = (fun _ -> None);
+      select = (fun _ -> Sched.none);
       form =
-        (fun _ ~start ~want:_ -> { Sched.members = [ start ]; count = 1; scanned = 0 });
+        (fun _ ~start ~want:_ -> { Sched.members = [| start |]; count = 1; scanned = 0 });
     }
   in
   let cache = TC.prepare (Parser.parse_module barrier_spin_src) ~kernel:"spin" in

@@ -177,7 +177,7 @@ let prop_pressure =
    static builds realize them).  Every register the model calls invariant
    must be uniform; with [exact], every uniform register invariant too. *)
 let check_uniformity ~exact where (f : Ir.func) (plan : Plan.t) =
-  let slots = Hashtbl.fold (fun r _ acc -> r :: acc) plan.Plan.slots [] in
+  let slots = List.map fst (Plan.slotted plan) in
   List.iter
     (fun (static_warps, slotted) ->
       let cls =

@@ -225,7 +225,7 @@ let test_plan_slots_cover_live_ins () =
 let test_plan_slots_disjoint () =
   let tr = Ptx_to_ir.frontend (parse vecadd_src) ~kernel:"vecadd" in
   let plan = Plan.compute tr.Ptx_to_ir.func ~local_decl_bytes:32 in
-  let slots = Hashtbl.fold (fun r off acc -> (r, off) :: acc) plan.Plan.slots [] in
+  let slots = Plan.slotted plan in
   List.iter
     (fun (r1, o1) ->
       let s1 = Ast.size_of (Ir.reg_ty tr.Ptx_to_ir.func r1).Ty.elt in
@@ -670,7 +670,7 @@ module Affine = Vekt_analysis.Affine
 let classify_of src ~kernel =
   let tr = Ptx_to_ir.frontend (parse src) ~kernel in
   let plan = Plan.compute tr.Ptx_to_ir.func ~local_decl_bytes:0 in
-  let slotted = Hashtbl.fold (fun r _ acc -> r :: acc) plan.Plan.slots [] in
+  let slotted = List.map fst (Plan.slotted plan) in
   (tr, plan, Affine.classify ~static_warps:true ~slotted tr.Ptx_to_ir.func)
 
 let cls_of tr cls name = cls.(Hashtbl.find tr.Ptx_to_ir.reg_map name)

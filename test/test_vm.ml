@@ -810,6 +810,181 @@ let test_interp_fault_counters () =
   (* lane 2's block starts at 128: 128 + 200 is past the 256-byte arena *)
   check ~bad_slot:true ~addr:328 ~dyn:15 ~spills:4 ~restores:3
 
+(* The counter contract of the folds.  Lane [l]'s [tid] is packed into
+   [x] (context reads folded into their inserts), then one of: a global
+   load at 4096 (64-byte segment) feeding a folded insert, counted
+   without its insert; an extract feeding a faulting store, both
+   counted; or [x] spilled (one merged run) and restored from offset
+   140, a merged restore run whose lane 2 (block at 128) is past the
+   256-byte arena, counting restores 0-2 and, for lanes 0 and 1, their
+   folded inserts. *)
+let test_interp_fold_fault_counters () =
+  let v4 = Ty.vector Ast.S32 4 in
+  let at = Ir.Imm (Scalar_ops.I 4096L, Ast.S64) in
+  let kernel tail =
+    let b = Builder.create ~warp_size:4 "t" in
+    ignore (Builder.start_block b "entry");
+    let x = Builder.fresh_reg b v4 in
+    for l = 0 to 3 do
+      let s = Builder.emit_val b s32 (fun d -> Ir.Ctx_read (d, Ir.Tid Ast.X, l)) in
+      Builder.emit b (Ir.Insert (v4, x, Ir.R x, l, Ir.R s))
+    done;
+    tail b x;
+    Builder.set_term b Ir.Return;
+    let f = Builder.func b in
+    Vekt_ir.Verify.check_exn f;
+    (compile f, Ir.size f)
+  in
+  let load b x =
+    let y = Builder.emit_val b s32 (fun d -> Ir.Load (Ast.Global, Ast.S32, d, at, 0)) in
+    Builder.emit b (Ir.Insert (v4, x, Ir.R x, 0, Ir.R y))
+  in
+  let store b x =
+    let e = Builder.emit_val b s32 (fun d -> Ir.Extract (Ast.S32, d, Ir.R x, 1)) in
+    Builder.emit b (Ir.Store (Ast.Global, Ast.S32, at, 0, Ir.R e))
+  in
+  let restore b x =
+    for l = 0 to 3 do
+      Builder.emit b (Ir.Spill (l, 0, Ast.S32, Ir.R x))
+    done;
+    let w = Builder.fresh_reg b v4 in
+    for l = 0 to 3 do
+      let r = Builder.emit_val b s32 (fun d -> Ir.Restore (d, l, 140, Ast.S32)) in
+      Builder.emit b (Ir.Insert (v4, w, Ir.R w, l, Ir.R r))
+    done
+  in
+  let check what tail ~size ~addr ~dyn ~spills ~restores =
+    let c, instrs = kernel tail in
+    (* 4 folded context reads; the rest folded or merged as named *)
+    Alcotest.(check int) (what ^ ": closures and steps of " ^ string_of_int instrs) size
+      (Interp.size c);
+    let counters = Interp.fresh_counters () in
+    match trap_of (fun () -> Interp.run ~counters c ~launch:launch1 (warp4 ()) (mems ())) with
+    | Some (_, Some a) ->
+        Alcotest.(check int) (what ^ ": fault address") addr a.Vekt_error.addr;
+        Alcotest.(check int) (what ^ ": dyn_instrs") dyn counters.Interp.dyn_instrs;
+        Alcotest.(check int) (what ^ ": spills") spills counters.Interp.spills;
+        Alcotest.(check int) (what ^ ": restores") restores counters.Interp.restores
+    | _ -> Alcotest.failf "%s: no structured memory fault" what
+  in
+  check "load into insert" load ~size:5 ~addr:4096 ~dyn:9 ~spills:0 ~restores:0;
+  check "extract into store" store ~size:5 ~addr:4096 ~dyn:10 ~spills:0 ~restores:0;
+  check "merged restores" restore ~size:6 ~addr:268 ~dyn:17 ~spills:4 ~restores:3
+
+(* Every fold against the same kernel with that fold blocked by one more
+   use of the folded register: the blocking instruction replaces a move
+   from an immediate, so both kernels run as many instructions, and
+   every register they keep ends up in memory.  Results and counters
+   must agree, and the blocked kernel must lower to more pieces. *)
+let test_interp_folded_vs_unfolded () =
+  let vi = Ty.vector Ast.S32 4 and vf = Ty.vector Ast.F32 4 in
+  let g k = Ir.Imm (Scalar_ops.I (Int64.of_int k), Ast.S64) in
+  (* [kernel blocked]: the registers each fold would remove, by name;
+     the one named [blocked] gets a second use at the end *)
+  let kernel blocked =
+    let b = Builder.create ~warp_size:4 "t" in
+    ignore (Builder.start_block b "entry");
+    let keep = ref [] in
+    let mark name r = keep := (name, r) :: !keep in
+    let x = Builder.fresh_reg b vi and y = Builder.fresh_reg b vf in
+    let z = Builder.fresh_reg b vf and w = Builder.fresh_reg b vf in
+    for l = 0 to 3 do
+      let t = Builder.emit_val b s32 (fun d -> Ir.Ctx_read (d, Ir.Tid Ast.X, l)) in
+      if l = 0 then mark "ctx" t;
+      Builder.emit b (Ir.Insert (vi, x, Ir.R x, l, Ir.R t))
+    done;
+    for l = 0 to 3 do
+      let e = Builder.emit_val b s32 (fun d -> Ir.Extract (Ast.S32, d, Ir.R x, l)) in
+      let c = Builder.emit_val b f32 (fun d -> Ir.Cvt (f32, s32, d, Ir.R e)) in
+      if l = 0 then (mark "extract" e; mark "cvt" c);
+      Builder.emit b (Ir.Insert (vf, y, Ir.R y, l, Ir.R c))
+    done;
+    for l = 0 to 3 do
+      let v = Builder.emit_val b f32 (fun d -> Ir.Load (Ast.Global, Ast.F32, d, g (4 * l), 0)) in
+      if l = 0 then mark "load" v;
+      Builder.emit b (Ir.Insert (vf, z, Ir.R z, l, Ir.R v))
+    done;
+    Builder.emit b (Ir.Bin (Ast.Add, vf, y, Ir.R y, Ir.R z));
+    for l = 0 to 3 do
+      Builder.emit b (Ir.Spill (l, 16, Ast.F32, Ir.R y))
+    done;
+    for l = 0 to 3 do
+      let r = Builder.emit_val b f32 (fun d -> Ir.Restore (d, l, 16, Ast.F32)) in
+      if l = 0 then mark "restore" r;
+      Builder.emit b (Ir.Insert (vf, w, Ir.R w, l, Ir.R r))
+    done;
+    List.iteri
+      (fun k (v, ty) ->
+        for l = 0 to 3 do
+          let e = Builder.emit_val b (Ty.scalar ty) (fun d -> Ir.Extract (ty, d, Ir.R v, l)) in
+          if k = 0 && l = 0 then mark "store" e;
+          Builder.emit b (Ir.Store (Ast.Global, ty, g (64 + (16 * k) + (4 * l)), 0, Ir.R e))
+        done)
+      [ (w, Ast.F32); (x, Ast.S32); (z, Ast.F32) ];
+    List.iter
+      (fun (name, r) ->
+        let ty = Vekt_ir.Ir.reg_ty (Builder.func b) r in
+        let from =
+          if name = blocked then Ir.R r
+          else if Ast.is_float ty.Ty.elt then imm_f 0.0
+          else imm_i 0
+        in
+        ignore (Builder.emit_val b ty (fun d -> Ir.Mov (ty, d, from))))
+      (List.rev !keep);
+    Builder.set_term b Ir.Return;
+    let f = Builder.func b in
+    Vekt_ir.Verify.check_exn f;
+    let c = compile f in
+    let mem = mems ~global:128 () in
+    Mem.write_f32s mem.Interp.global ~at:0 [ 0.5; 1.5; 2.5; 3.5 ];
+    let counters = Interp.fresh_counters () in
+    Interp.run ~counters c ~launch:launch1 (warp4 ()) mem;
+    (Interp.size c, Bytes.to_string (Mem.bytes mem.Interp.global), counters)
+  in
+  let size, global, counters = kernel "" in
+  Alcotest.(check (list (float 0.0))) "w = tid + global" [ 0.5; 2.5; 4.5; 6.5 ]
+    (Mem.read_f32s (Mem.of_bytes (Bytes.of_string global)) ~at:64 4);
+  List.iter
+    (fun name ->
+      let size', global', counters' = kernel name in
+      Alcotest.(check bool) (name ^ ": blocked lowers to more pieces") true (size' > size);
+      Alcotest.(check string) (name ^ ": memory") global global';
+      List.iter
+        (fun (field, get, _) ->
+          Alcotest.(check int) (name ^ ": " ^ field) (get counters) (get counters'))
+        Interp.int_counter_fields)
+    [ "ctx"; "extract"; "cvt"; "load"; "restore"; "store" ]
+
+(* The vectorizer's glue around ringsum's barrier lowers to fewer
+   closures and steps than ringsum has instructions: the lane moves fold
+   into their neighbours and the per-lane spills and restores merge, so
+   at least half of the extracts and inserts leave nothing behind. *)
+let test_interp_ringsum_folds () =
+  let src = In_channel.with_open_text "../examples/ringsum.ptx" In_channel.input_all in
+  let tr =
+    Vekt_transform.Ptx_to_ir.frontend (Typecheck.load src) ~kernel:"ringsum"
+  in
+  let scalar = tr.Vekt_transform.Ptx_to_ir.func in
+  let plan =
+    Vekt_transform.Plan.compute scalar
+      ~local_decl_bytes:tr.Vekt_transform.Ptx_to_ir.local_decl_bytes
+  in
+  let f = (Vekt_transform.Vectorize.run ~plan scalar ~ws:4).Vekt_transform.Vectorize.func in
+  ignore (Vekt_transform.Passes.run f);
+  let moves = ref 0 in
+  List.iter
+    (fun (b : Ir.block) ->
+      List.iter
+        (fun ({ Ir.i; _ } : Ir.li) ->
+          match i with Ir.Extract _ | Ir.Insert _ -> incr moves | _ -> ())
+        b.Ir.insts)
+    (Ir.blocks f);
+  let instrs = Ir.size f and size = Interp.size (compile f) in
+  Alcotest.(check bool)
+    (Fmt.str "%d closures and steps < %d instructions - %d lane moves / 2" size instrs !moves)
+    true
+    (!moves > 0 && size < instrs - (!moves / 2))
+
 (* A guest address near [max_int], where [addr + width] wraps, is a
    structured fault like any other out-of-range access. *)
 let test_interp_huge_address () =
@@ -897,6 +1072,9 @@ let () =
           Alcotest.test_case "f32 fast paths" `Quick test_fast_paths;
           Alcotest.test_case "integer fast paths" `Quick test_int_fast_paths;
           Alcotest.test_case "fault counters" `Quick test_interp_fault_counters;
+          Alcotest.test_case "fold fault counters" `Quick test_interp_fold_fault_counters;
+          Alcotest.test_case "folded vs unfolded" `Quick test_interp_folded_vs_unfolded;
+          Alcotest.test_case "ringsum folds" `Quick test_interp_ringsum_folds;
           Alcotest.test_case "out-of-range lowering" `Quick test_interp_rejects_out_of_range;
           Alcotest.test_case "huge address" `Quick test_interp_huge_address;
         ] );
